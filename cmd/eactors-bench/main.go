@@ -37,7 +37,6 @@ func run(args []string) error {
 	measure := fs.Duration("measure", 0, "override the steady-state measure window of the messaging figures")
 	format := fs.String("format", "table", "output format: table or csv")
 	telem := fs.Bool("telemetry", false, "enable runtime telemetry on benchmarked deployments (measures the instrumented configuration)")
-	switchless := fs.Bool("switchless", false, "service encrypted cross-enclave channels with switchless proxy workers")
 	metrics := fs.String("metrics", "", "serve each deployment's telemetry over HTTP at this address while it runs (implies -telemetry)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -48,7 +47,6 @@ func run(args []string) error {
 	measureOverride = *measure
 	bench.Telemetry = *telem || *metrics != ""
 	bench.MetricsAddr = *metrics
-	bench.Switchless = *switchless
 	if !*all && *fig == "" {
 		fs.Usage()
 		return fmt.Errorf("pass -fig N or -all")

@@ -36,7 +36,6 @@ func run() error {
 	listen := flag.String("listen", "127.0.0.1:6380", "TCP listen address")
 	shards := flag.Int("shards", 4, "number of KVSTORE eactors / POS shards")
 	trusted := flag.Bool("trusted", true, "run each KVSTORE eactor inside its own enclave")
-	switchless := flag.Bool("switchless", false, "service encrypted channels with switchless proxy workers (needs -trusted)")
 	dir := flag.String("dir", "", "store directory (empty = volatile in-memory shards)")
 	storeSize := flag.Int("store-size", 16<<20, "per-shard store size in bytes")
 	encrypt := flag.Bool("encrypt", false, "seal every record at rest (see -key)")
@@ -85,7 +84,6 @@ func run() error {
 		ListenAddr:         *listen,
 		Shards:             *shards,
 		Trusted:            *trusted,
-		Switchless:         *switchless,
 		Dir:                *dir,
 		StoreSize:          *storeSize,
 		EncryptionKey:      encKey,
@@ -108,8 +106,8 @@ func run() error {
 		return err
 	}
 	defer srv.Stop()
-	fmt.Printf("kvserver: listening on %s (shards=%d trusted=%v switchless=%v encrypted=%v dir=%q netloop=%v)\n",
-		srv.Addr(), *shards, *trusted, *switchless && *trusted, encKey != nil, *dir, *netloopOn)
+	fmt.Printf("kvserver: listening on %s (shards=%d trusted=%v encrypted=%v dir=%q netloop=%v)\n",
+		srv.Addr(), *shards, *trusted, encKey != nil, *dir, *netloopOn)
 	if *metrics != "" {
 		bound, stopHTTP, err := telemetry.Serve(*metrics, srv.Telemetry(),
 			telemetry.WithTraces(srv.Tracer()), telemetry.WithProfile(srv.ProfileSource()))

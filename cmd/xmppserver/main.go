@@ -37,7 +37,6 @@ func run() error {
 	listen := flag.String("listen", "127.0.0.1:5222", "TCP listen address")
 	shards := flag.Int("shards", 1, "number of XMPP eactors")
 	trusted := flag.Bool("trusted", true, "run CONNECTOR and XMPP eactors inside enclaves")
-	switchless := flag.Bool("switchless", false, "service encrypted channels with switchless proxy workers (needs -trusted)")
 	enclaves := flag.Int("enclaves", 1, "number of enclaves hosting the XMPP eactors (when trusted)")
 	rooms := flag.String("rooms", "", "comma-separated group chats confined to dedicated enclaves")
 	netloopOn := flag.Bool("netloop", false, "multiplex connection reads through the event-driven readiness loop (O(pollers+dispatchers) goroutines instead of one per connection)")
@@ -81,7 +80,6 @@ func run() error {
 		ListenAddr:         *listen,
 		Shards:             *shards,
 		Trusted:            *trusted,
-		Switchless:         *switchless,
 		EnclaveCount:       *enclaves,
 		DedicatedRooms:     dedicated,
 		DirectoryStore:     dirStore,
@@ -100,8 +98,8 @@ func run() error {
 		return err
 	}
 	defer srv.Stop()
-	fmt.Printf("xmppserver: listening on %s (shards=%d trusted=%v enclaves=%d switchless=%v netloop=%v)\n",
-		srv.Addr(), *shards, *trusted, *enclaves, *switchless && *trusted, *netloopOn)
+	fmt.Printf("xmppserver: listening on %s (shards=%d trusted=%v enclaves=%d netloop=%v)\n",
+		srv.Addr(), *shards, *trusted, *enclaves, *netloopOn)
 	var s2sSrv *xmpp.S2SServer
 	if *s2s != "" {
 		if s2sSrv, err = xmpp.ListenS2S(*s2s, *domain, xmpp.S2SOptions{}); err != nil {

@@ -140,7 +140,6 @@ func PingPongEA(pairs, size int, costs *sgx.CostModel, encrypted bool) (time.Dur
 		PoolNodes:   16,
 		NodePayload: size + 64,
 		Telemetry:   Telemetry,
-		Switchless:  core.SwitchlessConfig{Enabled: Switchless && encrypted},
 		Channels: []core.ChannelSpec{{
 			Name: "pp", A: "ping", B: "pong", Plaintext: !encrypted, Capacity: 4,
 		}},
@@ -256,7 +255,6 @@ func PingPongEABatched(pairs, size, batch int, costs *sgx.CostModel, encrypted b
 		PoolNodes:   2*capacity + 8,
 		NodePayload: size + 64,
 		Telemetry:   Telemetry,
-		Switchless:  core.SwitchlessConfig{Enabled: Switchless && encrypted},
 		Channels: []core.ChannelSpec{{
 			Name: "pp", A: "ping", B: "pong", Plaintext: !encrypted, Capacity: capacity,
 		}},

@@ -76,7 +76,6 @@ func runKVPoint(cfg FigKVConfig, shards, clients int) (float64, error) {
 	srv, err := kv.Start(kv.Options{
 		Shards:        shards,
 		Trusted:       cfg.Trusted,
-		Switchless:    Switchless,
 		Platform:      sgx.NewPlatform(),
 		EncryptionKey: &key,
 		StoreSize:     4 << 20,

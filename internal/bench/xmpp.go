@@ -24,11 +24,6 @@ var Telemetry bool
 // deployment (eactors-bench -metrics). Implies Telemetry.
 var MetricsAddr string
 
-// Switchless services encrypted cross-enclave channels of every trusted
-// deployment with switchless proxy workers instead of blocking crossings
-// (eactors-bench -switchless). Plaintext deployments are unaffected.
-var Switchless bool
-
 // messagePayloadBytes matches the paper's O2O workload: pseudo-random
 // strings of at most 150 bytes (Section 6.4.1).
 const messagePayloadBytes = 150
@@ -72,7 +67,6 @@ func startDeployment(name string, trusted bool, enclaves int, ssl bool) (*xmppDe
 	srv, err := xmpp.Start(xmpp.Options{
 		Shards:       shards,
 		Trusted:      trusted,
-		Switchless:   Switchless,
 		EnclaveCount: enclaves,
 		Platform:     sgx.NewPlatform(),
 		Telemetry:    Telemetry || MetricsAddr != "",

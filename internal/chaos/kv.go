@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
 	"github.com/eactors/eactors-go/internal/ecrypto"
@@ -96,10 +95,6 @@ func RunKV(seed uint64, ops int, timeout time.Duration) (Result, error) {
 		Trusted:       true,
 		EncryptionKey: &encKey,
 		StoreSize:     1 << 20,
-		// CHAOS_SWITCHLESS=1 runs the same schedule over the switchless
-		// proxy path, so doorbell-drop and epc-spike faults exercise the
-		// ring pipeline and proxy parking instead of blocking crossings.
-		Switchless: os.Getenv("CHAOS_SWITCHLESS") == "1",
 		// Tight flush period, so the injected sync failures fire many
 		// times within the run and every failed flush gets retried.
 		FlushInterval: 10 * time.Millisecond,

@@ -242,22 +242,6 @@ func (s *Self) WorkerID() int { return s.inst.worker.id }
 // rather than on the next poll.
 func (s *Self) Waker() func() { return s.inst.worker.Wake }
 
-// RunUntrusted executes fn in the untrusted runtime on behalf of the
-// eactor. With switchless proxies configured the call is relayed to a
-// proxy worker — the enclaved caller never leaves its enclave, the
-// paper's switchless OCall — and blocks until fn has run. Without
-// proxies (or when every proxy's call buffer is full) fn runs inline,
-// which on a real platform would be the blocking OCall. fn must not
-// touch the eactor's channels or state from the proxy thread beyond
-// what is safe concurrently; typical uses are socket writes and POS
-// persistence flushes.
-func (s *Self) RunUntrusted(fn func()) {
-	if sw := s.rt.sw; sw != nil && sw.call(fn) {
-		return
-	}
-	fn()
-}
-
 // StopRuntime requests an asynchronous shutdown of the whole runtime.
 // Bodies call it when the application's work is done.
 func (s *Self) StopRuntime() {

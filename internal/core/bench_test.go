@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 )
 
@@ -64,10 +63,6 @@ func BenchmarkChannelBatch64(b *testing.B) {
 // benchChannelPipelined measures a windowed stream: the sender keeps up
 // to window messages in flight and the receiver drains opportunistically
 // — the shape of real eactor traffic (bursts, not lockstep ping-pong).
-// This is where switchless mode earns its keep: the proxy coalesces the
-// in-flight run into multi-record segments, paying one AEAD pass per
-// run instead of one per message, while the blocking path seals each
-// message individually.
 func benchChannelPipelined(b *testing.B, src, dst *Endpoint, window int) {
 	payload := make([]byte, 64)
 	buf := make([]byte, 256)
@@ -84,7 +79,6 @@ func benchChannelPipelined(b *testing.B, src, dst *Endpoint, window int) {
 			}
 			inflight++
 		}
-		drained := false
 		for inflight > 0 {
 			_, ok, err := dst.Recv(buf)
 			if err != nil {
@@ -95,20 +89,10 @@ func benchChannelPipelined(b *testing.B, src, dst *Endpoint, window int) {
 			}
 			inflight--
 			received++
-			drained = true
-		}
-		if !drained && inflight > 0 {
-			// The proxy needs the CPU to move the window.
-			runtime.Gosched()
 		}
 	}
 }
 
-// BenchmarkChannelPipelined uses 2 KiB nodes so a sealed segment has
-// room for a whole 16-message window (64 B records + framing); with
-// 256 B nodes a segment tops out at 3 records and the coalescing win
-// drowns in framing overhead. Node size does not change the per-record
-// work of the plain and blocking-encrypted variants.
 func BenchmarkChannelPipelined(b *testing.B) {
 	const (
 		window  = 16
@@ -122,45 +106,6 @@ func BenchmarkChannelPipelined(b *testing.B) {
 		src, dst, _ := buildPair(b, true, 256, 512, payload)
 		benchChannelPipelined(b, src, dst, window)
 	})
-	b.Run("switchless", func(b *testing.B) {
-		src, dst, _ := buildPairSwitchless(b, 256, 512, payload, 1)
-		benchChannelPipelined(b, src, dst, window)
-	})
-	b.Run("switchless2", func(b *testing.B) {
-		src, dst, _ := buildPairSwitchless(b, 256, 512, payload, 2)
-		benchChannelPipelined(b, src, dst, window)
-	})
-	b.Run("switchless4", func(b *testing.B) {
-		src, dst, _ := buildPairSwitchless(b, 256, 512, payload, 4)
-		benchChannelPipelined(b, src, dst, window)
-	})
-}
-
-// BenchmarkSwitchlessSingle is the lockstep single-message hop on a
-// switchless channel: with the pipeline empty the proxy parks and every
-// message takes the inline (blocking-equivalent) path, so this bounds
-// the mode's degradation cost rather than its win.
-func BenchmarkSwitchlessSingle(b *testing.B) {
-	src, dst, _ := buildPairSwitchless(b, 256, 512, 256, 1)
-	payload := make([]byte, 64)
-	buf := make([]byte, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := src.Send(payload); err != nil {
-			b.Fatal(err)
-		}
-		for {
-			_, ok, err := dst.Recv(buf)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if ok {
-				break
-			}
-			runtime.Gosched()
-		}
-	}
 }
 
 // BenchmarkChannelFanIn models the system-eactor drain pattern (WRITER,

@@ -107,22 +107,22 @@ type Endpoint struct {
 	out, in  *mem.Mbox
 	pool     *mem.Pool
 	cipher   *ecrypto.Cipher // nil on plaintext channels
-	scratch  []byte          // staging buffer for in-place crypto
+	scratch  []byte          // staging buffer for opened plaintext
 	peerWake func()          // rings the consumer worker's doorbell
 
-	batch       []*mem.Node // node staging for the batch fast path
+	batch       []*mem.Node // node staging shared by every send and receive
 	scratchIdle int         // consecutive small scratch uses (see noteScratchUse)
 
-	// inj is the runtime's fault injector (Config.Faults); nil in
-	// production, one nil check on the hot paths.
+	// The four cross-cutting concerns below belong to the hop observer
+	// (further down); Send*/Recv* never touch them.
+
+	// inj is the runtime's fault injector (Config.Faults); nil in production.
 	inj *faults.Injector
 
-	// Telemetry (all nil/zero unless Config.Telemetry): m gates the
-	// instrumented paths, shard is the owning worker's counter shard,
-	// rec its flight recorder, sendNs the per-channel sampled latency
+	// Telemetry (all nil/zero unless Config.Telemetry): rec is the owning
+	// worker's flight recorder, sendNs the per-channel sampled latency
 	// histogram and sampleTick the owner-thread-local sampling counter.
 	m          *metrics
-	shard      int
 	rec        *telemetry.Recorder
 	sendNs     *telemetry.Histogram
 	sampleTick uint32
@@ -148,14 +148,6 @@ type Endpoint struct {
 	pcMask uint32
 	pcTick uint32
 
-	// Switchless mode (Config.Switchless, encrypted channels only):
-	// sw is this endpoint's egress direction — sends post plain records
-	// onto its call ring instead of sealing here — and swRx its ingress
-	// direction — receives pop already-opened records off its rx ring.
-	// Both nil on blocking channels; see switchless.go.
-	sw   *swDir
-	swRx *swDir
-
 	sent         atomic.Uint64
 	received     atomic.Uint64
 	sendFailures atomic.Uint64
@@ -177,269 +169,404 @@ func (e *Endpoint) SendFailures() uint64 { return e.sendFailures.Load() }
 // Channel returns the owning channel.
 func (e *Endpoint) Channel() *Channel { return e.ch }
 
-// MaxPayload returns the largest payload Send accepts. On encrypted
-// channels of a tracing runtime the sealed frame also carries the
-// 16-byte trace trailer, so the application budget shrinks by that
-// much (deterministic framing: the trailer is always present, traced
-// or not).
+// traces reports whether the runtime traces (Config.Trace). Outbound
+// nodes are then stamped, and every sealed frame ends in the 16-byte
+// trace context — traced or not, so framing stays deterministic and the
+// context is authenticated.
+func (e *Endpoint) traces() bool { return e.tr != nil }
+
+// overhead returns the bytes a sealed frame adds to its payload (zero on
+// plaintext channels).
+func (e *Endpoint) overhead() int {
+	if e.cipher == nil {
+		return 0
+	}
+	if e.traces() {
+		return ecrypto.Overhead + trace.HeaderSize
+	}
+	return ecrypto.Overhead
+}
+
+// MaxPayload returns the largest payload Send accepts: the node
+// capacity minus, on encrypted channels, the sealed-frame overhead.
 func (e *Endpoint) MaxPayload() int {
-	capacity := e.pool.Arena().PayloadSize()
-	if e.cipher != nil {
-		capacity -= ecrypto.Overhead
-		if e.tr != nil {
-			capacity -= trace.HeaderSize
+	return e.pool.Arena().PayloadSize() - e.overhead()
+}
+
+// hop observes one channel operation for the cross-cutting concerns:
+// telemetry (e.m), tracing (e.tr), cost accounting (e.pc) and fault
+// injection (e.inj). It decides once, when the operation begins, which
+// sinks sample it, reads the clock at most once per edge (operation
+// start, seal/open start, seal/open end, operation end) and fans each
+// edge out to the sinks that asked. Send*/Recv* call its methods and
+// never touch a sink themselves, so a further sink changes this type
+// only. With every sink off each method is a few nil checks.
+type hop struct {
+	e      *Endpoint
+	batch  bool      // SendBatch/RecvBatch: burst sizes are observed
+	mute   bool      // injected DoorbellDrop: the peer is not woken
+	tel    bool      // telemetry samples this operation (1 in 16)
+	pscale uint32    // cost-accounting clock extrapolation; 0 = untimed
+	ctx    trace.Ctx // send: stamped on outbound nodes; recv: adopted
+	parent uint32    // send: the scope span the send span hangs off
+	enq    int64     // send: stamped enqueue time; recv: the adopted node's
+	start  time.Time // send: operation start, when tel or traced
+	edge   time.Time // seal/open start, when any sink times this pass
+
+	// What moved. Send: plaintext bytes about to be enqueued. Receive:
+	// messages dequeued, and what open made of them.
+	bytes, msgs, opened, openBytes int
+}
+
+// sample decides, once per operation, which sinks pay for clock reads:
+// telemetry times 1 operation in 16, cost accounting 1 seal/open pass in
+// pcMask+1 (pscale is the period the measured duration is multiplied
+// by). The ticks are owner-local, so sampling needs no synchronisation,
+// and the skipped operations avoid the clock reads that would dominate
+// the fast path's instrumentation.
+func (h *hop) sample() {
+	e := h.e
+	if e.m != nil {
+		e.sampleTick++
+		h.tel = e.sampleTick&latencySampleMask == 0
+	}
+	if e.pc != nil && e.cipher != nil {
+		if e.pcTick++; e.pcTick&e.pcMask == 0 {
+			h.pscale = e.pcMask + 1
 		}
-		if e.sw != nil {
-			// Switchless frames are segments; every record carries a
-			// length prefix inside the sealed run.
-			capacity -= segHdr
-		}
-	}
-	return capacity
-}
-
-// maybeSample starts a latency sample on 1 in 16 operations when
-// telemetry is enabled, returning the zero time otherwise (which
-// Histogram.ObserveSince ignores). The tick counter is owner-thread-
-// local, so sampling is free of synchronisation; the skipped iterations
-// avoid the two time.Now calls that would otherwise dominate the
-// instrumentation budget of the message fast path.
-func (e *Endpoint) maybeSample() time.Time {
-	if e.m == nil {
-		return time.Time{}
-	}
-	e.sampleTick++
-	if e.sampleTick&latencySampleMask != 0 {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// pcSample decides whether this operation's seal/open pays the clock
-// reads for cost accounting: it returns 0 to skip, or the sampling
-// period to multiply the measured duration by (extrapolation). The
-// tick is owner-thread-local like sampleTick.
-func (e *Endpoint) pcSample() uint32 {
-	if e.pc == nil {
-		return 0
-	}
-	e.pcTick++
-	if e.pcTick&e.pcMask != 0 {
-		return 0
-	}
-	return e.pcMask + 1
-}
-
-// pcSent charges a successful send of msgs messages totalling bytes
-// plaintext bytes to the owning actor and this direction's edge.
-func (e *Endpoint) pcSent(msgs, bytes int) {
-	if e.pc == nil {
-		return
-	}
-	e.pc.MsgsSent.Add(uint64(msgs))
-	e.pc.BytesSent.Add(uint64(bytes))
-	e.pcEdge.Msgs.Add(uint64(msgs))
-	e.pcEdge.Bytes.Add(uint64(bytes))
-}
-
-// pcRecv charges delivered inbound messages to the owning actor.
-func (e *Endpoint) pcRecv(msgs, bytes int) {
-	if e.pc == nil || msgs == 0 {
-		return
-	}
-	e.pc.MsgsRecv.Add(uint64(msgs))
-	e.pc.BytesRecv.Add(uint64(bytes))
-}
-
-// noteSent traces a successful send of n messages. Traffic totals come
-// from the endpoint atomics at read time; only the sampled operations
-// (start non-zero, 1 in 16) pay for the flight-recorder event and the
-// latency observation, so the per-message fast path costs no timestamp.
-func (e *Endpoint) noteSent(n int, start time.Time) {
-	if start.IsZero() {
-		return
-	}
-	e.rec.Record(telemetry.EvEnqueue, e.ch.tag, uint64(n))
-	e.sendNs.ObserveSince(start)
-}
-
-// noteRecv traces a successful receive of n messages, decimated 1-in-16
-// by the owner-local tick like noteSent.
-func (e *Endpoint) noteRecv(n int) {
-	if e.m == nil {
-		return
-	}
-	e.sampleTick++
-	if e.sampleTick&latencySampleMask == 0 {
-		e.rec.Record(telemetry.EvDequeue, e.ch.tag, uint64(n))
 	}
 }
 
-// traceSendStart opens a send span when the owning invocation carries a
-// sampled trace. ctx is the context stamped onto outbound nodes — its
-// Span is the freshly allocated send span, which the receive side
-// parents its spans to; parent is the scope's current span, which the
-// send span itself hangs off. Zero results mean untraced; the
-// armed-but-untraced cost is one atomic load.
-func (e *Endpoint) traceSendStart() (ctx trace.Ctx, parent uint32, start time.Time) {
-	if e.tr == nil {
-		return trace.Ctx{}, 0, time.Time{}
+// passStart reads the clock ahead of a seal or open pass when any sink
+// times it; traced is the caller's knowledge that the pass belongs to a
+// sampled trace.
+func (h *hop) passStart(traced bool) {
+	if h.tel || h.pscale > 0 || traced {
+		h.edge = time.Now()
 	}
-	c := e.scope.Active()
-	if !c.Traced() {
-		return trace.Ctx{}, 0, time.Time{}
-	}
-	return trace.Ctx{TraceID: c.TraceID, Span: e.tr.NextSpan()}, c.Span, time.Now()
 }
 
-// traceSendEnd records the send span opened by traceSendStart, covering
-// n enqueued messages (batch sends share one span).
-func (e *Endpoint) traceSendEnd(ctx trace.Ctx, parent uint32, start time.Time) {
-	if start.IsZero() {
-		return
-	}
+// span records one span of the hop's trace on the owning worker's ring.
+func (h *hop) span(kind trace.Kind, id, parent uint32, start, dur int64) {
+	e := h.e
 	e.tr.Record(e.owner, trace.Span{
-		TraceID: ctx.TraceID, ID: ctx.Span, Parent: parent,
-		Kind: trace.KindSend, Ref: e.ch.tag,
-		Start: start.UnixNano(), Dur: int64(time.Since(start)),
+		TraceID: h.ctx.TraceID, ID: id, Parent: parent,
+		Kind: kind, Ref: e.ch.tag, Start: start, Dur: dur,
 	})
 }
 
-// traceSeal records a seal span under the send span.
-func (e *Endpoint) traceSeal(ctx trace.Ctx, start time.Time) {
-	if start.IsZero() || !ctx.Traced() {
+// beginSend opens the observation of a send. The fault schedule comes
+// first, one slot per operation (a batch included): SendFail rejects the
+// send as an organic full-mailbox failure (false, the failure already
+// counted), Delay stalls it, DoorbellDrop is remembered for sent. A
+// traced send allocates its span here: ctx is what outbound nodes are
+// stamped with, and the receive side parents its spans to it. Armed but
+// untraced costs one atomic load.
+func (h *hop) beginSend() bool {
+	e := h.e
+	if e.inj != nil {
+		switch act := e.inj.At(faults.SiteSend); act.Class {
+		case faults.SendFail:
+			e.sendFailures.Add(1)
+			return false
+		case faults.Delay:
+			time.Sleep(act.Delay)
+		case faults.DoorbellDrop:
+			h.mute = true
+		}
+	}
+	h.sample()
+	if e.tr != nil {
+		if c := e.scope.Active(); c.Traced() {
+			h.ctx = trace.Ctx{TraceID: c.TraceID, Span: e.tr.NextSpan()}
+			h.parent = c.Span
+		}
+	}
+	if h.tel || h.ctx.Traced() {
+		h.start = time.Now()
+	}
+	return true
+}
+
+// corruptSeal reports whether the channel-seal schedule corrupts the
+// payload just sealed (it shares SiteSeal with sgx.Enclave.Seal so one
+// schedule covers both seal layers).
+func (h *hop) corruptSeal() bool {
+	inj := h.e.inj
+	return inj != nil && inj.At(faults.SiteSeal).Class == faults.SealCorrupt
+}
+
+// sealed closes the seal pass over nodes, which now hold sealed frames.
+// Seal counts are exact; the duration reaches the sinks that sampled it,
+// per payload for telemetry and extrapolated for cost accounting.
+func (h *hop) sealed(nodes []*mem.Node) {
+	e := h.e
+	if e.pc != nil {
+		e.pc.SealOps.Add(uint64(len(nodes)))
+		e.pc.SealBytes.Add(uint64(e.plainBytes(nodes)))
+	}
+	if h.edge.IsZero() {
 		return
 	}
-	e.tr.Record(e.owner, trace.Span{
-		TraceID: ctx.TraceID, ID: e.tr.NextSpan(), Parent: ctx.Span,
-		Kind: trace.KindSeal, Ref: e.ch.tag,
-		Start: start.UnixNano(), Dur: int64(time.Since(start)),
-	})
-}
-
-// stampTrace writes an outbound node's trace header before enqueue.
-// Untraced nodes are explicitly cleared: pool nodes are recycled, and a
-// stale header from an earlier traced message must not resurrect.
-func stampTrace(node *mem.Node, ctx trace.Ctx, enqNS int64) {
-	if ctx.Traced() {
-		node.SetTrace(ctx.TraceID, ctx.Span, enqNS)
-	} else {
-		node.ClearTrace()
-	}
-}
-
-// traceRecvPlain adopts a plaintext inbound message's trace context and
-// records the mailbox-dwell span (enqueue timestamp to now). Called
-// with e.tr != nil and ctx traced.
-func (e *Endpoint) traceRecvPlain(ctx trace.Ctx, enq int64) {
-	now := time.Now().UnixNano()
-	if enq > 0 && enq <= now {
-		e.tr.Record(e.owner, trace.Span{
-			TraceID: ctx.TraceID, ID: e.tr.NextSpan(), Parent: ctx.Span,
-			Kind: trace.KindDwell, Ref: e.ch.tag,
-			Start: enq, Dur: now - enq,
-		})
-	}
-	e.scope.Adopt(ctx)
-}
-
-// traceRecvSealed adopts a sealed inbound message's authenticated trace
-// context (from the stripped trailer) and records the enclave-boundary
-// spans: a crossing span covering the message's whole transit (enqueue
-// to open complete), with the mailbox dwell and the open as children.
-// The crossing is attributed to the message rather than the worker
-// because a worker whose eactors share one enclave never re-crosses
-// (the paper's central optimisation) — the boundary the message paid is
-// the one worth seeing. enq comes from the node's untrusted header, so
-// it bounds measurement only, never causality.
-func (e *Endpoint) traceRecvSealed(ctx trace.Ctx, enq int64, openStart time.Time) {
 	now := time.Now()
-	nowNS := now.UnixNano()
-	crossing := e.tr.NextSpan()
-	if enq > 0 && enq <= nowNS {
-		e.tr.Record(e.owner, trace.Span{
-			TraceID: ctx.TraceID, ID: crossing, Parent: ctx.Span,
-			Kind: trace.KindCrossing, Ref: e.ch.tag,
-			Start: enq, Dur: nowNS - enq,
-		})
-		dwellEnd := nowNS
-		if !openStart.IsZero() {
-			dwellEnd = openStart.UnixNano()
-		}
-		if dwellEnd >= enq {
-			e.tr.Record(e.owner, trace.Span{
-				TraceID: ctx.TraceID, ID: e.tr.NextSpan(), Parent: crossing,
-				Kind: trace.KindDwell, Ref: e.ch.tag,
-				Start: enq, Dur: dwellEnd - enq,
-			})
-		}
+	dur := now.Sub(h.edge)
+	if h.tel {
+		e.m.sealNs.Observe(uint64(dur) / uint64(len(nodes)))
 	}
-	if !openStart.IsZero() {
-		e.tr.Record(e.owner, trace.Span{
-			TraceID: ctx.TraceID, ID: e.tr.NextSpan(), Parent: crossing,
-			Kind: trace.KindOpen, Ref: e.ch.tag,
-			Start: openStart.UnixNano(), Dur: int64(now.Sub(openStart)),
-		})
+	if h.pscale > 0 {
+		e.pc.SealNs.Add(uint64(dur) * uint64(h.pscale))
 	}
-	e.scope.Adopt(ctx)
+	if h.ctx.Traced() {
+		h.span(trace.KindSeal, e.tr.NextSpan(), h.ctx.Span, h.edge.UnixNano(), int64(dur))
+		h.enq = now.UnixNano()
+	}
 }
 
-// injectSend consults the fault injector at the send site: SendFail
-// rejects the send as an organic full-mailbox failure, Delay stalls it,
-// DoorbellDrop and SealCorrupt are returned for the caller's send path
-// to realise. The zero action means no fault (including when no
-// injector is armed).
-func (e *Endpoint) injectSend() faults.Action {
-	if e.inj == nil {
-		return faults.Action{}
+// outbound sees nodes off before the enqueue hands them over: it weighs
+// them for cost accounting (once enqueued they are the receiver's to
+// recycle) and writes their trace headers; a burst shares the send span
+// and one enqueue time. Untraced nodes are explicitly cleared: a recycled
+// node's stale header from a traced message must not resurrect.
+func (h *hop) outbound(nodes []*mem.Node) {
+	e := h.e
+	if e.pc != nil {
+		h.bytes = e.plainBytes(nodes)
 	}
-	act := e.inj.At(faults.SiteSend)
-	if act.Class == faults.Delay {
-		time.Sleep(act.Delay)
-	}
-	return act
-}
-
-// injectSealCorrupt reports whether the channel-seal schedule corrupts
-// this payload (encrypted channels only; shares SiteSeal with
-// sgx.Enclave.Seal so one schedule covers both seal layers).
-func (e *Endpoint) injectSealCorrupt() bool {
-	if e.inj == nil || e.cipher == nil {
-		return false
-	}
-	return e.inj.At(faults.SiteSeal).Class == faults.SealCorrupt
-}
-
-// injectRecv consults the fault injector after a successful dequeue
-// (polls on an empty mailbox do not consume schedule slots).
-func (e *Endpoint) injectRecv() {
-	if e.inj == nil {
+	if e.tr == nil {
 		return
 	}
-	if act := e.inj.At(faults.SiteRecv); act.Class == faults.Delay {
-		time.Sleep(act.Delay)
-	}
-}
-
-// corruptSealed flips one ciphertext bit so the peer's authenticated
-// open rejects the message — the injected stand-in for a tampering
-// untrusted runtime (the paper's adversary model, Section 2.3).
-func corruptSealed(blob []byte) {
-	if len(blob) > 0 {
-		blob[len(blob)/2] ^= 0x80
-	}
-}
-
-// wakePeer rings the consumer worker's doorbell unless the fault
-// schedule dropped it; a dropped doorbell is recovered by the worker's
-// idle-sleep poll, trading latency for liveness.
-func (e *Endpoint) wakePeer(act faults.Action) {
-	if act.Class == faults.DoorbellDrop {
+	if !h.ctx.Traced() {
+		for _, node := range nodes {
+			node.ClearTrace()
+		}
 		return
 	}
-	if e.peerWake != nil {
+	if h.enq == 0 {
+		h.enq = time.Now().UnixNano()
+	}
+	for _, node := range nodes {
+		node.SetTrace(h.ctx.TraceID, h.ctx.Span, h.enq)
+	}
+}
+
+// sent closes a send that enqueued msgs nodes and left kept with the
+// caller: traffic is charged to the owning actor and this direction's
+// edge, sampled operations pay for the flight-recorder event and the
+// latency observation, a traced send records its span (a burst shares
+// one), and the consumer's doorbell is rung — unless the fault schedule
+// dropped it, which the worker's idle-sleep poll recovers, trading
+// latency for liveness.
+func (h *hop) sent(msgs int, kept []*mem.Node) {
+	e := h.e
+	if e.pc != nil {
+		n, bytes := uint64(msgs), uint64(h.bytes-e.plainBytes(kept))
+		e.pc.MsgsSent.Add(n)
+		e.pc.BytesSent.Add(bytes)
+		e.pcEdge.Msgs.Add(n)
+		e.pcEdge.Bytes.Add(bytes)
+	}
+	if h.batch && e.m != nil {
+		e.m.sendBatch.Observe(uint64(msgs))
+	}
+	if !h.start.IsZero() {
+		dur := time.Since(h.start)
+		if h.tel {
+			e.rec.Record(telemetry.EvEnqueue, e.ch.tag, uint64(msgs))
+			e.sendNs.Observe(uint64(dur))
+		}
+		if h.ctx.Traced() {
+			h.span(trace.KindSend, h.ctx.Span, h.parent, h.start.UnixNano(), int64(dur))
+		}
+	}
+	if !h.mute && e.peerWake != nil {
 		e.peerWake()
 	}
+}
+
+// beginRecv opens the observation of a receive that dequeued nodes
+// (polls on an empty mailbox never get here, so they consume no fault
+// schedule slot and no sampling tick). The nodes' untrusted headers say
+// whether the burst carries a sampled message: a plaintext channel
+// adopts it at once, an encrypted one takes it as the hint that lets
+// armed-but-untraced receives skip the open pass's clock reads.
+func (h *hop) beginRecv(nodes []*mem.Node) {
+	e := h.e
+	h.msgs = len(nodes)
+	if e.inj != nil {
+		if act := e.inj.At(faults.SiteRecv); act.Class == faults.Delay {
+			time.Sleep(act.Delay)
+		}
+	}
+	h.sample()
+	if h.tel {
+		e.rec.Record(telemetry.EvDequeue, e.ch.tag, uint64(len(nodes)))
+	}
+	if h.batch && e.m != nil {
+		e.m.recvBatch.Observe(uint64(len(nodes)))
+	}
+	var hdr trace.Ctx // the burst's most recent traced header
+	var enq int64
+	if e.tr != nil {
+		for _, node := range nodes {
+			if tid, span, at := node.Trace(); tid != 0 {
+				hdr, enq = trace.Ctx{TraceID: tid, Span: span}, at
+			}
+		}
+	}
+	if e.cipher != nil {
+		h.passStart(hdr.Traced()) // what to adopt, the sealed trailers decide
+	} else if hdr.Traced() {
+		h.ctx, h.enq = hdr, enq
+		h.adopt(time.Now())
+	}
+}
+
+// openedPass closes the open pass of a receive on an encrypted channel:
+// exact open counts, the duration to the sinks that sampled it, and the
+// adoption of a traced message.
+func (h *hop) openedPass() {
+	e := h.e
+	if e.pc != nil {
+		e.pc.OpenOps.Add(uint64(h.opened))
+		e.pc.OpenBytes.Add(uint64(h.openBytes))
+	}
+	traced := h.ctx.Traced()
+	if h.edge.IsZero() && !traced {
+		return
+	}
+	now := time.Now()
+	if !h.edge.IsZero() {
+		dur := uint64(now.Sub(h.edge))
+		if h.tel {
+			e.m.openNs.Observe(dur / uint64(h.msgs))
+		}
+		if h.pscale > 0 {
+			e.pc.OpenNs.Add(dur * uint64(h.pscale))
+		}
+	}
+	if traced {
+		h.adopt(now)
+	}
+}
+
+// adopt makes a traced inbound message the invocation's context and
+// records its transit up to now: on plaintext channels the mailbox dwell
+// (enqueue to dequeue); on encrypted ones a crossing span over the whole
+// transit (enqueue to open complete) with the dwell and the open as
+// children. The crossing belongs to the message, not the worker: a
+// worker whose eactors share one enclave never re-crosses (the paper's
+// central optimisation), so the boundary the message paid is the one
+// worth seeing. The enqueue time is from the node's untrusted header: it
+// bounds measurement, never causality. A burst is described by its most
+// recent traced message — exact for one sampled message, an
+// approximation bounded by the burst for saturated pipelines.
+func (h *hop) adopt(now time.Time) {
+	e := h.e
+	sealedPass := e.cipher != nil
+	nowNS, parent := now.UnixNano(), h.ctx.Span
+	if sealedPass {
+		parent = e.tr.NextSpan()
+	}
+	if h.enq > 0 && h.enq <= nowNS {
+		dwellEnd := nowNS
+		if sealedPass {
+			h.span(trace.KindCrossing, parent, h.ctx.Span, h.enq, nowNS-h.enq)
+			if !h.edge.IsZero() {
+				dwellEnd = h.edge.UnixNano()
+			}
+		}
+		if dwellEnd >= h.enq {
+			h.span(trace.KindDwell, e.tr.NextSpan(), parent, h.enq, dwellEnd-h.enq)
+		}
+	}
+	if sealedPass && !h.edge.IsZero() {
+		h.span(trace.KindOpen, e.tr.NextSpan(), parent, h.edge.UnixNano(), int64(now.Sub(h.edge)))
+	}
+	e.scope.Adopt(h.ctx)
+}
+
+// delivered charges the messages handed to the application to the
+// owning actor.
+func (h *hop) delivered(msgs, bytes int) {
+	if pc := h.e.pc; pc != nil && msgs > 0 {
+		pc.MsgsRecv.Add(uint64(msgs))
+		pc.BytesRecv.Add(uint64(bytes))
+	}
+}
+
+// plainBytes sums the application payload bytes of nodes that are ready
+// to enqueue (sealed frames on encrypted channels).
+func (e *Endpoint) plainBytes(nodes []*mem.Node) int {
+	n := -len(nodes) * e.overhead()
+	for _, node := range nodes {
+		n += node.Len()
+	}
+	return n
+}
+
+// nodeSlots returns the endpoint's node staging array, grown to n.
+func (e *Endpoint) nodeSlots(n int) []*mem.Node {
+	if cap(e.batch) < n {
+		e.batch = make([]*mem.Node, n)
+	}
+	return e.batch[:n]
+}
+
+// sendFailed counts a send rejected by a full mbox or an empty pool.
+func (e *Endpoint) sendFailed(err error) error {
+	e.sendFailures.Add(1)
+	return err
+}
+
+// stage copies payload into node where sendStaged expects it: at the
+// front on plaintext channels, behind room for the nonce on encrypted
+// ones, so the seal happens in place with no second copy. The node's
+// length is the plaintext length either way.
+func (e *Endpoint) stage(node *mem.Node, payload []byte) {
+	off := 0
+	if e.cipher != nil {
+		off = ecrypto.NonceSize
+	}
+	copy(node.Buf()[off:], payload)
+	_ = node.SetLen(len(payload)) // bounded by the MaxPayload check
+}
+
+// sendStaged is the one send tail under Send, SendNode and SendBatch: it
+// seals the staged nodes in place on encrypted channels (trace trailer
+// first on a tracing runtime), stamps their trace headers, enqueues them
+// with one cursor CAS, bumps the traffic counter once and rings the peer
+// doorbell once. It returns how many nodes the mbox took; nodes[sent:]
+// stay with the caller. A message sealed but rejected by a full mbox
+// burns a nonce counter; the replay check only requires monotonic
+// counters, so gaps are harmless.
+func (e *Endpoint) sendStaged(h *hop, nodes []*mem.Node) (sent int) {
+	if e.cipher != nil {
+		h.passStart(h.ctx.Traced())
+		for _, node := range nodes {
+			buf := node.Buf()
+			plain := buf[ecrypto.NonceSize : ecrypto.NonceSize+node.Len()]
+			if e.traces() {
+				plain = trace.AppendHeader(plain, h.ctx)
+			}
+			blob := e.cipher.Seal(buf[:0], plain, nil)
+			if h.corruptSeal() {
+				// One flipped ciphertext bit makes the peer's authenticated
+				// open reject the message: the injected stand-in for a
+				// tampering untrusted runtime (the paper's adversary model,
+				// Section 2.3).
+				blob[len(blob)/2] ^= 0x80
+			}
+			_ = node.SetLen(len(blob)) // bounded by the MaxPayload check
+		}
+		h.sealed(nodes)
+	}
+	h.outbound(nodes)
+	sent = e.out.EnqueueBatch(nodes)
+	if sent > 0 {
+		e.sent.Add(uint64(sent))
+		h.sent(sent, nodes[sent:])
+	}
+	return sent
 }
 
 // Send transmits a copy of payload to the peer eactor: it takes a node
@@ -449,80 +576,19 @@ func (e *Endpoint) Send(payload []byte) error {
 	if len(payload) > e.MaxPayload() {
 		return fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, len(payload), e.MaxPayload())
 	}
-	act := e.injectSend()
-	if act.Class == faults.SendFail {
-		e.sendFailures.Add(1)
+	h := hop{e: e}
+	if !h.beginSend() {
 		return ErrMailboxFull
 	}
-	if e.sw != nil {
-		return e.sendPayloadSwitchless(payload, act)
+	nodes := e.nodeSlots(1)
+	if nodes[0] = e.pool.Get(); nodes[0] == nil {
+		return e.sendFailed(ErrPoolEmpty)
 	}
-	start := e.maybeSample()
-	tctx, tparent, tstart := e.traceSendStart()
-	node := e.pool.Get()
-	if node == nil {
-		e.sendFailures.Add(1)
-		return ErrPoolEmpty
+	e.stage(nodes[0], payload)
+	if e.sendStaged(&h, nodes) == 0 {
+		_ = e.pool.Put(nodes[0])
+		return e.sendFailed(ErrMailboxFull)
 	}
-	if e.cipher != nil {
-		plain := payload
-		if e.tr != nil {
-			// Armed encrypted channels always carry the 16-byte trailer
-			// inside the sealed frame (traced or not), so framing stays
-			// deterministic and the context is authenticated.
-			e.scratch = trace.AppendHeader(append(e.scratch[:0], payload...), tctx)
-			plain = e.scratch
-		}
-		pscale := e.pcSample()
-		var sealStart time.Time
-		if !start.IsZero() || !tstart.IsZero() || pscale > 0 {
-			sealStart = time.Now()
-		}
-		blob := e.cipher.Seal(node.Buf()[:0], plain, nil)
-		if !sealStart.IsZero() {
-			if !start.IsZero() {
-				e.m.sealNs.ObserveSince(sealStart)
-			}
-			if pscale > 0 {
-				e.pc.SealNs.Add(uint64(time.Since(sealStart)) * uint64(pscale))
-			}
-			e.traceSeal(tctx, sealStart)
-		}
-		if e.pc != nil {
-			e.pc.SealOps.Add(1)
-			e.pc.SealBytes.Add(uint64(len(payload)))
-		}
-		if e.tr != nil {
-			e.noteScratchUse(len(plain))
-		}
-		if e.injectSealCorrupt() {
-			corruptSealed(blob)
-		}
-		if err := node.SetLen(len(blob)); err != nil {
-			_ = e.pool.Put(node)
-			return err
-		}
-	} else if err := node.SetPayload(payload); err != nil {
-		_ = e.pool.Put(node)
-		return err
-	}
-	if e.tr != nil {
-		var enq int64
-		if tctx.Traced() {
-			enq = time.Now().UnixNano()
-		}
-		stampTrace(node, tctx, enq)
-	}
-	if !e.out.Enqueue(node) {
-		_ = e.pool.Put(node)
-		e.sendFailures.Add(1)
-		return ErrMailboxFull
-	}
-	e.sent.Add(1)
-	e.pcSent(1, len(payload))
-	e.noteSent(1, start)
-	e.traceSendEnd(tctx, tparent, tstart)
-	e.wakePeer(act)
 	return nil
 }
 
@@ -545,29 +611,21 @@ const (
 // SendRetry blocks the calling goroutine, so a non-blocking eactor body
 // should only use it with short deadlines.
 func (e *Endpoint) SendRetry(payload []byte, deadline time.Time) error {
-	backoff := retryBaseBackoff
-	for {
-		err := e.Send(payload)
-		if err == nil || (!errors.Is(err, ErrMailboxFull) && !errors.Is(err, ErrPoolEmpty)) {
-			return err
-		}
-		if !time.Now().Before(deadline) {
-			return err
-		}
-		time.Sleep(backoff)
-		if backoff < retryMaxBackoff {
-			backoff *= 2
-		}
-	}
+	return retrySend(deadline, func() error { return e.Send(payload) })
 }
 
 // SendNodeRetry is SendNode with the SendRetry persistence contract.
 // Node ownership transfers only on success; on error (including a
 // deadline expiry) the caller still owns the node.
 func (e *Endpoint) SendNodeRetry(node *mem.Node, deadline time.Time) error {
+	return retrySend(deadline, func() error { return e.SendNode(node) })
+}
+
+// retrySend is the persistence loop under SendRetry and SendNodeRetry.
+func retrySend(deadline time.Time, send func() error) error {
 	backoff := retryBaseBackoff
 	for {
-		err := e.SendNode(node)
+		err := send()
 		if err == nil || (!errors.Is(err, ErrMailboxFull) && !errors.Is(err, ErrPoolEmpty)) {
 			return err
 		}
@@ -582,93 +640,33 @@ func (e *Endpoint) SendNodeRetry(node *mem.Node, deadline time.Time) error {
 }
 
 // SendNode transmits a node previously obtained from the pool without
-// copying the payload. On encrypted channels the payload is sealed in
-// place (one staging copy). Ownership of the node transfers on success;
-// on error the caller still owns it.
+// copying the payload out of it. On encrypted channels the payload is
+// sealed in place (one move inside the node). Ownership of the node
+// transfers on success; on error the caller still owns it.
 func (e *Endpoint) SendNode(node *mem.Node) error {
 	if node == nil {
 		return errors.New("core: SendNode(nil)")
 	}
-	act := e.injectSend()
-	if act.Class == faults.SendFail {
-		e.sendFailures.Add(1)
+	if limit := node.Cap() - e.overhead(); node.Len() > limit {
+		return fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, node.Len(), limit)
+	}
+	h := hop{e: e}
+	if !h.beginSend() {
 		return ErrMailboxFull
 	}
-	if e.sw != nil {
-		if node.Len() > e.MaxPayload() {
-			return fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, node.Len(), e.MaxPayload())
-		}
-		start := e.maybeSample()
-		tctx, tparent, tstart := e.traceSendStart()
-		return e.sendSwitchless(node, act, start, tctx, tparent, tstart)
-	}
-	start := e.maybeSample()
-	tctx, tparent, tstart := e.traceSendStart()
-	plen := node.Len() // plaintext size, before an in-place seal overwrites it
 	if e.cipher != nil {
-		if node.Len() > e.MaxPayload() {
-			return fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, node.Len(), e.MaxPayload())
-		}
-		pscale := e.pcSample()
-		var sealStart time.Time
-		if !start.IsZero() || !tstart.IsZero() || pscale > 0 {
-			sealStart = time.Now()
-		}
-		e.scratch = append(e.scratch[:0], node.Payload()...)
-		if e.tr != nil {
-			e.scratch = trace.AppendHeader(e.scratch, tctx)
-		}
-		blob := e.cipher.Seal(node.Buf()[:0], e.scratch, nil)
-		if !sealStart.IsZero() {
-			if !start.IsZero() {
-				e.m.sealNs.ObserveSince(sealStart)
-			}
-			if pscale > 0 {
-				e.pc.SealNs.Add(uint64(time.Since(sealStart)) * uint64(pscale))
-			}
-			e.traceSeal(tctx, sealStart)
-		}
-		if e.pc != nil {
-			e.pc.SealOps.Add(1)
-			e.pc.SealBytes.Add(uint64(plen))
-		}
-		if e.injectSealCorrupt() {
-			corruptSealed(blob)
-		}
-		e.noteScratchUse(len(e.scratch))
-		if err := node.SetLen(len(blob)); err != nil {
-			return err
-		}
+		e.stage(node, node.Payload())
 	}
-	if e.tr != nil {
-		var enq int64
-		if tctx.Traced() {
-			enq = time.Now().UnixNano()
-		}
-		stampTrace(node, tctx, enq)
+	nodes := e.nodeSlots(1)
+	nodes[0] = node
+	if e.sendStaged(&h, nodes) == 0 {
+		return e.sendFailed(ErrMailboxFull)
 	}
-	if !e.out.Enqueue(node) {
-		e.sendFailures.Add(1)
-		return ErrMailboxFull
-	}
-	e.sent.Add(1)
-	e.pcSent(1, plen)
-	e.noteSent(1, start)
-	e.traceSendEnd(tctx, tparent, tstart)
-	e.wakePeer(act)
 	return nil
 }
 
-// nodeSlots returns the endpoint's batch staging array, grown to n.
-func (e *Endpoint) nodeSlots(n int) []*mem.Node {
-	if cap(e.batch) < n {
-		e.batch = make([]*mem.Node, n)
-	}
-	return e.batch[:n]
-}
-
-// noteScratchUse applies the scratch retention policy after a path that
-// staged (at most) n bytes in e.scratch.
+// noteScratchUse applies the scratch retention policy after an open that
+// staged n bytes in e.scratch.
 func (e *Endpoint) noteScratchUse(n int) {
 	if cap(e.scratch) <= scratchSoftCap || n > scratchSoftCap {
 		e.scratchIdle = 0
@@ -689,9 +687,7 @@ func (e *Endpoint) noteScratchUse(n int) {
 //
 // It returns how many payloads were sent. A short count comes with
 // ErrPoolEmpty or ErrMailboxFull; the caller retries payloads[n:]
-// on a later invocation. On encrypted channels a message sealed but
-// then rejected by a full mbox burns a nonce counter; the replay check
-// only requires monotonic counters, so gaps are harmless.
+// on a later invocation.
 func (e *Endpoint) SendBatch(payloads [][]byte) (int, error) {
 	if len(payloads) == 0 {
 		return 0, nil
@@ -702,117 +698,74 @@ func (e *Endpoint) SendBatch(payloads [][]byte) (int, error) {
 			return 0, fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, len(p), maxPayload)
 		}
 	}
-	act := e.injectSend() // one schedule slot per batch operation
-	if act.Class == faults.SendFail {
-		e.sendFailures.Add(1)
+	h := hop{e: e, batch: true}
+	if !h.beginSend() {
 		return 0, ErrMailboxFull
 	}
-	if e.sw != nil {
-		// Ring posts are already the amortised path — the proxy batches
-		// the whole burst into coalesced segments behind us.
-		for i, p := range payloads {
-			if err := e.sendPayloadSwitchless(p, act); err != nil {
-				return i, err
-			}
-		}
-		return len(payloads), nil
-	}
-	start := e.maybeSample()
-	tctx, tparent, tstart := e.traceSendStart()
 	nodes := e.nodeSlots(len(payloads))
 	got := e.pool.GetBatch(nodes)
 	if got == 0 {
-		e.sendFailures.Add(1)
-		return 0, ErrPoolEmpty
+		return 0, e.sendFailed(ErrPoolEmpty)
 	}
-	var pscale uint32
-	if e.cipher != nil {
-		pscale = e.pcSample()
+	for i, node := range nodes[:got] {
+		e.stage(node, payloads[i])
 	}
-	var sealStart time.Time
-	if (!start.IsZero() || !tstart.IsZero() || pscale > 0) && e.cipher != nil {
-		sealStart = time.Now()
-	}
-	var enq int64
-	if tctx.Traced() {
-		// One timestamp for the burst: every node of a traced batch
-		// shares the send span and the enqueue time.
-		enq = time.Now().UnixNano()
-	}
-	maxStage := 0
-	for i := 0; i < got; i++ {
-		node := nodes[i]
-		if e.cipher != nil {
-			plain := payloads[i]
-			if e.tr != nil {
-				e.scratch = trace.AppendHeader(append(e.scratch[:0], payloads[i]...), tctx)
-				plain = e.scratch
-				if len(plain) > maxStage {
-					maxStage = len(plain)
-				}
-			}
-			blob := e.cipher.Seal(node.Buf()[:0], plain, nil)
-			if e.injectSealCorrupt() {
-				corruptSealed(blob)
-			}
-			_ = node.SetLen(len(blob)) // bounded by the MaxPayload check
-		} else {
-			_ = node.SetPayload(payloads[i])
-		}
-		if e.tr != nil {
-			stampTrace(node, tctx, enq)
-		}
-	}
-	if e.tr != nil && e.cipher != nil {
-		e.noteScratchUse(maxStage)
-	}
-	if !sealStart.IsZero() {
-		if !start.IsZero() {
-			// One timed pass over the burst, attributed per payload.
-			e.m.sealNs.Observe(uint64(time.Since(sealStart)) / uint64(got))
-		}
-		if pscale > 0 {
-			// One sampled batch stands for pscale batches of this size.
-			e.pc.SealNs.Add(uint64(time.Since(sealStart)) * uint64(pscale))
-		}
-		e.traceSeal(tctx, sealStart)
-	}
-	if e.pc != nil && e.cipher != nil {
-		sealBytes := 0
-		for i := 0; i < got; i++ {
-			sealBytes += len(payloads[i])
-		}
-		e.pc.SealOps.Add(uint64(got))
-		e.pc.SealBytes.Add(uint64(sealBytes))
-	}
-	sent := e.out.EnqueueBatch(nodes[:got])
+	sent := e.sendStaged(&h, nodes[:got])
 	if sent < got {
 		_ = e.pool.PutBatch(nodes[sent:got])
 	}
-	if sent > 0 {
-		e.sent.Add(uint64(sent))
-		if e.pc != nil {
-			sentBytes := 0
-			for i := 0; i < sent; i++ {
-				sentBytes += len(payloads[i])
-			}
-			e.pcSent(sent, sentBytes)
-		}
-		e.noteSent(sent, start)
-		if e.m != nil {
-			e.m.sendBatch.Observe(uint64(sent))
-		}
-		e.traceSendEnd(tctx, tparent, tstart)
-		e.wakePeer(act)
+	switch {
+	case sent == len(payloads):
+		return sent, nil
+	case sent == got:
+		return sent, e.sendFailed(ErrPoolEmpty)
+	default:
+		return sent, e.sendFailed(ErrMailboxFull)
 	}
-	if sent < len(payloads) {
-		e.sendFailures.Add(1)
-		if sent == got && got < len(payloads) {
-			return sent, ErrPoolEmpty
-		}
-		return sent, ErrMailboxFull
+}
+
+// recvStart dequeues up to want pending messages with one cursor CAS
+// into the endpoint's staging array and opens the hop observing them. It
+// returns no nodes when the mailbox is empty.
+func (e *Endpoint) recvStart(h *hop, want int) []*mem.Node {
+	nodes := e.nodeSlots(want)
+	got := e.in.DequeueBatch(nodes)
+	if got == 0 {
+		return nil
 	}
-	return sent, nil
+	e.received.Add(uint64(got))
+	h.beginRecv(nodes[:got])
+	return nodes[:got]
+}
+
+// open is the one receive helper under Recv, RecvNode and RecvBatch on
+// encrypted channels: it returns the application payload of a dequeued
+// sealed frame. The frame is authenticated and decrypted into e.scratch
+// (valid until the next open), the sender's counter is checked against
+// replay and reordering, and the trace trailer is split off; the
+// authenticated context inside it, not the untrusted node header,
+// decides whether the hop is traced.
+func (e *Endpoint) open(h *hop, node *mem.Node) ([]byte, error) {
+	blob := node.Payload()
+	plain, err := e.cipher.Open(e.scratch[:0], blob, nil)
+	if err != nil {
+		return nil, err
+	}
+	e.scratch = plain
+	e.noteScratchUse(len(plain))
+	if err := e.checkSeq(blob); err != nil {
+		return nil, err
+	}
+	if e.traces() {
+		var ctx trace.Ctx
+		if plain, ctx = trace.SplitTrailer(plain); ctx.Traced() {
+			h.ctx = ctx
+			_, _, h.enq = node.Trace()
+		}
+	}
+	h.opened++
+	h.openBytes += len(plain)
+	return plain, nil
 }
 
 // RecvBatch drains up to min(len(bufs), len(lens)) pending messages in
@@ -828,88 +781,29 @@ func (e *Endpoint) SendBatch(payloads [][]byte) (int, error) {
 // delivered (compacted towards the front of bufs) and the first error
 // is returned.
 func (e *Endpoint) RecvBatch(bufs [][]byte, lens []int) (int, error) {
-	if e.swRx != nil {
-		return e.recvBatchSwitchless(bufs, lens)
-	}
-	want := len(bufs)
-	if len(lens) < want {
-		want = len(lens)
-	}
+	want := min(len(bufs), len(lens))
 	if want == 0 {
 		return 0, nil
 	}
-	nodes := e.nodeSlots(want)
-	got := e.in.DequeueBatch(nodes)
-	if got == 0 {
+	h := hop{e: e, batch: true}
+	nodes := e.recvStart(&h, want)
+	if nodes == nil {
 		return 0, nil
 	}
-	e.injectRecv()
-	e.received.Add(uint64(got))
-	e.noteRecv(got)
-	if e.m != nil {
-		e.m.recvBatch.Observe(uint64(got))
-	}
-	// Batch trace hint: one pass over the untrusted node headers decides
-	// whether the burst carries a sampled message (and so whether the
-	// open sweep needs a timestamp).
-	batchTraced := false
-	if e.tr != nil && e.cipher != nil {
-		for i := 0; i < got; i++ {
-			if tid, _, _ := nodes[i].Trace(); tid != 0 {
-				batchTraced = true
-				break
-			}
-		}
-	}
-	var pscale uint32
-	var sampled, openStart time.Time
-	if e.cipher != nil {
-		pscale = e.pcSample()
-		sampled = e.maybeSample()
-		openStart = sampled
-		if (batchTraced || pscale > 0) && openStart.IsZero() {
-			openStart = time.Now()
-		}
-	}
-	delivered, maxUse, recvBytes, openBytes := 0, 0, 0, 0
-	var lastCtx trace.Ctx
-	var lastEnq int64
+	delivered, bytes := 0, 0
 	var firstErr error
 	fail := func(err error) {
 		if firstErr == nil {
 			firstErr = err
 		}
 	}
-	for i := 0; i < got; i++ {
-		payload := nodes[i].Payload()
+	for _, node := range nodes {
+		payload := node.Payload()
 		if e.cipher != nil {
-			plain, err := e.cipher.Open(e.scratch[:0], payload, nil)
-			if err != nil {
+			var err error
+			if payload, err = e.open(&h, node); err != nil {
 				fail(err)
 				continue
-			}
-			e.scratch = plain
-			openBytes += len(plain)
-			if len(plain) > maxUse {
-				maxUse = len(plain)
-			}
-			if err := e.checkSeq(payload); err != nil {
-				fail(err)
-				continue
-			}
-			payload = plain
-			if e.tr != nil {
-				var tctx trace.Ctx
-				payload, tctx = trace.SplitTrailer(payload)
-				if tctx.Traced() {
-					lastCtx = tctx
-					_, _, lastEnq = nodes[i].Trace()
-				}
-			}
-		} else if e.tr != nil {
-			if tid, span, enq := nodes[i].Trace(); tid != 0 {
-				lastCtx = trace.Ctx{TraceID: tid, Span: span}
-				lastEnq = enq
 			}
 		}
 		if len(payload) > len(bufs[delivered]) {
@@ -917,38 +811,15 @@ func (e *Endpoint) RecvBatch(bufs [][]byte, lens []int) (int, error) {
 			continue
 		}
 		lens[delivered] = copy(bufs[delivered], payload)
-		recvBytes += lens[delivered]
+		bytes += lens[delivered]
 		delivered++
 	}
-	if !sampled.IsZero() {
-		// One timed sweep over the burst, attributed per message.
-		e.m.openNs.Observe(uint64(time.Since(sampled)) / uint64(got))
-	}
-	if pscale > 0 {
-		e.pc.OpenNs.Add(uint64(time.Since(openStart)) * uint64(pscale))
-	}
-	if e.pc != nil && e.cipher != nil {
-		e.pc.OpenOps.Add(uint64(got))
-		e.pc.OpenBytes.Add(uint64(openBytes))
-	}
-	e.pcRecv(delivered, recvBytes)
-	if lastCtx.Traced() {
-		// Batch granularity: one dwell (and crossing/open, when sealed)
-		// for the burst, measured on its most recent traced message and
-		// adopted as the invocation's context. Exact for the sampled
-		// single-message case; an approximation bounded by the burst for
-		// saturated pipelines.
-		if e.cipher != nil {
-			e.traceRecvSealed(lastCtx, lastEnq, openStart)
-		} else {
-			e.traceRecvPlain(lastCtx, lastEnq)
-		}
-	}
-	if err := e.pool.PutBatch(nodes[:got]); err != nil {
-		fail(err)
-	}
 	if e.cipher != nil {
-		e.noteScratchUse(maxUse)
+		h.openedPass()
+	}
+	h.delivered(delivered, bytes)
+	if err := e.pool.PutBatch(nodes); err != nil {
+		fail(err)
 	}
 	return delivered, firstErr
 }
@@ -957,148 +828,52 @@ func (e *Endpoint) RecvBatch(bufs [][]byte, lens []int) (int, error) {
 // ok is false when no message is pending. On encrypted channels the
 // payload is authenticated and decrypted before the copy.
 func (e *Endpoint) Recv(buf []byte) (n int, ok bool, err error) {
-	if e.swRx != nil {
-		return e.recvSwitchless(buf)
-	}
-	node, ok := e.in.Dequeue()
-	if !ok {
+	h := hop{e: e}
+	nodes := e.recvStart(&h, 1)
+	if nodes == nil {
 		return 0, false, nil
 	}
-	e.injectRecv()
-	e.received.Add(1)
-	e.noteRecv(1)
-	defer func() {
-		if putErr := e.pool.Put(node); putErr != nil && err == nil {
-			err = putErr
-		}
-	}()
-	payload := node.Payload()
+	payload := nodes[0].Payload()
 	if e.cipher != nil {
-		// The node's untrusted header hints whether this message is
-		// traced, so armed-but-untraced receives skip the extra clock.
-		hintTraced := false
-		var enq int64
-		if e.tr != nil {
-			var tid uint64
-			tid, _, enq = node.Trace()
-			hintTraced = tid != 0
-		}
-		pscale := e.pcSample()
-		sampled := e.maybeSample()
-		openStart := sampled
-		if (hintTraced || pscale > 0) && openStart.IsZero() {
-			openStart = time.Now()
-		}
-		plain, openErr := e.cipher.Open(e.scratch[:0], payload, nil)
-		if openErr != nil {
-			return 0, true, openErr
-		}
-		if !sampled.IsZero() {
-			e.m.openNs.ObserveSince(sampled)
-		}
-		if pscale > 0 {
-			e.pc.OpenNs.Add(uint64(time.Since(openStart)) * uint64(pscale))
-		}
-		if e.pc != nil {
-			e.pc.OpenOps.Add(1)
-			e.pc.OpenBytes.Add(uint64(len(plain)))
-		}
-		e.scratch = plain
-		e.noteScratchUse(len(plain))
-		if seqErr := e.checkSeq(payload); seqErr != nil {
-			return 0, true, seqErr
-		}
-		payload = plain
-		if e.tr != nil {
-			// Armed senders always appended a trailer; the authenticated
-			// context inside it — not the untrusted node header — decides
-			// whether this hop is traced.
-			var tctx trace.Ctx
-			payload, tctx = trace.SplitTrailer(payload)
-			if tctx.Traced() {
-				e.traceRecvSealed(tctx, enq, openStart)
-			}
-		}
-	} else if e.tr != nil {
-		if tid, span, enq := node.Trace(); tid != 0 {
-			e.traceRecvPlain(trace.Ctx{TraceID: tid, Span: span}, enq)
-		}
+		payload, err = e.open(&h, nodes[0])
+		h.openedPass()
 	}
-	if len(payload) > len(buf) {
-		return 0, true, fmt.Errorf("%w: need %d, have %d", ErrShortBuffer, len(payload), len(buf))
+	switch {
+	case err != nil:
+	case len(payload) > len(buf):
+		err = fmt.Errorf("%w: need %d, have %d", ErrShortBuffer, len(payload), len(buf))
+	default:
+		n = copy(buf, payload)
+		h.delivered(1, n)
 	}
-	e.pcRecv(1, len(payload))
-	return copy(buf, payload), true, nil
+	if putErr := e.pool.Put(nodes[0]); putErr != nil && err == nil {
+		err = putErr
+	}
+	return n, true, err
 }
 
 // RecvNode polls for a message and returns the node itself (decrypted in
 // place on encrypted channels). The caller owns the node and must return
-// it with Release (or forward it with SendNode on a plaintext channel).
+// it with Release (or forward it with SendNode).
 func (e *Endpoint) RecvNode() (*mem.Node, bool, error) {
-	if e.swRx != nil {
-		node, ok := e.recvSwitchlessNode()
-		return node, ok, nil
-	}
-	node, ok := e.in.Dequeue()
-	if !ok {
+	h := hop{e: e}
+	nodes := e.recvStart(&h, 1)
+	if nodes == nil {
 		return nil, false, nil
 	}
-	e.injectRecv()
-	e.received.Add(1)
-	e.noteRecv(1)
+	node := nodes[0]
 	if e.cipher != nil {
-		hintTraced := false
-		var enq int64
-		if e.tr != nil {
-			var tid uint64
-			tid, _, enq = node.Trace()
-			hintTraced = tid != 0
+		payload, err := e.open(&h, node)
+		h.openedPass()
+		if err == nil {
+			err = node.SetPayload(payload)
 		}
-		pscale := e.pcSample()
-		sampled := e.maybeSample()
-		openStart := sampled
-		if (hintTraced || pscale > 0) && openStart.IsZero() {
-			openStart = time.Now()
-		}
-		plain, err := e.cipher.Open(e.scratch[:0], node.Payload(), nil)
 		if err != nil {
 			_ = e.pool.Put(node)
 			return nil, true, err
 		}
-		if !sampled.IsZero() {
-			e.m.openNs.ObserveSince(sampled)
-		}
-		if pscale > 0 {
-			e.pc.OpenNs.Add(uint64(time.Since(openStart)) * uint64(pscale))
-		}
-		if e.pc != nil {
-			e.pc.OpenOps.Add(1)
-			e.pc.OpenBytes.Add(uint64(len(plain)))
-		}
-		if seqErr := e.checkSeq(node.Payload()); seqErr != nil {
-			_ = e.pool.Put(node)
-			return nil, true, seqErr
-		}
-		if e.tr != nil {
-			var tctx trace.Ctx
-			plain, tctx = trace.SplitTrailer(plain)
-			if tctx.Traced() {
-				e.traceRecvSealed(tctx, enq, openStart)
-			}
-		}
-		e.scratch = plain
-		e.noteScratchUse(len(plain))
-		copy(node.Buf(), plain)
-		if err := node.SetLen(len(plain)); err != nil {
-			_ = e.pool.Put(node)
-			return nil, true, err
-		}
-	} else if e.tr != nil {
-		if tid, span, enq := node.Trace(); tid != 0 {
-			e.traceRecvPlain(trace.Ctx{TraceID: tid, Span: span}, enq)
-		}
 	}
-	e.pcRecv(1, node.Len())
+	h.delivered(1, node.Len())
 	return node, true, nil
 }
 
@@ -1121,11 +896,4 @@ func (e *Endpoint) Release(node *mem.Node) {
 }
 
 // Pending returns the approximate number of queued inbound messages.
-// On switchless channels that is the opened records waiting in the rx
-// ring plus (an underestimate of) the segments still sealed in transit.
-func (e *Endpoint) Pending() int {
-	if e.swRx != nil {
-		return e.swRx.rx.Len() + e.swRx.sealed.Len()
-	}
-	return e.in.Len()
-}
+func (e *Endpoint) Pending() int { return e.in.Len() }

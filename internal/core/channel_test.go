@@ -256,3 +256,54 @@ func TestEndpointPending(t *testing.T) {
 		t.Fatalf("sender Pending = %d, want 0", got)
 	}
 }
+
+// TestHopAllocatesNothing pins the paper's no-dynamic-allocation claim
+// for the message path (Section 1, item 2): after the first use has
+// sized the endpoint's staging buffers, no send/receive pair allocates,
+// plain or encrypted.
+func TestHopAllocatesNothing(t *testing.T) {
+	for _, encrypted := range []bool{false, true} {
+		a, b, rt := buildPair(t, encrypted, 16, 32, 256)
+		payload := make([]byte, 64)
+		buf := make([]byte, 256)
+		burst := [][]byte{payload, payload, payload, payload}
+		bufs, lens := BatchBufs(len(burst), 256)
+		pairs := map[string]func(){
+			"Send+Recv": func() {
+				if err := a.Send(payload); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok, err := b.Recv(buf); !ok || err != nil {
+					t.Fatalf("Recv: ok=%v err=%v", ok, err)
+				}
+			},
+			"SendNode+RecvNode": func() {
+				node := rt.Pool().Get()
+				if err := node.SetPayload(payload); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.SendNode(node); err != nil {
+					t.Fatal(err)
+				}
+				got, ok, err := b.RecvNode()
+				if !ok || err != nil {
+					t.Fatalf("RecvNode: ok=%v err=%v", ok, err)
+				}
+				b.Release(got)
+			},
+			"SendBatch+RecvBatch": func() {
+				if n, err := a.SendBatch(burst); n != len(burst) || err != nil {
+					t.Fatalf("SendBatch: n=%d err=%v", n, err)
+				}
+				if n, err := b.RecvBatch(bufs, lens); n != len(burst) || err != nil {
+					t.Fatalf("RecvBatch: n=%d err=%v", n, err)
+				}
+			},
+		}
+		for name, pair := range pairs {
+			if allocs := testing.AllocsPerRun(100, pair); allocs != 0 {
+				t.Errorf("encrypted=%v %s: %v allocs per pair, want 0", encrypted, name, allocs)
+			}
+		}
+	}
+}

@@ -13,10 +13,10 @@ const (
 	DefaultNodePayload  = 2048
 	DefaultMboxCapacity = 1024
 	// DefaultIdleSleep is only a backstop: every message path rings the
-	// consumer worker's doorbell, so idle workers can sleep long. Short
-	// idle sleeps are actively harmful on few-core hosts — the timer
-	// churn of many workers keeps the scheduler busy and delays network
-	// readiness delivery to the pumps by a sysmon period (~10ms).
+	// consumer worker's doorbell, so idle workers can sleep long. The
+	// timeout bounds how late a body that acts on the clock alone (a
+	// periodic flush) runs, and recovers a doorbell the fault injector
+	// dropped.
 	DefaultIdleSleep = 10 * time.Millisecond
 	// DefaultDrainBudget bounds how many messages one body invocation
 	// may consume through Self.RecvBatch. The budget is what lets
@@ -26,59 +26,6 @@ const (
 	// resumes on its next round-robin turn.
 	DefaultDrainBudget = 256
 )
-
-// Switchless defaults (Config.Switchless fields left zero).
-const (
-	// DefaultSwitchlessProxies is the proxy-worker count.
-	DefaultSwitchlessProxies = 1
-	// DefaultSwitchlessSpin is how long an idle proxy busy-polls its
-	// rings before parking on an untrusted event. Long enough to ride
-	// out a scheduling gap between two messages of a burst, short
-	// enough that an idle deployment burns no measurable CPU.
-	DefaultSwitchlessSpin = 50 * time.Microsecond
-	// DefaultSwitchlessSegment caps how many queued records one sealed
-	// segment coalesces. Larger segments amortise the fixed AEAD cost
-	// over more records but delay the first record of a burst.
-	DefaultSwitchlessSegment = 16
-)
-
-// SwitchlessConfig enables switchless channel crossings: encrypted
-// channels stop sealing on the sender's thread and instead post plain
-// records onto per-direction call rings serviced by dedicated proxy
-// workers, which seal queued runs into single segments (one AEAD pass
-// per run), move them across the boundary, and open them into the
-// receiver's ring — the paper's switchless-call optimisation (Section
-// 5.3 / Figure 11), generalised to the channel fast path. Proxies spin
-// a bounded budget when their rings run dry, then park on an
-// sgx.Event; the channel transparently degrades to blocking one-shot
-// crossings (seal/open inline) until load returns.
-type SwitchlessConfig struct {
-	// Enabled turns the mode on for every encrypted channel.
-	Enabled bool
-	// Proxies is the proxy-worker count (DefaultSwitchlessProxies when
-	// zero). Channel directions are assigned round-robin.
-	Proxies int
-	// SpinBudget bounds the idle busy-poll before a proxy parks
-	// (DefaultSwitchlessSpin when zero).
-	SpinBudget time.Duration
-	// RingCapacity is the per-direction call-ring size (power of two;
-	// the channel's mbox capacity when zero).
-	RingCapacity int
-	// SegmentMax caps records per sealed segment
-	// (DefaultSwitchlessSegment when zero; clamped to RingCapacity).
-	SegmentMax int
-}
-
-// proxyCount resolves the configured proxy-worker count.
-func (s SwitchlessConfig) proxyCount() int {
-	if !s.Enabled {
-		return 0
-	}
-	if s.Proxies == 0 {
-		return DefaultSwitchlessProxies
-	}
-	return s.Proxies
-}
 
 // EnclaveSpec declares one enclave of the deployment.
 type EnclaveSpec struct {
@@ -100,11 +47,9 @@ type EnclaveSpec struct {
 // DefaultEnclaveSize matches the paper's reported per-enclave footprint.
 const DefaultEnclaveSize = 500 * 1024
 
-// WorkerSpec declares one worker thread.
-type WorkerSpec struct {
-	// CPUs optionally pins the worker thread (Linux only, best effort).
-	CPUs []int
-}
+// WorkerSpec declares one worker. It has no settings: a worker is a
+// goroutine, and the Go scheduler decides where it runs.
+type WorkerSpec struct{}
 
 // ChannelSpec declares a bidirectional channel between two eactors.
 type ChannelSpec struct {
@@ -129,7 +74,7 @@ type ChannelSpec struct {
 type Config struct {
 	// Enclaves lists the trusted execution contexts to create.
 	Enclaves []EnclaveSpec
-	// Workers lists the executing threads. At least one is required.
+	// Workers lists the executing workers. At least one is required.
 	Workers []WorkerSpec
 	// Actors lists the eactors.
 	Actors []Spec
@@ -191,10 +136,6 @@ type Config struct {
 	// to a power of two; profile.DefaultSampleEvery when zero; 1 times
 	// every operation).
 	ProfileSampleEvery int
-
-	// Switchless enables asynchronous call rings with proxy workers on
-	// encrypted channels; see SwitchlessConfig.
-	Switchless SwitchlessConfig
 
 	// Faults arms the deterministic fault injector on every hook site of
 	// this deployment: channel sends/receives, enclave crossings, sealing,
@@ -305,12 +246,6 @@ func (c *Config) validate() error {
 	}
 	if c.ProfileSampleEvery < 0 {
 		return fmt.Errorf("core: negative profile sample period")
-	}
-	if c.Switchless.Proxies < 0 || c.Switchless.SegmentMax < 0 || c.Switchless.SpinBudget < 0 {
-		return fmt.Errorf("core: negative switchless configuration")
-	}
-	if rc := c.Switchless.RingCapacity; rc != 0 && (rc < 2 || rc&(rc-1) != 0) {
-		return fmt.Errorf("core: switchless ring capacity %d is not a power of two", rc)
 	}
 	return nil
 }

@@ -72,10 +72,8 @@ type DeploymentEnclave struct {
 	PrivatePoolNodes int    `json:"privatePoolNodes,omitempty"`
 }
 
-// DeploymentWorker mirrors WorkerSpec.
-type DeploymentWorker struct {
-	CPUs []int `json:"cpus,omitempty"`
-}
+// DeploymentWorker mirrors WorkerSpec: one {} per worker.
+type DeploymentWorker struct{}
 
 // DeploymentActor instantiates a registered actor type under a name
 // with a placement.
@@ -136,9 +134,7 @@ func (d *Deployment) Resolve(registry Registry) (Config, error) {
 			PrivatePoolNodes: e.PrivatePoolNodes,
 		})
 	}
-	for _, w := range d.Workers {
-		cfg.Workers = append(cfg.Workers, WorkerSpec{CPUs: w.CPUs})
-	}
+	cfg.Workers = make([]WorkerSpec, len(d.Workers))
 	for _, a := range d.Actors {
 		impl, ok := registry[a.Type]
 		if !ok {

@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,7 +14,7 @@ const testDeployment = `{
     {"name": "left", "privatePoolNodes": 8},
     {"name": "right"}
   ],
-  "workers": [{}, {"cpus": [0]}],
+  "workers": [{}, {}],
   "actors": [
     {"name": "ping", "type": "pinger", "enclave": "left", "worker": 0},
     {"name": "pong", "type": "ponger", "enclave": "right", "worker": 1}
@@ -144,6 +145,12 @@ func TestDeploymentRedeployOtherPlacement(t *testing.T) {
 func TestDeploymentErrors(t *testing.T) {
 	if _, err := ParseDeployment([]byte(`{"bogusField": 1}`)); err == nil {
 		t.Fatal("unknown field accepted")
+	}
+	// Worker pinning was retired with the locked-thread worker: a file
+	// that still asks for it must be refused by name, not half-deployed.
+	_, err := ParseDeployment([]byte(`{"workers": [{"cpus": [0]}], "actors": []}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "cpus"`) {
+		t.Fatalf(`deployment with "cpus" = %v, want unknown-field error naming it`, err)
 	}
 	if _, err := ParseDeployment([]byte(`not json`)); err == nil {
 		t.Fatal("garbage accepted")

@@ -271,11 +271,6 @@ func writeReport(buf *bytes.Buffer, r Report) {
 	fmt.Fprintf(buf, "pool_free %d\n", r.PublicPoolFree)
 	fmt.Fprintf(buf, "sgx crossings=%d ecalls=%d ocalls=%d copied=%d evicted=%d\n",
 		r.Platform.Crossings, r.Platform.ECalls, r.Platform.OCalls, r.Platform.CopiedBytes, r.Platform.EvictedPages)
-	if r.Switchless.Enabled {
-		fmt.Fprintf(buf, "switchless proxies=%d ring_posts=%d relayed=%d inline=%d dropped=%d crossings_avoided=%d parks=%d\n",
-			r.Switchless.Proxies, r.Switchless.RingPosts, r.Switchless.Relayed, r.Switchless.Inline,
-			r.Switchless.Dropped, r.Switchless.CrossingsAvoided, r.Switchless.Parks)
-	}
 	if len(r.FailedActors) > 0 {
 		fmt.Fprintf(buf, "failed %s\n", strings.Join(r.FailedActors, ","))
 	}

@@ -22,9 +22,6 @@ type Report struct {
 	PublicPoolFree int
 	// Platform is the SGX simulator counter snapshot.
 	Platform sgx.Stats
-	// Switchless aggregates the switchless proxy counters; Enabled is
-	// false when Config.Switchless was off.
-	Switchless SwitchlessReport
 }
 
 // WorkerReport describes one worker. The latency fields are read from
@@ -75,7 +72,6 @@ func (rt *Runtime) Report() Report {
 		FailedActors:   rt.FailedActors(),
 		PublicPoolFree: rt.pool.Free(),
 		Platform:       rt.platform.Snapshot(),
-		Switchless:     rt.switchlessReport(),
 	}
 	for _, w := range rt.workers {
 		wr := WorkerReport{

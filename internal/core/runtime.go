@@ -47,10 +47,6 @@ type Runtime struct {
 	// was set.
 	prof *profile.Collector
 
-	// sw is the switchless subsystem (proxy workers and call rings);
-	// nil unless Config.Switchless.Enabled was set.
-	sw *switchless
-
 	// flt is the fault injector (Config.Faults); nil in production.
 	flt *faults.Injector
 
@@ -143,9 +139,7 @@ func NewRuntime(platform *sgx.Platform, cfg Config) (*Runtime, error) {
 		platform.AttachTelemetry(rt.tel)
 	}
 	if cfg.Trace {
-		// Proxy workers record seal/open/crossing spans on rings of
-		// their own, after the worker rings.
-		rt.tr = trace.New(len(cfg.Workers)+cfg.Switchless.proxyCount(), cfg.TraceBufferSpans, cfg.TraceSampleEvery)
+		rt.tr = trace.New(len(cfg.Workers), cfg.TraceBufferSpans, cfg.TraceSampleEvery)
 	}
 	if cfg.Profile {
 		rt.prof = profile.NewCollector(cfg.ProfileSampleEvery)
@@ -214,12 +208,11 @@ func NewRuntime(platform *sgx.Platform, cfg Config) (*Runtime, error) {
 	// before channels because every endpoint captures its peer's worker
 	// doorbell.
 	rt.workers = make([]*Worker, len(cfg.Workers))
-	for i, ws := range cfg.Workers {
+	for i := range cfg.Workers {
 		rt.workers[i] = &Worker{
 			id:          i,
 			rt:          rt,
 			ctx:         sgx.NewContext(platform),
-			cpus:        append([]int(nil), ws.CPUs...),
 			idleSleep:   cfg.IdleSleep,
 			drainBudget: cfg.DrainBudget,
 			doorbell:    make(chan struct{}, 1),
@@ -266,14 +259,6 @@ func NewRuntime(platform *sgx.Platform, cfg Config) (*Runtime, error) {
 		if rt.prof != nil {
 			rt.registerProfileFuncs(cfg)
 		}
-	}
-
-	// Switchless mode last: its dirs hook into fully built endpoints,
-	// and its proxy goroutines start now so endpoints are serviced even
-	// before Start (test harnesses drive endpoints directly).
-	if err := rt.buildSwitchless(cfg); err != nil {
-		rt.teardownEnclaves()
-		return nil, err
 	}
 	return rt, nil
 }
@@ -326,13 +311,13 @@ func (rt *Runtime) buildChannel(cs ChannelSpec) error {
 	}
 	if rt.m != nil {
 		// Endpoints are single-owner (their actor's worker), so each
-		// carries its owner's shard index and flight recorder; the
-		// sampled send-latency histogram is shared per channel.
+		// carries its owner's flight recorder; the sampled send-latency
+		// histogram is shared per channel.
 		sendNs := rt.tel.Histogram(
 			fmt.Sprintf("eactors_channel_send_ns{channel=%q}", cs.Name),
 			"send operation latency, sampled 1/16", "ns")
-		epA.m, epA.shard, epA.rec, epA.sendNs = rt.m, instA.worker.id, rt.tel.Recorder(instA.worker.id), sendNs
-		epB.m, epB.shard, epB.rec, epB.sendNs = rt.m, instB.worker.id, rt.tel.Recorder(instB.worker.id), sendNs
+		epA.m, epA.rec, epA.sendNs = rt.m, rt.tel.Recorder(instA.worker.id), sendNs
+		epB.m, epB.rec, epB.sendNs = rt.m, rt.tel.Recorder(instB.worker.id), sendNs
 	}
 
 	if encrypted {
@@ -458,7 +443,7 @@ func (rt *Runtime) ScopeForTest(actor string) (*trace.Scope, error) {
 func (rt *Runtime) Workers() []*Worker { return rt.workers }
 
 // Start runs the eactor constructors (inside their enclaves) and starts
-// the worker threads. It may be called once.
+// the workers. It may be called once.
 func (rt *Runtime) Start() error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -525,12 +510,6 @@ func (rt *Runtime) Stop() {
 		for _, w := range rt.workers {
 			<-w.done
 		}
-	}
-	// Proxies stop after the workers: no new ring posts or RunUntrusted
-	// calls can arrive, so their final drain quiesces the rings before
-	// the enclaves go away.
-	if rt.sw != nil {
-		rt.sw.stop()
 	}
 	rt.teardownEnclaves()
 }

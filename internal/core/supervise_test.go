@@ -147,7 +147,9 @@ func restartMailboxDeployment(t *testing.T, flush bool) (received *atomic.Int64,
 			{Name: "producer", Worker: 0, Body: func(*Self) {}},
 			{
 				Name: "consumer", Worker: 1,
-				Restart: RestartPolicy{OnPanic: true, Backoff: time.Millisecond, FlushMailbox: flush},
+				// Parks until fillParkedMailbox frees it: the park must
+				// outlast the test's polling however fast restarts are.
+				Restart: RestartPolicy{OnPanic: true, Backoff: 30 * time.Second, FlushMailbox: flush},
 				Body: func(self *Self) {
 					if first.CompareAndSwap(true, false) {
 						panic("crash before consuming")
@@ -176,8 +178,8 @@ func restartMailboxDeployment(t *testing.T, flush bool) (received *atomic.Int64,
 	return received, rt
 }
 
-// fillParkedMailbox waits for the consumer to park, then enqueues n
-// messages into its mailbox.
+// fillParkedMailbox waits for the consumer to park, enqueues n messages
+// into its mailbox, then forces the restart past the long backoff.
 func fillParkedMailbox(t *testing.T, rt *Runtime, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -192,6 +194,9 @@ func fillParkedMailbox(t *testing.T, rt *Runtime, n int) {
 		if err := ep.Send([]byte("backlog")); err != nil {
 			t.Fatalf("send %d to parked consumer: %v", i, err)
 		}
+	}
+	if err := rt.RestartActor("consumer"); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -11,18 +11,19 @@ import (
 	"github.com/eactors/eactors-go/internal/trace"
 )
 
-// Worker executes a set of eactors round-robin on a dedicated OS thread
-// (the paper's worker abstraction, Section 3.2). Before each body
-// invocation the worker moves its SGX context to the eactor's enclave;
-// when consecutive eactors share an enclave the move is free, so a
-// worker whose eactors are confined to one enclave never pays a
-// transition — the property the paper's deployments exploit.
+// Worker executes a set of eactors round-robin (the paper's worker
+// abstraction, Section 3.2). The paper pins each worker to a CPU; here a
+// worker is a plain goroutine that the Go scheduler places, and pinning
+// is not modelled. Before each body invocation the worker moves its SGX
+// context to the eactor's enclave; when consecutive eactors share an
+// enclave the move is free, so a worker whose eactors are confined to
+// one enclave never pays a transition — the property the paper's
+// deployments exploit.
 type Worker struct {
 	id        int
 	rt        *Runtime
 	ctx       *sgx.Context
 	actors    []*actorInstance
-	cpus      []int
 	idleSleep time.Duration
 
 	// drainBudget is handed to each body invocation as its Self.RecvBatch
@@ -180,8 +181,8 @@ func (w *Worker) restartDue(a *actorInstance) bool {
 	return due != 0 && time.Now().UnixNano() >= due
 }
 
-// restart revives a parked actor on its owning worker thread — the only
-// thread allowed to touch the actor's endpoints, which is what makes
+// restart revives a parked actor on its owning worker — the only
+// goroutine allowed to touch the actor's endpoints, which is what makes
 // the mailbox flush safe without locks. The worker has already entered
 // the actor's enclave. It returns false when a Reinit failure re-parked
 // the actor.
@@ -196,25 +197,6 @@ func (w *Worker) restart(a *actorInstance) bool {
 					break
 				}
 				_ = ep.pool.Put(node)
-			}
-			if d := ep.swRx; d != nil {
-				// Switchless ingress has a second stage: records the
-				// proxy already opened into the rx ring. Draining it
-				// races only the proxy's enqueue side (the ring is
-				// MPMC), so a parked or mid-relay proxy never wedges
-				// the restart.
-				for {
-					node, ok := d.rx.Dequeue()
-					if !ok {
-						break
-					}
-					_ = ep.pool.Put(node)
-				}
-				// The drain just created ring and mbox space a proxy
-				// may have parked on; hand any stranded tx backlog
-				// back to it or the pipeline wedges (the senders only
-				// ring the doorbell on successful enqueues).
-				d.wakeProxy()
 			}
 		}
 	}
@@ -315,12 +297,6 @@ func (w *Worker) idleWait(timer *time.Timer) {
 
 func (w *Worker) run() {
 	defer close(w.done)
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	if len(w.cpus) > 0 {
-		_ = setAffinity(w.cpus) // best effort; Linux only
-	}
-
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C

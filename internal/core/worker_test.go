@@ -103,7 +103,7 @@ func TestWakerFromForeignGoroutine(t *testing.T) {
 // TestWorkerAccessors covers the introspection surface.
 func TestWorkerAccessors(t *testing.T) {
 	cfg := Config{
-		Workers: []WorkerSpec{{CPUs: []int{0}}},
+		Workers: []WorkerSpec{{}},
 		Actors: []Spec{
 			{Name: "a", Worker: 0, Body: func(*Self) {}},
 			{Name: "b", Worker: 0, Body: func(*Self) {}},

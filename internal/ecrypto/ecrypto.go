@@ -19,10 +19,11 @@ import (
 // KeySize is the AES-256 key size used throughout.
 const KeySize = 32
 
-const nonceSize = 12
+// NonceSize is the length of the explicit nonce that leads every blob.
+const NonceSize = 12
 
 // Overhead is the ciphertext expansion of Cipher.Seal (nonce + GCM tag).
-const Overhead = nonceSize + 16
+const Overhead = NonceSize + 16
 
 // ErrCiphertextTooShort reports a blob shorter than the AEAD envelope.
 var ErrCiphertextTooShort = errors.New("ecrypto: ciphertext too short")
@@ -67,12 +68,17 @@ func NewCipher(key [KeySize]byte, dirTag uint32) (*Cipher, error) {
 
 // Seal encrypts plaintext into dst (which may be nil) and returns the
 // blob nonce||ciphertext||tag. aad is authenticated but not encrypted.
+// To seal in place, put the plaintext NonceSize bytes past the end of
+// dst in the same buffer, with room for the tag behind it. The nonce is
+// built inside dst: a local array would escape through the cipher.AEAD
+// interface and cost an allocation per message.
 func (c *Cipher) Seal(dst, plaintext, aad []byte) []byte {
-	var nonce [nonceSize]byte
+	var zero [NonceSize]byte
+	dst = append(dst, zero[:]...)
+	nonce := dst[len(dst)-NonceSize:]
 	binary.BigEndian.PutUint32(nonce[:4], c.dirTag)
 	binary.BigEndian.PutUint64(nonce[4:], c.counter.Add(1))
-	dst = append(dst, nonce[:]...)
-	return c.aead.Seal(dst, nonce[:], plaintext, aad)
+	return c.aead.Seal(dst, nonce, plaintext, aad)
 }
 
 // Open authenticates and decrypts a blob produced by Seal with the same
@@ -81,7 +87,7 @@ func (c *Cipher) Open(dst, blob, aad []byte) ([]byte, error) {
 	if len(blob) < Overhead {
 		return nil, ErrCiphertextTooShort
 	}
-	out, err := c.aead.Open(dst, blob[:nonceSize], blob[nonceSize:], aad)
+	out, err := c.aead.Open(dst, blob[:NonceSize], blob[NonceSize:], aad)
 	if err != nil {
 		return nil, ErrAuthFailed
 	}
@@ -95,10 +101,10 @@ func SealedLen(n int) int { return n + Overhead }
 // explicit nonce (for replay checks after authentication succeeded).
 // Returns 0 for blobs shorter than a nonce.
 func BlobCounter(blob []byte) uint64 {
-	if len(blob) < nonceSize {
+	if len(blob) < NonceSize {
 		return 0
 	}
-	return binary.BigEndian.Uint64(blob[4:nonceSize])
+	return binary.BigEndian.Uint64(blob[4:NonceSize])
 }
 
 // Deterministic is an SIV-style deterministic AEAD: the nonce is a MAC of
@@ -131,9 +137,9 @@ func (d *Deterministic) Seal(plaintext []byte) []byte {
 	mac := hmac.New(sha256.New, d.macKey[:])
 	mac.Write(plaintext)
 	sum := mac.Sum(nil)
-	blob := make([]byte, nonceSize, SealedLen(len(plaintext)))
-	copy(blob, sum[:nonceSize])
-	return d.aead.Seal(blob, blob[:nonceSize], plaintext, nil)
+	blob := make([]byte, NonceSize, SealedLen(len(plaintext)))
+	copy(blob, sum[:NonceSize])
+	return d.aead.Seal(blob, blob[:NonceSize], plaintext, nil)
 }
 
 // Open decrypts a blob produced by Seal.
@@ -141,7 +147,7 @@ func (d *Deterministic) Open(blob []byte) ([]byte, error) {
 	if len(blob) < Overhead {
 		return nil, ErrCiphertextTooShort
 	}
-	out, err := d.aead.Open(nil, blob[:nonceSize], blob[nonceSize:], nil)
+	out, err := d.aead.Open(nil, blob[:NonceSize], blob[NonceSize:], nil)
 	if err != nil {
 		return nil, ErrAuthFailed
 	}

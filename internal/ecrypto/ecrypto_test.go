@@ -150,6 +150,30 @@ func TestSealIntoDst(t *testing.T) {
 	}
 }
 
+// TestSealInPlace pins the contract the channel send path relies on: a
+// plaintext staged NonceSize bytes into a buffer is sealed over itself,
+// inside that buffer, without allocating.
+func TestSealInPlace(t *testing.T) {
+	c, _ := NewCipher(testKey(12), 0)
+	msg := []byte("sealed where it lies")
+	buf := make([]byte, SealedLen(len(msg)))
+	var blob []byte
+	allocs := testing.AllocsPerRun(10, func() {
+		copy(buf[NonceSize:], msg)
+		blob = c.Seal(buf[:0], buf[NonceSize:NonceSize+len(msg)], nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("in-place Seal allocates %v times per call", allocs)
+	}
+	if &blob[0] != &buf[0] || len(blob) != len(buf) {
+		t.Fatal("Seal left the buffer it was given")
+	}
+	got, err := c.Open(nil, blob, nil)
+	if err != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("Open after in-place Seal = %q, %v", got, err)
+	}
+}
+
 func TestDeriveKeyDistinct(t *testing.T) {
 	parent := testKey(12)
 	a := DeriveKey(parent, "a")

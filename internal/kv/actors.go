@@ -550,13 +550,10 @@ func (srv *Server) storeSpec(opts Options, i, worker int, enclave string) core.S
 			}
 			if n > 0 && syncPerBurst {
 				// Per-burst write-back: one batched Sync amortised over
-				// the whole drained burst. The flush is untrusted work
-				// (file I/O); with switchless proxies configured it is
-				// relayed as a switchless OCall so the enclaved KVSTORE
-				// never crosses the boundary for it.
+				// the whole drained burst.
 				tr := self.Tracer()
 				start := tr.Begin(self.TraceScope())
-				self.RunUntrusted(func() { _ = srv.store.Flush() })
+				_ = srv.store.Flush()
 				tr.End(self.WorkerID(), self.TraceScope(), trace.KindPOSSync, uint32(i), start)
 			}
 			srv.flushWrites(st, write)

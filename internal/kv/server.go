@@ -30,11 +30,6 @@ type Options struct {
 	// Trusted places each KVSTORE eactor inside its own enclave; the
 	// FRONTEND-to-KVSTORE channels then encrypt automatically.
 	Trusted bool
-	// Switchless services the encrypted FRONTEND-to-KVSTORE channels
-	// with proxy workers (core.SwitchlessConfig) instead of blocking
-	// per-message crossings, and relays POS write-back flushes through
-	// the proxies as switchless OCalls. No effect unless Trusted.
-	Switchless bool
 	// Platform supplies the SGX simulation; nil creates a default one.
 	Platform *sgx.Platform
 
@@ -290,7 +285,6 @@ func (srv *Server) buildConfig(opts Options) (core.Config, chan string) {
 		Profile:            opts.Profile,
 		ProfileSampleEvery: opts.ProfileSampleEvery,
 		Faults:             opts.Faults,
-		Switchless:         core.SwitchlessConfig{Enabled: opts.Switchless && opts.Trusted},
 	}
 	cfg.Workers = make([]core.WorkerSpec, 2+shards)
 	frontWorker, netWorker := 0, 1

@@ -34,18 +34,7 @@ type Node struct {
 	traceID   uint64
 	traceSpan uint32
 	traceEnq  int64 // UnixNano enqueue timestamp for dwell spans
-
-	// meta is an owner-private scratch word ordered by the same mbox
-	// hand-off. Switchless rings use it for the record count of a sealed
-	// segment; zero means "one plain record" for every other producer.
-	meta uint32
 }
-
-// SetMeta stamps the node's scratch meta word (see the field comment).
-func (n *Node) SetMeta(v uint32) { n.meta = v }
-
-// Meta reads the node's scratch meta word.
-func (n *Node) Meta() uint32 { return n.meta }
 
 // SetTrace stamps the node's trace header: the owning trace, the
 // sender's span (the receiver's parent) and the enqueue timestamp.

@@ -302,3 +302,62 @@ func TestReaderReportsEOF(t *testing.T) {
 		t.Fatal("MsgClosed never delivered")
 	}
 }
+
+// TestCloseDrainsFrameBeingWritten: a frame followed by Close on the same
+// socket (the handshake-failure teardown) must reach a peer that is a
+// little slow to read. The pump has then already taken the frame off the
+// outbox and sits inside conn.Write, so an empty outbox does not mean
+// the frame is out.
+func TestCloseDrainsFrameBeingWritten(t *testing.T) {
+	local, peer := net.Pipe() // unbuffered: Write blocks until the peer reads
+	defer peer.Close()
+	table := NewTable()
+	s := table.AddConn(local)
+	if err := table.Write(s.ID(), []byte("<failure/>")); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan string, 1)
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		buf := make([]byte, 64)
+		n, _ := peer.Read(buf)
+		got <- string(buf[:n])
+	}()
+	if err := table.Close(s.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if frame := <-got; frame != "<failure/>" {
+		t.Fatalf("peer read %q before the close, want the frame", frame)
+	}
+}
+
+// lateConn is a connection whose Read takes a while to notice the close.
+type lateConn struct {
+	net.Conn
+	readDone atomic.Bool
+}
+
+func (c *lateConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err != nil {
+		time.Sleep(20 * time.Millisecond)
+		c.readDone.Store(true)
+	}
+	return n, err
+}
+
+// TestCloseAllWaitsForPumps: when CloseAll returns, its sockets' pumps
+// have exited — not "will exit shortly". A pump that lingers keeps the
+// stopped deployment reachable through its wake function, and a
+// deployment started right after then doubles the heap.
+func TestCloseAllWaitsForPumps(t *testing.T) {
+	local, peer := net.Pipe()
+	defer peer.Close()
+	conn := &lateConn{Conn: local}
+	table := NewTable()
+	table.AddConn(conn).startReadPump()
+	table.CloseAll()
+	if !conn.readDone.Load() {
+		t.Fatal("CloseAll returned while the read pump was still inside conn.Read")
+	}
+}

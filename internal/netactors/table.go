@@ -38,6 +38,7 @@ type Socket struct {
 	conn  net.Conn
 	lis   net.Listener
 	stats *tableStats
+	pumps *sync.WaitGroup // the table's; see Table.pumps
 
 	inbox    chan []byte // filled by the read pump
 	accepted chan uint32 // filled by the accept pump (listeners)
@@ -50,7 +51,10 @@ type Socket struct {
 	// outbox feeds the write pump; a full outbox means the peer is not
 	// draining and frames are dropped (slow-consumer policy), so the
 	// WRITER eactor never blocks on a stalled connection.
-	outbox       chan []byte
+	outbox chan []byte
+	// unwritten counts frames accepted by Write that the pump has not
+	// finished writing: queued in the outbox or inside conn.Write.
+	unwritten    atomic.Int32
 	quit         chan struct{}
 	dropped      atomic.Uint64
 	pumpOnce     sync.Once
@@ -88,6 +92,10 @@ type Table struct {
 	// readiness loop instead of per-connection pump goroutines.
 	loop *netloop.Loop
 
+	// pumps counts the running pump goroutines of every socket the table
+	// ever registered, so CloseAll can return after the last has exited.
+	pumps sync.WaitGroup
+
 	stats tableStats
 }
 
@@ -114,6 +122,7 @@ func (t *Table) AddConn(conn net.Conn) *Socket {
 		id:     t.next,
 		conn:   conn,
 		stats:  &t.stats,
+		pumps:  &t.pumps,
 		loop:   t.loop,
 		inbox:  make(chan []byte, inboxCap),
 		outbox: make(chan []byte, inboxCap),
@@ -132,6 +141,7 @@ func (t *Table) AddListener(lis net.Listener) *Socket {
 		id:       t.next,
 		lis:      lis,
 		stats:    &t.stats,
+		pumps:    &t.pumps,
 		accepted: make(chan uint32, inboxCap),
 		quit:     make(chan struct{}),
 	}
@@ -160,14 +170,16 @@ func (t *Table) Close(id uint32) error {
 	return nil
 }
 
-// shutdown closes the socket's resources and releases its pumps. Queued
-// outbound frames get a short drain window first, so a final protocol
-// message (e.g. an auth failure) reaches the peer before the reset.
+// shutdown closes the socket's resources and releases its pumps. Frames
+// Write accepted get a short drain window first, so a final protocol
+// message (e.g. an auth failure) reaches the peer before the reset. The
+// window covers the frame the pump has already taken off the outbox and
+// is still writing, not only the queued ones.
 func (s *Socket) shutdown() {
 	s.closed.Store(true)
 	if s.conn != nil && s.outbox != nil {
 		deadline := time.Now().Add(100 * time.Millisecond)
-		for len(s.outbox) > 0 && s.writeRunning.Load() && time.Now().Before(deadline) {
+		for s.unwritten.Load() > 0 && s.writeRunning.Load() && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 	}
@@ -183,7 +195,10 @@ func (s *Socket) shutdown() {
 	}
 }
 
-// CloseAll tears down every registered socket (shutdown path).
+// CloseAll tears down every registered socket (shutdown path) and waits
+// for their pump goroutines to exit: a pump holds its socket's wake
+// function and through it the whole runtime, so one that outlived
+// CloseAll would keep a stopped deployment's memory reachable.
 func (t *Table) CloseAll() {
 	t.mu.Lock()
 	socks := make([]*Socket, 0, len(t.socks))
@@ -195,6 +210,7 @@ func (t *Table) CloseAll() {
 	for _, s := range socks {
 		s.shutdown()
 	}
+	t.pumps.Wait()
 }
 
 // Len returns the number of registered sockets.
@@ -229,7 +245,9 @@ func (s *Socket) startReadPump() {
 		if s.loop != nil && s.bindLoop() {
 			return
 		}
+		s.pumps.Add(1)
 		go func() {
+			defer s.pumps.Done()
 			for {
 				buf := make([]byte, readBufBytes)
 				n, err := s.conn.Read(buf)
@@ -367,7 +385,9 @@ func (s *Socket) unbindReady(rq *readyQueue) {
 // watched listener, registering each in the table.
 func (s *Socket) startAcceptPump(t *Table) {
 	s.pumpOnce.Do(func() {
+		s.pumps.Add(1)
 		go func() {
+			defer s.pumps.Done()
 			for {
 				conn, err := s.lis.Accept()
 				if err != nil {
@@ -377,7 +397,11 @@ func (s *Socket) startAcceptPump(t *Table) {
 				}
 				ns := t.AddConn(conn)
 				t.stats.accepts.Add(1)
-				s.accepted <- ns.id
+				select {
+				case s.accepted <- ns.id:
+				case <-s.quit: // nobody is left to take it
+					return
+				}
 				s.ringWake()
 			}
 		}()
@@ -397,6 +421,7 @@ const writePumpIdle = 250 * time.Millisecond
 // ensureWritePump guarantees a pump goroutine is draining the outbox.
 func (s *Socket) ensureWritePump(deadline time.Duration) {
 	if s.writeRunning.CompareAndSwap(false, true) {
+		s.pumps.Add(1)
 		go s.writePump(deadline)
 	}
 }
@@ -406,6 +431,7 @@ func (s *Socket) ensureWritePump(deadline time.Duration) {
 // for writePumpIdle (the frame-arrives-as-we-exit race is closed by a
 // post-clear recheck and by Write's enqueue-then-ensure ordering).
 func (s *Socket) writePump(deadline time.Duration) {
+	defer s.pumps.Done()
 	idle := time.NewTimer(writePumpIdle)
 	defer idle.Stop()
 	for {
@@ -415,6 +441,7 @@ func (s *Socket) writePump(deadline time.Duration) {
 				_ = s.conn.SetWriteDeadline(time.Now().Add(deadline))
 			}
 			n, err := s.conn.Write(frame)
+			s.unwritten.Add(-1)
 			s.stats.bytesOut.Add(uint64(n))
 			if err != nil {
 				s.writeRunning.Store(false)
@@ -454,11 +481,13 @@ func (t *Table) Write(id uint32, data []byte) error {
 	}
 	frame := make([]byte, len(data))
 	copy(frame, data)
+	s.unwritten.Add(1) // before the enqueue, so the pump never decrements first
 	select {
 	case s.outbox <- frame:
 		s.ensureWritePump(t.writeDeadline)
 		return nil
 	default:
+		s.unwritten.Add(-1)
 		s.dropped.Add(1)
 		t.stats.dropped.Add(1)
 		return errBackpressure

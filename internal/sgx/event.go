@@ -7,11 +7,9 @@ import "sync"
 // pair. A thread that cannot make progress inside an enclave exits,
 // parks on an Event, and is re-entered once another thread sets it.
 //
-// The same plumbing backs two users: Mutex (the SDK barging mutex) and
-// the switchless proxy workers, which park on an Event when their rings
-// run dry (the paper's adaptive fallback). Event itself charges nothing;
-// callers account the EEXIT/EENTER pair only when Wait reports that the
-// thread actually blocked.
+// Mutex (the SDK barging mutex) is built on it. Event itself charges
+// nothing; callers account the EEXIT/EENTER pair only when Wait reports
+// that the thread actually blocked.
 //
 // Wakes are generation-counted so a Set that races a waiter between its
 // failed predicate check and the block cannot be lost.
@@ -53,8 +51,8 @@ func (e *Event) Wait(pred func() bool, onFirstWait func()) (waited bool) {
 }
 
 // Set wakes every waiter (sgx_thread_set_multiple_untrusted_events).
-// Used by switchless posters: the parked proxy re-checks its rings under
-// the event lock, so a post-then-Set can never strand work.
+// Waiters re-check their predicate under the event lock, so a
+// publish-then-Set can never strand one.
 func (e *Event) Set() {
 	e.mu.Lock()
 	e.gen++

@@ -40,13 +40,8 @@ type Stats struct {
 	// TCSOverflows counts enclave entries beyond the enclave's thread
 	// slots (on hardware these would stall the entering thread).
 	TCSOverflows uint64
-	// CrossingsAvoided counts boundary crossings that switchless call
-	// rings absorbed: each message relayed by a proxy instead of a
-	// blocking hop saves an EEXIT and an EENTER (two crossings).
+	// CrossingsAvoided is always 0: nothing sets it, benchmark/traced.go reads it.
 	CrossingsAvoided uint64
-	// ProxyParks counts switchless proxies exhausting their spin budget
-	// and parking on an untrusted event.
-	ProxyParks uint64
 }
 
 // Platform owns a set of simulated enclaves, the shared EPC budget and
@@ -78,9 +73,6 @@ type Platform struct {
 	randBytes    atomic.Uint64
 	mutexSleeps  atomic.Uint64
 	tcsOverflows atomic.Uint64
-
-	crossingsAvoided atomic.Uint64
-	proxyParks       atomic.Uint64
 }
 
 // PlatformOption customises NewPlatform.
@@ -223,9 +215,6 @@ func (p *Platform) Snapshot() Stats {
 		RandBytes:    p.randBytes.Load(),
 		MutexSleeps:  p.mutexSleeps.Load(),
 		TCSOverflows: p.tcsOverflows.Load(),
-
-		CrossingsAvoided: p.crossingsAvoided.Load(),
-		ProxyParks:       p.proxyParks.Load(),
 	}
 }
 
@@ -240,25 +229,7 @@ func (s Stats) Delta(earlier Stats) Stats {
 		RandBytes:    s.RandBytes - earlier.RandBytes,
 		MutexSleeps:  s.MutexSleeps - earlier.MutexSleeps,
 		TCSOverflows: s.TCSOverflows - earlier.TCSOverflows,
-
-		CrossingsAvoided: s.CrossingsAvoided - earlier.CrossingsAvoided,
-		ProxyParks:       s.ProxyParks - earlier.ProxyParks,
 	}
-}
-
-// NoteCrossingsAvoided credits n boundary crossings that a switchless
-// relay absorbed. The accounting convention is two per message (the
-// EEXIT/EENTER pair a blocking hop would have paid).
-func (p *Platform) NoteCrossingsAvoided(n uint64) {
-	if n != 0 {
-		p.crossingsAvoided.Add(n)
-	}
-}
-
-// NoteProxyPark counts one switchless proxy parking on its event after
-// exhausting its spin budget.
-func (p *Platform) NoteProxyPark() {
-	p.proxyParks.Add(1)
 }
 
 // chargeCrossing burns one boundary-crossing cost and counts it. It

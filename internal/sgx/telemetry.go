@@ -47,8 +47,6 @@ func (p *Platform) AttachTelemetry(reg *telemetry.Registry) {
 	reg.CounterFunc("eactors_sgx_rand_bytes", "trusted RNG bytes produced", p.randBytes.Load)
 	reg.CounterFunc("eactors_sgx_mutex_sleeps", "mutex acquisitions that took the sleep path", p.mutexSleeps.Load)
 	reg.CounterFunc("eactors_sgx_tcs_overflows", "enclave entries beyond the thread slots", p.tcsOverflows.Load)
-	reg.CounterFunc("eactors_crossings_avoided", "boundary crossings absorbed by switchless call rings", p.crossingsAvoided.Load)
-	reg.CounterFunc("eactors_proxy_parks", "switchless proxies parking after exhausting the spin budget", p.proxyParks.Load)
 	reg.GaugeFunc("eactors_sgx_epc_used_pages", "EPC pages currently resident", func() uint64 {
 		return uint64(p.epcUsed.Load())
 	})

@@ -59,7 +59,14 @@ func testOneToOne(t *testing.T, kind Kind, ssl bool) {
 	if _, err := alice.ReadMessage(10 * time.Second); err != nil {
 		t.Fatalf("reply: %v", err)
 	}
+	// The server counts a message as routed after writing it, so the
+	// reader can get here first: poll the counter to a deadline.
+	deadline := time.Now().Add(5 * time.Second)
 	st := srv.Stats()
+	for st.Routed < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		st = srv.Stats()
+	}
 	if st.Connections != 2 || st.Routed != 2 {
 		t.Fatalf("stats = %+v", st)
 	}

@@ -29,10 +29,6 @@ type Options struct {
 	Shards int
 	// Trusted places the CONNECTOR and XMPP eactors inside enclaves.
 	Trusted bool
-	// Switchless services the encrypted cross-enclave channels with
-	// proxy workers (core.SwitchlessConfig) instead of blocking
-	// per-message crossings. No effect unless Trusted.
-	Switchless bool
 	// EnclaveCount is the number of enclaves the XMPP eactors are spread
 	// over when Trusted (Figure 16); clamped to [1, Shards].
 	EnclaveCount int
@@ -284,7 +280,6 @@ func (srv *Server) buildConfig(opts Options, enclaveCount int) (core.Config, cha
 		Profile:            opts.Profile,
 		ProfileSampleEvery: opts.ProfileSampleEvery,
 		Faults:             opts.Faults,
-		Switchless:         core.SwitchlessConfig{Enabled: opts.Switchless && opts.Trusted},
 	}
 
 	// Workers: 0 = connector, 1 = connector networking, then per shard a
