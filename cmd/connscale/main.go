@@ -17,21 +17,17 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"github.com/eactors/eactors-go/internal/fdlimit"
-	"github.com/eactors/eactors-go/internal/kv"
-	"github.com/eactors/eactors-go/internal/xmpp/client"
+	"github.com/eactors/eactors-go/internal/load"
 )
 
 func main() {
@@ -102,11 +98,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		idle, err := parkIdleConns(srv.addr, conns)
+		closeIdle, err := load.Idle(srv.addr, conns)
 		if err != nil {
 			return err
 		}
-		defer idle.close()
+		defer closeIdle()
 		time.Sleep(o.settle)
 
 		loaded, err := srv.sample()
@@ -368,186 +364,26 @@ func rssKB(pid int) int {
 	return 0
 }
 
-// idleSet is a herd of parked connections.
-type idleSet struct{ conns []net.Conn }
-
-func (is *idleSet) close() {
-	for _, c := range is.conns {
-		_ = c.Close()
-	}
-}
-
-// parkIdleConns opens count connections that never send a byte.
-func parkIdleConns(addr string, count int) (*idleSet, error) {
-	is := &idleSet{conns: make([]net.Conn, 0, count)}
-	for i := 0; i < count; i++ {
-		c, err := net.DialTimeout("tcp", addr, 10*time.Second)
-		if err != nil {
-			is.close()
-			return nil, fmt.Errorf("idle conn %d/%d: %w", i, count, err)
-		}
-		is.conns = append(is.conns, c)
-	}
-	return is, nil
-}
-
-// workload runs a closed-loop request workload appropriate for the
-// server's protocol and returns the p99 latency.
+// workload runs a small closed-loop workload in the server's protocol
+// — lockstep GET/SET/DEL for kvserver, echoed one-to-one messages for
+// xmppserver — and returns its p99 latency.
 func (s *server) workload(clients int, duration time.Duration) (time.Duration, error) {
+	var st load.Stats
+	var err error
 	switch s.name {
 	case "kvserver":
-		return kvWorkload(s.addr, clients, duration)
+		st, err = load.RunKV(load.KV{Addr: s.addr, Clients: clients, Depth: 1,
+			Keys: clients, Value: 32, GetRatio: 0.5, Seed: 1, Measure: duration})
 	case "xmppserver":
-		return xmppWorkload(s.addr, clients, duration)
+		st, err = load.RunO2O(load.O2O{Addr: s.addr, Clients: clients, Body: "connscale ping", Measure: duration})
+	default:
+		return 0, fmt.Errorf("no workload for %s", s.name)
 	}
-	return 0, fmt.Errorf("no workload for %s", s.name)
-}
-
-func kvWorkload(addr string, clients int, duration time.Duration) (time.Duration, error) {
-	var mu sync.Mutex
-	var samples []time.Duration
-	var firstErr error
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			c, err := kv.Dial(addr, 10*time.Second)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			defer c.Close()
-			key := []byte(fmt.Sprintf("scale-key-%d", id))
-			val := []byte("connscale-value-0123456789abcdef")
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				start := time.Now()
-				var err error
-				if i%2 == 0 {
-					err = c.Set(key, val)
-				} else {
-					_, _, err = c.Get(key)
-				}
-				if err != nil {
-					continue
-				}
-				mu.Lock()
-				if len(samples) < 500_000 {
-					samples = append(samples, time.Since(start))
-				}
-				mu.Unlock()
-			}
-		}(w)
+	if err != nil {
+		return 0, err
 	}
-	time.Sleep(duration)
-	close(stop)
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(samples) == 0 {
-		if firstErr != nil {
-			return 0, firstErr
-		}
-		return 0, fmt.Errorf("kv workload produced no samples")
+	if st.Latency.Count() == 0 {
+		return 0, fmt.Errorf("%s workload produced no samples (%d errors)", s.name, st.Errors)
 	}
-	return percentile(samples, 0.99), nil
-}
-
-func xmppWorkload(addr string, clients int, duration time.Duration) (time.Duration, error) {
-	pairs := clients / 2
-	if pairs == 0 {
-		pairs = 1
-	}
-	var mu sync.Mutex
-	var samples []time.Duration
-	var firstErr error
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for p := 0; p < pairs; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			fail := func(err error) {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-			recvName := fmt.Sprintf("scale-recv-%d", p)
-			recv, err := client.Dial(addr, recvName, 30*time.Second)
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer recv.Close()
-			send, err := client.Dial(addr, fmt.Sprintf("scale-send-%d", p), 30*time.Second)
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer send.Close()
-			go func() {
-				for {
-					msg, err := recv.ReadMessage(500 * time.Millisecond)
-					if err != nil {
-						select {
-						case <-stop:
-							return
-						default:
-							continue
-						}
-					}
-					_ = recv.SendMessage(msg.From, msg.Body) //sendcheck:ok
-				}
-			}()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				start := time.Now()
-				if err := send.SendMessage(recvName, "connscale ping"); err != nil {
-					return
-				}
-				if _, err := send.ReadMessage(5 * time.Second); err != nil {
-					continue
-				}
-				mu.Lock()
-				if len(samples) < 500_000 {
-					samples = append(samples, time.Since(start))
-				}
-				mu.Unlock()
-			}
-		}(p)
-	}
-	time.Sleep(duration)
-	close(stop)
-	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(samples) == 0 {
-		if firstErr != nil {
-			return 0, firstErr
-		}
-		return 0, fmt.Errorf("xmpp workload produced no samples")
-	}
-	return percentile(samples, 0.99), nil
-}
-
-func percentile(samples []time.Duration, p float64) time.Duration {
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[int(p*float64(len(sorted)-1))]
+	return st.Latency.Percentile(0.99), nil
 }

@@ -6,146 +6,27 @@
 //
 //	kvload -server 127.0.0.1:6380 -clients 8 -duration 10s -get-ratio 0.9
 //
-// With -depth > 1 each client speaks the framed multiplexed transport
-// and keeps that many requests in flight on one connection (a sliding
-// ring: issue the next op, then reap the oldest once the ring is full),
-// which is the pipelining depth sweep behind EXPERIMENTS.md. -depth 1
-// uses the legacy synchronous protocol.
+// Each client keeps -depth requests in flight on one connection (a
+// sliding ring: issue the next op, then wait for the oldest once the
+// ring is full), which is the pipelining depth sweep behind
+// EXPERIMENTS.md; -depth 1 is one request at a time.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
-	"net"
 	"os"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/eactors/eactors-go/internal/fdlimit"
-	"github.com/eactors/eactors-go/internal/kv"
+	"github.com/eactors/eactors-go/internal/load"
 )
-
-// openIdleConns dials and holds count idle TCP connections — ballast
-// for measuring how the server scales with mostly-idle fan-in (the
-// readiness-loop sweep in EXPERIMENTS.md). Returns a closer.
-func openIdleConns(server string, count int) (func(), error) {
-	conns := make([]net.Conn, 0, count)
-	closeAll := func() {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-	}
-	for i := 0; i < count; i++ {
-		c, err := net.DialTimeout("tcp", server, 10*time.Second)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("idle conn %d/%d: %w", i, count, err)
-		}
-		conns = append(conns, c)
-	}
-	return closeAll, nil
-}
 
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "kvload:", err)
 		os.Exit(1)
-	}
-}
-
-// latencyRecorder collects request latencies for percentile reporting.
-type latencyRecorder struct {
-	mu      sync.Mutex
-	samples []time.Duration
-}
-
-func (r *latencyRecorder) record(d time.Duration) {
-	r.mu.Lock()
-	if len(r.samples) < 1_000_000 {
-		r.samples = append(r.samples, d)
-	}
-	r.mu.Unlock()
-}
-
-func (r *latencyRecorder) percentile(p float64) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), r.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[int(p*float64(len(sorted)-1))]
-}
-
-// runPipelined is one load connection in framed mode: a sliding ring of
-// depth in-flight requests over a single multiplexed session. Latency
-// is issue-to-completion of each op, so deep rings trade per-op latency
-// for connection throughput — exactly the sweep the depth table in
-// EXPERIMENTS.md records.
-func runPipelined(server string, depth, keys int, getRatio float64, rng *rand.Rand, value []byte,
-	stop chan struct{}, measuring *atomic.Bool, ops, errs *atomic.Uint64, rec *latencyRecorder) {
-
-	c, err := kv.DialPipelined(server, kv.PipelineOptions{Depth: depth, Timeout: 10 * time.Second})
-	if err != nil {
-		errs.Add(1)
-		return
-	}
-	defer c.Close()
-	type slot struct {
-		p     *kv.Pending
-		start time.Time
-	}
-	ring := make([]slot, 0, depth)
-	reap := func(s slot) {
-		resp, err := s.p.Wait()
-		if err != nil || resp.Status == kv.StatusErr {
-			errs.Add(1)
-			return
-		}
-		if measuring.Load() {
-			ops.Add(1)
-			rec.record(time.Since(s.start))
-		}
-	}
-	defer func() {
-		for _, s := range ring {
-			reap(s)
-		}
-	}()
-	key := make([]byte, 0, 24)
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		key = append(key[:0], []byte(fmt.Sprintf("key-%d", rng.Intn(keys)))...)
-		var p *kv.Pending
-		var err error
-		start := time.Now()
-		switch r := rng.Float64(); {
-		case r < getRatio:
-			p, err = c.IssueGet(key)
-		case r < getRatio+(1-getRatio)*0.9:
-			p, err = c.IssueSet(key, value)
-		default:
-			p, err = c.IssueDel(key)
-		}
-		if err != nil {
-			errs.Add(1)
-			return // session poisoned; this connection is done
-		}
-		ring = append(ring, slot{p: p, start: start})
-		if len(ring) == depth {
-			reap(ring[0])
-			copy(ring, ring[1:])
-			ring = ring[:len(ring)-1]
-		}
 	}
 }
 
@@ -158,7 +39,7 @@ func run() error {
 	valueSize := flag.Int("value", 128, "value bytes")
 	getRatio := flag.Float64("get-ratio", 0.9, "fraction of operations that are GETs (rest split SET/DEL 9:1)")
 	seed := flag.Int64("seed", 1, "workload PRNG seed")
-	depth := flag.Int("depth", 1, "pipelining depth per connection (1 = legacy synchronous protocol, >1 = framed multiplexed transport)")
+	depth := flag.Int("depth", 1, "requests kept in flight per connection (1 = one at a time)")
 	idleConns := flag.Int("idle-conns", 0, "idle connections held open for the whole run (readiness-loop scaling ballast)")
 	jsonOut := flag.Bool("json", false, "print the results as one JSON object on stdout (progress goes to stderr)")
 	flag.Parse()
@@ -178,7 +59,7 @@ func run() error {
 		fmt.Fprintf(info, "kvload: fd limit %d\n", limit)
 	}
 	if *idleConns > 0 {
-		closeIdle, err := openIdleConns(*server, *idleConns)
+		closeIdle, err := load.Idle(*server, *idleConns)
 		if err != nil {
 			return err
 		}
@@ -186,100 +67,20 @@ func run() error {
 		fmt.Fprintf(info, "kvload: holding %d idle connections\n", *idleConns)
 	}
 
-	var ops, errs atomic.Uint64
-	rec := &latencyRecorder{}
-	var measuring atomic.Bool
-	stop := make(chan struct{})
-
-	var wg sync.WaitGroup
-	for w := 0; w < *clients; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(*seed + int64(id)))
-			value := make([]byte, *valueSize)
-			rng.Read(value)
-			if *depth > 1 {
-				runPipelined(*server, *depth, *keys, *getRatio, rng, value, stop, &measuring, &ops, &errs, rec)
-				return
-			}
-			c, err := kv.Dial(*server, 5*time.Second)
-			if err != nil {
-				errs.Add(1)
-				return
-			}
-			defer c.Close()
-			key := make([]byte, 0, 24)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key = append(key[:0], []byte(fmt.Sprintf("key-%d", rng.Intn(*keys)))...)
-				start := time.Now()
-				var err error
-				switch r := rng.Float64(); {
-				case r < *getRatio:
-					_, _, err = c.Get(key)
-				case r < *getRatio+(1-*getRatio)*0.9:
-					err = c.Set(key, value)
-				default:
-					_, err = c.Del(key)
-				}
-				if err != nil {
-					errs.Add(1)
-					continue
-				}
-				if measuring.Load() {
-					ops.Add(1)
-					rec.record(time.Since(start))
-				}
-			}
-		}(w)
+	st, err := load.RunKV(load.KV{
+		Addr: *server, Clients: *clients, Depth: *depth,
+		Keys: *keys, Value: *valueSize, GetRatio: *getRatio, Seed: *seed,
+		Warmup: *warmup, Measure: *duration,
+	})
+	if err != nil {
+		return err
 	}
-
-	time.Sleep(*warmup)
-	measuring.Store(true)
-	time.Sleep(*duration)
-	measuring.Store(false)
-	close(stop)
-	wg.Wait()
-
-	total := ops.Load()
-	p50, p95, p99 := rec.percentile(0.50), rec.percentile(0.95), rec.percentile(0.99)
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		return enc.Encode(loadResult{
-			Tool:       "kvload",
-			Ops:        total,
-			DurationNs: duration.Nanoseconds(),
-			OpsPerSec:  float64(total) / duration.Seconds(),
-			Errors:     errs.Load(),
-			Clients:    *clients,
-			Depth:      *depth,
-			P50Ns:      p50.Nanoseconds(),
-			P95Ns:      p95.Nanoseconds(),
-			P99Ns:      p99.Nanoseconds(),
-		})
+		return json.NewEncoder(os.Stdout).Encode(st.Result("kvload", "", *clients, *depth))
 	}
 	fmt.Printf("kvload: %d ops in %s = %.0f ops/s (depth=%d, %d errors)\n",
-		total, *duration, float64(total)/duration.Seconds(), *depth, errs.Load())
-	fmt.Printf("kvload: latency p50=%s p95=%s p99=%s\n", p50, p95, p99)
+		st.Ops, *duration, st.Rate(), *depth, st.Errors)
+	fmt.Printf("kvload: latency p50=%s p95=%s p99=%s\n",
+		st.Latency.Percentile(0.50), st.Latency.Percentile(0.95), st.Latency.Percentile(0.99))
 	return nil
-}
-
-// loadResult is the -json results contract: one object on stdout,
-// throughput plus latency percentiles, all durations in nanoseconds.
-type loadResult struct {
-	Tool       string  `json:"tool"`
-	Ops        uint64  `json:"ops"`
-	DurationNs int64   `json:"duration_ns"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	Errors     uint64  `json:"errors"`
-	Clients    int     `json:"clients"`
-	Depth      int     `json:"depth,omitempty"`
-	P50Ns      int64   `json:"p50_ns"`
-	P95Ns      int64   `json:"p95_ns"`
-	P99Ns      int64   `json:"p99_ns"`
 }

@@ -43,7 +43,6 @@ func run() error {
 	flush := flag.Duration("flush", 100*time.Millisecond, "write-back flush interval (negative = sync per drained burst)")
 	sessionWindow := flag.Int("session-window", 0, "per-session flow-control advertisement in bytes (0 = transport default)")
 	replayWindow := flag.Int("replay-window", 0, "per-session resend-dedup cache depth (0 = transport default)")
-	noPipeline := flag.Bool("no-pipeline", false, "refuse the framed multiplexed transport (legacy protocol only; framed clients downgrade)")
 	netloopOn := flag.Bool("netloop", false, "multiplex connection reads through the event-driven readiness loop (O(pollers+dispatchers) goroutines instead of one per connection)")
 	netloopPollers := flag.Int("netloop-pollers", 1, "readiness-loop poller goroutines (with -netloop)")
 	netloopDispatchers := flag.Int("netloop-dispatchers", 4, "readiness-loop dispatcher goroutines (with -netloop)")
@@ -90,7 +89,6 @@ func run() error {
 		FlushInterval:      *flush,
 		SessionWindow:      *sessionWindow,
 		ReplayWindow:       *replayWindow,
-		DisablePipelining:  *noPipeline,
 		Telemetry:          *metrics != "",
 		Trace:              *traceOn,
 		TraceSampleEvery:   *traceSample,
@@ -155,8 +153,7 @@ func run() error {
 				ss := srv.Store().Stats()
 				fmt.Printf("kvserver: gets=%d sets=%d dels=%d not-found=%d errors=%d\n",
 					st.Gets, st.Sets, st.Dels, st.NotFound, st.Errors)
-				fmt.Printf("kvserver: sessions=%d pipelined=%d replayed=%d\n",
-					st.Sessions, st.Pipelined, st.Replayed)
+				fmt.Printf("kvserver: sessions=%d replayed=%d\n", st.Sessions, st.Replayed)
 				fmt.Printf("kvserver: cache-hits=%d misses=%d dirty=%d flushes=%d flushed-ops=%d sync-failures=%d\n",
 					ss.Hits, ss.Misses, ss.Dirty, ss.Flushes, ss.FlushedOps, ss.SyncFailures)
 			}

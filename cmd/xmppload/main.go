@@ -16,17 +16,13 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/eactors/eactors-go/internal/fdlimit"
+	"github.com/eactors/eactors-go/internal/load"
 	"github.com/eactors/eactors-go/internal/transport"
 	"github.com/eactors/eactors-go/internal/xmpp"
-	"github.com/eactors/eactors-go/internal/xmpp/client"
 	"github.com/eactors/eactors-go/internal/xmpp/stanza"
 )
 
@@ -35,38 +31,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xmppload:", err)
 		os.Exit(1)
 	}
-}
-
-// latencyRecorder collects request latencies for percentile reporting.
-type latencyRecorder struct {
-	mu      sync.Mutex
-	samples []time.Duration
-}
-
-func (r *latencyRecorder) record(d time.Duration) {
-	r.mu.Lock()
-	if len(r.samples) < 1_000_000 {
-		r.samples = append(r.samples, d)
-	}
-	r.mu.Unlock()
-}
-
-func (r *latencyRecorder) percentile(p float64) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), r.samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-func (r *latencyRecorder) count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
 }
 
 func run() error {
@@ -79,7 +43,7 @@ func run() error {
 	s2s := flag.Bool("s2s", false, "drive a framed server-to-server federation endpoint instead of the client protocol")
 	depth := flag.Int("depth", 32, "stanzas kept in flight per federation link (with -s2s)")
 	idleConns := flag.Int("idle-conns", 0, "idle connections held open for the whole run (readiness-loop scaling ballast)")
-	flag.BoolVar(&jsonOut, "json", false, "print the results as one JSON object on stdout (progress goes to stderr)")
+	jsonOut := flag.Bool("json", false, "print the results as one JSON object on stdout (progress goes to stderr)")
 	flag.Parse()
 	if *server == "" {
 		return fmt.Errorf("-server is required")
@@ -87,7 +51,8 @@ func run() error {
 
 	// With -json, stdout carries exactly one JSON object; everything
 	// else goes to stderr so scripted sweeps can pipe straight into jq.
-	if jsonOut {
+	var info io.Writer = os.Stdout
+	if *jsonOut {
 		info = os.Stderr
 	}
 	if limit, err := fdlimit.Raise(); err != nil {
@@ -96,138 +61,107 @@ func run() error {
 		fmt.Fprintf(info, "xmppload: fd limit %d\n", limit)
 	}
 	if *idleConns > 0 {
-		closeIdle, err := openIdleConns(*server, *idleConns)
+		// The idle connections never handshake, so they sit in the
+		// CONNECTOR's await phase, watched by its READER.
+		closeIdle, err := load.Idle(*server, *idleConns)
 		if err != nil {
 			return err
 		}
 		defer closeIdle()
 		fmt.Fprintf(info, "xmppload: holding %d idle connections\n", *idleConns)
 	}
-	if *s2s {
-		return runS2S(*server, *clients, *depth, *payload, *warmup, *duration)
+
+	var (
+		st       load.Stats
+		err      error
+		mode     string
+		runDepth int
+	)
+	switch {
+	case *s2s:
+		mode, runDepth = "s2s", max(*depth, 1)
+		fmt.Fprintf(info, "xmppload: s2s against %s, %d links x depth %d, %v warmup + %v measure\n",
+			*server, *clients, runDepth, *warmup, *duration)
+		st = runS2S(*server, max(*clients, 1), runDepth, makePayload(*payload), *warmup, *duration)
+	case *group != "":
+		mode = "group"
+		fmt.Fprintf(info, "xmppload: group %q against %s, %d members, %v warmup + %v measure\n",
+			*group, *server, *clients, *warmup, *duration)
+		st, err = load.RunGroup(load.Group{Addr: *server, Room: *group, Members: *clients,
+			Body: makePayload(*payload), Warmup: *warmup, Measure: *duration})
+	default:
+		mode = "o2o"
+		fmt.Fprintf(info, "xmppload: O2O against %s, %d clients, %v warmup + %v measure\n",
+			*server, *clients, *warmup, *duration)
+		st, err = load.RunO2O(load.O2O{Addr: *server, Clients: *clients,
+			Body: makePayload(*payload), Warmup: *warmup, Measure: *duration})
 	}
-	if *group != "" {
-		return runGroup(*server, *group, *clients, *payload, *warmup, *duration)
+	if err != nil {
+		return err
 	}
-	return runO2O(*server, *clients, *payload, *warmup, *duration)
+	if *jsonOut {
+		return json.NewEncoder(os.Stdout).Encode(st.Result("xmppload", mode, *clients, runDepth))
+	}
+	switch mode {
+	case "s2s":
+		fmt.Printf("throughput: %.0f stanzas/s (%d acked, %d errors)\n", st.Rate(), st.Ops, st.Errors)
+	case "group":
+		fmt.Printf("throughput: %.0f group msg/s (%d deliveries to %d members)\n", st.Rate(), st.Ops, st.Fanout)
+	default:
+		fmt.Printf("throughput: %.0f req/s (%d requests in %v, %d errors)\n", st.Rate(), st.Ops, *duration, st.Errors)
+	}
+	fmt.Printf("latency:    p50=%v p95=%v p99=%v (%d samples)\n",
+		st.Latency.Percentile(0.50).Round(time.Microsecond),
+		st.Latency.Percentile(0.95).Round(time.Microsecond),
+		st.Latency.Percentile(0.99).Round(time.Microsecond),
+		st.Latency.Count())
+	return nil
 }
 
 // runS2S pumps stanzas over framed federation links, each keeping a
 // sliding ring of depth un-acked stanzas in flight — the s2s face of
 // the pipelining depth sweep.
-func runS2S(server string, links, depth, payloadBytes int, warmup, duration time.Duration) error {
-	if links < 1 {
-		links = 1
+func runS2S(server string, links, depth int, body string, warmup, duration time.Duration) load.Stats {
+	type slot struct {
+		c     *transport.Call
+		start time.Time
 	}
-	if depth < 1 {
-		depth = 1
-	}
-	payload := makePayload(payloadBytes)
-	fmt.Fprintf(info, "xmppload: s2s against %s, %d links x depth %d, %v warmup + %v measure\n",
-		server, links, depth, warmup, duration)
-
-	var acked, errs atomic.Uint64
-	var measuring atomic.Bool
-	rec := &latencyRecorder{}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for id := 0; id < links; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			link, err := xmpp.DialS2S(server, 10*time.Second)
-			if err != nil {
-				errs.Add(1)
+	return load.Measure(links, warmup, duration, func(id int, w *load.Window) {
+		link, err := xmpp.DialS2S(server, 10*time.Second)
+		if err != nil {
+			w.Fail()
+			return
+		}
+		defer link.Close()
+		xml := []byte(stanza.Message(fmt.Sprintf("load-%d@remote", id), "peer@local", body))
+		ring := make([]slot, 0, depth)
+		reap := func() {
+			s := ring[0]
+			ring = append(ring[:0], ring[1:]...)
+			if err := link.WaitAck(s.c); err != nil {
+				w.Fail()
 				return
 			}
-			defer link.Close()
-			xml := []byte(stanza.Message(fmt.Sprintf("load-%d@remote", id), "peer@local", payload))
-			type slot struct {
-				c     *transport.Call
-				start time.Time
+			w.Done(s.start)
+		}
+		for !w.Stopped() {
+			start := time.Now()
+			c, err := link.IssueStanza(xml)
+			if err != nil {
+				w.Fail()
+				break
 			}
-			ring := make([]slot, 0, depth)
-			reap := func(s slot) {
-				if err := link.WaitAck(s.c); err != nil {
-					errs.Add(1)
-					return
-				}
-				if measuring.Load() {
-					acked.Add(1)
-					rec.record(time.Since(s.start))
-				}
+			if ring = append(ring, slot{c, start}); len(ring) == depth {
+				reap()
 			}
-			defer func() {
-				for _, s := range ring {
-					reap(s)
-				}
-			}()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				start := time.Now()
-				c, err := link.IssueStanza(xml)
-				if err != nil {
-					errs.Add(1)
-					return
-				}
-				ring = append(ring, slot{c: c, start: start})
-				if len(ring) == depth {
-					reap(ring[0])
-					copy(ring, ring[1:])
-					ring = ring[:len(ring)-1]
-				}
-			}
-		}(id)
-	}
-
-	time.Sleep(warmup)
-	measuring.Store(true)
-	time.Sleep(duration)
-	measuring.Store(false)
-	close(stop)
-	wg.Wait()
-
-	total := acked.Load()
-	if jsonOut {
-		return emitJSON("s2s", total, duration, float64(total)/duration.Seconds(), errs.Load(), links, depth, rec)
-	}
-	fmt.Printf("throughput: %.0f stanzas/s (%d acked, %d errors)\n",
-		float64(total)/duration.Seconds(), total, errs.Load())
-	fmt.Printf("latency:    p50=%v p95=%v p99=%v (%d samples)\n",
-		rec.percentile(0.50).Round(time.Microsecond),
-		rec.percentile(0.95).Round(time.Microsecond),
-		rec.percentile(0.99).Round(time.Microsecond),
-		rec.count())
-	return nil
+		}
+		for len(ring) > 0 {
+			reap()
+		}
+	})
 }
 
-// openIdleConns dials and holds count idle TCP connections — ballast
-// for measuring how the server scales with mostly-idle fan-in (the
-// readiness-loop sweep in EXPERIMENTS.md). The connections never
-// handshake, so they sit in the CONNECTOR's await phase, watched by
-// its READER. Returns a closer.
-func openIdleConns(server string, count int) (func(), error) {
-	conns := make([]net.Conn, 0, count)
-	closeAll := func() {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-	}
-	for i := 0; i < count; i++ {
-		c, err := net.DialTimeout("tcp", server, 10*time.Second)
-		if err != nil {
-			closeAll()
-			return nil, fmt.Errorf("idle conn %d/%d: %w", i, count, err)
-		}
-		conns = append(conns, c)
-	}
-	return closeAll, nil
-}
-
+// makePayload is an n-byte message body of random letters and digits.
 func makePayload(n int) string {
 	const letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 	b := make([]byte, n)
@@ -235,231 +169,4 @@ func makePayload(n int) string {
 		b[i] = letters[rand.Intn(len(letters))]
 	}
 	return string(b)
-}
-
-func runO2O(server string, clients, payloadBytes int, warmup, duration time.Duration) error {
-	if clients%2 != 0 {
-		clients++
-	}
-	pairs := clients / 2
-	payload := makePayload(payloadBytes)
-
-	fmt.Fprintf(info, "xmppload: O2O against %s, %d clients (%d pairs), %v warmup + %v measure\n",
-		server, clients, pairs, warmup, duration)
-
-	receivers := make([]*client.Client, pairs)
-	senders := make([]*client.Client, pairs)
-	for i := 0; i < pairs; i++ {
-		var err error
-		if receivers[i], err = client.Dial(server, fmt.Sprintf("load-recv-%d", i), 30*time.Second); err != nil {
-			return fmt.Errorf("dial receiver %d: %w", i, err)
-		}
-		defer receivers[i].Close()
-	}
-	for i := 0; i < pairs; i++ {
-		var err error
-		if senders[i], err = client.Dial(server, fmt.Sprintf("load-send-%d", i), 30*time.Second); err != nil {
-			return fmt.Errorf("dial sender %d: %w", i, err)
-		}
-		defer senders[i].Close()
-	}
-
-	var completed atomic.Uint64
-	var measuring atomic.Bool
-	rec := &latencyRecorder{}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-
-	for _, c := range receivers {
-		wg.Add(1)
-		go func(c *client.Client) {
-			defer wg.Done()
-			for {
-				msg, err := c.ReadMessage(500 * time.Millisecond)
-				if err != nil {
-					select {
-					case <-stop:
-						return
-					default:
-						continue
-					}
-				}
-				_ = c.SendMessage(msg.From, msg.Body) //sendcheck:ok
-			}
-		}(c)
-	}
-	for i, c := range senders {
-		wg.Add(1)
-		go func(idx int, c *client.Client) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(idx + 1)))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				target := fmt.Sprintf("load-recv-%d", rng.Intn(pairs))
-				start := time.Now()
-				if err := c.SendMessage(target, payload); err != nil {
-					return
-				}
-				if _, err := c.ReadMessage(5 * time.Second); err != nil {
-					continue
-				}
-				if measuring.Load() {
-					completed.Add(1)
-					rec.record(time.Since(start))
-				}
-			}
-		}(i, c)
-	}
-
-	time.Sleep(warmup)
-	measuring.Store(true)
-	time.Sleep(duration)
-	measuring.Store(false)
-	close(stop)
-	wg.Wait()
-
-	total := completed.Load()
-	if jsonOut {
-		return emitJSON("o2o", total, duration, float64(total)/duration.Seconds(), 0, clients, 0, rec)
-	}
-	fmt.Printf("throughput: %.0f req/s (%d requests in %v)\n",
-		float64(total)/duration.Seconds(), total, duration)
-	fmt.Printf("latency:    p50=%v p95=%v p99=%v (%d samples)\n",
-		rec.percentile(0.50).Round(time.Microsecond),
-		rec.percentile(0.95).Round(time.Microsecond),
-		rec.percentile(0.99).Round(time.Microsecond),
-		rec.count())
-	return nil
-}
-
-func runGroup(server, room string, members, payloadBytes int, warmup, duration time.Duration) error {
-	if members < 2 {
-		members = 2
-	}
-	payload := makePayload(payloadBytes)
-	fmt.Fprintf(info, "xmppload: group %q against %s, %d members, %v warmup + %v measure\n",
-		room, server, members, warmup, duration)
-
-	clients := make([]*client.Client, members)
-	for i := range clients {
-		var err error
-		if clients[i], err = client.Dial(server, fmt.Sprintf("load-member-%d", i), 30*time.Second); err != nil {
-			return fmt.Errorf("dial member %d: %w", i, err)
-		}
-		defer clients[i].Close()
-		if err := clients[i].JoinRoom(room); err != nil {
-			return err
-		}
-	}
-	time.Sleep(300 * time.Millisecond)
-
-	var delivered atomic.Uint64
-	var measuring atomic.Bool
-	rec := &latencyRecorder{}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-
-	for _, c := range clients[2:] {
-		wg.Add(1)
-		go func(c *client.Client) {
-			defer wg.Done()
-			for {
-				if _, err := c.ReadMessage(500 * time.Millisecond); err != nil {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				} else if measuring.Load() {
-					delivered.Add(1)
-				}
-			}
-		}(c)
-	}
-	sender, monitor := clients[0], clients[1]
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			start := time.Now()
-			if err := sender.SendGroupMessage(room, payload); err != nil {
-				return
-			}
-			if _, err := monitor.ReadMessage(5 * time.Second); err != nil {
-				continue
-			}
-			if measuring.Load() {
-				delivered.Add(1)
-				rec.record(time.Since(start))
-			}
-		}
-	}()
-
-	time.Sleep(warmup)
-	measuring.Store(true)
-	time.Sleep(duration)
-	measuring.Store(false)
-	close(stop)
-	wg.Wait()
-
-	total := delivered.Load()
-	perReq := float64(total) / float64(members-1)
-	if jsonOut {
-		return emitJSON("group", total, duration, perReq/duration.Seconds(), 0, members, 0, rec)
-	}
-	fmt.Printf("throughput: %.0f group msg/s (%d deliveries to %d members)\n",
-		perReq/duration.Seconds(), total, members-1)
-	fmt.Printf("first-delivery latency: p50=%v p95=%v p99=%v\n",
-		rec.percentile(0.50).Round(time.Microsecond),
-		rec.percentile(0.95).Round(time.Microsecond),
-		rec.percentile(0.99).Round(time.Microsecond))
-	return nil
-}
-
-// jsonOut and info implement the -json results contract: with -json,
-// stdout is exactly one loadResult object and progress goes to stderr.
-var (
-	jsonOut bool
-	info    io.Writer = os.Stdout
-)
-
-// loadResult matches kvload's -json schema: throughput plus latency
-// percentiles, all durations in nanoseconds.
-type loadResult struct {
-	Tool       string  `json:"tool"`
-	Mode       string  `json:"mode,omitempty"`
-	Ops        uint64  `json:"ops"`
-	DurationNs int64   `json:"duration_ns"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	Errors     uint64  `json:"errors"`
-	Clients    int     `json:"clients"`
-	Depth      int     `json:"depth,omitempty"`
-	P50Ns      int64   `json:"p50_ns"`
-	P95Ns      int64   `json:"p95_ns"`
-	P99Ns      int64   `json:"p99_ns"`
-}
-
-func emitJSON(mode string, ops uint64, duration time.Duration, opsPerSec float64, errs uint64, clients, depth int, rec *latencyRecorder) error {
-	return json.NewEncoder(os.Stdout).Encode(loadResult{
-		Tool:       "xmppload",
-		Mode:       mode,
-		Ops:        ops,
-		DurationNs: duration.Nanoseconds(),
-		OpsPerSec:  opsPerSec,
-		Errors:     errs,
-		Clients:    clients,
-		Depth:      depth,
-		P50Ns:      rec.percentile(0.50).Nanoseconds(),
-		P95Ns:      rec.percentile(0.95).Nanoseconds(),
-		P99Ns:      rec.percentile(0.99).Nanoseconds(),
-	})
 }

@@ -39,7 +39,10 @@ type lockedStack struct {
 // on a 1-CPU host the holder must be descheduled mid-hold for any
 // contention to exist at all. It is applied identically to both the
 // pthread and the SGX variant, so it shifts both curves without
-// distorting their ratio — which is what Figure 1 plots.
+// distorting their ratio — which is what Figure 1 plots. With consumers
+// no more than Ps the holder is never descheduled, the SDK mutex's spin
+// always wins, and neither series contends; Fig1MutexStack therefore
+// runs on one P whatever the host's core count.
 func (s *lockedStack) pop() bool {
 	if s.items == 0 {
 		return false
@@ -51,6 +54,7 @@ func (s *lockedStack) pop() bool {
 
 // Fig1MutexStack runs both series and returns time-to-drain rows.
 func Fig1MutexStack(cfg Fig1Config) ([]Row, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var rows []Row
 	for _, threads := range cfg.Threads {
 		// pthread_mutex: plain futex mutex, untrusted contexts.

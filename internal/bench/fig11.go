@@ -207,148 +207,6 @@ func PingPongEA(pairs, size int, costs *sgx.CostModel, encrypted bool) (time.Dur
 	return elapsed, nil
 }
 
-// PingPongEABatched is PingPongEA over the channel batch fast path:
-// PING sends bursts of batch messages with one SendBatch (one pool
-// trip, one mbox CAS, one doorbell) and both sides drain with the
-// budgeted RecvBatch. pairs still counts individual messages, so the
-// result compares directly with PingPongEA.
-func PingPongEABatched(pairs, size, batch int, costs *sgx.CostModel, encrypted bool) (time.Duration, error) {
-	platform := sgx.NewPlatform(sgx.WithCostModel(costs))
-	fill := randomPayload(size)
-	if batch < 1 {
-		batch = 1
-	}
-	capacity := 4
-	for capacity < batch {
-		capacity *= 2
-	}
-
-	var done atomic.Bool
-	var elapsed time.Duration
-	var start time.Time
-
-	burst := make([][]byte, batch)
-	for i := range burst {
-		burst[i] = fill
-	}
-
-	type pingState struct {
-		sent, recvd, inflight int
-		bufs                  [][]byte
-		lens                  []int
-	}
-	pingSt := &pingState{}
-	pingSt.bufs, pingSt.lens = core.BatchBufs(batch, size)
-
-	type pongState struct {
-		bufs    [][]byte
-		lens    []int
-		echo    [][]byte
-		pending [][]byte
-	}
-	pongSt := &pongState{echo: make([][]byte, 0, batch)}
-	pongSt.bufs, pongSt.lens = core.BatchBufs(batch, size)
-
-	cfg := core.Config{
-		Enclaves:    []core.EnclaveSpec{{Name: "ping"}, {Name: "pong"}},
-		Workers:     []core.WorkerSpec{{}, {}},
-		PoolNodes:   2*capacity + 8,
-		NodePayload: size + 64,
-		Telemetry:   Telemetry,
-		Channels: []core.ChannelSpec{{
-			Name: "pp", A: "ping", B: "pong", Plaintext: !encrypted, Capacity: capacity,
-		}},
-		Actors: []core.Spec{
-			{
-				Name: "ping", Enclave: "ping", Worker: 0, State: pingSt,
-				Body: func(self *core.Self) {
-					st := self.State.(*pingState)
-					ch := self.MustChannel("pp")
-					if st.inflight == 0 && st.sent < pairs {
-						want := batch
-						if rem := pairs - st.sent; rem < want {
-							want = rem
-						}
-						n, _ := ch.SendBatch(burst[:want]) //sendcheck:ok
-						if n > 0 {
-							st.sent += n
-							st.inflight += n
-							self.Progress()
-						}
-						return
-					}
-					n, err := self.RecvBatch(ch, st.bufs, st.lens)
-					if err != nil {
-						return
-					}
-					st.inflight -= n
-					st.recvd += n
-					if st.recvd >= pairs && !done.Swap(true) {
-						elapsed = time.Since(start)
-						self.StopRuntime()
-					}
-				},
-			},
-			{
-				Name: "pong", Enclave: "pong", Worker: 1, State: pongSt,
-				Body: func(self *core.Self) {
-					st := self.State.(*pongState)
-					ch := self.MustChannel("pp")
-					// Echo frames a previously full channel left behind.
-					if len(st.pending) > 0 {
-						n, _ := ch.SendBatch(st.pending) //sendcheck:ok
-						if n == 0 {
-							return
-						}
-						self.Progress()
-						st.pending = st.pending[n:]
-						if len(st.pending) > 0 {
-							return
-						}
-						st.pending = nil
-					}
-					n, err := self.RecvBatch(ch, st.bufs, st.lens)
-					if err != nil || n == 0 {
-						return
-					}
-					st.echo = st.echo[:0]
-					for i := 0; i < n; i++ {
-						st.echo = append(st.echo, st.bufs[i][:st.lens[i]])
-					}
-					sent, _ := ch.SendBatch(st.echo) //sendcheck:ok
-					// st.bufs is reused next invocation; spilled echoes
-					// get copies (backpressure path only).
-					for _, f := range st.echo[sent:] {
-						st.pending = append(st.pending, append([]byte(nil), f...))
-					}
-				},
-			},
-		},
-	}
-	rt, err := core.NewRuntime(platform, cfg)
-	if err != nil {
-		return 0, err
-	}
-	start = time.Now()
-	if err := rt.Start(); err != nil {
-		rt.Stop()
-		return 0, err
-	}
-	waitDone := make(chan struct{})
-	go func() {
-		rt.Wait()
-		close(waitDone)
-	}()
-	select {
-	case <-waitDone:
-	case <-time.After(30 * time.Minute):
-		rt.Stop()
-		return 0, fmt.Errorf("bench: fig11 EA-BATCH run (size %d) timed out", size)
-	}
-	rt.Stop()
-	return elapsed, nil
-}
-
 // randomPayload builds a deterministic pseudo-random buffer.
 func randomPayload(size int) []byte {
 	buf := make([]byte, size)

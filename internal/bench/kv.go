@@ -2,12 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/eactors/eactors-go/internal/ecrypto"
 	"github.com/eactors/eactors-go/internal/kv"
+	"github.com/eactors/eactors-go/internal/load"
 	"github.com/eactors/eactors-go/internal/sgx"
 	"github.com/eactors/eactors-go/internal/telemetry"
 )
@@ -67,7 +66,7 @@ func FigKVShardScaling(cfg FigKVConfig) ([]Row, error) {
 }
 
 // runKVPoint starts one deployment, preloads the key space and drives
-// it with closed-loop clients for the measure window.
+// it with closed-loop lockstep clients for the measure window.
 func runKVPoint(cfg FigKVConfig, shards, clients int) (float64, error) {
 	var key [ecrypto.KeySize]byte
 	for i := range key {
@@ -93,70 +92,13 @@ func runKVPoint(cfg FigKVConfig, shards, clients int) (float64, error) {
 	}
 	defer stop()
 
-	value := randomPayload(cfg.ValueBytes)
-	loader, err := kv.Dial(srv.Addr(), 30*time.Second)
+	st, err := load.RunKV(load.KV{
+		Addr: srv.Addr(), Clients: clients, Depth: 1,
+		Keys: cfg.Keys, Value: cfg.ValueBytes, GetRatio: cfg.GetRatio, Seed: 1, Preload: true,
+		Warmup: cfg.Warmup, Measure: cfg.Measure,
+	})
 	if err != nil {
 		return 0, err
 	}
-	for i := 0; i < cfg.Keys; i++ {
-		if err := loader.Set(kvBenchKeyName(i), value); err != nil {
-			_ = loader.Close()
-			return 0, fmt.Errorf("preload key %d: %w", i, err)
-		}
-	}
-	_ = loader.Close()
-
-	var ops atomic.Uint64
-	stopCh := make(chan struct{})
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		conn, err := kv.Dial(srv.Addr(), 30*time.Second)
-		if err != nil {
-			close(stopCh)
-			wg.Wait()
-			return 0, fmt.Errorf("dial client %d: %w", c, err)
-		}
-		wg.Add(1)
-		go func(idx int, conn *kv.Client) {
-			defer wg.Done()
-			defer conn.Close()
-			rng := uint32(idx*2654435761 + 12345)
-			for {
-				select {
-				case <-stopCh:
-					return
-				default:
-				}
-				rng = rng*1664525 + 1013904223
-				k := kvBenchKeyName(int(rng>>8) % cfg.Keys)
-				r := float64(rng%10000) / 10000
-				var err error
-				switch {
-				case r < cfg.GetRatio:
-					_, _, err = conn.Get(k)
-				case r < cfg.GetRatio+(1-cfg.GetRatio)*0.9:
-					err = conn.Set(k, value)
-				default:
-					_, err = conn.Del(k)
-				}
-				if err != nil {
-					continue // timeout: the client resends (at-least-once)
-				}
-				ops.Add(1)
-			}
-		}(c, conn)
-	}
-
-	time.Sleep(cfg.Warmup)
-	base := ops.Load()
-	time.Sleep(cfg.Measure)
-	delta := ops.Load() - base
-	close(stopCh)
-	wg.Wait()
-	return float64(delta) / cfg.Measure.Seconds(), nil
-}
-
-// kvBenchKeyName builds the i-th workload key.
-func kvBenchKeyName(i int) []byte {
-	return []byte(fmt.Sprintf("key-%d", i))
+	return st.Rate(), nil
 }

@@ -28,12 +28,16 @@ func benchKVPipelined(b *testing.B, depth int) {
 
 	const keys = 256
 	value := randomPayload(128)
-	loader, err := kv.Dial(srv.Addr(), 30*time.Second)
+	keyNames := make([][]byte, keys)
+	for i := range keyNames {
+		keyNames[i] = []byte(fmt.Sprintf("key-%d", i))
+	}
+	loader, err := kv.DialPipelined(srv.Addr(), kv.PipelineOptions{Timeout: 30 * time.Second})
 	if err != nil {
 		b.Fatalf("dial loader: %v", err)
 	}
-	for i := 0; i < keys; i++ {
-		if err := loader.Set(kvBenchKeyName(i), value); err != nil {
+	for i, k := range keyNames {
+		if err := loader.Set(k, value); err != nil {
 			_ = loader.Close()
 			b.Fatalf("preload key %d: %v", i, err)
 		}
@@ -45,11 +49,6 @@ func benchKVPipelined(b *testing.B, depth int) {
 		b.Fatalf("DialPipelined: %v", err)
 	}
 	defer c.Close()
-
-	keyNames := make([][]byte, keys)
-	for i := range keyNames {
-		keyNames[i] = kvBenchKeyName(i)
-	}
 
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,15 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"github.com/eactors/eactors-go/internal/load"
 	"github.com/eactors/eactors-go/internal/sgx"
 	"github.com/eactors/eactors-go/internal/telemetry"
 	"github.com/eactors/eactors-go/internal/xmpp"
 	"github.com/eactors/eactors-go/internal/xmpp/baseline"
-	"github.com/eactors/eactors-go/internal/xmpp/client"
 )
 
 // Telemetry enables the runtime observability subsystem on every EActors
@@ -84,101 +82,12 @@ func startDeployment(name string, trusted bool, enclaves int, ssl bool) (*xmppDe
 	return &xmppDeployment{name: name, addr: srv.Addr(), stop: stop}, nil
 }
 
-// runO2OWorkload drives the paper's one-to-one scenario: half the
-// clients send, half receive and respond; a completed send+response is
-// one request. Returns requests/second over the measure window.
+// runO2OWorkload drives the paper's one-to-one scenario (load.RunO2O)
+// and returns requests/second over the measure window.
 func runO2OWorkload(addr string, clients int, warmup, measure time.Duration) (float64, error) {
-	if clients%2 != 0 {
-		clients++
-	}
-	pairs := clients / 2
-	payload := string(randomPayload(messagePayloadBytes))
-
-	conns := make([]*client.Client, 0, clients)
-	defer func() {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-	}()
-
-	// Connect receivers first so senders never target an offline user.
-	receivers := make([]*client.Client, pairs)
-	for i := 0; i < pairs; i++ {
-		c, err := client.Dial(addr, fmt.Sprintf("recv-%d", i), 30*time.Second)
-		if err != nil {
-			return 0, fmt.Errorf("bench: dial receiver %d: %w", i, err)
-		}
-		receivers[i] = c
-		conns = append(conns, c)
-	}
-	senders := make([]*client.Client, pairs)
-	for i := 0; i < pairs; i++ {
-		c, err := client.Dial(addr, fmt.Sprintf("send-%d", i), 30*time.Second)
-		if err != nil {
-			return 0, fmt.Errorf("bench: dial sender %d: %w", i, err)
-		}
-		senders[i] = c
-		conns = append(conns, c)
-	}
-
-	var completed atomic.Uint64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-
-	// Receivers echo every message back to its sender.
-	for i := range receivers {
-		wg.Add(1)
-		go func(c *client.Client) {
-			defer wg.Done()
-			for {
-				msg, err := c.ReadMessage(500 * time.Millisecond)
-				if err != nil {
-					select {
-					case <-stop:
-						return
-					default:
-						continue
-					}
-				}
-				_ = c.SendMessage(msg.From, msg.Body) //sendcheck:ok
-			}
-		}(receivers[i])
-	}
-
-	// Senders run closed loops: send, await the response, repeat. Each
-	// sender picks a receiver pseudo-randomly per round (paper: "a
-	// sender client randomly selects a receiver client").
-	for i := range senders {
-		wg.Add(1)
-		go func(idx int, c *client.Client) {
-			defer wg.Done()
-			rng := uint32(idx*2654435761 + 1)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				rng = rng*1664525 + 1013904223
-				target := fmt.Sprintf("recv-%d", int(rng)%pairs)
-				if err := c.SendMessage(target, payload); err != nil {
-					return
-				}
-				if _, err := c.ReadMessage(2 * time.Second); err != nil {
-					continue // response lost/slow: try again
-				}
-				completed.Add(1)
-			}
-		}(i, senders[i])
-	}
-
-	time.Sleep(warmup)
-	base := completed.Load()
-	time.Sleep(measure)
-	delta := completed.Load() - base
-	close(stop)
-	wg.Wait()
-	return float64(delta) / measure.Seconds(), nil
+	st, err := load.RunO2O(load.O2O{Addr: addr, Clients: clients,
+		Body: string(randomPayload(messagePayloadBytes)), Warmup: warmup, Measure: measure})
+	return st.Rate(), err
 }
 
 // Fig14Config parameterises the O2O scalability sweep.
@@ -262,7 +171,7 @@ func Fig15GroupChat(cfg Fig15Config) ([]Row, error) {
 				Shards:         1,
 				Trusted:        true,
 				EnclaveCount:   1,
-				DedicatedRooms: []string{"bench-room"},
+				DedicatedRooms: []string{benchRoom},
 				Platform:       sgx.NewPlatform(),
 				Telemetry:      Telemetry,
 			})
@@ -294,95 +203,16 @@ func Fig15GroupChat(cfg Fig15Config) ([]Row, error) {
 	return rows, nil
 }
 
-// runGroupWorkload joins `participants` clients to one room; one sender
-// emits a new group message as soon as a designated member observed the
-// previous one (the paper's self-clocked O2M loop). Returns group
-// messages/second.
+// benchRoom is the group-chat room of Fig. 15; EA/dedicated confines it
+// to its own enclave.
+const benchRoom = "bench-room"
+
+// runGroupWorkload drives the self-clocked group chat (load.RunGroup)
+// and returns group messages/second.
 func runGroupWorkload(addr string, participants int, warmup, measure time.Duration) (float64, error) {
-	if participants < 2 {
-		participants = 2
-	}
-	const room = "bench-room"
-	members := make([]*client.Client, participants)
-	defer func() {
-		for _, c := range members {
-			if c != nil {
-				_ = c.Close()
-			}
-		}
-	}()
-	for i := range members {
-		c, err := client.Dial(addr, fmt.Sprintf("member-%d", i), 30*time.Second)
-		if err != nil {
-			return 0, fmt.Errorf("bench: dial member %d: %w", i, err)
-		}
-		if err := c.JoinRoom(room); err != nil {
-			return 0, err
-		}
-		members[i] = c
-	}
-	// Joins are fire-and-forget; give the service a moment to register
-	// the room before clocking it.
-	time.Sleep(300 * time.Millisecond)
-
-	sender := members[0]
-	monitor := members[1]
-	drainers := members[2:]
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	// Every member's receptions count: a group request is complete when
-	// all N-1 copies are delivered, so throughput = deliveries/(N-1).
-	// Averaging over all members (rather than clocking one of them)
-	// keeps the measurement independent of fan-out ordering.
-	var delivered atomic.Uint64
-	for _, c := range drainers {
-		wg.Add(1)
-		go func(c *client.Client) {
-			defer wg.Done()
-			for {
-				if _, err := c.ReadMessage(500 * time.Millisecond); err != nil {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-				} else {
-					delivered.Add(1)
-				}
-			}
-		}(c)
-	}
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		payload := string(randomPayload(messagePayloadBytes))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := sender.SendGroupMessage(room, payload); err != nil {
-				return
-			}
-			// Self-clocking: the next message goes out once one member
-			// observed the previous one (the paper's O2M loop).
-			if _, err := monitor.ReadMessage(5 * time.Second); err != nil {
-				continue
-			}
-			delivered.Add(1)
-		}
-	}()
-
-	time.Sleep(warmup)
-	base := delivered.Load()
-	time.Sleep(measure)
-	delta := delivered.Load() - base
-	close(stop)
-	wg.Wait()
-	return float64(delta) / float64(participants-1) / measure.Seconds(), nil
+	st, err := load.RunGroup(load.Group{Addr: addr, Room: benchRoom, Members: participants,
+		Body: string(randomPayload(messagePayloadBytes)), Warmup: warmup, Measure: measure})
+	return st.Rate(), err
 }
 
 // Fig16Config parameterises the enclave-count sweep: 16 shards (48

@@ -9,6 +9,7 @@ import (
 	"github.com/eactors/eactors-go/internal/ecrypto"
 	"github.com/eactors/eactors-go/internal/faults"
 	"github.com/eactors/eactors-go/internal/kv"
+	"github.com/eactors/eactors-go/internal/transport"
 )
 
 // KVRules weights the schedule toward the sites the KV service
@@ -27,13 +28,13 @@ func KVRules() []faults.Rule {
 }
 
 // kvConn is a reconnecting client: requests are retried until the op
-// deadline (the protocol is at-least-once; SET/DEL are idempotent and
-// GET is read-only, so resending is always safe), and any transport
-// error that is not a plain timeout tears the socket down for a fresh
-// dial — the same recovery a real cache client implements.
+// deadline (the session already resends at-least-once underneath; SET/DEL
+// are idempotent and GET is read-only, so re-issuing is always safe), and
+// any error that is not a plain call timeout tears the session down for a
+// fresh dial — the same recovery a real cache client implements.
 type kvConn struct {
 	addr string
-	c    *kv.Client
+	c    *kv.PipelinedClient
 }
 
 func (cc *kvConn) redial(deadline time.Time) error {
@@ -43,8 +44,8 @@ func (cc *kvConn) redial(deadline time.Time) error {
 	}
 	var err error
 	for time.Now().Before(deadline) {
-		var c *kv.Client
-		if c, err = kv.Dial(cc.addr, time.Second); err == nil {
+		var c *kv.PipelinedClient
+		if c, err = kv.DialPipelined(cc.addr, kv.PipelineOptions{Timeout: time.Second}); err == nil {
 			cc.c = c
 			return nil
 		}
@@ -52,7 +53,7 @@ func (cc *kvConn) redial(deadline time.Time) error {
 	return fmt.Errorf("chaos: redial %s: %w", cc.addr, err)
 }
 
-func (cc *kvConn) do(deadline time.Time, op func(*kv.Client) error) error {
+func (cc *kvConn) do(deadline time.Time, op func(*kv.PipelinedClient) error) error {
 	for {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("chaos: kv op deadline exceeded")
@@ -66,9 +67,10 @@ func (cc *kvConn) do(deadline time.Time, op func(*kv.Client) error) error {
 		switch {
 		case err == nil:
 			return nil
-		case errors.Is(err, kv.ErrTimeout):
-			// Request or response lost to an injected fault: resend on
-			// the same connection (stale responses are skipped by ID).
+		case errors.Is(err, transport.ErrTimeout):
+			// Request and every resend lost to injected faults: re-issue
+			// on the same session (the late answer to the abandoned call
+			// is dropped by opaque).
 		default:
 			_ = cc.c.Close()
 			cc.c = nil
@@ -130,7 +132,7 @@ func RunKV(seed uint64, ops int, timeout time.Duration) (Result, error) {
 	checkGet := func(key string) error {
 		var val []byte
 		var found bool
-		err := conn.do(deadline, func(c *kv.Client) error {
+		err := conn.do(deadline, func(c *kv.PipelinedClient) error {
 			var err error
 			val, found, err = c.Get([]byte(key))
 			return err
@@ -150,14 +152,14 @@ func RunKV(seed uint64, ops int, timeout time.Duration) (Result, error) {
 		switch r := rng.Float64(); {
 		case r < 0.45:
 			val := fmt.Sprintf("%s=%d", key, i)
-			if err := conn.do(deadline, func(c *kv.Client) error {
+			if err := conn.do(deadline, func(c *kv.PipelinedClient) error {
 				return c.Set([]byte(key), []byte(val))
 			}); err != nil {
 				return fail("SET", key, err)
 			}
 			model[key] = val
 		case r < 0.65:
-			if err := conn.do(deadline, func(c *kv.Client) error {
+			if err := conn.do(deadline, func(c *kv.PipelinedClient) error {
 				_, err := c.Del([]byte(key))
 				return err
 			}); err != nil {

@@ -17,10 +17,6 @@ const maxPendingFrames = 4096
 // stageFlushBatch caps an outbound stage before a mid-round flush.
 const stageFlushBatch = 64
 
-// maxBufferedStream bounds per-socket reassembly: a peer that streams
-// bytes without ever completing a frame is cut off.
-const maxBufferedStream = 1 << 20
-
 // maxReplaySessions bounds the per-KVSTORE replay-state table; beyond
 // it the oldest session's cache is evicted (its resends then read as
 // fresh requests, which at-least-once semantics tolerate). Close
@@ -32,24 +28,13 @@ const maxReplaySessions = 1024
 // transient channel fullness.
 func controlDeadline() time.Time { return time.Now().Add(50 * time.Millisecond) }
 
-// Connection protocol modes, decided by the first byte a socket sends:
-// legacy KV opcodes sit in 1..3, transport frame types in 0xE1+.
-const (
-	connModeUnknown = iota
-	connModeLegacy
-	connModeFramed
-)
-
-// connState is the FRONTEND's per-socket state: stream reassembly for
-// whichever protocol the peer speaks, plus — for framed sessions — the
+// connState is the FRONTEND's per-socket state: frame reassembly, the
 // handshake flag and the opaque replay-window horizon that preserves
 // at-least-once semantics under deep pipelining (a resend must still
 // land inside the KVSTOREs' dedup caches, so opaques that fall behind
 // the horizon are a protocol violation and kill the session).
 type connState struct {
-	mode       int
-	legacy     ReqScanner
-	framed     transport.Scanner
+	frames     transport.Scanner
 	helloSeen  bool
 	opaqueSeen bool
 	maxOpaque  uint32
@@ -82,8 +67,7 @@ const (
 )
 
 // frontendSpec builds the FRONTEND eactor: it owns the listener, the
-// per-socket stream reassembly (legacy one-request frames or the framed
-// multiplexed transport), the session handshakes, and the key-affinity
+// per-socket frame reassembly, the session handshakes, and the key-affinity
 // routing into the KVSTORE shards. It runs untrusted — request
 // plaintext crosses it the same way it crossed the kernel's socket
 // buffers — and the req channels re-protect everything at the first
@@ -213,34 +197,14 @@ func (srv *Server) frontendServe(self *core.Self, st *frontendState, opts Option
 		switch msg.Type {
 		case netactors.MsgClosed:
 			if cs, ok := st.socks[msg.Sock]; ok {
-				if cs.mode == connModeFramed {
-					srv.notifyShards(st, msg.Sock, reqChans)
-				}
-				delete(st.socks, msg.Sock)
+				srv.forgetConn(st, cs, msg.Sock, reqChans)
 			}
 		case netactors.MsgData:
-			cs, ok := st.socks[msg.Sock]
-			if !ok {
-				continue
-			}
-			if cs.mode == connModeUnknown && len(msg.Data) > 0 {
-				// Protocol sniff on the first byte. With pipelining
-				// disabled, framed hellos fall through to the legacy
-				// scanner, which rejects their opcode and drops the
-				// connection — exactly what a pre-transport server did,
-				// so new clients downgrade cleanly.
-				if !opts.DisablePipelining && transport.IsFramed(msg.Data[0]) {
-					cs.mode = connModeFramed
-				} else {
-					cs.mode = connModeLegacy
-				}
-			}
-			if cs.mode == connModeFramed {
-				cs.framed.Feed(msg.Data)
-				srv.frontendRouteFramed(self, st, opts, cs, msg.Sock, closeCh, fwrite, reqChans, shards, maxForward)
-			} else {
-				cs.legacy.Feed(msg.Data)
-				srv.frontendRoute(self, st, cs, msg.Sock, closeCh, reqChans, shards, maxForward)
+			// Every byte goes to the frame scanner; a peer speaking
+			// anything else fails its first parse and is dropped.
+			if cs, ok := st.socks[msg.Sock]; ok {
+				cs.frames.Feed(msg.Data)
+				srv.routeFrames(self, st, opts, cs, msg.Sock, closeCh, fwrite, reqChans, shards, maxForward)
 			}
 		}
 	}
@@ -250,21 +214,22 @@ func (srv *Server) frontendServe(self *core.Self, st *frontendState, opts Option
 	srv.flushCtl(st, fwrite)
 }
 
-// dropConn cuts a peer off: closes the socket and, for framed sessions,
-// tells every KVSTORE to reclaim the session's replay state.
+// dropConn cuts a peer off: forgets its session and closes the socket.
 func (srv *Server) dropConn(st *frontendState, cs *connState, sock uint32, closeCh *core.Endpoint, reqChans []*core.Endpoint) {
-	if cs != nil && cs.mode == connModeFramed {
-		srv.notifyShards(st, sock, reqChans)
-	}
-	delete(st.socks, sock)
+	srv.forgetConn(st, cs, sock, reqChans)
 	c, _ := (netactors.Msg{Type: netactors.MsgClose, Sock: sock}).AppendTo(nil)
 	// A lost close leaks the socket; persist it.
 	_ = closeCh.SendRetry(c, controlDeadline()) //sendcheck:ok
 }
 
-// notifyShards forwards a session close to every KVSTORE so replay
-// caches are reclaimed promptly (maxReplaySessions backstops losses).
-func (srv *Server) notifyShards(st *frontendState, sock uint32, reqChans []*core.Endpoint) {
+// forgetConn drops a socket's state and, if the session ever routed a
+// request, forwards the close to every KVSTORE so replay caches are
+// reclaimed promptly (maxReplaySessions backstops losses).
+func (srv *Server) forgetConn(st *frontendState, cs *connState, sock uint32, reqChans []*core.Endpoint) {
+	delete(st.socks, sock)
+	if !cs.opaqueSeen {
+		return
+	}
 	m, _ := (netactors.Msg{Type: netactors.MsgClosed, Sock: sock}).AppendTo(st.scratch[:0])
 	st.scratch = m
 	for _, ep := range reqChans {
@@ -272,40 +237,15 @@ func (srv *Server) notifyShards(st *frontendState, sock uint32, reqChans []*core
 	}
 }
 
-// frontendRoute forwards every complete legacy request a socket has
-// buffered to the KVSTORE shard owning its key.
-func (srv *Server) frontendRoute(self *core.Self, st *frontendState, cs *connState,
-	sock uint32, closeCh *core.Endpoint, reqChans []*core.Endpoint, shards, maxForward int) {
-
-	sc := &cs.legacy
-	for {
-		req, raw, ok, err := sc.NextFrame()
-		if err != nil || sc.Buffered() > maxBufferedStream {
-			// Lost framing or unbounded partial frame: cut the peer off.
-			srv.dropConn(st, cs, sock, closeCh, reqChans)
-			return
-		}
-		if !ok {
-			return
-		}
-		if len(raw) > maxForward {
-			srv.dropConn(st, cs, sock, closeCh, reqChans) // cannot cross the channel in one node
-			return
-		}
-		self.Progress()
-		srv.stageRequest(st, req.Key, sock, raw, reqChans, shards)
-	}
-}
-
-// frontendRouteFramed drains a framed session's buffered frames: the
-// handshake is answered directly over fwrite, requests are validated
-// against the session's opaque window and forwarded — still as one raw
-// frame per message — to the shard owning the key.
-func (srv *Server) frontendRouteFramed(self *core.Self, st *frontendState, opts Options, cs *connState,
+// routeFrames drains a session's buffered frames: the handshake is
+// answered directly over fwrite, requests are validated against the
+// session's opaque window and forwarded — still as one raw frame per
+// message — to the shard owning the key.
+func (srv *Server) routeFrames(self *core.Self, st *frontendState, opts Options, cs *connState,
 	sock uint32, closeCh, fwrite *core.Endpoint, reqChans []*core.Endpoint, shards, maxForward int) {
 
 	for {
-		f, raw, ok, err := cs.framed.Next()
+		f, raw, ok, err := cs.frames.Next()
 		if err != nil {
 			srv.dropConn(st, cs, sock, closeCh, reqChans)
 			return
@@ -377,8 +317,7 @@ func (srv *Server) frontendRouteFramed(self *core.Self, st *frontendState, opts 
 	}
 }
 
-// stageRequest stages one raw request frame (legacy or framed) for the
-// shard owning key.
+// stageRequest stages one raw request frame for the shard owning key.
 func (srv *Server) stageRequest(st *frontendState, key []byte, sock uint32, raw []byte,
 	reqChans []*core.Endpoint, shards int) {
 
@@ -451,15 +390,15 @@ type storeState struct {
 	frameBuf []byte
 	stage    core.SendStage
 	pending  [][]byte
-	// replays is the per-session dedup state for framed connections:
-	// a resent opaque is answered from its cached response frame, so
-	// SET/DEL take effect exactly once under at-least-once resends.
+	// replays is the per-session dedup state: a resent opaque is
+	// answered from its cached response frame, so SET/DEL take effect
+	// exactly once under at-least-once resends.
 	replays    map[uint32]*transport.Replay
 	replayFIFO []uint32
 }
 
 // replayFor returns (building on demand) the replay window for a
-// framed session, evicting the oldest session past maxReplaySessions.
+// session, evicting the oldest session past maxReplaySessions.
 func (st *storeState) replayFor(sock uint32, capacity int) *transport.Replay {
 	if r, ok := st.replays[sock]; ok {
 		return r
@@ -481,10 +420,9 @@ func (st *storeState) replayFor(sock uint32, capacity int) *transport.Replay {
 // it on the shared sharded store (key affinity means it only ever
 // touches POS shard i, so the KVSTOREs scale without lock contention)
 // and stages the responses back to the WRITER in one batch per round.
-// Framed requests produce framed responses: the TResponse wraps the
-// legacy response encoding, echoes the opaque, returns the request's
-// bytes as flow-control credit, and lands in the replay cache so a
-// client resend replays instead of re-executing.
+// Each TResponse wraps the response encoding, echoes the opaque, returns
+// the request's bytes as flow-control credit, and lands in the replay
+// cache so a client resend replays instead of re-executing.
 func (srv *Server) storeSpec(opts Options, i, worker int, enclave string) core.Spec {
 	nodePayload := opts.NodePayload
 	if nodePayload <= 0 {
@@ -530,12 +468,7 @@ func (srv *Server) storeSpec(opts Options, i, worker int, enclave string) core.S
 					continue
 				}
 				self.Progress()
-				var out []byte
-				if len(msg.Data) > 0 && transport.IsFramed(msg.Data[0]) {
-					out = srv.executeFramed(self, st, opts, uint32(i), msg)
-				} else {
-					out = srv.executeLegacy(self, st, uint32(i), msg)
-				}
+				out := srv.executeFrame(self, st, opts, uint32(i), msg)
 				if out == nil {
 					continue
 				}
@@ -561,31 +494,14 @@ func (srv *Server) storeSpec(opts Options, i, worker int, enclave string) core.S
 	}
 }
 
-// executeLegacy runs one bare legacy request and returns the encoded
-// legacy response (nil to drop).
-func (srv *Server) executeLegacy(self *core.Self, st *storeState, shard uint32, msg netactors.Msg) []byte {
-	request, _, err := ParseRequest(msg.Data)
-	if err != nil {
-		return nil
-	}
-	resp := srv.execute(self, shard, request)
-	buf, err := resp.AppendTo(st.respBuf[:0])
-	if err != nil {
-		return nil
-	}
-	st.respBuf = buf
-	return buf
-}
-
-// executeFramed runs one transport-framed request with replay dedup and
-// returns the encoded TResponse frame (nil to drop). The response
-// credit returns the request frame's bytes to the client's window.
-func (srv *Server) executeFramed(self *core.Self, st *storeState, opts Options, shard uint32, msg netactors.Msg) []byte {
+// executeFrame runs one request frame with replay dedup and returns the
+// encoded TResponse frame (nil to drop). The response credit returns
+// the request frame's bytes to the client's window.
+func (srv *Server) executeFrame(self *core.Self, st *storeState, opts Options, shard uint32, msg netactors.Msg) []byte {
 	f, _, err := transport.ParseFrame(msg.Data)
 	if err != nil || f.Type != transport.TRequest {
 		return nil
 	}
-	srv.pipelined.Add(1)
 	sess := st.replayFor(msg.Sock, opts.ReplayWindow)
 	cached, verdict := sess.Admit(f.Opaque)
 	switch verdict {

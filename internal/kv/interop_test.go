@@ -43,12 +43,8 @@ func TestPipelinedEndToEnd(t *testing.T) {
 	if err != nil || !found {
 		t.Fatalf("Del = %v, %v", found, err)
 	}
-	st := srv.Stats()
-	if st.Sessions != 1 {
-		t.Fatalf("sessions = %d", st.Sessions)
-	}
-	if st.Pipelined < 4 {
-		t.Fatalf("pipelined requests = %d", st.Pipelined)
+	if st := srv.Stats(); st.Sessions != 1 || st.Gets != 2 || st.Sets != 1 || st.Dels != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -87,117 +83,39 @@ func TestPipelinedDeepWindow(t *testing.T) {
 	}
 }
 
-// TestInteropLegacyClientNewServer: a pre-transport client must work
-// unchanged against a pipelining-enabled server (mode sniff on byte 0).
-func TestInteropLegacyClientNewServer(t *testing.T) {
-	srv := startTestServer(t, Options{Shards: 2})
-	c := testClient(t, srv)
-	if err := c.Set([]byte("legacy"), []byte("works")); err != nil {
-		t.Fatal(err)
-	}
-	val, ok, err := c.Get([]byte("legacy"))
-	if err != nil || !ok || string(val) != "works" {
-		t.Fatalf("Get = %q ok=%v err=%v", val, ok, err)
-	}
-	if st := srv.Stats(); st.Sessions != 0 || st.Pipelined != 0 {
-		t.Fatalf("legacy traffic counted as framed: %+v", st)
-	}
-}
-
-// TestInteropNewClientLegacyServer: against a server without the framed
-// protocol the handshake must fail with ErrLegacyPeer (the server drops
-// the HELLO as an unknown opcode) and DialAuto must downgrade to the
-// legacy client transparently.
-func TestInteropNewClientLegacyServer(t *testing.T) {
-	srv := startTestServer(t, Options{Shards: 2, DisablePipelining: true})
-	if _, err := DialPipelined(srv.Addr(), PipelineOptions{Timeout: 2 * time.Second}); !errors.Is(err, transport.ErrLegacyPeer) {
-		t.Fatalf("DialPipelined err = %v, want ErrLegacyPeer", err)
-	}
-	kv, err := DialAuto(srv.Addr(), 5*time.Second)
-	if err != nil {
-		t.Fatalf("DialAuto: %v", err)
-	}
-	t.Cleanup(func() { _ = kv.Close() })
-	if _, ok := kv.(*Client); !ok {
-		t.Fatalf("DialAuto returned %T, want legacy *Client", kv)
-	}
-	if err := kv.Set([]byte("down"), []byte("graded")); err != nil {
-		t.Fatal(err)
-	}
-	val, ok, err := kv.Get([]byte("down"))
-	if err != nil || !ok || string(val) != "graded" {
-		t.Fatalf("Get = %q ok=%v err=%v", val, ok, err)
-	}
-}
-
-// TestInteropAutoPipelined: DialAuto against a new server must pick the
-// framed transport.
-func TestInteropAutoPipelined(t *testing.T) {
-	srv := startTestServer(t, Options{Shards: 2})
-	kv, err := DialAuto(srv.Addr(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = kv.Close() })
-	if _, ok := kv.(*PipelinedClient); !ok {
-		t.Fatalf("DialAuto returned %T, want *PipelinedClient", kv)
-	}
-	if err := kv.Set([]byte("auto"), []byte("framed")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestInteropMixedSoak runs pipelined and legacy clients against the
-// same FRONTEND concurrently (the -race soak for the mode sniff and the
-// shared WRITER path): both protocols on one listener, disjoint key
-// spaces, every read must observe its own writes.
+// TestInteropMixedSoak runs lockstep and deep-pipelined sessions
+// against the same FRONTEND concurrently (the -race soak for the shared
+// WRITER path): disjoint key spaces, every read must observe its own
+// writes.
 func TestInteropMixedSoak(t *testing.T) {
 	srv := startTestServer(t, Options{Shards: 4, Trusted: true})
-	const perKind, rounds = 3, 40
+	const sessions, rounds = 6, 40
 	var wg sync.WaitGroup
-	errs := make(chan error, 2*perKind)
-	for id := 0; id < perKind; id++ {
-		wg.Add(2)
+	errs := make(chan error, sessions)
+	for id := 0; id < sessions; id++ {
+		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := DialPipelined(srv.Addr(), PipelineOptions{Depth: 32, Timeout: 10 * time.Second})
+			depth := 1
+			if id%2 == 1 {
+				depth = 32
+			}
+			c, err := DialPipelined(srv.Addr(), PipelineOptions{Depth: depth, Timeout: 10 * time.Second})
 			if err != nil {
 				errs <- err
 				return
 			}
 			defer c.Close()
 			for i := 0; i < rounds; i++ {
-				k := []byte(fmt.Sprintf("piped-%d-%d", id, i%7))
-				v := []byte(fmt.Sprintf("pv-%d", i))
+				k := []byte(fmt.Sprintf("s%d-%d", id, i%7))
+				v := []byte(fmt.Sprintf("v-%d", i))
 				if err := c.Set(k, v); err != nil {
-					errs <- fmt.Errorf("pipelined %d Set: %w", id, err)
+					errs <- fmt.Errorf("session %d Set: %w", id, err)
 					return
 				}
 				got, ok, err := c.Get(k)
 				if err != nil || !ok || !bytes.Equal(got, v) {
-					errs <- fmt.Errorf("pipelined %d Get = %q ok=%v err=%v", id, got, ok, err)
-					return
-				}
-			}
-		}(id)
-		go func(id int) {
-			defer wg.Done()
-			c, err := Dial(srv.Addr(), 10*time.Second)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			for i := 0; i < rounds; i++ {
-				k := []byte(fmt.Sprintf("legacy-%d-%d", id, i%7))
-				v := []byte(fmt.Sprintf("lv-%d", i))
-				if err := c.Set(k, v); err != nil {
-					errs <- fmt.Errorf("legacy %d Set: %w", id, err)
-					return
-				}
-				got, ok, err := c.Get(k)
-				if err != nil || !ok || !bytes.Equal(got, v) {
-					errs <- fmt.Errorf("legacy %d Get = %q ok=%v err=%v", id, got, ok, err)
+					errs <- fmt.Errorf("session %d Get = %q ok=%v err=%v", id, got, ok, err)
 					return
 				}
 			}
@@ -209,11 +127,73 @@ func TestInteropMixedSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := srv.Stats()
-	if st.Sessions != perKind {
-		t.Fatalf("sessions = %d, want %d", st.Sessions, perKind)
+	if st.Sessions != sessions || st.Sets != sessions*rounds || st.Gets != sessions*rounds {
+		t.Fatalf("stats = %+v, want %d sessions and %d sets and gets", st, sessions, sessions*rounds)
 	}
-	if st.Pipelined == 0 {
-		t.Fatal("no framed requests counted")
+}
+
+// TestNonFramedPeersDropped: the framed transport is the only wire. A
+// legacy opcode request and an XML stream opener each get their
+// connection closed without a byte of response, while a framed session
+// on the same listener keeps answering throughout.
+func TestNonFramedPeersDropped(t *testing.T) {
+	srv := startTestServer(t, Options{Shards: 2, Trusted: true})
+	c := dialPipelinedT(t, srv, PipelineOptions{})
+
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			k, v := []byte(fmt.Sprintf("live-%d", i%5)), []byte(fmt.Sprintf("v%d", i))
+			if err := c.Set(k, v); err != nil {
+				done <- fmt.Errorf("live Set: %w", err)
+				return
+			}
+			if got, ok, err := c.Get(k); err != nil || !ok || !bytes.Equal(got, v) {
+				done <- fmt.Errorf("live Get = %q ok=%v err=%v", got, ok, err)
+				return
+			}
+		}
+	}()
+
+	legacyGet, err := Request{Op: OpGet, ID: 1, Key: []byte("live-0")}.AppendTo(nil)
+	if err != nil || legacyGet[0] != 0x01 {
+		t.Fatalf("legacy GET encoding = %x, %v", legacyGet, err)
+	}
+	for _, probe := range [][]byte{legacyGet, []byte("<stream>")} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(probe); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := conn.Read(make([]byte, 64))
+		_ = conn.Close()
+		var ne net.Error
+		switch {
+		case n > 0:
+			t.Fatalf("probe %q answered with %d bytes", probe, n)
+		case errors.As(err, &ne) && ne.Timeout():
+			t.Fatalf("probe %q: connection still open after 5s", probe)
+		case err == nil:
+			t.Fatalf("probe %q: empty read without error", probe)
+		}
+	}
+
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := c.Get([]byte("live-0")); err != nil || !ok {
+		t.Fatalf("framed session after probes: ok=%v err=%v", ok, err)
 	}
 }
 

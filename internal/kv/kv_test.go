@@ -53,60 +53,6 @@ func TestResponseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReqScannerReassembly(t *testing.T) {
-	// Frames split and coalesced arbitrarily must come out whole.
-	var stream []byte
-	want := []Request{}
-	for i := 0; i < 20; i++ {
-		r := Request{Op: OpSet, ID: uint32(i), Key: []byte(fmt.Sprintf("k%d", i)), Val: bytes.Repeat([]byte{byte(i)}, i*7)}
-		buf, err := r.AppendTo(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream = append(stream, buf...)
-		want = append(want, r)
-	}
-	var sc ReqScanner
-	got := []Request{}
-	for i := 0; i < len(stream); i += 3 {
-		end := i + 3
-		if end > len(stream) {
-			end = len(stream)
-		}
-		sc.Feed(stream[i:end])
-		for {
-			req, raw, ok, err := sc.NextFrame()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			if len(raw) == 0 {
-				t.Fatal("empty raw frame")
-			}
-			got = append(got, Request{Op: req.Op, ID: req.ID,
-				Key: append([]byte(nil), req.Key...), Val: append([]byte(nil), req.Val...)})
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("reassembled %d of %d frames", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].ID != want[i].ID || !bytes.Equal(got[i].Key, want[i].Key) || !bytes.Equal(got[i].Val, want[i].Val) {
-			t.Fatalf("frame %d = %+v", i, got[i])
-		}
-	}
-	// An unknown opcode kills the stream.
-	var bad ReqScanner
-	frame, _ := Request{Op: OpGet, ID: 1, Key: []byte("k")}.AppendTo(nil)
-	frame[0] = 99
-	bad.Feed(frame)
-	if _, _, _, err := bad.NextFrame(); err == nil {
-		t.Fatal("unknown opcode accepted")
-	}
-}
-
 func startTestServer(t *testing.T, opts Options) *Server {
 	t.Helper()
 	if opts.Platform == nil {
@@ -120,19 +66,9 @@ func startTestServer(t *testing.T, opts Options) *Server {
 	return srv
 }
 
-func testClient(t *testing.T, srv *Server) *Client {
-	t.Helper()
-	c, err := Dial(srv.Addr(), 10*time.Second)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-	return c
-}
-
 func TestKVEndToEnd(t *testing.T) {
 	srv := startTestServer(t, Options{Shards: 2, Trusted: true})
-	c := testClient(t, srv)
+	c := dialPipelinedT(t, srv, PipelineOptions{})
 
 	if _, ok, err := c.Get([]byte("missing")); err != nil || ok {
 		t.Fatalf("Get(missing) = ok=%v err=%v", ok, err)
@@ -159,7 +95,7 @@ func TestKVEndToEnd(t *testing.T) {
 
 func TestKVManyKeysAcrossShards(t *testing.T) {
 	srv := startTestServer(t, Options{Shards: 4})
-	c := testClient(t, srv)
+	c := dialPipelinedT(t, srv, PipelineOptions{})
 	for i := 0; i < 200; i++ {
 		k := []byte(fmt.Sprintf("key-%d", i))
 		if err := c.Set(k, []byte(fmt.Sprintf("val-%d", i))); err != nil {
@@ -186,7 +122,7 @@ func TestKVConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c, err := Dial(srv.Addr(), 10*time.Second)
+			c, err := DialPipelined(srv.Addr(), PipelineOptions{Timeout: 10 * time.Second})
 			if err != nil {
 				errs <- err
 				return
@@ -218,7 +154,7 @@ func TestKVPersistenceAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	key := [ecrypto.KeySize]byte{1, 2, 3, 4}
 	srv := startTestServer(t, Options{Shards: 2, Dir: dir, EncryptionKey: &key})
-	c := testClient(t, srv)
+	c := dialPipelinedT(t, srv, PipelineOptions{})
 	for i := 0; i < 32; i++ {
 		if err := c.Set([]byte(fmt.Sprintf("p%d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatal(err)
@@ -228,7 +164,7 @@ func TestKVPersistenceAcrossRestart(t *testing.T) {
 	srv.Stop() // final write-back flush
 
 	re := startTestServer(t, Options{Shards: 2, Dir: dir, EncryptionKey: &key})
-	c2 := testClient(t, re)
+	c2 := dialPipelinedT(t, re, PipelineOptions{})
 	for i := 0; i < 32; i++ {
 		val, ok, err := c2.Get([]byte(fmt.Sprintf("p%d", i)))
 		if err != nil || !ok || string(val) != fmt.Sprintf("v%d", i) {

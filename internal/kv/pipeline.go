@@ -1,27 +1,11 @@
 package kv
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"time"
 
 	"github.com/eactors/eactors-go/internal/transport"
-)
-
-// KV is the operation surface shared by the legacy synchronous Client
-// and the pipelined client, so callers (load generators, tests) can
-// swap transports without caring which one the server negotiated.
-type KV interface {
-	Get(key []byte) (val []byte, ok bool, err error)
-	Set(key, val []byte) error
-	Del(key []byte) (found bool, err error)
-	Close() error
-}
-
-var (
-	_ KV = (*Client)(nil)
-	_ KV = (*PipelinedClient)(nil)
 )
 
 // PipelineOptions configures a pipelined client.
@@ -36,14 +20,14 @@ type PipelineOptions struct {
 	RecvWindow uint32
 }
 
-// PipelinedClient speaks the framed multiplexed KV protocol: many
-// requests ride one connection concurrently, responses return out of
-// order correlated by opaque, and the transport session enforces the
-// server's flow-control window and at-least-once resends. Safe for
-// concurrent use by any number of goroutines.
+// PipelinedClient is the KV client: many requests ride one connection
+// concurrently, responses return out of order correlated by opaque, and
+// the transport session enforces the server's flow-control window and
+// at-least-once resends. At Depth 1 it is a synchronous client. Safe
+// for concurrent use by any number of goroutines.
 //
-// The legacy per-request ID is unused in framed mode (correlation is
-// the frame opaque) and always sent as zero.
+// Request.ID is unused (correlation is the frame opaque) and always sent
+// as zero.
 type PipelinedClient struct {
 	sess *transport.Session
 }
@@ -56,9 +40,9 @@ type Pending struct {
 	op   Op
 }
 
-// DialPipelined connects and performs the framed handshake. A legacy
-// server (which drops the unknown HELLO bytes) yields
-// transport.ErrLegacyPeer; use DialAuto to downgrade automatically.
+// DialPipelined connects and performs the framed handshake. A peer that
+// does not speak the framed transport (a pre-transport KV server drops
+// the HELLO) yields transport.ErrLegacyPeer.
 func DialPipelined(addr string, opts PipelineOptions) (*PipelinedClient, error) {
 	timeout := opts.Timeout
 	if timeout <= 0 {
@@ -83,19 +67,6 @@ func DialPipelined(addr string, opts PipelineOptions) (*PipelinedClient, error) 
 		return nil, fmt.Errorf("kv: peer did not grant the KV feature")
 	}
 	return &PipelinedClient{sess: sess}, nil
-}
-
-// DialAuto connects pipelined and downgrades to the legacy synchronous
-// client when the server predates the framed protocol.
-func DialAuto(addr string, timeout time.Duration) (KV, error) {
-	pc, err := DialPipelined(addr, PipelineOptions{Timeout: timeout})
-	if err == nil {
-		return pc, nil
-	}
-	if !errors.Is(err, transport.ErrLegacyPeer) {
-		return nil, err
-	}
-	return Dial(addr, timeout)
 }
 
 // Close tears the session down; in-flight calls error.

@@ -50,9 +50,9 @@ func TestProfiledKVEndToEnd(t *testing.T) {
 		t.Fatal("ProfileSource() = nil with Options.Profile set")
 	}
 
-	client, err := Dial(srv.Addr(), 2*time.Second)
+	client, err := DialPipelined(srv.Addr(), PipelineOptions{Timeout: 2 * time.Second})
 	if err != nil {
-		t.Fatalf("Dial: %v", err)
+		t.Fatalf("DialPipelined: %v", err)
 	}
 	defer client.Close()
 	for i := 0; i < 64; i++ {

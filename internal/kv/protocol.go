@@ -1,8 +1,9 @@
 // Package kv is the networked secure key-value service: the paper's
 // Persistent Object Store (Section 4.1) opened to the network through
 // the system eactors of Section 4.2. Clients speak a small binary
-// protocol over TCP; an untrusted FRONTEND eactor reassembles request
-// frames and routes each one by key affinity to the KVSTORE eactor
+// request/response encoding carried in the framed transport
+// (internal/transport) over TCP; an untrusted FRONTEND eactor reassembles
+// the frames and routes each request by key affinity to the KVSTORE eactor
 // owning that key's POS shard, so requests for different shards execute
 // in parallel and never contend on one store lock. When the deployment
 // is trusted, the KVSTORE eactors run inside enclaves, the routing
@@ -59,7 +60,9 @@ const (
 // ErrShortFrame reports a truncated encoding.
 var ErrShortFrame = errors.New("kv: short frame")
 
-// Request is one client operation.
+// Request is one client operation. It rides as the payload of a
+// transport TRequest frame, whose opaque correlates the response; ID is
+// echoed back unchanged but PipelinedClient leaves it zero.
 type Request struct {
 	Op  Op
 	ID  uint32
@@ -67,7 +70,8 @@ type Request struct {
 	Val []byte
 }
 
-// Response is one server answer; ID echoes the request.
+// Response is one server answer, the payload of a TResponse frame; ID
+// echoes the request.
 type Response struct {
 	Status Status
 	ID     uint32
@@ -138,74 +142,4 @@ func ParseResponse(b []byte) (Response, int, error) {
 		ID:     binary.LittleEndian.Uint32(b[1:]),
 		Val:    b[respHeader : respHeader+v],
 	}, total, nil
-}
-
-// ReqScanner reassembles requests from a TCP byte stream: frames arrive
-// split and coalesced arbitrarily, so the FRONTEND buffers partial
-// frames per socket and yields only complete requests.
-type ReqScanner struct {
-	buf []byte
-}
-
-// Feed appends stream bytes to the scanner.
-func (s *ReqScanner) Feed(b []byte) { s.buf = append(s.buf, b...) }
-
-// Next returns the next complete request, or ok=false when the buffer
-// holds only a partial frame. Key/Val alias the internal buffer and are
-// valid until the next Feed.
-func (s *ReqScanner) Next() (Request, bool) {
-	req, n, err := ParseRequest(s.buf)
-	if err != nil {
-		return Request{}, false
-	}
-	s.buf = s.buf[n:]
-	if len(s.buf) == 0 {
-		s.buf = nil // let large bursts free their backing array
-	}
-	return req, true
-}
-
-// NextFrame is Next plus the raw frame bytes, for routers that forward
-// the encoded request without rebuilding it. A frame with an unknown
-// opcode returns an error: the byte stream has lost framing (or the
-// peer is hostile) and the connection should be dropped.
-func (s *ReqScanner) NextFrame() (Request, []byte, bool, error) {
-	req, n, err := ParseRequest(s.buf)
-	if err != nil {
-		return Request{}, nil, false, nil
-	}
-	if req.Op < OpGet || req.Op > OpDel {
-		return Request{}, nil, false, fmt.Errorf("kv: unknown opcode %d", req.Op)
-	}
-	raw := s.buf[:n]
-	s.buf = s.buf[n:]
-	if len(s.buf) == 0 {
-		s.buf = nil
-	}
-	return req, raw, true, nil
-}
-
-// Buffered returns the number of unconsumed bytes.
-func (s *ReqScanner) Buffered() int { return len(s.buf) }
-
-// RespScanner reassembles responses on the client side of the stream.
-type RespScanner struct {
-	buf []byte
-}
-
-// Feed appends stream bytes to the scanner.
-func (s *RespScanner) Feed(b []byte) { s.buf = append(s.buf, b...) }
-
-// Next returns the next complete response, or ok=false when the buffer
-// holds only a partial frame. Val aliases the internal buffer.
-func (s *RespScanner) Next() (Response, bool) {
-	resp, n, err := ParseResponse(s.buf)
-	if err != nil {
-		return Response{}, false
-	}
-	s.buf = s.buf[n:]
-	if len(s.buf) == 0 {
-		s.buf = nil
-	}
-	return resp, true
 }

@@ -40,21 +40,14 @@ type Options struct {
 	// legacy per-connection pumps.
 	NetLoop netloop.Config
 
-	// SessionWindow is the per-session receive-buffer advertisement for
-	// pipelined (framed) clients: how many request bytes one session may
-	// keep in flight before the transport window throttles it
-	// (transport.DefaultWindow when zero). Legacy one-at-a-time clients
-	// are unaffected.
+	// SessionWindow is the per-session receive-buffer advertisement: how
+	// many request bytes one session may keep in flight before the
+	// transport window throttles it (transport.DefaultWindow when zero).
 	SessionWindow int
 	// ReplayWindow is the per-session response-cache depth the KVSTOREs
-	// keep for pipelined resend dedup — it must exceed the deepest
-	// client pipeline (transport.DefaultReplayWindow when zero).
+	// keep for resend dedup — it must exceed the deepest client pipeline
+	// (transport.DefaultReplayWindow when zero).
 	ReplayWindow int
-	// DisablePipelining rejects the framed transport entirely, making
-	// the FRONTEND behave like a pre-transport legacy server (framed
-	// hellos are dropped as unknown opcodes, so new clients downgrade).
-	// Interop escape hatch; also exercised by the downgrade tests.
-	DisablePipelining bool
 
 	// Store, when non-nil, is used instead of opening one (the server
 	// then does not close it). Its shard count must equal Shards.
@@ -102,10 +95,8 @@ type Stats struct {
 	NotFound uint64
 	// Errors counts StatusErr responses.
 	Errors uint64
-	// Sessions counts framed (pipelined) session handshakes accepted.
+	// Sessions counts session handshakes accepted.
 	Sessions uint64
-	// Pipelined counts operations that arrived on framed sessions.
-	Pipelined uint64
 	// Replayed counts resends answered from the replay cache without
 	// re-executing (the exactly-once dedup hits).
 	Replayed uint64
@@ -120,7 +111,7 @@ type Server struct {
 	addr      string
 
 	gets, sets, dels, notFound, errs atomic.Uint64
-	sessions, pipelined, replayed    atomic.Uint64
+	sessions, replayed               atomic.Uint64
 }
 
 // Addr returns the bound listen address.
@@ -159,8 +150,7 @@ func (s *Server) Stats() Stats {
 	return Stats{
 		Gets: s.gets.Load(), Sets: s.sets.Load(), Dels: s.dels.Load(),
 		NotFound: s.notFound.Load(), Errors: s.errs.Load(),
-		Sessions: s.sessions.Load(), Pipelined: s.pipelined.Load(),
-		Replayed: s.replayed.Load(),
+		Sessions: s.sessions.Load(), Replayed: s.replayed.Load(),
 	}
 }
 
@@ -252,8 +242,7 @@ func Start(opts Options) (*Server, error) {
 		reg.CounterFunc("eactors_kv_dels", "KV DEL operations served", srv.dels.Load)
 		reg.CounterFunc("eactors_kv_not_found", "KV GET/DEL misses", srv.notFound.Load)
 		reg.CounterFunc("eactors_kv_errors", "KV error responses", srv.errs.Load)
-		reg.CounterFunc("eactors_kv_sessions", "KV pipelined session handshakes", srv.sessions.Load)
-		reg.CounterFunc("eactors_kv_pipelined", "KV operations on framed sessions", srv.pipelined.Load)
+		reg.CounterFunc("eactors_kv_sessions", "KV session handshakes", srv.sessions.Load)
 		reg.CounterFunc("eactors_kv_replayed", "KV resends answered from the replay cache", srv.replayed.Load)
 	}
 	if err := rt.Start(); err != nil {

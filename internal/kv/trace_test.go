@@ -129,9 +129,9 @@ func TestTracedGetChain(t *testing.T) {
 		}
 	}
 
-	seed, err := Dial(srv.Addr(), 2*time.Second)
+	seed, err := DialPipelined(srv.Addr(), PipelineOptions{Timeout: 2 * time.Second})
 	if err != nil {
-		t.Fatalf("Dial: %v", err)
+		t.Fatalf("DialPipelined: %v", err)
 	}
 	defer seed.Close()
 	for _, k := range keys {
@@ -149,7 +149,7 @@ func TestTracedGetChain(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(srv.Addr(), 2*time.Second)
+			c, err := DialPipelined(srv.Addr(), PipelineOptions{Timeout: 2 * time.Second})
 			if err != nil {
 				return
 			}

@@ -41,7 +41,7 @@ import (
 // legacy KV server parsing one sees a complete 9-byte request with an
 // unknown opcode (every mtype sits in 0xE1..0xE7, far from the legacy
 // 1..3 range) and drops the connection immediately, so a new client
-// downgrades on close instead of hanging on a half-read frame.
+// fails fast with ErrLegacyPeer instead of hanging on a half-read frame.
 const HeaderSize = 16
 
 // MaxPayload bounds a single frame's payload. The decoder rejects
@@ -65,7 +65,7 @@ const DefaultReplayWindow = 128
 
 // Type discriminates frames. All values sit in a high band disjoint
 // from the legacy KV opcodes (1..3) and from printable XML ('<' = 0x3C),
-// so the first byte of a connection identifies the protocol.
+// so ParseFrame rejects a peer speaking either on its first byte.
 type Type uint8
 
 // Frame types.
@@ -117,10 +117,6 @@ func (t Type) String() string {
 		return fmt.Sprintf("type(0x%02x)", uint8(t))
 	}
 }
-
-// IsFramed reports whether a connection's first byte belongs to this
-// protocol (versus a legacy KV opcode or XML).
-func IsFramed(b byte) bool { return Type(b).Valid() }
 
 // Feature bits negotiated in HELLO/HELLO-ACK opaque fields. They must
 // stay below 256 to preserve the legacy-server fast-reject property

@@ -76,8 +76,8 @@ func TestHelloLegacyRejectShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if IsFramed(1) || IsFramed('<') || !IsFramed(buf[0]) {
-		t.Fatal("first-byte protocol sniff misclassifies")
+	if Type(1).Valid() || Type('<').Valid() || !Type(buf[0]).Valid() {
+		t.Fatal("first-byte frame type check misclassifies")
 	}
 	for i := 5; i < 9; i++ {
 		if buf[i] != 0 {

@@ -12,8 +12,8 @@ import (
 // ErrLegacyPeer reports that the remote end does not speak the framed
 // protocol: it closed the connection on our HELLO (a legacy KV server
 // rejecting the unknown opcode), answered with non-frame bytes, or
-// stayed silent past the handshake deadline. Callers downgrade by
-// redialing with their legacy protocol.
+// stayed silent past the handshake deadline. No client in this
+// repository speaks another protocol, so it is a terminal dial error.
 var ErrLegacyPeer = errors.New("transport: peer does not speak the framed protocol")
 
 // ErrSessionClosed reports an operation on a closed session.

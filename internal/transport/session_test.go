@@ -168,9 +168,9 @@ func TestSessionOutOfOrderResponses(t *testing.T) {
 	}
 }
 
-// Legacy downgrade: each legacy server behaviour — immediate close on
-// the unknown opcode, garbage bytes, and silence — must map to
-// ErrLegacyPeer so clients can redial with the legacy protocol.
+// Legacy peers: each legacy server behaviour — immediate close on the
+// unknown opcode, garbage bytes, and silence — must map to
+// ErrLegacyPeer, so a dial fails fast instead of half-working.
 func TestConnectLegacyPeer(t *testing.T) {
 	cases := []struct {
 		name    string
