@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"sync"
 	"sync/atomic"
 )
 
@@ -113,8 +115,12 @@ func BlobCounter(blob []byte) uint64 {
 // ciphertext alone. (Equality of plaintexts is deliberately revealed —
 // that is the point — but nothing else is.)
 type Deterministic struct {
-	aead   cipher.AEAD
-	macKey [KeySize]byte
+	aead cipher.AEAD
+	// macs pools keyed HMAC-SHA256 states: building one costs the key
+	// schedule and several allocations, and every sealed key (each POS
+	// lookup and write-back) needs one. Deterministic is used
+	// concurrently, so one shared state would need a lock.
+	macs sync.Pool
 }
 
 // NewDeterministic builds a deterministic sealer from a 32-byte key.
@@ -129,17 +135,22 @@ func NewDeterministic(key [KeySize]byte) (*Deterministic, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ecrypto: %w", err)
 	}
-	return &Deterministic{aead: aead, macKey: macKey}, nil
+	d := &Deterministic{aead: aead}
+	d.macs.New = func() any { return hmac.New(sha256.New, macKey[:]) }
+	return d, nil
 }
 
 // Seal deterministically encrypts plaintext: same input, same output.
 func (d *Deterministic) Seal(plaintext []byte) []byte {
-	mac := hmac.New(sha256.New, d.macKey[:])
+	mac := d.macs.Get().(hash.Hash)
+	mac.Reset()
 	mac.Write(plaintext)
-	sum := mac.Sum(nil)
-	blob := make([]byte, NonceSize, SealedLen(len(plaintext)))
-	copy(blob, sum[:NonceSize])
-	return d.aead.Seal(blob, blob[:NonceSize], plaintext, nil)
+	// The MAC is summed into the blob itself (a local array would escape
+	// through the hash.Hash interface); its first NonceSize bytes are the
+	// nonce and the rest is overwritten by the ciphertext.
+	blob := mac.Sum(make([]byte, 0, max(SealedLen(len(plaintext)), sha256.Size)))[:NonceSize]
+	d.macs.Put(mac)
+	return d.aead.Seal(blob, blob, plaintext, nil)
 }
 
 // Open decrypts a blob produced by Seal.

@@ -66,6 +66,27 @@ const (
 	fphServe
 )
 
+// nodePayload is the deployment's node payload size.
+func nodePayload(opts Options) int {
+	if opts.NodePayload > 0 {
+		return opts.NodePayload
+	}
+	return core.DefaultNodePayload
+}
+
+// newFrontendState builds the FRONTEND's private state for a deployment
+// of the given shard count.
+func newFrontendState(opts Options, shards int) *frontendState {
+	st := &frontendState{
+		socks:     make(map[uint32]*connState),
+		acceptBuf: make([]byte, 4096),
+		stages:    make([]core.SendStage, shards),
+		pending:   make([][][]byte, shards),
+	}
+	st.recvBufs, st.recvLens = core.BatchBufs(opts.MaxBatch, nodePayload(opts))
+	return st
+}
+
 // frontendSpec builds the FRONTEND eactor: it owns the listener, the
 // per-socket frame reassembly, the session handshakes, and the key-affinity
 // routing into the KVSTORE shards. It runs untrusted — request
@@ -73,18 +94,8 @@ const (
 // buffers — and the req channels re-protect everything at the first
 // enclave boundary.
 func (srv *Server) frontendSpec(opts Options, worker, shards int, addrCh chan<- string) core.Spec {
-	nodePayload := opts.NodePayload
-	if nodePayload <= 0 {
-		nodePayload = core.DefaultNodePayload
-	}
-	maxForward := netactors.MaxData(nodePayload)
-	st := &frontendState{
-		socks:     make(map[uint32]*connState),
-		acceptBuf: make([]byte, 4096),
-		stages:    make([]core.SendStage, shards),
-		pending:   make([][][]byte, shards),
-	}
-	st.recvBufs, st.recvLens = core.BatchBufs(opts.MaxBatch, nodePayload)
+	maxForward := netactors.MaxData(nodePayload(opts))
+	st := newFrontendState(opts, shards)
 	var open, accept, read, closeCh, fwrite *core.Endpoint
 	reqChans := make([]*core.Endpoint, shards)
 	return core.Spec{
@@ -382,10 +393,13 @@ func itoa(i int) string {
 	return itoa(i/10) + itoa(i%10)
 }
 
-// storeState is one KVSTORE eactor's private state.
+// storeState is one KVSTORE eactor's private state. valBuf, respBuf and
+// frameBuf are the encode scratch a request passes through — GET value,
+// response, TResponse frame — reused from request to request.
 type storeState struct {
 	recvBufs [][]byte
 	recvLens []int
+	valBuf   []byte
 	respBuf  []byte
 	frameBuf []byte
 	stage    core.SendStage
@@ -424,12 +438,8 @@ func (st *storeState) replayFor(sock uint32, capacity int) *transport.Replay {
 // the request's bytes as flow-control credit, and lands in the replay
 // cache so a client resend replays instead of re-executing.
 func (srv *Server) storeSpec(opts Options, i, worker int, enclave string) core.Spec {
-	nodePayload := opts.NodePayload
-	if nodePayload <= 0 {
-		nodePayload = core.DefaultNodePayload
-	}
 	st := &storeState{}
-	st.recvBufs, st.recvLens = core.BatchBufs(opts.MaxBatch, nodePayload)
+	st.recvBufs, st.recvLens = core.BatchBufs(opts.MaxBatch, nodePayload(opts))
 	syncPerBurst := opts.FlushInterval < 0
 	var req, write *core.Endpoint
 	return core.Spec{
@@ -518,7 +528,7 @@ func (srv *Server) executeFrame(self *core.Self, st *storeState, opts Options, s
 	if err != nil {
 		return nil
 	}
-	resp := srv.execute(self, shard, request)
+	resp := srv.execute(self, st, shard, request)
 	inner, err := resp.AppendTo(st.respBuf[:0])
 	if err != nil {
 		return nil
@@ -557,18 +567,20 @@ func (srv *Server) flushWrites(st *storeState, write *core.Endpoint) {
 	st.stage.Reset()
 }
 
-// execute runs one request against the sharded store. The POS spans it
-// records (ref = the executing shard; key affinity makes that the only
-// shard touched) time the store operation alone — mutations count as
-// KindPOSSet whether they insert or delete.
-func (srv *Server) execute(self *core.Self, shard uint32, req Request) Response {
+// execute runs one request against the sharded store; a GET's value
+// lands in st.valBuf. The POS spans it records (ref = the executing
+// shard; key affinity makes that the only shard touched) time the store
+// operation alone — mutations count as KindPOSSet whether they insert
+// or delete.
+func (srv *Server) execute(self *core.Self, st *storeState, shard uint32, req Request) Response {
 	tr := self.Tracer()
 	sc := self.TraceScope()
 	switch req.Op {
 	case OpGet:
 		srv.gets.Add(1)
 		start := tr.Begin(sc)
-		val, ok, err := srv.store.Get(req.Key)
+		val, ok, err := srv.store.GetAppend(st.valBuf[:0], req.Key)
+		st.valBuf = val
 		tr.End(self.WorkerID(), sc, trace.KindPOSGet, shard, start)
 		if err != nil {
 			srv.errs.Add(1)

@@ -33,12 +33,11 @@ type PipelinedClient struct {
 }
 
 // Pending is one in-flight pipelined operation; Wait blocks for its
-// result. Issue deep, Wait in any order — that is the pipelining.
-type Pending struct {
-	c    *transport.Call
-	sess *transport.Session
-	op   Op
-}
+// result. Issue deep, Wait in any order — that is the pipelining. A
+// Pending is its transport call (the session recycles calls, so issuing
+// allocates nothing): Wait collects it once, and it must not be used
+// after.
+type Pending transport.Call
 
 // DialPipelined connects and performs the framed handshake. A peer that
 // does not speak the framed transport (a pre-transport KV server drops
@@ -75,17 +74,18 @@ func (c *PipelinedClient) Close() error { return c.sess.Close() }
 // Stats snapshots the underlying session counters.
 func (c *PipelinedClient) Stats() transport.SessionStats { return c.sess.Stats() }
 
-// issue encodes one request into a frame payload and puts it in flight.
+// issue puts one request in flight, encoding it straight into the
+// session's frame buffer.
 func (c *PipelinedClient) issue(req Request) (*Pending, error) {
-	payload, err := req.AppendTo(nil)
+	hdr, err := req.header()
 	if err != nil {
 		return nil, err
 	}
-	call, err := c.sess.Issue(transport.TRequest, payload)
+	call, err := c.sess.IssueParts(transport.TRequest, hdr[:], req.Key, req.Val)
 	if err != nil {
 		return nil, err
 	}
-	return &Pending{c: call, sess: c.sess, op: req.Op}, nil
+	return (*Pending)(call), nil
 }
 
 // IssueGet puts a GET in flight without waiting.
@@ -104,9 +104,11 @@ func (c *PipelinedClient) IssueDel(key []byte) (*Pending, error) {
 }
 
 // Wait blocks until the operation's response arrives (with the
-// session's at-least-once resends underneath) and decodes it.
+// session's at-least-once resends underneath) and decodes it. The
+// Response's Val aliases the session reader's private copy of the
+// reply, so it belongs to the caller; nothing reuses it.
 func (p *Pending) Wait() (Response, error) {
-	f, err := p.sess.Wait(p.c)
+	f, err := (*transport.Call)(p).Wait()
 	if err != nil {
 		return Response{}, err
 	}
@@ -117,7 +119,8 @@ func (p *Pending) Wait() (Response, error) {
 	return resp, nil
 }
 
-// Get looks key up; ok is false when the key is absent.
+// Get looks key up; ok is false when the key is absent. val is the
+// caller's (see Pending.Wait).
 func (c *PipelinedClient) Get(key []byte) (val []byte, ok bool, err error) {
 	p, err := c.IssueGet(key)
 	if err != nil {
@@ -129,7 +132,7 @@ func (c *PipelinedClient) Get(key []byte) (val []byte, ok bool, err error) {
 	}
 	switch resp.Status {
 	case StatusValue:
-		return append([]byte(nil), resp.Val...), true, nil
+		return resp.Val, true, nil
 	case StatusNotFound:
 		return nil, false, nil
 	default:

@@ -80,17 +80,26 @@ type Response struct {
 
 // AppendTo encodes r at the end of buf.
 func (r Request) AppendTo(buf []byte) ([]byte, error) {
-	if len(r.Key) > MaxKey || len(r.Val) > MaxVal {
-		return nil, fmt.Errorf("kv: request key %d / val %d exceeds frame limit", len(r.Key), len(r.Val))
+	hdr, err := r.header()
+	if err != nil {
+		return nil, err
 	}
-	var hdr [reqHeader]byte
+	buf = append(buf, hdr[:]...)
+	buf = append(buf, r.Key...)
+	return append(buf, r.Val...), nil
+}
+
+// header encodes r's fixed-size header; Key and Val follow it on the
+// wire.
+func (r Request) header() (hdr [reqHeader]byte, err error) {
+	if len(r.Key) > MaxKey || len(r.Val) > MaxVal {
+		return hdr, fmt.Errorf("kv: request key %d / val %d exceeds frame limit", len(r.Key), len(r.Val))
+	}
 	hdr[0] = byte(r.Op)
 	binary.LittleEndian.PutUint32(hdr[1:], r.ID)
 	binary.LittleEndian.PutUint16(hdr[5:], uint16(len(r.Key)))
 	binary.LittleEndian.PutUint16(hdr[7:], uint16(len(r.Val)))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, r.Key...)
-	return append(buf, r.Val...), nil
+	return hdr, nil
 }
 
 // ParseRequest decodes one request; Key and Val alias b. The returned

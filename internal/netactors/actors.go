@@ -343,18 +343,20 @@ func (s *System) drainSocket(self *core.Self, w *readWatch, stage *core.SendStag
 			break
 		}
 		// Split oversized chunks to the channel's frame limit.
-		for len(chunk) > 0 {
-			emit := chunk
+		for rest := chunk; len(rest) > 0; {
+			emit := rest
 			if len(emit) > maxChunk {
-				emit = chunk[:maxChunk]
+				emit = rest[:maxChunk]
 			}
 			frame, err := (Msg{Type: MsgData, Sock: w.sock.id, Data: emit}).AppendTo(stage.Slot())
 			if err != nil {
 				return true // cannot happen: emit fits the frame limit
 			}
 			stage.Push(frame)
-			chunk = chunk[len(emit):]
+			rest = rest[len(emit):]
 		}
+		// The stage holds a copy now; the read buffer goes back.
+		w.sock.bufs.put(chunk)
 	}
 	if stage.Len() > 0 {
 		if netCtx.Traced() {

@@ -15,8 +15,46 @@ import (
 // goroutine and the READER eactor.
 const inboxCap = 256
 
-// readBufBytes is the pump's per-read buffer size.
+// readBufBytes is the pump's per-read buffer size, and the size of
+// every buffer on a table's free list.
 const readBufBytes = 2048
+
+// freeBufs caps a table's free list: 256 KiB of recycled buffers at
+// most, whatever the connection count.
+const freeBufs = 128
+
+// bufList is a table's bounded free list of readBufBytes buffers. Read
+// pumps take one per read and the READER hands it back once it has
+// copied the chunk into its send stage; Write takes one per outbound
+// frame and the write pump hands it back after conn.Write. Only chunks
+// and frames in flight hold buffers, so idle sockets hold none beyond
+// the one a parked pump reads into.
+type bufList chan []byte
+
+// get returns a buffer of length n, recycled when n fits readBufBytes.
+func (l bufList) get(n int) []byte {
+	if n > readBufBytes {
+		return make([]byte, n)
+	}
+	select {
+	case b := <-l:
+		return b[:n]
+	default:
+		return make([]byte, n, readBufBytes)
+	}
+}
+
+// put recycles b unless it is not a free-list buffer or the list is
+// full. The caller must not touch b afterwards.
+func (l bufList) put(b []byte) {
+	if cap(b) != readBufBytes {
+		return
+	}
+	select {
+	case l <- b:
+	default:
+	}
+}
 
 // tableStats are the table-wide traffic counters. They live on the Table
 // (sockets hold a pointer) so the totals survive socket teardown; the
@@ -39,6 +77,7 @@ type Socket struct {
 	lis   net.Listener
 	stats *tableStats
 	pumps *sync.WaitGroup // the table's; see Table.pumps
+	bufs  bufList         // the table's
 
 	inbox    chan []byte // filled by the read pump
 	accepted chan uint32 // filled by the accept pump (listeners)
@@ -96,6 +135,7 @@ type Table struct {
 	// ever registered, so CloseAll can return after the last has exited.
 	pumps sync.WaitGroup
 
+	bufs  bufList
 	stats tableStats
 }
 
@@ -104,6 +144,7 @@ func NewTable() *Table {
 	return &Table{
 		socks:         make(map[uint32]*Socket),
 		writeDeadline: time.Second,
+		bufs:          make(bufList, freeBufs),
 	}
 }
 
@@ -123,6 +164,7 @@ func (t *Table) AddConn(conn net.Conn) *Socket {
 		conn:   conn,
 		stats:  &t.stats,
 		pumps:  &t.pumps,
+		bufs:   t.bufs,
 		loop:   t.loop,
 		inbox:  make(chan []byte, inboxCap),
 		outbox: make(chan []byte, inboxCap),
@@ -249,7 +291,7 @@ func (s *Socket) startReadPump() {
 		go func() {
 			defer s.pumps.Done()
 			for {
-				buf := make([]byte, readBufBytes)
+				buf := s.bufs.get(readBufBytes)
 				n, err := s.conn.Read(buf)
 				if n > 0 {
 					s.stats.bytesIn.Add(uint64(n))
@@ -260,6 +302,8 @@ func (s *Socket) startReadPump() {
 					}
 					s.markReady()
 					s.ringWake()
+				} else {
+					s.bufs.put(buf)
 				}
 				if err != nil {
 					s.eof.Store(true)
@@ -313,7 +357,7 @@ func (s *Socket) loopReadable() netloop.Action {
 			s.ringWake()
 			return netloop.Retry
 		}
-		buf := make([]byte, readBufBytes)
+		buf := s.bufs.get(readBufBytes)
 		n, again, dead := netloop.RawRead(s.rc, buf)
 		if n > 0 {
 			s.stats.bytesIn.Add(uint64(n))
@@ -323,6 +367,8 @@ func (s *Socket) loopReadable() netloop.Action {
 			s.inbox <- buf[:n]
 			s.markReady()
 			s.ringWake()
+		} else {
+			s.bufs.put(buf)
 		}
 		if dead {
 			s.eof.Store(true)
@@ -441,6 +487,7 @@ func (s *Socket) writePump(deadline time.Duration) {
 				_ = s.conn.SetWriteDeadline(time.Now().Add(deadline))
 			}
 			n, err := s.conn.Write(frame)
+			s.bufs.put(frame)
 			s.unwritten.Add(-1)
 			s.stats.bytesOut.Add(uint64(n))
 			if err != nil {
@@ -471,15 +518,15 @@ func (s *Socket) writePump(deadline time.Duration) {
 	}
 }
 
-// Write queues data for the connection's write pump. A stalled peer
-// costs a dropped frame, never a blocked eactor (the paper's WRITER
-// uses non-blocking send syscalls for the same reason).
+// Write queues a copy of data for the connection's write pump. A
+// stalled peer costs a dropped frame, never a blocked eactor (the
+// paper's WRITER uses non-blocking send syscalls for the same reason).
 func (t *Table) Write(id uint32, data []byte) error {
 	s, ok := t.Get(id)
 	if !ok || s.conn == nil {
 		return errUnknownSocket
 	}
-	frame := make([]byte, len(data))
+	frame := t.bufs.get(len(data))
 	copy(frame, data)
 	s.unwritten.Add(1) // before the enqueue, so the pump never decrements first
 	select {
@@ -487,6 +534,7 @@ func (t *Table) Write(id uint32, data []byte) error {
 		s.ensureWritePump(t.writeDeadline)
 		return nil
 	default:
+		t.bufs.put(frame)
 		s.unwritten.Add(-1)
 		s.dropped.Add(1)
 		t.stats.dropped.Add(1)

@@ -215,31 +215,37 @@ func (ss *ShardedStore) shardFor(key []byte) *shard {
 	return ss.shards[ShardOf(key, len(ss.shards))]
 }
 
-// Get returns the newest value stored for key, from the write-back
-// cache when present, else from the shard's Store (populating the cache
-// as a clean entry up to the cache cap).
+// Get returns a private copy of the newest value stored for key; see
+// GetAppend.
 func (ss *ShardedStore) Get(key []byte) ([]byte, bool, error) {
+	return ss.GetAppend(nil, key)
+}
+
+// GetAppend appends the newest value stored for key to dst and returns
+// the extended slice, or dst unchanged when key is absent. The value
+// comes from the write-back cache when present, else from the shard's
+// Store (populating the cache as a clean entry up to the cache cap). A
+// cache hit into a dst with room allocates nothing.
+func (ss *ShardedStore) GetAppend(dst, key []byte) ([]byte, bool, error) {
 	if ss.closed.Load() {
-		return nil, false, ErrClosed
+		return dst, false, ErrClosed
 	}
 	sh := ss.shardFor(key)
 	sh.mu.RLock()
 	if e, ok := sh.cache[string(key)]; ok {
-		if e.del {
-			sh.mu.RUnlock()
-			ss.hits.Add(1)
-			return nil, false, nil
+		found := !e.del
+		if found {
+			dst = append(dst, e.val...)
 		}
-		out := append([]byte(nil), e.val...)
 		sh.mu.RUnlock()
 		ss.hits.Add(1)
-		return out, true, nil
+		return dst, found, nil
 	}
 	sh.mu.RUnlock()
 	ss.misses.Add(1)
 	val, ok, err := sh.store.Get(key)
 	if err != nil || !ok {
-		return nil, false, err
+		return dst, false, err
 	}
 	if ss.cacheCap > 0 {
 		sh.mu.Lock()
@@ -249,7 +255,10 @@ func (ss *ShardedStore) Get(key []byte) ([]byte, bool, error) {
 		}
 		sh.mu.Unlock()
 	}
-	return val, true, nil
+	if dst == nil {
+		return val, true, nil // the store decoded a private copy already
+	}
+	return append(dst, val...), true, nil
 }
 
 // Set stores a new version of key in the write-back cache; the backing

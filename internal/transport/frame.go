@@ -60,7 +60,7 @@ const DefaultWindow = 256 << 10
 
 // DefaultReplayWindow is the per-session response-cache depth servers
 // keep for resend dedup; it must exceed the deepest client pipeline
-// (Session caps Depth at half of this).
+// (the Session default Depth is half of this).
 const DefaultReplayWindow = 128
 
 // Type discriminates frames. All values sit in a high band disjoint
@@ -167,20 +167,34 @@ func HelloAck(features, window uint32) Frame {
 // AppendFrame encodes f at the end of buf — zero-alloc when buf has
 // capacity, so actors encode straight into reusable send-stage slots.
 func AppendFrame(buf []byte, f Frame) ([]byte, error) {
-	if !f.Type.Valid() {
-		return nil, fmt.Errorf("%w: unknown type %#x", ErrBadFrame, uint8(f.Type))
+	if err := checkFrame(f.Type, len(f.Payload)); err != nil {
+		return nil, err
 	}
-	if len(f.Payload) > MaxPayload {
-		return nil, fmt.Errorf("%w: payload %d exceeds %d", ErrBadFrame, len(f.Payload), MaxPayload)
+	return append(appendHeader(buf, f, len(f.Payload)), f.Payload...), nil
+}
+
+// checkFrame rejects what no peer may be sent: an unknown type or a
+// payload of n bytes over MaxPayload.
+func checkFrame(t Type, n int) error {
+	if !t.Valid() {
+		return fmt.Errorf("%w: unknown type %#x", ErrBadFrame, uint8(t))
 	}
+	if n > MaxPayload {
+		return fmt.Errorf("%w: payload %d exceeds %d", ErrBadFrame, n, MaxPayload)
+	}
+	return nil
+}
+
+// appendHeader encodes f's header, announcing n payload bytes, at the
+// end of buf. f.Payload is ignored.
+func appendHeader(buf []byte, f Frame, n int) []byte {
 	var hdr [HeaderSize]byte
 	hdr[0] = byte(f.Type)
 	hdr[1] = f.Flags
 	binary.LittleEndian.PutUint32(hdr[4:], f.Opaque)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(f.Payload)))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(n))
 	binary.LittleEndian.PutUint32(hdr[12:], f.Credit)
-	buf = append(buf, hdr[:]...)
-	return append(buf, f.Payload...), nil
+	return append(buf, hdr[:]...)
 }
 
 // ParseFrame decodes one frame from b. Payload aliases b. It returns
@@ -222,17 +236,32 @@ func ParseFrame(b []byte) (Frame, int, error) {
 
 // Scanner reassembles frames from a TCP byte stream: chunks arrive
 // split and coalesced arbitrarily, so the receiver buffers partial
-// frames and yields only complete ones.
+// frames and yields only complete ones. The backing array is kept
+// across frames (a read offset marks what Next consumed, and Feed
+// compacts), so a steady stream is reassembled without allocating.
 type Scanner struct {
 	buf []byte
+	off int // start of the bytes Next has not consumed
 }
 
 // scannerLimit bounds buffered partial-frame bytes; a peer streaming a
 // header that never completes is cut off rather than ballooning memory.
 const scannerLimit = MaxPayload + HeaderSize
 
-// Feed appends stream bytes to the scanner.
-func (s *Scanner) Feed(b []byte) { s.buf = append(s.buf, b...) }
+// maxReuse is the largest buffer this package keeps for reuse — a
+// drained Scanner's backing array, a recycled Call's frame. A rare big
+// burst then costs an allocation instead of pinning its memory.
+const maxReuse = 64 << 10
+
+// Feed appends stream bytes to the scanner, first moving any partial
+// frame to the front of the buffer.
+func (s *Scanner) Feed(b []byte) {
+	if s.off > 0 {
+		n := copy(s.buf, s.buf[s.off:])
+		s.buf, s.off = s.buf[:n], 0
+	}
+	s.buf = append(s.buf, b...)
+}
 
 // Next returns the next complete frame plus its raw encoded bytes (for
 // routers that forward frames without rebuilding them). ok is false
@@ -240,23 +269,26 @@ func (s *Scanner) Feed(b []byte) { s.buf = append(s.buf, b...) }
 // stream has lost framing and the connection must be dropped. Frame
 // payload and raw alias the internal buffer; valid until the next Feed.
 func (s *Scanner) Next() (f Frame, raw []byte, ok bool, err error) {
-	f, n, err := ParseFrame(s.buf)
+	f, n, err := ParseFrame(s.buf[s.off:])
 	if err != nil {
 		if errors.Is(err, ErrShortFrame) {
-			if len(s.buf) > scannerLimit {
-				return Frame{}, nil, false, fmt.Errorf("%w: %d buffered bytes without a complete frame", ErrBadFrame, len(s.buf))
+			if s.Buffered() > scannerLimit {
+				return Frame{}, nil, false, fmt.Errorf("%w: %d buffered bytes without a complete frame", ErrBadFrame, s.Buffered())
 			}
 			return Frame{}, nil, false, nil
 		}
 		return Frame{}, nil, false, err
 	}
-	raw = s.buf[:n]
-	s.buf = s.buf[n:]
-	if len(s.buf) == 0 {
-		s.buf = nil // let large bursts free their backing array
+	raw = s.buf[s.off : s.off+n]
+	s.off += n
+	if s.off == len(s.buf) {
+		s.buf, s.off = s.buf[:0], 0
+		if cap(s.buf) > maxReuse {
+			s.buf = nil // let a large burst free its backing array
+		}
 	}
 	return f, raw, true, nil
 }
 
 // Buffered returns the number of unconsumed bytes.
-func (s *Scanner) Buffered() int { return len(s.buf) }
+func (s *Scanner) Buffered() int { return len(s.buf) - s.off }

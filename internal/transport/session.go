@@ -39,17 +39,20 @@ type SessionOptions struct {
 	RecvWindow uint32
 	// Depth caps concurrent in-flight calls (default 64). It must stay
 	// at or below half the server's replay window so resends always
-	// land inside the dedup cache; Connect clamps it to 64 maximum
-	// against DefaultReplayWindow-sized peers.
+	// land inside the dedup cache; the default is half of
+	// DefaultReplayWindow.
 	Depth int
 	// HandshakeTimeout bounds the HELLO/HELLO-ACK exchange (default 2s);
 	// hitting it yields ErrLegacyPeer.
 	HandshakeTimeout time.Duration
-	// CallTimeout bounds each Wait (default 5s).
+	// CallTimeout bounds each call from its Issue (default 5s): a call
+	// still unanswered that long after Issue completes with ErrTimeout,
+	// whether or not anyone is waiting on it yet.
 	CallTimeout time.Duration
-	// ResendInterval is the at-least-once retransmit period inside a
-	// Wait (default CallTimeout/4). The peer's replay window absorbs
-	// the duplicates.
+	// ResendInterval is the at-least-once retransmit period (default
+	// CallTimeout/4), also counted from Issue: a call unanswered that
+	// long after its last transmission is sent again. The peer's replay
+	// window absorbs the duplicates.
 	ResendInterval time.Duration
 	// ReadBuf sizes the reader's chunk buffer (default 64 KiB).
 	ReadBuf int
@@ -76,25 +79,43 @@ func (o *SessionOptions) defaults() {
 	}
 }
 
-// Call is one in-flight request. The issuing goroutine waits on it via
-// Session.Wait (or Done + Response for select-based callers).
+// Call is one in-flight request. Its outcome is collected exactly once:
+// by Wait (Call.Wait or Session.Wait), or by a receive from Done
+// followed by Response. Wait hands the Call back to its session for
+// reuse, so the Call must not be touched after Wait returns; the
+// response payload it returned stays the caller's.
 type Call struct {
 	// Opaque is the correlation tag the session assigned.
 	Opaque uint32
 
-	done      chan struct{}
-	frame     []byte // full encoded request, retained for resends
-	size      int    // window bytes reserved
-	completed bool   // guarded by the session mutex
-	resp      Frame  // payload owned by the call
-	err       error
+	sess  *Session
+	done  chan struct{} // one token per completion, reused with the Call
+	frame []byte        // encoded request kept for resends, reused with the Call
+	size  int           // window bytes reserved
+	// issued and sent are session-clock readings (Session.now), guarded
+	// by the session mutex.
+	issued, sent time.Duration
+	resp         Frame // payload owned by the caller
+	err          error
 }
 
-// Done is closed when the response (or a terminal error) arrived.
+// Done delivers one token when the response (or a terminal error)
+// arrived. Receive it once, then read Response; a caller that collects
+// the outcome this way must not also Wait.
 func (c *Call) Done() <-chan struct{} { return c.done }
 
-// Response returns the outcome; call only after Done is closed.
+// Response returns the outcome; call only after receiving from Done.
 func (c *Call) Response() (Frame, error) { return c.resp, c.err }
+
+// Wait blocks until the call completes — resends and the timeout run on
+// the session clock, not here — and returns the outcome. The Call goes
+// back to its session for reuse.
+func (c *Call) Wait() (Frame, error) {
+	<-c.done
+	resp, err := c.resp, c.err
+	c.sess.recycle(c)
+	return resp, err
+}
 
 // SessionStats snapshots a session's counters.
 type SessionStats struct {
@@ -111,23 +132,26 @@ type SessionStats struct {
 // responses by opaque, throttling issues against the peer's advertised
 // receive window, and retransmitting unanswered requests so the peer's
 // replay window can enforce exactly-once effect. Safe for concurrent
-// use by any number of issuing goroutines; one background reader
-// completes calls.
+// use by any number of issuing goroutines. Two background goroutines
+// serve it whatever its Depth: the reader completes calls, and the
+// session clock (sweep) resends and expires them.
 type Session struct {
-	conn net.Conn
-	opts SessionOptions
+	conn  net.Conn
+	opts  SessionOptions
+	start time.Time // origin of the session clock
 
 	window       *Window
 	peerFeatures uint32
 
-	depth      chan struct{} // in-flight call slots
-	failCh     chan struct{} // closed once, on terminal failure
-	readerDone chan struct{}
+	depth       chan struct{} // in-flight call slots
+	failCh      chan struct{} // closed once, on terminal failure
+	readerDone  chan struct{}
+	sweeperDone chan struct{}
 
 	mu         sync.Mutex
 	pending    map[uint32]*Call
+	free       []*Call // collected calls for reuse, at most Depth
 	nextOpaque uint32
-	wbuf       []byte // encode scratch, guarded by mu
 	failErr    error
 
 	issued, completed, resent atomic.Uint64
@@ -170,14 +194,18 @@ func Connect(conn net.Conn, opts SessionOptions) (*Session, error) {
 	s := &Session{
 		conn:         conn,
 		opts:         opts,
+		start:        time.Now(),
 		window:       NewWindow(int(ack.Credit)),
 		peerFeatures: ack.Opaque,
 		depth:        make(chan struct{}, opts.Depth),
 		failCh:       make(chan struct{}),
 		readerDone:   make(chan struct{}),
+		sweeperDone:  make(chan struct{}),
 		pending:      make(map[uint32]*Call),
+		free:         make([]*Call, 0, opts.Depth),
 	}
 	go s.reader()
+	go s.sweep()
 	return s, nil
 }
 
@@ -228,20 +256,39 @@ func (s *Session) Stats() SessionStats {
 	}
 }
 
+// now reads the session clock.
+func (s *Session) now() time.Duration { return time.Since(s.start) }
+
 // Issue sends one request frame of the given type, blocking while the
 // pipeline is at Depth or the peer's byte window is exhausted. The
-// payload is copied before Issue returns.
+// payload is copied before Issue returns. The call's timeout and resend
+// clock start here.
 func (s *Session) Issue(t Type, payload []byte) (*Call, error) {
+	return s.IssueParts(t, payload)
+}
+
+// IssueParts is Issue for a payload given in pieces: they are copied,
+// in order, straight into the call's frame, so a caller holding a
+// header and separate body slices never assembles them first.
+func (s *Session) IssueParts(t Type, parts ...[]byte) (*Call, error) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if err := checkFrame(t, n); err != nil {
+		return nil, err
+	}
 	select {
 	case s.depth <- struct{}{}:
 	case <-s.failCh:
 		return nil, s.failure()
 	}
-	size := HeaderSize + len(payload)
+	size := HeaderSize + n
 	if err := s.window.Reserve(size); err != nil {
 		<-s.depth
 		return nil, err
 	}
+	now := s.now()
 	s.mu.Lock()
 	if s.failErr != nil {
 		err := s.failErr
@@ -254,16 +301,12 @@ func (s *Session) Issue(t Type, payload []byte) (*Call, error) {
 	if s.nextOpaque == 0 { // zero stays reserved as "no opaque"
 		s.nextOpaque = 1
 	}
-	c := &Call{Opaque: s.nextOpaque, done: make(chan struct{}), size: size}
-	frame, err := AppendFrame(s.wbuf[:0], Frame{Type: t, Opaque: c.Opaque, Payload: payload})
-	if err != nil {
-		s.mu.Unlock()
-		s.window.Release(size)
-		<-s.depth
-		return nil, err
+	c := s.callLocked()
+	c.Opaque, c.size, c.issued, c.sent = s.nextOpaque, size, now, now
+	c.frame = appendHeader(c.frame[:0], Frame{Type: t, Opaque: c.Opaque}, n)
+	for _, p := range parts {
+		c.frame = append(c.frame, p...)
 	}
-	s.wbuf = frame
-	c.frame = append([]byte(nil), frame...)
 	s.pending[c.Opaque] = c
 	werr := s.writeLocked(c.frame)
 	s.mu.Unlock()
@@ -272,6 +315,31 @@ func (s *Session) Issue(t Type, payload []byte) (*Call, error) {
 		s.fail(werr) // completes c (and every peer) with the error
 	}
 	return c, nil
+}
+
+// callLocked takes a collected Call for reuse, or builds one. s.mu is
+// held.
+func (s *Session) callLocked() *Call {
+	if n := len(s.free); n > 0 {
+		c := s.free[n-1]
+		s.free = s.free[:n-1]
+		return c
+	}
+	return &Call{sess: s, done: make(chan struct{}, 1)}
+}
+
+// recycle returns a collected Call to the free list (bounded by Depth;
+// an over-large frame buffer is dropped rather than kept).
+func (s *Session) recycle(c *Call) {
+	c.resp, c.err = Frame{}, nil
+	if cap(c.frame) > maxReuse {
+		c.frame = nil
+	}
+	s.mu.Lock()
+	if len(s.free) < cap(s.free) {
+		s.free = append(s.free, c)
+	}
+	s.mu.Unlock()
 }
 
 // writeLocked writes one frame under s.mu with the call-timeout write
@@ -284,26 +352,8 @@ func (s *Session) writeLocked(frame []byte) error {
 	return err
 }
 
-// Wait blocks until c completes, retransmitting on the resend interval
-// (at-least-once) and abandoning the call at the call timeout.
-func (s *Session) Wait(c *Call) (Frame, error) {
-	timeout := time.NewTimer(s.opts.CallTimeout)
-	defer timeout.Stop()
-	resend := time.NewTicker(s.opts.ResendInterval)
-	defer resend.Stop()
-	for {
-		select {
-		case <-c.done:
-			return c.resp, c.err
-		case <-resend.C:
-			s.resend(c)
-		case <-timeout.C:
-			s.complete(c, Frame{}, ErrTimeout)
-			<-c.done
-			return c.resp, c.err
-		}
-	}
-}
+// Wait blocks until c completes and returns its outcome; see Call.Wait.
+func (s *Session) Wait(c *Call) (Frame, error) { return c.Wait() }
 
 // Call issues and waits in one step.
 func (s *Session) Call(t Type, payload []byte) (Frame, error) {
@@ -311,41 +361,71 @@ func (s *Session) Call(t Type, payload []byte) (Frame, error) {
 	if err != nil {
 		return Frame{}, err
 	}
-	return s.Wait(c)
+	return c.Wait()
 }
 
-// resend retransmits a still-pending call's frame.
-func (s *Session) resend(c *Call) {
-	s.mu.Lock()
-	if c.completed || s.failErr != nil {
-		s.mu.Unlock()
-		return
-	}
-	err := s.writeLocked(c.frame)
-	s.mu.Unlock()
-	s.resent.Add(1)
-	if err != nil {
-		s.fail(err)
-	}
-}
-
-// complete finishes a call exactly once, returning its window bytes and
-// depth slot.
-func (s *Session) complete(c *Call, resp Frame, err error) {
-	s.mu.Lock()
-	if c.completed {
-		s.mu.Unlock()
-		return
-	}
-	c.completed = true
-	delete(s.pending, c.Opaque)
-	c.resp = resp
-	c.err = err
-	s.mu.Unlock()
-	close(c.done)
+// finish hands c its outcome. The caller has removed c from pending
+// under s.mu, so nothing else touches it; the window bytes and depth
+// slot go back before the waiter wakes, because the waiter may recycle
+// c at once.
+func (s *Session) finish(c *Call, resp Frame, err error) {
+	c.resp, c.err = resp, err
 	s.window.Release(c.size)
 	<-s.depth
 	s.completed.Add(1)
+	c.done <- struct{}{}
+}
+
+// sweepEvery is the session clock's tick: a quarter of the shorter of
+// the resend interval and the call timeout, so each fires at most a
+// quarter late.
+func (s *Session) sweepEvery() time.Duration {
+	if d := min(s.opts.ResendInterval, s.opts.CallTimeout) / 4; d > 0 {
+		return d
+	}
+	return time.Millisecond
+}
+
+// sweep is the session clock. On every tick it retransmits each call
+// unanswered for ResendInterval since its last transmission, and fails
+// each call older than CallTimeout with ErrTimeout. Both count from
+// Issue, so a call nobody waits on yet is resent and expires all the
+// same, and Wait needs no timer of its own.
+func (s *Session) sweep() {
+	defer close(s.sweeperDone)
+	tick := time.NewTicker(s.sweepEvery())
+	defer tick.Stop()
+	var expired []*Call
+	for {
+		select {
+		case <-tick.C:
+		case <-s.failCh:
+			return
+		}
+		now := s.now()
+		var werr error
+		s.mu.Lock()
+		for op, c := range s.pending {
+			switch {
+			case now-c.issued >= s.opts.CallTimeout:
+				delete(s.pending, op)
+				expired = append(expired, c)
+			case now-c.sent >= s.opts.ResendInterval && werr == nil:
+				werr = s.writeLocked(c.frame)
+				c.sent = now
+				s.resent.Add(1)
+			}
+		}
+		s.mu.Unlock()
+		for i, c := range expired {
+			s.finish(c, Frame{}, ErrTimeout)
+			expired[i] = nil
+		}
+		expired = expired[:0]
+		if werr != nil {
+			s.fail(werr)
+		}
+	}
 }
 
 // failure returns the terminal error (after failCh closed).
@@ -360,7 +440,7 @@ func (s *Session) failure() error {
 
 // fail poisons the session: every pending and future call errors, the
 // window unblocks, and the connection closes (which also unwinds the
-// reader).
+// reader; the sweeper leaves on failCh).
 func (s *Session) fail(err error) {
 	s.mu.Lock()
 	if s.failErr != nil {
@@ -369,14 +449,15 @@ func (s *Session) fail(err error) {
 	}
 	s.failErr = err
 	calls := make([]*Call, 0, len(s.pending))
-	for _, c := range s.pending {
+	for op, c := range s.pending {
 		calls = append(calls, c)
+		delete(s.pending, op)
 	}
 	s.mu.Unlock()
 	close(s.failCh)
 	s.window.Fail(err)
 	for _, c := range calls {
-		s.complete(c, Frame{}, err)
+		s.finish(c, Frame{}, err)
 	}
 	_ = s.conn.Close()
 }
@@ -404,10 +485,13 @@ func (s *Session) reader() {
 				case TResponse:
 					s.mu.Lock()
 					c := s.pending[f.Opaque]
+					delete(s.pending, f.Opaque)
 					s.mu.Unlock()
 					if c != nil {
+						// The caller keeps the reply; the scanner's buffer
+						// is reused for the next frame.
 						f.Payload = append([]byte(nil), f.Payload...)
-						s.complete(c, f, nil)
+						s.finish(c, f, nil)
 					}
 				case TGoAway:
 					s.fail(ErrGoAway)
@@ -425,19 +509,17 @@ func (s *Session) reader() {
 }
 
 // Close sends a best-effort GOAWAY, tears the session down and waits
-// for the reader to unwind. Pending calls complete with
-// ErrSessionClosed.
+// for the reader and the session clock to unwind. Pending calls
+// complete with ErrSessionClosed.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	if s.failErr == nil {
-		if goaway, err := AppendFrame(s.wbuf[:0], Frame{Type: TGoAway}); err == nil {
-			s.wbuf = goaway
-			_ = s.conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
-			_, _ = s.conn.Write(goaway)
-		}
+		_ = s.conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
+		_, _ = s.conn.Write(appendHeader(nil, Frame{Type: TGoAway}, 0))
 	}
 	s.mu.Unlock()
 	s.fail(ErrSessionClosed)
 	<-s.readerDone
+	<-s.sweeperDone
 	return nil
 }

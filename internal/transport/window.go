@@ -147,37 +147,57 @@ func (v Verdict) String() string {
 // Replay is the receiver half of the at-least-once contract: clients
 // resend a request (same opaque) until its response arrives, so the
 // receiver remembers the encoded response of the last `capacity`
-// completed opaques and replays instead of re-executing. SET/DEL thus
-// take effect exactly once, and a GET resend returns the value of its
-// single original execution — never a re-read that could interleave
-// with later writes. Opaques older than the window are rejected, so a
-// tag reuse after wraparound can never surface a stale cached response.
+// opaques and replays instead of re-executing. SET/DEL thus take effect
+// exactly once, and a GET resend returns the value of its single
+// original execution — never a re-read that could interleave with
+// later writes. Opaques older than the window are rejected, so a tag
+// reuse after wraparound can never surface a stale cached response.
+//
+// The cache is a ring of capacity slots indexed by opaque&(capacity-1),
+// each reusing its byte buffer. Two opaques share a slot only if they
+// are a multiple of capacity apart, so when an admitted opaque takes a
+// slot, the previous occupant has fallen capacity or more behind the
+// highest opaque, where Admit rejects it anyway: eviction by distance
+// is structural. (Eviction by insertion count would be
+// unsound: a lost original of an *older* opaque can execute and store
+// late, and must not push a still-live newer response out and let its
+// resend re-execute.)
 //
 // Not safe for concurrent use; each session's replay state lives with
 // the single actor (or goroutine) that executes its requests.
 type Replay struct {
-	capacity int
-	entries  map[uint32][]byte
-	order    []uint32 // insertion order, for eviction
-	max      uint32   // highest admitted opaque
-	seen     bool
+	slots []replaySlot // len(slots) is the window: a power of two
+	mask  uint32
+	n     int    // slots holding a response
+	max   uint32 // highest admitted opaque
+	seen  bool
+}
+
+// replaySlot is one ring slot.
+type replaySlot struct {
+	opaque uint32
+	full   bool
+	resp   []byte
 }
 
 // NewReplay builds a replay window caching the last capacity responses
-// (DefaultReplayWindow when capacity <= 0).
+// (DefaultReplayWindow when capacity <= 0), with capacity rounded up to
+// a power of two.
 func NewReplay(capacity int) *Replay {
 	if capacity <= 0 {
 		capacity = DefaultReplayWindow
 	}
-	return &Replay{capacity: capacity, entries: make(map[uint32][]byte)}
+	size := 1
+	for size < capacity {
+		size <<= 1
+	}
+	return &Replay{slots: make([]replaySlot, size), mask: uint32(size - 1)}
 }
 
 // Admit rules on an arriving opaque. For VerdictReplay the cached
-// response frame is returned; the caller must treat it as read-only.
+// response frame is returned; the caller must treat it as read-only and
+// done with it before the next Store.
 func (r *Replay) Admit(opaque uint32) ([]byte, Verdict) {
-	if cached, ok := r.entries[opaque]; ok {
-		return cached, VerdictReplay
-	}
 	if !r.seen {
 		r.seen = true
 		r.max = opaque
@@ -186,11 +206,14 @@ func (r *Replay) Admit(opaque uint32) ([]byte, Verdict) {
 	if d := int32(opaque - r.max); d > 0 {
 		r.max = opaque
 		return nil, VerdictNew
-	} else if -d >= int32(r.capacity) {
+	} else if -d >= int32(len(r.slots)) {
 		// Older than anything the cache can still vouch for: its
-		// response (if it ever executed) was evicted, so executing now
-		// risks a double effect and replying risks a stale value.
+		// response (if it ever executed) was overwritten, so executing
+		// now risks a double effect and replying risks a stale value.
 		return nil, VerdictReject
+	}
+	if s := &r.slots[opaque&r.mask]; s.full && s.opaque == opaque {
+		return s.resp, VerdictReplay
 	}
 	// An older opaque inside the window with no cached response: the
 	// original request was lost before executing, and this is its
@@ -198,36 +221,26 @@ func (r *Replay) Admit(opaque uint32) ([]byte, Verdict) {
 	return nil, VerdictNew
 }
 
-// Store caches the encoded response for an admitted opaque. The bytes
-// are copied. Eviction is by opaque distance, not insertion count: only
-// entries that have fallen `capacity` or more behind the window's high
-// edge are dropped — exactly the opaques Admit already rejects. Count
-// eviction would be unsound: a lost original of an *older* opaque can
-// execute (and store) late, pushing a still-live newer entry out and
-// letting its resend re-execute. Distance keeps the live span intact,
-// and since at most `capacity` distinct opaques fit inside the span,
-// memory stays bounded by capacity entries.
+// Store caches the encoded response for an admitted opaque, copying the
+// bytes into the opaque's slot.
 func (r *Replay) Store(opaque uint32, resp []byte) {
-	if _, ok := r.entries[opaque]; ok {
+	if int32(r.max-opaque) >= int32(len(r.slots)) {
+		return // outside the window: Admit rejects it, so never cache it
+	}
+	s := &r.slots[opaque&r.mask]
+	if s.full && s.opaque == opaque {
 		return // a replayed duplicate never re-stores
 	}
-	r.entries[opaque] = append([]byte(nil), resp...)
-	r.order = append(r.order, opaque)
-	if len(r.entries) > r.capacity {
-		keep := r.order[:0]
-		for _, op := range r.order {
-			if d := int32(r.max - op); d >= int32(r.capacity) {
-				delete(r.entries, op)
-			} else {
-				keep = append(keep, op)
-			}
-		}
-		r.order = keep
+	if !s.full {
+		s.full = true
+		r.n++
 	}
+	s.opaque = opaque
+	s.resp = append(s.resp[:0], resp...)
 }
 
 // Len returns the number of cached responses.
-func (r *Replay) Len() int { return len(r.entries) }
+func (r *Replay) Len() int { return r.n }
 
 // MaxOpaque returns the highest admitted opaque (zero before any).
 func (r *Replay) MaxOpaque() uint32 { return r.max }
