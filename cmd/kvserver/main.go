@@ -20,7 +20,6 @@ import (
 
 	"github.com/eactors/eactors-go/internal/ecrypto"
 	"github.com/eactors/eactors-go/internal/kv"
-	"github.com/eactors/eactors-go/internal/netloop"
 	"github.com/eactors/eactors-go/internal/profile"
 	"github.com/eactors/eactors-go/internal/telemetry"
 )
@@ -43,9 +42,6 @@ func run() error {
 	flush := flag.Duration("flush", 100*time.Millisecond, "write-back flush interval (negative = sync per drained burst)")
 	sessionWindow := flag.Int("session-window", 0, "per-session flow-control advertisement in bytes (0 = transport default)")
 	replayWindow := flag.Int("replay-window", 0, "per-session resend-dedup cache depth (0 = transport default)")
-	netloopOn := flag.Bool("netloop", false, "multiplex connection reads through the event-driven readiness loop (O(pollers+dispatchers) goroutines instead of one per connection)")
-	netloopPollers := flag.Int("netloop-pollers", 1, "readiness-loop poller goroutines (with -netloop)")
-	netloopDispatchers := flag.Int("netloop-dispatchers", 4, "readiness-loop dispatcher goroutines (with -netloop)")
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval (0 = off)")
 	metrics := flag.String("metrics", "", "serve telemetry over HTTP at this address, e.g. :9090 (enables telemetry)")
 	traceOn := flag.Bool("trace", false, "enable sampled causal tracing (exported on /debug/traces when -metrics is set)")
@@ -94,18 +90,13 @@ func run() error {
 		TraceSampleEvery:   *traceSample,
 		Profile:            *profileOn,
 		ProfileSampleEvery: *profileSample,
-		NetLoop: netloop.Config{
-			Enabled:     *netloopOn,
-			Pollers:     *netloopPollers,
-			Dispatchers: *netloopDispatchers,
-		},
 	})
 	if err != nil {
 		return err
 	}
 	defer srv.Stop()
-	fmt.Printf("kvserver: listening on %s (shards=%d trusted=%v encrypted=%v dir=%q netloop=%v)\n",
-		srv.Addr(), *shards, *trusted, encKey != nil, *dir, *netloopOn)
+	fmt.Printf("kvserver: listening on %s (shards=%d trusted=%v encrypted=%v dir=%q)\n",
+		srv.Addr(), *shards, *trusted, encKey != nil, *dir)
 	if *metrics != "" {
 		bound, stopHTTP, err := telemetry.Serve(*metrics, srv.Telemetry(),
 			telemetry.WithTraces(srv.Tracer()), telemetry.WithProfile(srv.ProfileSource()))

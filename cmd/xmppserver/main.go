@@ -19,7 +19,6 @@ import (
 
 	"crypto/rand"
 
-	"github.com/eactors/eactors-go/internal/netloop"
 	"github.com/eactors/eactors-go/internal/pos"
 	"github.com/eactors/eactors-go/internal/profile"
 	"github.com/eactors/eactors-go/internal/telemetry"
@@ -39,9 +38,6 @@ func run() error {
 	trusted := flag.Bool("trusted", true, "run CONNECTOR and XMPP eactors inside enclaves")
 	enclaves := flag.Int("enclaves", 1, "number of enclaves hosting the XMPP eactors (when trusted)")
 	rooms := flag.String("rooms", "", "comma-separated group chats confined to dedicated enclaves")
-	netloopOn := flag.Bool("netloop", false, "multiplex connection reads through the event-driven readiness loop (O(pollers+dispatchers) goroutines instead of one per connection)")
-	netloopPollers := flag.Int("netloop-pollers", 1, "readiness-loop poller goroutines (with -netloop)")
-	netloopDispatchers := flag.Int("netloop-dispatchers", 4, "readiness-loop dispatcher goroutines (with -netloop)")
 	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval (0 = off)")
 	metrics := flag.String("metrics", "", "serve telemetry over HTTP at this address, e.g. :9090 (enables telemetry)")
 	traceOn := flag.Bool("trace", false, "enable sampled causal tracing (exported on /debug/traces when -metrics is set)")
@@ -88,18 +84,13 @@ func run() error {
 		TraceSampleEvery:   *traceSample,
 		Profile:            *profileOn,
 		ProfileSampleEvery: *profileSample,
-		NetLoop: netloop.Config{
-			Enabled:     *netloopOn,
-			Pollers:     *netloopPollers,
-			Dispatchers: *netloopDispatchers,
-		},
 	})
 	if err != nil {
 		return err
 	}
 	defer srv.Stop()
-	fmt.Printf("xmppserver: listening on %s (shards=%d trusted=%v enclaves=%d netloop=%v)\n",
-		srv.Addr(), *shards, *trusted, *enclaves, *netloopOn)
+	fmt.Printf("xmppserver: listening on %s (shards=%d trusted=%v enclaves=%d)\n",
+		srv.Addr(), *shards, *trusted, *enclaves)
 	var s2sSrv *xmpp.S2SServer
 	if *s2s != "" {
 		if s2sSrv, err = xmpp.ListenS2S(*s2s, *domain, xmpp.S2SOptions{}); err != nil {

@@ -49,7 +49,10 @@ func ReproCommand(test string, seed uint64) string {
 // DefaultRules is the standard chaos schedule: five fault classes
 // spread over the enclave-crossing, channel, and seal sites. Rates are
 // low enough that forward progress dominates, high enough that every
-// class fires many times in a few thousand operations.
+// armed class fires many times in a few thousand operations. EPCSpike
+// and Delay sit on the enter/exit sites, which the secure-sum ring never
+// reaches (it makes no crossings per round), so at most the three seal
+// and send classes can fire there.
 func DefaultRules() []faults.Rule {
 	return []faults.Rule{
 		{Site: faults.SiteSeal, Class: faults.SealCorrupt, Rate: 0.02},

@@ -29,8 +29,7 @@ func requireClasses(t *testing.T, test string, res Result, min int) {
 
 // TestChaosSecureSum runs the encrypted secure-sum ring under the full
 // chaos schedule and asserts it converges to the exact protocol result
-// despite corrupted seals, dropped sends, lost doorbells, EPC spikes,
-// and delayed crossings.
+// despite corrupted seals, failed sends and lost doorbells.
 func TestChaosSecureSum(t *testing.T) {
 	for _, seed := range seeds() {
 		res, err := RunSecureSum(seed, 200, false, 30*time.Second)
@@ -44,10 +43,12 @@ func TestChaosSecureSum(t *testing.T) {
 
 // TestChaosSecureSumDynamic repeats the run in the paper's case-#2
 // mode, where every party recomputes its secret each round — the
-// per-tag secret update must keep retransmissions idempotent.
+// per-tag secret update must keep retransmissions idempotent. It runs
+// as many rounds as the static case, enough for all three of the ring's
+// fault classes to fire at every CI seed.
 func TestChaosSecureSumDynamic(t *testing.T) {
 	seed := SeedFromEnv(DefaultSeeds[len(DefaultSeeds)-1])
-	res, err := RunSecureSum(seed, 100, true, 30*time.Second)
+	res, err := RunSecureSum(seed, 200, true, 30*time.Second)
 	if err != nil {
 		t.Fatalf("%v\nreproduce with: %s", err, ReproCommand("TestChaosSecureSumDynamic", seed))
 	}

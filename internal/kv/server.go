@@ -9,7 +9,6 @@ import (
 	"github.com/eactors/eactors-go/internal/ecrypto"
 	"github.com/eactors/eactors-go/internal/faults"
 	"github.com/eactors/eactors-go/internal/netactors"
-	"github.com/eactors/eactors-go/internal/netloop"
 	"github.com/eactors/eactors-go/internal/pos"
 	"github.com/eactors/eactors-go/internal/profile"
 	"github.com/eactors/eactors-go/internal/sgx"
@@ -32,13 +31,6 @@ type Options struct {
 	Trusted bool
 	// Platform supplies the SGX simulation; nil creates a default one.
 	Platform *sgx.Platform
-
-	// NetLoop multiplexes connection reads through an event-driven
-	// readiness loop (internal/netloop) instead of one pump goroutine
-	// per connection: idle connections cost no goroutine and the READER
-	// drains only sockets with pending bytes. Disabled (zero) keeps the
-	// legacy per-connection pumps.
-	NetLoop netloop.Config
 
 	// SessionWindow is the per-session receive-buffer advertisement: how
 	// many request bytes one session may keep in flight before the
@@ -193,11 +185,7 @@ func Start(opts Options) (*Server, error) {
 		platform = sgx.NewPlatform()
 	}
 
-	sys, err := netactors.NewSystemNetLoop(opts.NetLoop)
-	if err != nil {
-		return nil, fmt.Errorf("kv: netloop: %w", err)
-	}
-	srv := &Server{sys: sys}
+	srv := &Server{sys: netactors.NewSystem()}
 	if opts.Store != nil {
 		if opts.Store.Shards() != opts.Shards {
 			return nil, fmt.Errorf("kv: store has %d shards, deployment wants %d", opts.Store.Shards(), opts.Shards)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/eactors/eactors-go/internal/core"
-	"github.com/eactors/eactors-go/internal/netloop"
 	"github.com/eactors/eactors-go/internal/trace"
 )
 
@@ -16,6 +15,10 @@ const dialTimeout = 2 * time.Second
 // body invocation, keeping bodies short as the actor model demands.
 const drainBatch = 16
 
+// readyDrainBudget bounds the ready-queue pops per READER invocation, so
+// one invocation moves at most readyDrainBudget×drainBatch chunks.
+const readyDrainBudget = 64
+
 // System owns the socket table and builds the five networking eactor
 // specs. All of them must be deployed untrusted (Worker placement is
 // free, Enclave must stay empty), since they perform system calls on
@@ -24,46 +27,16 @@ type System struct {
 	table *Table
 }
 
-// NewSystem creates a networking system with an empty socket table and
-// legacy goroutine-per-connection read pumps.
+// NewSystem creates a networking system with an empty socket table.
 func NewSystem() *System { return &System{table: NewTable()} }
-
-// NewSystemNetLoop creates a networking system whose connection reads
-// are multiplexed by an event-driven readiness loop (internal/netloop):
-// idle connections cost no goroutine, and a connection is bound to its
-// READER's drain only when bytes are actually readable. With
-// cfg.Enabled false this is NewSystem. The error surfaces platforms
-// without a poller backend — callers choose between failing loudly and
-// falling back to NewSystem.
-func NewSystemNetLoop(cfg netloop.Config) (*System, error) {
-	if !cfg.Enabled {
-		return NewSystem(), nil
-	}
-	loop, err := netloop.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	t := NewTable()
-	t.loop = loop
-	return &System{table: t}, nil
-}
 
 // Table exposes the socket table (for custom network actors, as the
 // paper's XMPP service builds).
 func (s *System) Table() *Table { return s.table }
 
-// Loop returns the readiness loop, or nil in legacy pump mode.
-func (s *System) Loop() *netloop.Loop { return s.table.loop }
-
-// Shutdown closes every socket, then the readiness loop (in that
-// order — parked fallback pollers unblock when their conns close);
-// call after the runtime has stopped.
-func (s *System) Shutdown() {
-	s.table.CloseAll()
-	if s.table.loop != nil {
-		s.table.loop.Close()
-	}
-}
+// Shutdown closes every socket and waits for their pumps; call after the
+// runtime has stopped.
+func (s *System) Shutdown() { s.table.CloseAll() }
 
 // controlReplyDeadline bounds the SendRetry persistence of control
 // replies (open/accept results) whose loss would wedge the requesting
@@ -226,8 +199,8 @@ type readWatch struct {
 	sock    *Socket
 	pending [][]byte // encoded frames that hit a full channel, retried first
 	tick    uint32   // per-socket trace sampling counter (trace.MaybeRoot)
-	// backlogged marks the watch as owned by the loop-mode READER's
-	// backpressure backlog (pending frames) rather than the ready queue.
+	// backlogged marks the watch as owned by the READER's backpressure
+	// backlog (pending frames) rather than the ready queue.
 	backlogged bool
 }
 
@@ -237,17 +210,18 @@ type readWatch struct {
 // batch fast path: one SendBatch (one pool trip, one mbox CAS, one
 // doorbell) per socket per invocation instead of one per chunk.
 //
-// In readiness-loop mode (NewSystemNetLoop) the READER drains only the
-// sockets the loop queued — O(ready) per invocation instead of an
-// O(watches) scan — so 10k+ mostly-idle connections cost neither
-// goroutines nor drain cycles.
+// The READER drains only ready sockets. A socket's read pump queues it
+// (Socket.markReady) exactly when its inbox gains bytes or hits EOF, and
+// the body pops and drains exactly the queued sockets, so an idle watch
+// costs no drain work however many there are. Sockets whose forwarding
+// channel filled (pending frames) move to a small backlog scanned every
+// invocation: the bounded few under backpressure, not the watch set.
 func (s *System) ReaderSpec(name string, worker int, channels ...string) core.Spec {
-	if s.table.loop != nil {
-		return s.loopReaderSpec(name, worker, channels...)
-	}
 	table := s.table
+	rq := newReadyQueue()
+	watches := make(map[uint32]*readWatch)
+	var backlog []*readWatch
 	var eps []*core.Endpoint
-	var watches []*readWatch
 	var scratch []byte
 	var stage core.SendStage
 	recvBufs, recvLens := core.BatchBufs(drainBatch, core.DefaultNodePayload)
@@ -255,6 +229,7 @@ func (s *System) ReaderSpec(name string, worker int, channels ...string) core.Sp
 		Name:   name,
 		Worker: worker,
 		Init: func(self *core.Self) error {
+			eps = eps[:0]
 			for _, ch := range channels {
 				ep, err := self.Channel(ch)
 				if err != nil {
@@ -265,6 +240,7 @@ func (s *System) ReaderSpec(name string, worker int, channels ...string) core.Sp
 			return nil
 		},
 		Body: func(self *core.Self) {
+			// Control traffic: watch/unwatch.
 			for _, ep := range eps {
 				n, _ := self.RecvBatch(ep, recvBufs, recvLens)
 				for i := 0; i < n; i++ {
@@ -276,27 +252,77 @@ func (s *System) ReaderSpec(name string, worker int, channels ...string) core.Sp
 					case MsgWatch:
 						if sock, ok := table.Get(msg.Sock); ok && sock.conn != nil {
 							sock.SetWake(self.Waker())
+							watches[sock.id] = &readWatch{ep: ep, sock: sock}
+							// Install the queue before starting the pump so
+							// bytes racing the watch have a landing spot.
+							sock.SetReady(rq)
 							sock.startReadPump()
-							watches = append(watches, &readWatch{ep: ep, sock: sock})
+							self.Progress()
 						}
 					case MsgUnwatch:
-						for i, w := range watches {
-							if w.sock.id == msg.Sock && w.ep == ep {
-								watches = append(watches[:i], watches[i+1:]...)
-								break
-							}
+						if w, ok := watches[msg.Sock]; ok && w.ep == ep {
+							delete(watches, msg.Sock)
+							w.sock.unbindReady(rq)
+							self.Progress()
 						}
 					}
 				}
 			}
-			live := watches[:0]
-			for _, w := range watches {
-				if !s.drainSocket(self, w, &stage, &scratch) {
-					continue // MsgClosed delivered; drop the watch
+
+			// Backpressured sockets: frames that hit a full forwarding
+			// channel retry until the consumer drains.
+			live := backlog[:0]
+			for _, w := range backlog {
+				if watches[w.sock.id] != w {
+					continue // unwatched while backlogged
 				}
-				live = append(live, w)
+				if !s.drainSocket(self, w, &stage, &scratch) {
+					delete(watches, w.sock.id) // MsgClosed delivered
+					continue
+				}
+				if len(w.pending) > 0 {
+					live = append(live, w)
+					continue
+				}
+				w.backlogged = false
+				if w.sock.hasWork() {
+					w.sock.markReady()
+				}
 			}
-			watches = live
+			backlog = live
+
+			// Ready sockets: exactly the ones the pumps queued.
+			for popped := 0; popped < readyDrainBudget; popped++ {
+				sock := rq.pop()
+				if sock == nil {
+					break
+				}
+				sock.queued.Store(false)
+				w, ok := watches[sock.id]
+				if !ok {
+					// Not (or no longer) ours — a handoff raced the drain.
+					// Its current owner's queue gets it back.
+					if sock.hasWork() {
+						sock.markReady()
+					}
+					continue
+				}
+				if w.backlogged {
+					continue // the backlog pass owns this socket
+				}
+				if !s.drainSocket(self, w, &stage, &scratch) {
+					delete(watches, sock.id) // MsgClosed delivered
+					continue
+				}
+				if len(w.pending) > 0 {
+					w.backlogged = true
+					backlog = append(backlog, w)
+					continue
+				}
+				if sock.hasWork() {
+					sock.markReady() // partial drain: stay scheduled
+				}
+			}
 		},
 	}
 }
@@ -305,6 +331,7 @@ func (s *System) ReaderSpec(name string, worker int, channels ...string) core.Sp
 // as one batched send, returning false once the socket is finished
 // (MsgClosed sent).
 func (s *System) drainSocket(self *core.Self, w *readWatch, stage *core.SendStage, scratch *[]byte) bool {
+	s.table.stats.drains.Add(1)
 	// Retry frames a previously full channel left behind, in order.
 	for len(w.pending) > 0 {
 		n, _ := w.ep.SendBatch(w.pending) //sendcheck:ok

@@ -9,7 +9,9 @@
 // non-blocking I/O — a blocking conn.Read parks a goroutine on epoll
 // rather than a thread — so each watched socket is backed by a small pump
 // goroutine feeding a bounded queue that the READER eactor drains
-// non-blockingly. At the actor layer the semantics (polling, batching,
+// non-blockingly. The pump also queues the socket on its READER's ready
+// queue, so the READER drains only sockets that have bytes, never its
+// whole watch set. At the actor layer the semantics (polling, batching,
 // per-socket mboxes) match the paper.
 package netactors
 

@@ -106,142 +106,9 @@ func TestMaxData(t *testing.T) {
 func TestEchoPipeline(t *testing.T) {
 	sys := NewSystem()
 	defer sys.Shutdown()
-
-	addrCh := make(chan string, 1)
-	var finished atomic.Bool
-
-	// State machine of the echo application eactor.
-	const (
-		stOpen = iota
-		stWatchListener
-		stServe
-	)
-	type echoState struct {
-		phase    int
-		listener uint32
-		scratch  []byte
-	}
-
-	echo := core.Spec{
-		Name:    "echo",
-		Enclave: "service",
-		Worker:  0,
-		State:   &echoState{},
-		Body: func(self *core.Self) {
-			st := self.State.(*echoState)
-			opener := self.MustChannel("open")
-			accept := self.MustChannel("accept")
-			read := self.MustChannel("read")
-			write := self.MustChannel("write")
-			buf := make([]byte, 2048)
-
-			switch st.phase {
-			case stOpen:
-				m, _ := (Msg{Type: MsgListen, Data: []byte("127.0.0.1:0")}).AppendTo(nil)
-				if opener.Send(m) == nil {
-					st.phase = stWatchListener
-					self.Progress()
-				}
-			case stWatchListener:
-				n, ok, err := opener.Recv(buf)
-				if err != nil || !ok {
-					return
-				}
-				msg, err := ParseMsg(buf[:n])
-				if err != nil || msg.Type != MsgOpenOK {
-					t.Errorf("listen failed: %+v err=%v", msg, err)
-					self.StopRuntime()
-					return
-				}
-				st.listener = msg.Sock
-				addrCh <- string(msg.Data)
-				w, _ := (Msg{Type: MsgWatch, Sock: msg.Sock}).AppendTo(nil)
-				if accept.Send(w) == nil {
-					st.phase = stServe
-					self.Progress()
-				}
-			case stServe:
-				// Watch newly accepted connections with the READER.
-				if n, ok, _ := accept.Recv(buf); ok {
-					if msg, err := ParseMsg(buf[:n]); err == nil && msg.Type == MsgAccepted {
-						w, _ := (Msg{Type: MsgWatch, Sock: msg.Sock}).AppendTo(st.scratch[:0])
-						st.scratch = w
-						_ = read.Send(w) //sendcheck:ok
-						self.Progress()
-					}
-				}
-				// Echo data back through the WRITER.
-				if n, ok, _ := read.Recv(buf); ok {
-					if msg, err := ParseMsg(buf[:n]); err == nil && msg.Type == MsgData {
-						out, _ := (Msg{Type: MsgData, Sock: msg.Sock, Data: msg.Data}).AppendTo(nil)
-						_ = write.Send(out) //sendcheck:ok
-						self.Progress()
-					}
-				}
-			}
-		},
-	}
-
-	cfg := core.Config{
-		Enclaves: []core.EnclaveSpec{{Name: "service"}},
-		Workers:  []core.WorkerSpec{{}, {}},
-		Actors: []core.Spec{
-			echo,
-			sys.OpenerSpec("opener", 1, "open"),
-			sys.AccepterSpec("accepter", 1, "accept"),
-			sys.ReaderSpec("reader", 1, "read"),
-			sys.WriterSpec("writer", 1, "write"),
-			sys.CloserSpec("closer", 1, "close"),
-		},
-		Channels: []core.ChannelSpec{
-			{Name: "open", A: "echo", B: "opener"},
-			{Name: "accept", A: "echo", B: "accepter"},
-			{Name: "read", A: "echo", B: "reader"},
-			{Name: "write", A: "echo", B: "writer"},
-			{Name: "close", A: "echo", B: "closer"},
-		},
-	}
-	rt, err := core.NewRuntime(sgx.NewPlatform(sgx.WithCostModel(sgx.ZeroCostModel())), cfg)
-	if err != nil {
-		t.Fatalf("NewRuntime: %v", err)
-	}
-	if err := rt.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer rt.Stop()
-
-	var addr string
-	select {
-	case addr = <-addrCh:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no listen address from the pipeline")
-	}
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer conn.Close()
-	for round := 0; round < 5; round++ {
-		msg := []byte("ping through the enclave pipeline")
-		if _, err := conn.Write(msg); err != nil {
-			t.Fatalf("client write: %v", err)
-		}
-		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		got := make([]byte, len(msg))
-		n := 0
-		for n < len(msg) {
-			k, err := conn.Read(got[n:])
-			if err != nil {
-				t.Fatalf("client read: %v", err)
-			}
-			n += k
-		}
-		if !bytes.Equal(got, msg) {
-			t.Fatalf("echo round %d = %q", round, got)
-		}
-	}
-	finished.Store(true)
+	addr, stop := startEcho(t, sys)
+	defer stop()
+	echoRounds(t, addr, 5, []byte("ping through the enclave pipeline"))
 }
 
 // TestReaderReportsEOF checks the MsgClosed notification path.

@@ -2,11 +2,11 @@ package netactors
 
 import "sync"
 
-// readyQueue is the binding point between the readiness loop's
-// dispatchers and one READER eactor: dispatchers push sockets whose
-// inbox gained work (dedup'd by Socket.queued), the READER pops and
-// drains exactly those — never scanning its full watch set. Each entry
-// appears at most once, so the queue is bounded by the watch count.
+// readyQueue is the binding point between the read pumps and one READER
+// eactor: pumps push sockets whose inbox gained work (dedup'd by
+// Socket.queued), the READER pops and drains exactly those — never
+// scanning its full watch set. Each entry appears at most once, so the
+// queue is bounded by the watch count.
 type readyQueue struct {
 	mu   sync.Mutex
 	q    []*Socket
@@ -51,10 +51,4 @@ func (rq *readyQueue) remove(s *Socket) bool {
 		}
 	}
 	return false
-}
-
-func (rq *readyQueue) len() int {
-	rq.mu.Lock()
-	defer rq.mu.Unlock()
-	return len(rq.q) - rq.head
 }

@@ -5,10 +5,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
-
-	"github.com/eactors/eactors-go/internal/netloop"
 )
 
 // inboxCap bounds the per-socket receive queue between the pump
@@ -65,9 +62,9 @@ type tableStats struct {
 	dials    atomic.Uint64
 	accepts  atomic.Uint64
 	dropped  atomic.Uint64
-	// bound gauges the sockets currently queued for a READER drain
-	// (netloop mode): data arrived and the drain has not run yet.
-	bound atomic.Int64
+	// drains counts READER socket drains: with the ready queue it tracks
+	// the sockets that had work, not the size of any watch set.
+	drains atomic.Uint64
 }
 
 // Socket wraps one connection or listener registered in a Table.
@@ -101,12 +98,8 @@ type Socket struct {
 	closeOnce    sync.Once
 	closed       atomic.Bool
 
-	// Readiness-loop state (nil/zero in legacy pump mode). loop is the
-	// table's loop, rc/reg the socket's registration; ready points at
-	// the watching READER's ready queue and queued dedups membership.
-	loop   *netloop.Loop
-	rc     syscall.RawConn
-	reg    *netloop.Reg
+	// ready points at the watching READER's ready queue; queued dedups
+	// the socket's membership in it.
 	ready  atomic.Pointer[readyQueue]
 	queued atomic.Bool
 }
@@ -127,10 +120,6 @@ type Table struct {
 
 	writeDeadline time.Duration
 
-	// loop, when non-nil, multiplexes connection reads through a
-	// readiness loop instead of per-connection pump goroutines.
-	loop *netloop.Loop
-
 	// pumps counts the running pump goroutines of every socket the table
 	// ever registered, so CloseAll can return after the last has exited.
 	pumps sync.WaitGroup
@@ -148,9 +137,6 @@ func NewTable() *Table {
 	}
 }
 
-// Loop returns the table's readiness loop, or nil in legacy pump mode.
-func (t *Table) Loop() *netloop.Loop { return t.loop }
-
 // errUnknownSocket reports an operation on an unregistered id.
 var errUnknownSocket = errors.New("netactors: unknown socket")
 
@@ -165,7 +151,6 @@ func (t *Table) AddConn(conn net.Conn) *Socket {
 		stats:  &t.stats,
 		pumps:  &t.pumps,
 		bufs:   t.bufs,
-		loop:   t.loop,
 		inbox:  make(chan []byte, inboxCap),
 		outbox: make(chan []byte, inboxCap),
 		quit:   make(chan struct{}),
@@ -225,9 +210,6 @@ func (s *Socket) shutdown() {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if s.reg != nil {
-		s.reg.Close() // before conn.Close, while the fd is still valid
-	}
 	s.closeOnce.Do(func() { close(s.quit) })
 	if s.conn != nil {
 		_ = s.conn.Close()
@@ -277,16 +259,11 @@ func (s *Socket) ringWake() {
 	}
 }
 
-// startReadPump arranges for the socket's inbound bytes to reach its
-// inbox, idempotently: in loop mode the connection is registered with
-// the readiness loop (no goroutine until bytes arrive); otherwise — and
-// for conns without a raw fd, like net.Pipe in tests — a pump goroutine
-// parks in conn.Read on the runtime netpoller.
+// startReadPump launches the socket's read pump, idempotently: a
+// goroutine parked in conn.Read on the runtime netpoller that queues each
+// chunk in the inbox and marks the socket ready for its READER.
 func (s *Socket) startReadPump() {
 	s.pumpOnce.Do(func() {
-		if s.loop != nil && s.bindLoop() {
-			return
-		}
 		s.pumps.Add(1)
 		go func() {
 			defer s.pumps.Done()
@@ -316,73 +293,6 @@ func (s *Socket) startReadPump() {
 	})
 }
 
-// loopReadBudget bounds the reads one dispatch performs before handing
-// the dispatcher back (level-triggered re-arming refires if bytes
-// remain), keeping one firehose connection from starving the pool.
-const loopReadBudget = 8
-
-// bindLoop registers the connection with the readiness loop. Reports
-// false when the conn exposes no raw fd (the caller falls back to a
-// pump goroutine).
-func (s *Socket) bindLoop() bool {
-	sc, ok := s.conn.(syscall.Conn)
-	if !ok {
-		return false
-	}
-	rc, err := sc.SyscallConn()
-	if err != nil {
-		return false
-	}
-	s.rc = rc
-	reg, err := s.loop.Register(rc, s.loopReadable)
-	if err != nil {
-		return false
-	}
-	s.reg = reg
-	return true
-}
-
-// loopReadable is the socket's netloop handler: dispatched when the fd
-// is readable, it performs bounded non-blocking reads into the inbox
-// and queues the socket for its READER's drain. A full inbox returns
-// Retry (backpressure — nothing is read, so nothing can be lost); EOF
-// or a closed fd detaches the registration.
-func (s *Socket) loopReadable() netloop.Action {
-	for i := 0; i < loopReadBudget; i++ {
-		if s.closed.Load() {
-			return netloop.Detach
-		}
-		if len(s.inbox) == cap(s.inbox) {
-			s.markReady() // ensure the drain is scheduled before backing off
-			s.ringWake()
-			return netloop.Retry
-		}
-		buf := s.bufs.get(readBufBytes)
-		n, again, dead := netloop.RawRead(s.rc, buf)
-		if n > 0 {
-			s.stats.bytesIn.Add(uint64(n))
-			// Cannot block: dispatches are serialized per registration,
-			// so this handler is the only inbox producer and capacity
-			// was checked above.
-			s.inbox <- buf[:n]
-			s.markReady()
-			s.ringWake()
-		} else {
-			s.bufs.put(buf)
-		}
-		if dead {
-			s.eof.Store(true)
-			s.markReady()
-			s.ringWake()
-			return netloop.Detach
-		}
-		if again {
-			return netloop.Rearm
-		}
-	}
-	return netloop.Rearm
-}
-
 // hasWork reports whether a READER drain would make progress on this
 // socket.
 func (s *Socket) hasWork() bool {
@@ -390,7 +300,7 @@ func (s *Socket) hasWork() bool {
 }
 
 // markReady queues the socket on its READER's ready queue (dedup'd by
-// the queued flag), so loop-mode READERs drain exactly the sockets with
+// the queued flag), so the READER drains exactly the sockets with
 // pending work instead of scanning every watch.
 func (s *Socket) markReady() {
 	rq := s.ready.Load()
@@ -398,7 +308,6 @@ func (s *Socket) markReady() {
 		return
 	}
 	if s.queued.CompareAndSwap(false, true) {
-		s.stats.bound.Add(1)
 		rq.push(s)
 	}
 }
@@ -419,7 +328,6 @@ func (s *Socket) SetReady(rq *readyQueue) {
 func (s *Socket) unbindReady(rq *readyQueue) {
 	s.ready.CompareAndSwap(rq, nil)
 	if rq.remove(s) {
-		s.stats.bound.Add(-1)
 		s.queued.Store(false)
 		if s.hasWork() {
 			s.markReady()

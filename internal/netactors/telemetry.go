@@ -22,19 +22,5 @@ func (s *System) AttachTelemetry(reg *telemetry.Registry) {
 		func() uint64 { return uint64(t.Len()) })
 	reg.GaugeFunc("eactors_net_queue_depth", "queued frames across all per-connection inboxes and outboxes",
 		t.queueDepth)
-	if l := t.loop; l != nil {
-		reg.CounterFunc("eactors_netloop_ready_events", "readiness events delivered by the pollers", l.ReadyEvents)
-		reg.CounterFunc("eactors_netloop_dispatches", "readiness handler invocations", l.Dispatches)
-		reg.CounterFunc("eactors_netloop_retries", "backpressure re-dispatches (consumer inbox full)", l.Retries)
-		reg.CounterFunc("eactors_netloop_sheds", "dispatch-queue-full intake stalls", l.Sheds)
-		reg.GaugeFunc("eactors_netloop_registered", "connections registered with the readiness loop", l.Registered)
-		reg.GaugeFunc("eactors_netloop_dispatch_queue", "instantaneous dispatch queue occupancy", l.QueueDepth)
-		reg.GaugeFunc("eactors_netloop_bound_readers", "sockets queued for a READER drain",
-			func() uint64 {
-				if b := t.stats.bound.Load(); b > 0 {
-					return uint64(b)
-				}
-				return 0
-			})
-	}
+	reg.CounterFunc("eactors_net_reader_drains", "READER socket drains (one per ready socket, never per idle watch)", t.stats.drains.Load)
 }

@@ -10,7 +10,6 @@ import (
 	"github.com/eactors/eactors-go/internal/ecrypto"
 	"github.com/eactors/eactors-go/internal/faults"
 	"github.com/eactors/eactors-go/internal/netactors"
-	"github.com/eactors/eactors-go/internal/netloop"
 	"github.com/eactors/eactors-go/internal/pos"
 	"github.com/eactors/eactors-go/internal/profile"
 	"github.com/eactors/eactors-go/internal/sgx"
@@ -34,10 +33,6 @@ type Options struct {
 	EnclaveCount int
 	// Platform supplies the SGX simulation; nil creates a default one.
 	Platform *sgx.Platform
-	// NetLoop multiplexes connection reads through an event-driven
-	// readiness loop (internal/netloop) instead of one pump goroutine
-	// per connection; disabled (zero) keeps the legacy pumps.
-	NetLoop netloop.Config
 	// PoolNodes / NodePayload size the runtime's node pool.
 	PoolNodes   int
 	NodePayload int
@@ -217,12 +212,8 @@ func Start(opts Options) (*Server, error) {
 		online = list
 	}
 
-	sys, err := netactors.NewSystemNetLoop(opts.NetLoop)
-	if err != nil {
-		return nil, fmt.Errorf("xmpp: netloop: %w", err)
-	}
 	srv := &Server{
-		sys:       sys,
+		sys:       netactors.NewSystem(),
 		online:    online,
 		rooms:     NewRoomTable(),
 		roomIndex: make(map[string]int, len(opts.DedicatedRooms)),
