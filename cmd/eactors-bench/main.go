@@ -8,13 +8,19 @@
 //
 //	eactors-bench -fig 1            # Figure 1 (mutex stack)
 //	eactors-bench -fig 12 -scale 0.1
-//	eactors-bench -all -scale 0.05
+//	eactors-bench -all -scale 0.05 -plot ./figures
+//	eactors-bench -plot ./figures < results_all.csv
+//
+// -plot DIR writes one SVG line chart per figure: of the rows just
+// measured with -fig or -all, or, with neither, of the -format csv
+// output read from stdin.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -38,6 +44,7 @@ func run(args []string) error {
 	format := fs.String("format", "table", "output format: table or csv")
 	telem := fs.Bool("telemetry", false, "enable runtime telemetry on benchmarked deployments (measures the instrumented configuration)")
 	metrics := fs.String("metrics", "", "serve each deployment's telemetry over HTTP at this address while it runs (implies -telemetry)")
+	plot := fs.String("plot", "", "write one SVG per figure into this directory (without -fig/-all: of a CSV read from stdin)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -48,8 +55,15 @@ func run(args []string) error {
 	bench.Telemetry = *telem || *metrics != ""
 	bench.MetricsAddr = *metrics
 	if !*all && *fig == "" {
-		fs.Usage()
-		return fmt.Errorf("pass -fig N or -all")
+		if *plot == "" {
+			fs.Usage()
+			return fmt.Errorf("pass -fig N, -all or -plot DIR")
+		}
+		rows, err := bench.ParseCSV(os.Stdin)
+		if err != nil {
+			return err
+		}
+		return writePlots(*plot, rows)
 	}
 	if *scale <= 0 {
 		return fmt.Errorf("-scale must be positive")
@@ -71,10 +85,42 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "figure %s done in %v\n", f, time.Since(start).Round(time.Millisecond))
 		rows = append(rows, r...)
 	}
+	if *plot != "" {
+		if err := writePlots(*plot, rows); err != nil {
+			return err
+		}
+	}
 	if *format == "csv" {
 		return bench.WriteCSV(os.Stdout, rows)
 	}
 	bench.PrintTable(os.Stdout, rows)
+	return nil
+}
+
+// logScale marks the figures the paper plots with a log-scale y axis.
+var logScale = map[string]bool{"fig1": true, "fig14": true}
+
+// writePlots renders one SVG per figure in rows into dir.
+func writePlots(dir string, rows []bench.Row) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, figure := range bench.Figures(rows) {
+		path := filepath.Join(dir, figure+".svg")
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		err = bench.RenderSVG(f, figure, rows, bench.PlotOptions{LogY: logScale[figure]})
+		closeErr := f.Close()
+		if err != nil {
+			return fmt.Errorf("render %s: %w", figure, err)
+		}
+		if closeErr != nil {
+			return closeErr
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	}
 	return nil
 }
 

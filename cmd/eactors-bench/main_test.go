@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -75,5 +77,19 @@ func TestRunArgValidation(t *testing.T) {
 	}
 	if err := run([]string{"-fig", "1", "-scale", "-1"}); err == nil {
 		t.Fatal("negative scale accepted")
+	}
+}
+
+func TestRunPlot(t *testing.T) {
+	dir := t.TempDir()
+	if err := run([]string{"-fig", "1", "-scale", "0.000001", "-plot", dir}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	svg, err := os.ReadFile(filepath.Join(dir, "fig1.svg"))
+	if err != nil {
+		t.Fatalf("fig1.svg: %v", err)
+	}
+	if len(svg) == 0 || svg[0] != '<' {
+		t.Fatalf("fig1.svg is not SVG: %.40q", svg)
 	}
 }

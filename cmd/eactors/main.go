@@ -1,0 +1,109 @@
+// Command eactors is the operator tool for a running EActors server: it
+// attaches to the server's telemetry endpoint (kvserver or xmppserver
+// with -metrics) and the first argument picks the view.
+//
+//	eactors top   -addr 127.0.0.1:9090 [-interval 2s] [-rows 20] [-once] [-o snapshot.json]
+//	eactors trace -addr 127.0.0.1:9090 [-n 5] [-wait 10s] [-o out.json]
+//
+// top renders a live per-actor cost table from /debug/profile (servers
+// run with -profile): body CPU, message rates, enclave crossings, seal
+// bandwidth, mailbox dwell, the hottest actor-to-actor edges, and
+// per-enclave EPC attribution. The first frame shows cumulative totals;
+// every later frame shows rates over the refresh window. With -once it
+// prints a single frame and exits; with -o the latest raw snapshot is
+// also saved as JSON.
+//
+// trace prints sampled causal traces from /debug/traces (servers run
+// with -trace) as per-hop latency breakdowns, newest first; with -o the
+// raw Chrome trace-event snapshot is also saved for chrome://tracing or
+// Perfetto.
+package main
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"os/signal"
+	"syscall"
+	"time"
+
+	"github.com/eactors/eactors-go/internal/pollclient"
+	"github.com/eactors/eactors-go/internal/profile"
+)
+
+func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "eactors:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	if len(args) == 0 || (args[0] != "top" && args[0] != "trace") {
+		return fmt.Errorf("usage: eactors top|trace [flags]")
+	}
+	fs := flag.NewFlagSet("eactors "+args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	if args[0] == "trace" {
+		return runTrace(fs, args[1:], stdout, stderr)
+	}
+	return runTop(fs, args[1:], stdout, stderr)
+}
+
+func runTop(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
+	addr := fs.String("addr", "http://127.0.0.1:9090", "server metrics base URL, or a full /debug/profile URL")
+	interval := fs.Duration("interval", time.Second, "refresh interval")
+	rows := fs.Int("rows", 0, "bound the actor table to the hottest N rows (0 = all)")
+	once := fs.Bool("once", false, "print a single frame (cumulative totals) and exit")
+	out := fs.String("o", "", "also write the latest raw snapshot to this file (profile JSON)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	cur, body, err := profile.Fetch(*addr)
+	if err != nil {
+		return fmt.Errorf("%w (is the server running with -profile?)", err)
+	}
+	save := func(b []byte) error {
+		if *out == "" {
+			return nil
+		}
+		return pollclient.WriteArtifact(*out, b)
+	}
+	if *once {
+		profile.RenderTop(stdout, profile.Model{}, cur, *rows)
+		return save(body)
+	}
+
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+	ticker := time.NewTicker(*interval)
+	defer ticker.Stop()
+
+	// First frame: totals since server start. Later frames: deltas over
+	// the window, rendered as rates.
+	fmt.Fprint(stdout, "\x1b[2J\x1b[H")
+	profile.RenderTop(stdout, profile.Model{}, cur, *rows)
+	prev := cur
+	for {
+		select {
+		case <-sig:
+			fmt.Fprintln(stdout)
+			return save(body)
+		case <-ticker.C:
+			next, b, err := profile.Fetch(*addr)
+			if err != nil {
+				// Transient poll failures (server restarting, endpoint
+				// busy) keep the last frame on screen.
+				fmt.Fprintf(stderr, "eactors top: %v\n", err)
+				continue
+			}
+			body = b
+			fmt.Fprint(stdout, "\x1b[2J\x1b[H")
+			profile.RenderTop(stdout, prev, next, *rows)
+			prev = next
+		}
+	}
+}

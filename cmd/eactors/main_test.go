@@ -1,0 +1,65 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/eactors/eactors-go/internal/profile"
+	"github.com/eactors/eactors-go/internal/telemetry"
+	"github.com/eactors/eactors-go/internal/trace"
+)
+
+func TestUnknownVerb(t *testing.T) {
+	for _, args := range [][]string{nil, {"budget"}, {"-addr", "x"}} {
+		if err := run(args, &bytes.Buffer{}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "top|trace") {
+			t.Errorf("run(%q) = %v, want an error listing the verbs", args, err)
+		}
+	}
+}
+
+func TestTopOnce(t *testing.T) {
+	model := profile.Model{
+		V:            profile.SnapshotVersion,
+		CapturedAtNs: time.Now().UnixNano(),
+		Actors:       []profile.ActorCost{{Name: "frontend", Invocations: 7, MsgsSent: 7}},
+	}
+	bound, stop, err := telemetry.Serve("127.0.0.1:0", nil,
+		telemetry.WithProfile(func() profile.Model { return model }))
+	if err != nil {
+		t.Fatalf("telemetry.Serve: %v", err)
+	}
+	defer stop()
+
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"top", "-addr", bound, "-once"}, &stdout, &stderr); err != nil {
+		t.Fatalf("top: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "frontend") {
+		t.Errorf("top frame lacks the frontend actor:\n%s", stdout.String())
+	}
+}
+
+func TestTraceOne(t *testing.T) {
+	tr := trace.New(1, 0, 1)
+	root := tr.NewRoot()
+	now := time.Now().UnixNano()
+	tr.Record(0, trace.Span{TraceID: root.TraceID, ID: tr.NextSpan(), Kind: trace.KindNetRead, Start: now, Dur: 2000})
+	tr.Record(0, trace.Span{TraceID: root.TraceID, ID: tr.NextSpan(), Kind: trace.KindInvoke, Start: now + 2000, Dur: 3000})
+	bound, stop, err := telemetry.Serve("127.0.0.1:0", nil, telemetry.WithTraces(tr))
+	if err != nil {
+		t.Fatalf("telemetry.Serve: %v", err)
+	}
+	defer stop()
+
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"trace", "-addr", bound, "-n", "1", "-wait", "0"}, &stdout, &stderr); err != nil {
+		t.Fatalf("trace: %v\n%s", err, stderr.String())
+	}
+	for _, want := range []string{"1 traces sampled, showing 1", "2 hops, 5.0µs end to end"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("trace output lacks %q:\n%s", want, stdout.String())
+		}
+	}
+}

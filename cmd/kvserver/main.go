@@ -14,14 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"github.com/eactors/eactors-go/internal/ecrypto"
 	"github.com/eactors/eactors-go/internal/kv"
-	"github.com/eactors/eactors-go/internal/profile"
-	"github.com/eactors/eactors-go/internal/telemetry"
+	"github.com/eactors/eactors-go/internal/observe"
 )
 
 func main() {
@@ -42,18 +39,8 @@ func run() error {
 	flush := flag.Duration("flush", 100*time.Millisecond, "write-back flush interval (negative = sync per drained burst)")
 	sessionWindow := flag.Int("session-window", 0, "per-session flow-control advertisement in bytes (0 = transport default)")
 	replayWindow := flag.Int("replay-window", 0, "per-session resend-dedup cache depth (0 = transport default)")
-	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval (0 = off)")
-	metrics := flag.String("metrics", "", "serve telemetry over HTTP at this address, e.g. :9090 (enables telemetry)")
-	traceOn := flag.Bool("trace", false, "enable sampled causal tracing (exported on /debug/traces when -metrics is set)")
-	traceSample := flag.Int("trace-sample", 0, "root one trace per this many inbound bursts (0 = default 64)")
-	profileOn := flag.Bool("profile", false, "enable per-actor cost accounting (exported on /debug/profile when -metrics is set; see eactors-top)")
-	profileSample := flag.Int("profile-sample", 0, "measure one in this many seal/open operations (0 = default 16)")
-	profileOut := flag.String("profile-out", "", "append periodic cost-model snapshots to this JSONL file (enables -profile)")
-	profileInterval := flag.Duration("profile-interval", 5*time.Second, "snapshot period for -profile-out")
+	obs := observe.Register(flag.CommandLine)
 	flag.Parse()
-	if *profileOut != "" {
-		*profileOn = true
-	}
 
 	var encKey *[ecrypto.KeySize]byte
 	if *encrypt {
@@ -76,20 +63,19 @@ func run() error {
 	}
 
 	srv, err := kv.Start(kv.Options{
-		ListenAddr:         *listen,
-		Shards:             *shards,
-		Trusted:            *trusted,
-		Dir:                *dir,
-		StoreSize:          *storeSize,
-		EncryptionKey:      encKey,
-		FlushInterval:      *flush,
-		SessionWindow:      *sessionWindow,
-		ReplayWindow:       *replayWindow,
-		Telemetry:          *metrics != "",
-		Trace:              *traceOn,
-		TraceSampleEvery:   *traceSample,
-		Profile:            *profileOn,
-		ProfileSampleEvery: *profileSample,
+		ListenAddr:       *listen,
+		Shards:           *shards,
+		Trusted:          *trusted,
+		Dir:              *dir,
+		StoreSize:        *storeSize,
+		EncryptionKey:    encKey,
+		FlushInterval:    *flush,
+		SessionWindow:    *sessionWindow,
+		ReplayWindow:     *replayWindow,
+		Telemetry:        obs.Telemetry(),
+		Trace:            obs.Trace,
+		TraceSampleEvery: obs.TraceSample,
+		Profile:          obs.Profiling(),
 	})
 	if err != nil {
 		return err
@@ -97,60 +83,13 @@ func run() error {
 	defer srv.Stop()
 	fmt.Printf("kvserver: listening on %s (shards=%d trusted=%v encrypted=%v dir=%q)\n",
 		srv.Addr(), *shards, *trusted, encKey != nil, *dir)
-	if *metrics != "" {
-		bound, stopHTTP, err := telemetry.Serve(*metrics, srv.Telemetry(),
-			telemetry.WithTraces(srv.Tracer()), telemetry.WithProfile(srv.ProfileSource()))
-		if err != nil {
-			return fmt.Errorf("metrics endpoint: %w", err)
-		}
-		defer stopHTTP()
-		fmt.Printf("kvserver: metrics on http://%s/metrics (pprof on /debug/pprof/)\n", bound)
-		if *traceOn {
-			fmt.Printf("kvserver: traces on http://%s/debug/traces (Chrome trace-event JSON)\n", bound)
-		}
-		if *profileOn {
-			fmt.Printf("kvserver: cost profiles on http://%s/debug/profile (watch with eactors-top)\n", bound)
-		}
-	}
-	if *profileOut != "" {
-		f, err := os.OpenFile(*profileOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("profile snapshot file: %w", err)
-		}
-		defer f.Close()
-		snap := profile.NewSnapshotter(srv.CostProfile, f, *profileInterval)
-		snap.Start()
-		defer func() {
-			if err := snap.Stop(); err != nil {
-				fmt.Fprintln(os.Stderr, "kvserver: profile snapshots:", err)
-			}
-		}()
-		fmt.Printf("kvserver: cost-model snapshots every %s to %s\n", *profileInterval, *profileOut)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
-	if *statsEvery > 0 {
-		ticker := time.NewTicker(*statsEvery)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-sig:
-				fmt.Println("\nkvserver: shutting down")
-				return nil
-			case <-ticker.C:
-				st := srv.Stats()
-				ss := srv.Store().Stats()
-				fmt.Printf("kvserver: gets=%d sets=%d dels=%d not-found=%d errors=%d\n",
-					st.Gets, st.Sets, st.Dels, st.NotFound, st.Errors)
-				fmt.Printf("kvserver: sessions=%d replayed=%d\n", st.Sessions, st.Replayed)
-				fmt.Printf("kvserver: cache-hits=%d misses=%d dirty=%d flushes=%d flushed-ops=%d sync-failures=%d\n",
-					ss.Hits, ss.Misses, ss.Dirty, ss.Flushes, ss.FlushedOps, ss.SyncFailures)
-			}
-		}
-	}
-	<-sig
-	fmt.Println("\nkvserver: shutting down")
-	return nil
+	return obs.Run("kvserver", srv, func() {
+		st := srv.Stats()
+		ss := srv.Store().Stats()
+		fmt.Printf("kvserver: gets=%d sets=%d dels=%d not-found=%d errors=%d\n",
+			st.Gets, st.Sets, st.Dels, st.NotFound, st.Errors)
+		fmt.Printf("kvserver: sessions=%d replayed=%d\n", st.Sessions, st.Replayed)
+		fmt.Printf("kvserver: cache-hits=%d misses=%d dirty=%d flushes=%d flushed-ops=%d sync-failures=%d\n",
+			ss.Hits, ss.Misses, ss.Dirty, ss.Flushes, ss.FlushedOps, ss.SyncFailures)
+	})
 }

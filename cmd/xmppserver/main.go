@@ -9,19 +9,14 @@
 package main
 
 import (
+	"crypto/rand"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
-	"crypto/rand"
-
+	"github.com/eactors/eactors-go/internal/observe"
 	"github.com/eactors/eactors-go/internal/pos"
-	"github.com/eactors/eactors-go/internal/profile"
-	"github.com/eactors/eactors-go/internal/telemetry"
 	"github.com/eactors/eactors-go/internal/xmpp"
 )
 
@@ -38,21 +33,11 @@ func run() error {
 	trusted := flag.Bool("trusted", true, "run CONNECTOR and XMPP eactors inside enclaves")
 	enclaves := flag.Int("enclaves", 1, "number of enclaves hosting the XMPP eactors (when trusted)")
 	rooms := flag.String("rooms", "", "comma-separated group chats confined to dedicated enclaves")
-	statsEvery := flag.Duration("stats", 10*time.Second, "stats reporting interval (0 = off)")
-	metrics := flag.String("metrics", "", "serve telemetry over HTTP at this address, e.g. :9090 (enables telemetry)")
-	traceOn := flag.Bool("trace", false, "enable sampled causal tracing (exported on /debug/traces when -metrics is set)")
-	traceSample := flag.Int("trace-sample", 0, "root one trace per this many inbound bursts (0 = default 64)")
-	profileOn := flag.Bool("profile", false, "enable per-actor cost accounting (exported on /debug/profile when -metrics is set; see eactors-top)")
-	profileSample := flag.Int("profile-sample", 0, "measure one in this many seal/open operations (0 = default 16)")
-	profileOut := flag.String("profile-out", "", "append periodic cost-model snapshots to this JSONL file (enables -profile)")
-	profileInterval := flag.Duration("profile-interval", 5*time.Second, "snapshot period for -profile-out")
 	directory := flag.Bool("directory", true, "keep the online directory in a sealed persistent object store (the paper's Section 5.1 design)")
 	s2s := flag.String("s2s", "", "also accept framed server-to-server federation links on this address, e.g. 127.0.0.1:5269 (empty = off)")
 	domain := flag.String("domain", "localhost", "local domain announced on federation links (with -s2s)")
+	obs := observe.Register(flag.CommandLine)
 	flag.Parse()
-	if *profileOut != "" {
-		*profileOn = true
-	}
 
 	var dedicated []string
 	if *rooms != "" {
@@ -73,17 +58,16 @@ func run() error {
 		defer dirStore.Close()
 	}
 	srv, err := xmpp.Start(xmpp.Options{
-		ListenAddr:         *listen,
-		Shards:             *shards,
-		Trusted:            *trusted,
-		EnclaveCount:       *enclaves,
-		DedicatedRooms:     dedicated,
-		DirectoryStore:     dirStore,
-		Telemetry:          *metrics != "",
-		Trace:              *traceOn,
-		TraceSampleEvery:   *traceSample,
-		Profile:            *profileOn,
-		ProfileSampleEvery: *profileSample,
+		ListenAddr:       *listen,
+		Shards:           *shards,
+		Trusted:          *trusted,
+		EnclaveCount:     *enclaves,
+		DedicatedRooms:   dedicated,
+		DirectoryStore:   dirStore,
+		Telemetry:        obs.Telemetry(),
+		Trace:            obs.Trace,
+		TraceSampleEvery: obs.TraceSample,
+		Profile:          obs.Profiling(),
 	})
 	if err != nil {
 		return err
@@ -99,64 +83,17 @@ func run() error {
 		defer s2sSrv.Close()
 		fmt.Printf("xmppserver: s2s federation on %s (domain %q, framed transport)\n", s2sSrv.Addr(), *domain)
 	}
-	if *metrics != "" {
-		bound, stopHTTP, err := telemetry.Serve(*metrics, srv.Telemetry(),
-			telemetry.WithTraces(srv.Tracer()), telemetry.WithProfile(srv.ProfileSource()))
-		if err != nil {
-			return fmt.Errorf("metrics endpoint: %w", err)
+	return obs.Run("xmppserver", srv, func() {
+		st := srv.Stats()
+		report := srv.Runtime().Report()
+		fmt.Printf("xmppserver: online=%d connections=%d routed=%d group-fanout=%d auth-failures=%d\n",
+			srv.Online().Len(), st.Connections, st.Routed, st.GroupFanout, st.AuthFailures)
+		fmt.Printf("xmppserver: crossings=%d epc-evictions=%d pool-free=%d failed-actors=%v\n",
+			report.Platform.Crossings, report.Platform.EvictedPages,
+			report.PublicPoolFree, report.FailedActors)
+		if s2sSrv != nil {
+			fs := s2sSrv.Stats()
+			fmt.Printf("xmppserver: s2s links=%d stanzas=%d rejected=%d\n", fs.Links, fs.Stanzas, fs.Rejected)
 		}
-		defer stopHTTP()
-		fmt.Printf("xmppserver: metrics on http://%s/metrics (pprof on /debug/pprof/)\n", bound)
-		if *traceOn {
-			fmt.Printf("xmppserver: traces on http://%s/debug/traces (Chrome trace-event JSON)\n", bound)
-		}
-		if *profileOn {
-			fmt.Printf("xmppserver: cost profiles on http://%s/debug/profile (watch with eactors-top)\n", bound)
-		}
-	}
-	if *profileOut != "" {
-		f, err := os.OpenFile(*profileOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("profile snapshot file: %w", err)
-		}
-		defer f.Close()
-		snap := profile.NewSnapshotter(srv.CostProfile, f, *profileInterval)
-		snap.Start()
-		defer func() {
-			if err := snap.Stop(); err != nil {
-				fmt.Fprintln(os.Stderr, "xmppserver: profile snapshots:", err)
-			}
-		}()
-		fmt.Printf("xmppserver: cost-model snapshots every %s to %s\n", *profileInterval, *profileOut)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
-	if *statsEvery > 0 {
-		ticker := time.NewTicker(*statsEvery)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-sig:
-				fmt.Println("\nxmppserver: shutting down")
-				return nil
-			case <-ticker.C:
-				st := srv.Stats()
-				report := srv.Runtime().Report()
-				fmt.Printf("xmppserver: online=%d connections=%d routed=%d group-fanout=%d auth-failures=%d\n",
-					srv.Online().Len(), st.Connections, st.Routed, st.GroupFanout, st.AuthFailures)
-				fmt.Printf("xmppserver: crossings=%d epc-evictions=%d pool-free=%d failed-actors=%v\n",
-					report.Platform.Crossings, report.Platform.EvictedPages,
-					report.PublicPoolFree, report.FailedActors)
-				if s2sSrv != nil {
-					fs := s2sSrv.Stats()
-					fmt.Printf("xmppserver: s2s links=%d stanzas=%d rejected=%d\n", fs.Links, fs.Stanzas, fs.Rejected)
-				}
-			}
-		}
-	}
-	<-sig
-	fmt.Println("\nxmppserver: shutting down")
-	return nil
+	})
 }

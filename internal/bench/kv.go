@@ -23,7 +23,7 @@ type FigKVConfig struct {
 	Keys       int
 	ValueBytes int
 	// GetRatio is the GET fraction; the remainder splits SET/DEL 9:1,
-	// matching cmd/kvload's default mix.
+	// matching eactors-load kv's default mix.
 	GetRatio float64
 	Trusted  bool
 	Warmup   time.Duration

@@ -15,7 +15,7 @@ import (
 // deployment (zero-cost platform, so ns/op is transport + runtime, not
 // simulated enclave charges). Deeper rings amortise the loopback
 // round-trip over concurrent requests — the same effect the depth sweep
-// in EXPERIMENTS.md measures end to end with cmd/kvload.
+// in EXPERIMENTS.md measures end to end with eactors-load kv.
 func benchKVPipelined(b *testing.B, depth int) {
 	srv, err := kv.Start(kv.Options{
 		Shards:   1,

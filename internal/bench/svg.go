@@ -11,8 +11,8 @@ import (
 // This file renders recorded rows as SVG line charts — one chart per
 // figure, one polyline per series — so the harness can regenerate the
 // paper's figures as images, not just tables
-// (cmd/eactors-plot consumes the CSV that cmd/eactors-bench -format csv
-// emits).
+// (cmd/eactors-bench -plot renders them, from a run or from the CSV that
+// -format csv emits).
 
 // svgPalette holds the series colours (colour-blind-safe defaults).
 var svgPalette = []string{

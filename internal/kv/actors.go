@@ -66,24 +66,20 @@ const (
 	fphServe
 )
 
-// nodePayload is the deployment's node payload size.
-func nodePayload(opts Options) int {
-	if opts.NodePayload > 0 {
-		return opts.NodePayload
-	}
-	return core.DefaultNodePayload
-}
+// maxBatch bounds the messages one FRONTEND or KVSTORE invocation
+// drains.
+const maxBatch = 32
 
 // newFrontendState builds the FRONTEND's private state for a deployment
 // of the given shard count.
-func newFrontendState(opts Options, shards int) *frontendState {
+func newFrontendState(shards int) *frontendState {
 	st := &frontendState{
 		socks:     make(map[uint32]*connState),
 		acceptBuf: make([]byte, 4096),
 		stages:    make([]core.SendStage, shards),
 		pending:   make([][][]byte, shards),
 	}
-	st.recvBufs, st.recvLens = core.BatchBufs(opts.MaxBatch, nodePayload(opts))
+	st.recvBufs, st.recvLens = core.BatchBufs(maxBatch, core.DefaultNodePayload)
 	return st
 }
 
@@ -94,8 +90,8 @@ func newFrontendState(opts Options, shards int) *frontendState {
 // buffers — and the req channels re-protect everything at the first
 // enclave boundary.
 func (srv *Server) frontendSpec(opts Options, worker, shards int, addrCh chan<- string) core.Spec {
-	maxForward := netactors.MaxData(nodePayload(opts))
-	st := newFrontendState(opts, shards)
+	maxForward := netactors.MaxData(core.DefaultNodePayload)
+	st := newFrontendState(shards)
 	var open, accept, read, closeCh, fwrite *core.Endpoint
 	reqChans := make([]*core.Endpoint, shards)
 	return core.Spec{
@@ -439,7 +435,7 @@ func (st *storeState) replayFor(sock uint32, capacity int) *transport.Replay {
 // cache so a client resend replays instead of re-executing.
 func (srv *Server) storeSpec(opts Options, i, worker int, enclave string) core.Spec {
 	st := &storeState{}
-	st.recvBufs, st.recvLens = core.BatchBufs(opts.MaxBatch, nodePayload(opts))
+	st.recvBufs, st.recvLens = core.BatchBufs(maxBatch, core.DefaultNodePayload)
 	syncPerBurst := opts.FlushInterval < 0
 	var req, write *core.Endpoint
 	return core.Spec{

@@ -45,15 +45,15 @@ func TestFrontendRouteAllocatesNothing(t *testing.T) {
 		},
 	}
 	srv := &Server{}
-	opts := Options{MaxBatch: 32, ReplayWindow: transport.DefaultReplayWindow}
+	opts := Options{ReplayWindow: transport.DefaultReplayWindow}
 	allocs.InActor(t, cfg, "frontend", func(self *core.Self) {
-		st := newFrontendState(opts, 1)
+		st := newFrontendState(1)
 		cs := &connState{helloSeen: true}
 		const sock = 7
 		st.socks[sock] = cs
 		reqChans := []*core.Endpoint{self.MustChannel(reqChannel(0))}
 		closeCh, fwrite := self.MustChannel("close"), self.MustChannel("fwrite")
-		maxForward := netactors.MaxData(nodePayload(opts))
+		maxForward := netactors.MaxData(core.DefaultNodePayload)
 		bufs, lens := core.BatchBufs(1, core.DefaultNodePayload)
 		key := []byte("key-1234")
 		wire := make([]byte, 0, 256)

@@ -18,7 +18,7 @@ import (
 // profile layer observes the real traffic shape — a connected
 // FRONTEND → KVSTORE communication edge, crossings and seal/open work
 // charged to the enclaved store actor — and that the same model survives
-// a trip through the versioned JSONL codec and renders in eactors-top's
+// a trip through the versioned JSONL codec and renders in eactors top's
 // polling path against a live telemetry endpoint. Clients run while the
 // profile is snapshotted, so under -race this doubles as the concurrent
 // collector-read test.
@@ -35,9 +35,8 @@ func TestProfiledKVEndToEnd(t *testing.T) {
 		Telemetry:     true,
 		Trace:         true,
 		// Sample every drain so mailbox-dwell spans fold in quickly.
-		TraceSampleEvery:   1,
-		Profile:            true,
-		ProfileSampleEvery: 4,
+		TraceSampleEvery: 1,
+		Profile:          true,
 	})
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -114,7 +113,7 @@ func TestProfiledKVEndToEnd(t *testing.T) {
 		t.Fatalf("JSONL round-trip mismatch:\n got %+v\nwant %+v", got, m)
 	}
 
-	// One polling cycle of the eactors-top path: serve the profile over
+	// One polling cycle of the eactors top path: serve the profile over
 	// the real telemetry endpoint, fetch it back, render the table.
 	bound, stop, err := telemetry.Serve("127.0.0.1:0", srv.Telemetry(),
 		telemetry.WithProfile(srv.ProfileSource()))
@@ -134,7 +133,7 @@ func TestProfiledKVEndToEnd(t *testing.T) {
 	out := table.String()
 	for _, want := range []string{"frontend", "kvstore-0", "hottest edges"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("eactors-top render missing %q:\n%s", want, out)
+			t.Errorf("eactors top render missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -56,11 +56,6 @@ type Options struct {
 	// negative leaves flushing to the per-burst Sync in the KVSTORE).
 	FlushInterval time.Duration
 
-	// PoolNodes / NodePayload size the runtime's node pool.
-	PoolNodes   int
-	NodePayload int
-	// MaxBatch bounds per-invocation request processing per KVSTORE.
-	MaxBatch int
 	// Telemetry enables the runtime observability subsystem.
 	Telemetry bool
 	// Trace enables sampled causal tracing (independent of Telemetry).
@@ -71,9 +66,6 @@ type Options struct {
 	// Profile enables per-actor cost accounting (independent of
 	// Telemetry and Trace); see Server.CostProfile.
 	Profile bool
-	// ProfileSampleEvery decimates the profile's seal/open clock reads
-	// (profile.DefaultSampleEvery when zero).
-	ProfileSampleEvery int
 	// Faults arms the runtime's deterministic fault injector; nil in
 	// production.
 	Faults *faults.Injector
@@ -165,9 +157,6 @@ func Start(opts Options) (*Server, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = pos.DefaultShards
 	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 32
-	}
 	if opts.StoreSize <= 0 {
 		opts.StoreSize = 1 << 20
 	}
@@ -254,14 +243,11 @@ func (srv *Server) buildConfig(opts Options) (core.Config, chan string) {
 	addrCh := make(chan string, 1)
 
 	cfg := core.Config{
-		PoolNodes:          opts.PoolNodes,
-		NodePayload:        opts.NodePayload,
-		Telemetry:          opts.Telemetry,
-		Trace:              opts.Trace,
-		TraceSampleEvery:   opts.TraceSampleEvery,
-		Profile:            opts.Profile,
-		ProfileSampleEvery: opts.ProfileSampleEvery,
-		Faults:             opts.Faults,
+		Telemetry:        opts.Telemetry,
+		Trace:            opts.Trace,
+		TraceSampleEvery: opts.TraceSampleEvery,
+		Profile:          opts.Profile,
+		Faults:           opts.Faults,
 	}
 	cfg.Workers = make([]core.WorkerSpec, 2+shards)
 	frontWorker, netWorker := 0, 1

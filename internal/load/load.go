@@ -1,5 +1,5 @@
 // Package load is the closed-loop client driver behind every load tool
-// in the repository — cmd/kvload, cmd/xmppload, cmd/connscale and the
+// in the repository — cmd/eactors-load's kv, xmpp and idle verbs and the
 // figure sweeps of internal/bench. Every client waits for its reply
 // before it sends the next request (the paper's §6.4 driver model), an
 // operation counts only inside the measure window that follows the

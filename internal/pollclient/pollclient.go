@@ -1,5 +1,5 @@
 // Package pollclient is the small HTTP-polling helper shared by the
-// observability CLIs (eactors-trace, eactors-top): base-URL
+// observability CLI (eactors top and trace): base-URL
 // normalisation, a bounded GET, and artifact capture for chaos CI.
 package pollclient
 

@@ -15,8 +15,8 @@ import (
 // concurrent KVSTORE eactors; the sharded variants win on both axes —
 // per-shard locks remove freelist/bucket contention and the write-back
 // cache skips the record scan plus the AES-GCM open on hits. The CI
-// bench-regression job tracks these against BENCH_BASELINE.json and
-// EXPERIMENTS.md records the shard-scaling numbers.
+// bench-smoke job runs them and EXPERIMENTS.md records the shard-scaling
+// numbers.
 
 const (
 	kvBenchKeys  = 1024

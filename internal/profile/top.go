@@ -41,7 +41,7 @@ func sub(cur, prev uint64) uint64 {
 	return cur - prev
 }
 
-// RenderTop writes the eactors-top view: a per-actor cost table (rates
+// RenderTop writes the eactors top view: a per-actor cost table (rates
 // over the window between prev and cur, or cumulative totals when prev
 // is zero), the hottest communication edges, and per-enclave EPC lines.
 // Plain text, no terminal control — the caller owns screen handling.

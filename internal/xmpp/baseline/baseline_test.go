@@ -99,6 +99,12 @@ func testGroupChat(t *testing.T, kind Kind) {
 			t.Fatalf("%s got %+v", name, msg)
 		}
 	}
+	// The fan-out is counted after each copy is written, so the last
+	// reader can get here first: poll the counter to a deadline.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().GroupFanout < 2 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if srv.Stats().GroupFanout != 2 {
 		t.Fatalf("fanout = %d", srv.Stats().GroupFanout)
 	}

@@ -64,9 +64,8 @@ func TestCapstoneFullDeployment(t *testing.T) {
 	}
 
 	// Presence query through iq.
-	online, err := users["bob"].QueryOnline("carol", 10*time.Second)
-	if err != nil || !online {
-		t.Fatalf("QueryOnline = %v, %v", online, err)
+	if !client.WhoOnline(iq(t, users["bob"], client.WhoQuery("carol"))) {
+		t.Fatal("carol reported offline")
 	}
 
 	// Dedicated-room group chat: all four join, alice sends.

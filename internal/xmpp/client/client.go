@@ -155,56 +155,37 @@ func (c *Client) SendRaw(raw string) error {
 	return err
 }
 
-// Ping sends an XEP-0199 ping and waits for the service's result.
-func (c *Client) Ping(timeout time.Duration) error {
-	id := fmt.Sprintf("ping-%d", time.Now().UnixNano())
-	iq := fmt.Sprintf(`<iq type="get" id=%q from=%q><ping/></iq>`,
-		stanza.Escape(id), stanza.Escape(c.user))
-	if _, err := c.conn.Write([]byte(iq)); err != nil {
-		return err
-	}
-	_, err := c.awaitIQ(id, timeout)
-	return err
+// PingQuery is the iq child of an XEP-0199 ping.
+const PingQuery = "<ping/>"
+
+// WhoQuery is the iq child that asks whether user is online; WhoOnline
+// reads the answer from its result.
+func WhoQuery(user string) string { return "<who>" + stanza.Escape(user) + "</who>" }
+
+// WhoOnline reports the online state a WhoQuery result carries.
+func WhoOnline(result stanza.Stanza) bool { return stanza.ChildText(result.Raw, "status") == "online" }
+
+// SendIQ sends a get iq with the given child element and returns its
+// id. Whoever reads the stream recognises the answer with IQResult, so
+// a client with a reader goroutine needs no second reader for iqs.
+func (c *Client) SendIQ(child string) (string, error) {
+	id := fmt.Sprintf("iq-%d", time.Now().UnixNano())
+	iq := fmt.Sprintf(`<iq type="get" id=%q from=%q>%s</iq>`,
+		stanza.Escape(id), stanza.Escape(c.user), child)
+	_, err := c.conn.Write([]byte(iq))
+	return id, err
 }
 
-// QueryOnline asks the service whether a user is currently online.
-func (c *Client) QueryOnline(user string, timeout time.Duration) (bool, error) {
-	id := fmt.Sprintf("who-%d", time.Now().UnixNano())
-	iq := fmt.Sprintf(`<iq type="get" id=%q from=%q><who>%s</who></iq>`,
-		stanza.Escape(id), stanza.Escape(c.user), stanza.Escape(user))
-	if _, err := c.conn.Write([]byte(iq)); err != nil {
-		return false, err
+// IQResult reports whether el answers the iq with the given id, and
+// returns an error when that answer is not a result.
+func IQResult(el stanza.Stanza, id string) (bool, error) {
+	if el.Kind != stanza.KindStanza || el.Name != "iq" || el.Attr("id") != id {
+		return false, nil
 	}
-	el, err := c.awaitIQ(id, timeout)
-	if err != nil {
-		return false, err
+	if el.Attr("type") != "result" {
+		return true, fmt.Errorf("client: iq %s answered with type %q", id, el.Attr("type"))
 	}
-	return stanza.ChildText(el.Raw, "status") == "online", nil
-}
-
-// awaitIQ reads until the iq result with the given id arrives, skipping
-// unrelated stanzas (messages stay pending in the scanner order; callers
-// interleaving chats and iqs should serialise them).
-func (c *Client) awaitIQ(id string, timeout time.Duration) (stanza.Stanza, error) {
-	if timeout > 0 {
-		_ = c.conn.SetReadDeadline(time.Now().Add(timeout))
-		defer c.conn.SetReadDeadline(time.Time{})
-	}
-	for {
-		el, err := c.next()
-		if err != nil {
-			return stanza.Stanza{}, err
-		}
-		if el.Kind == stanza.KindStreamEnd {
-			return stanza.Stanza{}, ErrStreamClosed
-		}
-		if el.Kind == stanza.KindStanza && el.Name == "iq" && el.Attr("id") == id {
-			if el.Attr("type") != "result" {
-				return stanza.Stanza{}, fmt.Errorf("client: iq %s answered with type %q", id, el.Attr("type"))
-			}
-			return el, nil
-		}
-	}
+	return true, nil
 }
 
 // Message is a received chat message.
@@ -223,32 +204,60 @@ func (c *Client) ReadMessage(timeout time.Duration) (Message, error) {
 		defer c.conn.SetReadDeadline(time.Time{})
 	}
 	for {
-		el, err := c.next()
+		el, err := c.readStanza()
 		if err != nil {
 			return Message{}, err
 		}
-		switch {
-		case el.Kind == stanza.KindStreamEnd:
-			return Message{}, ErrStreamClosed
-		case el.Kind == stanza.KindStanza && el.Name == "message":
-			m := Message{
-				From:  el.Attr("from"),
-				To:    el.Attr("to"),
-				Body:  el.Body(),
-				Group: el.Attr("type") == "groupchat",
-			}
-			if m.Group {
-				body, err := xmpp.OpenBodyWith(c.openCipher, m.Body)
-				if err != nil {
-					return Message{}, fmt.Errorf("client: unseal group body: %w", err)
-				}
-				m.Body = body
-			}
-			return m, nil
-		default:
-			// Ignore presences and other stanzas.
+		if el.Name == "message" {
+			return c.Decode(el)
+		}
+		// Ignore presences and other stanzas.
+	}
+}
+
+// ReadStanza blocks (up to timeout; zero means no deadline) for the
+// next stanza; the end of the stream is ErrStreamClosed.
+func (c *Client) ReadStanza(timeout time.Duration) (stanza.Stanza, error) {
+	if timeout > 0 {
+		_ = c.conn.SetReadDeadline(time.Now().Add(timeout))
+		defer c.conn.SetReadDeadline(time.Time{})
+	}
+	return c.readStanza()
+}
+
+// readStanza reads until the next stanza, skipping other stream
+// elements.
+func (c *Client) readStanza() (stanza.Stanza, error) {
+	for {
+		el, err := c.next()
+		if err != nil {
+			return stanza.Stanza{}, err
+		}
+		switch el.Kind {
+		case stanza.KindStreamEnd:
+			return stanza.Stanza{}, ErrStreamClosed
+		case stanza.KindStanza:
+			return el, nil
 		}
 	}
+}
+
+// Decode turns a message stanza into a Message, unsealing a group body.
+func (c *Client) Decode(el stanza.Stanza) (Message, error) {
+	m := Message{
+		From:  el.Attr("from"),
+		To:    el.Attr("to"),
+		Body:  el.Body(),
+		Group: el.Attr("type") == "groupchat",
+	}
+	if m.Group {
+		body, err := xmpp.OpenBodyWith(c.openCipher, m.Body)
+		if err != nil {
+			return Message{}, fmt.Errorf("client: unseal group body: %w", err)
+		}
+		m.Body = body
+	}
+	return m, nil
 }
 
 // Close ends the stream and closes the connection.

@@ -5,15 +5,37 @@ import (
 	"time"
 
 	"github.com/eactors/eactors-go/internal/xmpp"
+	"github.com/eactors/eactors-go/internal/xmpp/client"
+	"github.com/eactors/eactors-go/internal/xmpp/stanza"
 )
+
+// iq sends a get iq with the given child and reads c's stream until its
+// result arrives.
+func iq(t *testing.T, c *client.Client, child string) stanza.Stanza {
+	t.Helper()
+	id, err := c.SendIQ(child)
+	if err != nil {
+		t.Fatalf("SendIQ(%s): %v", child, err)
+	}
+	for {
+		el, err := c.ReadStanza(10 * time.Second)
+		if err != nil {
+			t.Fatalf("iq %s: %v", child, err)
+		}
+		if match, err := client.IQResult(el, id); match {
+			if err != nil {
+				t.Fatal(err)
+			}
+			return el
+		}
+	}
+}
 
 func TestIQPing(t *testing.T) {
 	srv := startServer(t, xmpp.Options{Shards: 1, Trusted: true})
 	alice := dial(t, srv.Addr(), "alice")
 	for i := 0; i < 3; i++ {
-		if err := alice.Ping(10 * time.Second); err != nil {
-			t.Fatalf("Ping #%d: %v", i, err)
-		}
+		iq(t, alice, client.PingQuery)
 	}
 }
 
@@ -23,28 +45,16 @@ func TestIQQueryOnline(t *testing.T) {
 	bob := dial(t, srv.Addr(), "bob")
 	waitFor(t, func() bool { return srv.Online().Len() == 2 }, "both online")
 
-	online, err := alice.QueryOnline("bob", 10*time.Second)
-	if err != nil {
-		t.Fatalf("QueryOnline(bob): %v", err)
-	}
-	if !online {
+	if !client.WhoOnline(iq(t, alice, client.WhoQuery("bob"))) {
 		t.Fatal("bob reported offline while connected")
 	}
-	online, err = alice.QueryOnline("carol", 10*time.Second)
-	if err != nil {
-		t.Fatalf("QueryOnline(carol): %v", err)
-	}
-	if online {
+	if client.WhoOnline(iq(t, alice, client.WhoQuery("carol"))) {
 		t.Fatal("carol reported online while absent")
 	}
 
 	_ = bob.Close()
 	waitFor(t, func() bool { return srv.Online().Len() == 1 }, "bob offline")
-	online, err = alice.QueryOnline("bob", 10*time.Second)
-	if err != nil {
-		t.Fatalf("QueryOnline after close: %v", err)
-	}
-	if online {
+	if client.WhoOnline(iq(t, alice, client.WhoQuery("bob"))) {
 		t.Fatal("bob reported online after disconnect")
 	}
 }

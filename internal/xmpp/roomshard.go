@@ -102,7 +102,7 @@ func (srv *Server) roomShardSpec(opts Options, j, worker int, enclave, room stri
 	var write *core.Endpoint
 	var pending [][]byte
 	var stage core.SendStage
-	recvBufs, recvLens := core.BatchBufs(opts.MaxBatch, 8192)
+	recvBufs, recvLens := core.BatchBufs(maxBatch, 8192)
 	return core.Spec{
 		Name:    roomShardName(j),
 		Enclave: enclave,

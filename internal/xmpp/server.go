@@ -33,11 +33,6 @@ type Options struct {
 	EnclaveCount int
 	// Platform supplies the SGX simulation; nil creates a default one.
 	Platform *sgx.Platform
-	// PoolNodes / NodePayload size the runtime's node pool.
-	PoolNodes   int
-	NodePayload int
-	// MaxBatch bounds per-invocation message processing per shard.
-	MaxBatch int
 	// DedicatedRooms lists group chats confined to their own XMPP
 	// eactor — and, when Trusted, their own enclave (Section 2.1: per-
 	// group-chat enclaves limit what a compromised enclave exposes).
@@ -67,9 +62,6 @@ type Options struct {
 	// Profile enables per-actor cost accounting (independent of
 	// Telemetry and Trace); see Server.CostProfile.
 	Profile bool
-	// ProfileSampleEvery decimates the profile's seal/open clock reads
-	// (profile.DefaultSampleEvery when zero).
-	ProfileSampleEvery int
 	// Faults arms the runtime's deterministic fault injector
 	// (core.Config.Faults) for chaos testing; nil in production.
 	Faults *faults.Injector
@@ -169,9 +161,6 @@ func Start(opts Options) (*Server, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 32
-	}
 	enclaveCount := 0
 	if opts.Trusted {
 		enclaveCount = opts.EnclaveCount
@@ -263,14 +252,11 @@ func (srv *Server) buildConfig(opts Options, enclaveCount int) (core.Config, cha
 	addrCh := make(chan string, 1)
 
 	cfg := core.Config{
-		PoolNodes:          opts.PoolNodes,
-		NodePayload:        opts.NodePayload,
-		Telemetry:          opts.Telemetry,
-		Trace:              opts.Trace,
-		TraceSampleEvery:   opts.TraceSampleEvery,
-		Profile:            opts.Profile,
-		ProfileSampleEvery: opts.ProfileSampleEvery,
-		Faults:             opts.Faults,
+		Telemetry:        opts.Telemetry,
+		Trace:            opts.Trace,
+		TraceSampleEvery: opts.TraceSampleEvery,
+		Profile:          opts.Profile,
+		Faults:           opts.Faults,
 	}
 
 	// Workers: 0 = connector, 1 = connector networking, then per shard a

@@ -20,6 +20,10 @@ const maxPendingWrites = 4096
 // instead of accumulating the whole room in the stage.
 const deliverFlushBatch = 64
 
+// maxBatch bounds the messages one shard or room-shard invocation
+// drains.
+const maxBatch = 32
+
 // shardState is one XMPP eactor's private state.
 type shardState struct {
 	pcl     map[uint32]*session // the paper's private client list
@@ -63,7 +67,7 @@ func (srv *Server) shardSpec(opts Options, i, worker int, enclave string) core.S
 		pcl:     make(map[uint32]*session),
 		ciphers: make(map[string]*ecrypto.Cipher),
 	}
-	st.readBufs, st.readLens = core.BatchBufs(opts.MaxBatch, 4096)
+	st.readBufs, st.readLens = core.BatchBufs(maxBatch, 4096)
 	st.hoBufs, st.hoLens = core.BatchBufs(8, 4096)
 	var handoff, read, write, closeCh *core.Endpoint
 	roomFwd := make([]*core.Endpoint, len(opts.DedicatedRooms))
@@ -107,7 +111,7 @@ func (srv *Server) shardSpec(opts Options, i, worker int, enclave string) core.S
 				srv.shardHandoff(self, st, read, st.hoBufs[i][:st.hoLens[i]])
 			}
 
-			// Inbound traffic, one batched drain bounded by MaxBatch and
+			// Inbound traffic, one batched drain bounded by maxBatch and
 			// the worker's drain budget.
 			n, _ = self.RecvBatch(read, st.readBufs, st.readLens)
 			for i := 0; i < n; i++ {

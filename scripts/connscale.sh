@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Connection-scale smoke: build the real server binaries, then let the
-# connscale harness park CONNS idle connections on each and assert the
+# Connection-scale smoke: build the real server binaries, then let
+# eactors-load idle park CONNS idle connections on each and assert the
 # idle-connection cost contract: at most one goroutine per idle
 # connection (its parked read pump) plus a fixed allowance, and a hard
 # RSS ceiling per idle connection. It also prints the p99 of a small
@@ -16,6 +16,6 @@ ulimit -n "$(ulimit -Hn)" || true
 echo "connscale.sh: fd limit soft=$(ulimit -Sn) hard=$(ulimit -Hn)"
 
 mkdir -p bin
-go build -o bin/ ./cmd/kvserver ./cmd/xmppserver ./cmd/connscale
+go build -o bin/ ./cmd/kvserver ./cmd/xmppserver ./cmd/eactors-load
 
-exec ./bin/connscale -kvserver bin/kvserver -xmppserver bin/xmppserver -conns "$CONNS"
+exec ./bin/eactors-load idle -kvserver bin/kvserver -xmppserver bin/xmppserver -conns "$CONNS"
