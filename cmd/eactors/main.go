@@ -2,7 +2,7 @@
 // attaches to the server's telemetry endpoint (kvserver or xmppserver
 // with -metrics) and the first argument picks the view.
 //
-//	eactors top   -addr 127.0.0.1:9090 [-interval 2s] [-rows 20] [-once] [-o snapshot.json]
+//	eactors top   -addr 127.0.0.1:9090 [-interval 2s] [-rows 20] [-once] [-o costs.jsonl]
 //	eactors trace -addr 127.0.0.1:9090 [-n 5] [-wait 10s] [-o out.json]
 //
 // top renders a live per-actor cost table from /debug/profile (servers
@@ -10,8 +10,9 @@
 // bandwidth, mailbox dwell, the hottest actor-to-actor edges, and
 // per-enclave EPC attribution. The first frame shows cumulative totals;
 // every later frame shows rates over the refresh window. With -once it
-// prints a single frame and exits; with -o the latest raw snapshot is
-// also saved as JSON.
+// prints a single frame and exits; with -o every snapshot it fetches is
+// appended to the file as one JSONL record, so repeated runs keep a
+// cost history.
 //
 // trace prints sampled causal traces from /debug/traces (servers run
 // with -trace) as per-hop latency breakdowns, newest first; with -o the
@@ -28,7 +29,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/eactors/eactors-go/internal/pollclient"
 	"github.com/eactors/eactors-go/internal/profile"
 )
 
@@ -51,12 +51,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return runTop(fs, args[1:], stdout, stderr)
 }
 
-func runTop(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
+func runTop(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) (err error) {
 	addr := fs.String("addr", "http://127.0.0.1:9090", "server metrics base URL, or a full /debug/profile URL")
 	interval := fs.Duration("interval", time.Second, "refresh interval")
 	rows := fs.Int("rows", 0, "bound the actor table to the hottest N rows (0 = all)")
 	once := fs.Bool("once", false, "print a single frame (cumulative totals) and exit")
-	out := fs.String("o", "", "also write the latest raw snapshot to this file (profile JSON)")
+	out := fs.String("o", "", "append every fetched snapshot to this file, one JSONL record each")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -65,15 +65,32 @@ func runTop(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("%w (is the server running with -profile?)", err)
 	}
-	save := func(b []byte) error {
-		if *out == "" {
+	// The /debug/profile body is one Model.Encode line, so appending
+	// bodies keeps the history file JSONL.
+	var history *os.File
+	if *out != "" {
+		if history, err = os.OpenFile(*out, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+			return err
+		}
+		defer func() {
+			if cerr := history.Close(); err == nil {
+				err = cerr
+			}
+		}()
+	}
+	record := func(b []byte) error {
+		if history == nil {
 			return nil
 		}
-		return pollclient.WriteArtifact(*out, b)
+		_, err := history.Write(b)
+		return err
+	}
+	if err := record(body); err != nil {
+		return err
 	}
 	if *once {
 		profile.RenderTop(stdout, profile.Model{}, cur, *rows)
-		return save(body)
+		return nil
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -91,7 +108,7 @@ func runTop(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 		select {
 		case <-sig:
 			fmt.Fprintln(stdout)
-			return save(body)
+			return nil
 		case <-ticker.C:
 			next, b, err := profile.Fetch(*addr)
 			if err != nil {
@@ -100,7 +117,9 @@ func runTop(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 				fmt.Fprintf(stderr, "eactors top: %v\n", err)
 				continue
 			}
-			body = b
+			if err := record(b); err != nil {
+				return err
+			}
 			fmt.Fprint(stdout, "\x1b[2J\x1b[H")
 			profile.RenderTop(stdout, prev, next, *rows)
 			prev = next

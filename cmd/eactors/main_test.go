@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -38,6 +40,44 @@ func TestTopOnce(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "frontend") {
 		t.Errorf("top frame lacks the frontend actor:\n%s", stdout.String())
+	}
+}
+
+// TestTopOnceAppendsHistory: with -o every top run appends the snapshot
+// it fetched as one JSONL record, so two runs leave two decodable lines.
+func TestTopOnceAppendsHistory(t *testing.T) {
+	model := profile.Model{
+		V:            profile.SnapshotVersion,
+		CapturedAtNs: time.Now().UnixNano(),
+		Actors:       []profile.ActorCost{{Name: "frontend", Invocations: 7}},
+	}
+	bound, stop, err := telemetry.Serve("127.0.0.1:0", nil,
+		telemetry.WithProfile(func() profile.Model { return model }))
+	if err != nil {
+		t.Fatalf("telemetry.Serve: %v", err)
+	}
+	defer stop()
+
+	path := filepath.Join(t.TempDir(), "costs.jsonl")
+	for i := 0; i < 2; i++ {
+		var stderr bytes.Buffer
+		if err := run([]string{"top", "-addr", bound, "-once", "-o", path}, &bytes.Buffer{}, &stderr); err != nil {
+			t.Fatalf("top run %d: %v\n%s", i, err, stderr.String())
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("history has %d lines, want 2:\n%s", len(lines), data)
+	}
+	for i, line := range lines {
+		m, err := profile.Decode([]byte(line))
+		if err != nil || len(m.Actors) != 1 || m.Actors[0].Name != "frontend" {
+			t.Errorf("line %d = %+v, %v; want the served model", i, m, err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"time"
 
@@ -74,7 +75,7 @@ func runTrace(fs *flag.FlagSet, args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *out != "" {
-		if err := pollclient.WriteArtifact(*out, body); err != nil {
+		if err := os.WriteFile(*out, body, 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "eactors trace: snapshot saved to %s\n", *out)

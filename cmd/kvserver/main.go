@@ -41,6 +41,9 @@ func run() error {
 	replayWindow := flag.Int("replay-window", 0, "per-session resend-dedup cache depth (0 = transport default)")
 	obs := observe.Register(flag.CommandLine)
 	flag.Parse()
+	if err := obs.Check(); err != nil {
+		return err
+	}
 
 	var encKey *[ecrypto.KeySize]byte
 	if *encrypt {
@@ -75,7 +78,7 @@ func run() error {
 		Telemetry:        obs.Telemetry(),
 		Trace:            obs.Trace,
 		TraceSampleEvery: obs.TraceSample,
-		Profile:          obs.Profiling(),
+		Profile:          obs.Profile,
 	})
 	if err != nil {
 		return err

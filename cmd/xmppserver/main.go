@@ -38,6 +38,9 @@ func run() error {
 	domain := flag.String("domain", "localhost", "local domain announced on federation links (with -s2s)")
 	obs := observe.Register(flag.CommandLine)
 	flag.Parse()
+	if err := obs.Check(); err != nil {
+		return err
+	}
 
 	var dedicated []string
 	if *rooms != "" {
@@ -67,7 +70,7 @@ func run() error {
 		Telemetry:        obs.Telemetry(),
 		Trace:            obs.Trace,
 		TraceSampleEvery: obs.TraceSample,
-		Profile:          obs.Profiling(),
+		Profile:          obs.Profile,
 	})
 	if err != nil {
 		return err

@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"github.com/eactors/eactors-go/internal/mem"
@@ -163,18 +162,6 @@ func (s *Self) Channel(name string) (*Endpoint, error) {
 	return ep, nil
 }
 
-// Endpoints returns all of the eactor's channel endpoints, sorted by
-// channel name. System eactors that serve any peer wired to them (the
-// MONITOR) iterate it instead of naming channels up front.
-func (s *Self) Endpoints() []*Endpoint {
-	eps := make([]*Endpoint, 0, len(s.inst.endpoints))
-	for _, ep := range s.inst.endpoints {
-		eps = append(eps, ep)
-	}
-	sort.Slice(eps, func(i, j int) bool { return eps[i].ch.name < eps[j].ch.name })
-	return eps
-}
-
 // MustChannel is Channel for constructor use, where a missing channel is
 // a configuration bug.
 func (s *Self) MustChannel(name string) *Endpoint {
@@ -191,7 +178,7 @@ func (s *Self) Progress() { s.progressed = true }
 
 // DrainBudget returns how many more messages this invocation may
 // consume through RecvBatch before the worker moves on to its next
-// eactor (Config.DrainBudget, reset every invocation).
+// eactor (256 messages, reset every invocation).
 func (s *Self) DrainBudget() int { return s.drainLeft }
 
 // RecvBatch is the budgeted batch receive bodies should use on hot

@@ -361,17 +361,6 @@ func TestSelfRecvBatchHonoursDrainBudget(t *testing.T) {
 	}
 }
 
-func TestConfigDrainBudgetValidation(t *testing.T) {
-	cfg := Config{
-		Workers:     []WorkerSpec{{}},
-		DrainBudget: -1,
-		Actors:      []Spec{{Name: "a", Worker: 0, Body: func(*Self) {}}},
-	}
-	if _, err := NewRuntime(zeroPlatform(), cfg); err == nil {
-		t.Fatal("negative DrainBudget accepted")
-	}
-}
-
 func TestBatchBufs(t *testing.T) {
 	bufs, lens := BatchBufs(4, 32)
 	if len(bufs) != 4 || len(lens) != 4 {

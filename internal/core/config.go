@@ -18,14 +18,15 @@ const (
 	// periodic flush) runs, and recovers a doorbell the fault injector
 	// dropped.
 	DefaultIdleSleep = 10 * time.Millisecond
-	// DefaultDrainBudget bounds how many messages one body invocation
-	// may consume through Self.RecvBatch. The budget is what lets
-	// bodies drain aggressively (the batch fast path) without letting
-	// one flooded eactor starve its worker siblings: the worker resets
-	// it before every invocation, so a body that exhausts it simply
-	// resumes on its next round-robin turn.
-	DefaultDrainBudget = 256
 )
+
+// drainBudget bounds how many messages one body invocation may consume
+// through Self.RecvBatch. The budget is what lets bodies drain
+// aggressively (the batch fast path) without letting one flooded eactor
+// starve its worker siblings: the worker resets it before every
+// invocation, so a body that exhausts it simply resumes on its next
+// round-robin turn.
+const drainBudget = 256
 
 // EnclaveSpec declares one enclave of the deployment.
 type EnclaveSpec struct {
@@ -88,23 +89,13 @@ type Config struct {
 	// IdleSleep is the worker back-off once all its eactors are idle.
 	IdleSleep time.Duration
 
-	// DrainBudget caps the messages one body invocation may consume via
-	// Self.RecvBatch (DefaultDrainBudget when zero). Raise it for
-	// throughput-bound single-actor workers, lower it for fairness
-	// under mixed latency-sensitive actors.
-	DrainBudget int
-
 	// Telemetry enables the observability subsystem: sharded counters,
 	// latency histograms and a per-worker flight recorder, exposed
-	// through Runtime.Telemetry (Prometheus/pprof HTTP) and the MONITOR
-	// system eactor. Disabled, every instrumentation site reduces to one
-	// nil check; enabled, hot-path latency sampling keeps the overhead
-	// within ~10% on the message fast path (see DESIGN.md §Observability).
+	// through Runtime.Telemetry (served over HTTP by telemetry.Serve).
+	// Disabled, every instrumentation site reduces to one nil check;
+	// enabled, hot-path latency sampling keeps the overhead within ~10%
+	// on the message fast path (see DESIGN.md §Observability).
 	Telemetry bool
-
-	// TelemetryRecorderSize is the per-worker flight-recorder ring size
-	// in events (power of two, telemetry.DefaultRecorderSize when zero).
-	TelemetryRecorderSize int
 
 	// Trace enables sampled causal tracing (internal/trace): ingress
 	// points root 1-in-TraceSampleEvery traces, and every hop of a
@@ -117,10 +108,6 @@ type Config struct {
 	// TraceSampleEvery roots one trace per this many ingress events
 	// (rounded up to a power of two; trace.DefaultSampleEvery when zero).
 	TraceSampleEvery int
-
-	// TraceBufferSpans is the per-worker span ring size (power-of-two
-	// rounding; trace.DefaultBufferSpans when zero).
-	TraceBufferSpans int
 
 	// Profile enables per-actor cost accounting (internal/profile):
 	// every actor gets a cost cell accumulating invoke CPU time, traffic
@@ -235,13 +222,7 @@ func (c *Config) validate() error {
 	if c.PoolNodes < 0 || c.NodePayload < 0 {
 		return fmt.Errorf("core: negative pool geometry")
 	}
-	if c.DrainBudget < 0 {
-		return fmt.Errorf("core: negative drain budget")
-	}
-	if c.TelemetryRecorderSize < 0 {
-		return fmt.Errorf("core: negative telemetry recorder size")
-	}
-	if c.TraceSampleEvery < 0 || c.TraceBufferSpans < 0 {
+	if c.TraceSampleEvery < 0 {
 		return fmt.Errorf("core: negative trace configuration")
 	}
 	if c.ProfileSampleEvery < 0 {

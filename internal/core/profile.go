@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"github.com/eactors/eactors-go/internal/profile"
@@ -15,9 +13,8 @@ func (rt *Runtime) ProfileEnabled() bool { return rt.prof != nil }
 // CostProfile captures the deployment's cost model: it first folds any
 // pending sampled trace spans (mailbox dwell) into the cost cells, then
 // snapshots every actor, communication edge and enclave. The result is
-// the versioned profile.Model that /debug/profile, the MONITOR profile
-// verb and the JSONL snapshotter all serve. Returns an empty model when
-// Config.Profile is off.
+// the versioned profile.Model that /debug/profile serves. Returns an
+// empty model when Config.Profile is off.
 //
 // Safe from any goroutine: cells are atomics, span folding is
 // idempotent (high-water deduplication), and the trace snapshot
@@ -30,38 +27,4 @@ func (rt *Runtime) CostProfile() profile.Model {
 		rt.prof.FoldSpans(rt.tr.Snapshot())
 	}
 	return rt.prof.Snapshot(time.Now().UnixNano())
-}
-
-// registerProfileFuncs exposes the hottest per-actor cost counters as
-// labelled Prometheus series (read-side only: each scrape loads the
-// cell atomics). The full profile — edges, enclaves, dwell — stays on
-// /debug/profile; per-actor series keep dashboards and alerting on the
-// standard scrape path.
-func (rt *Runtime) registerProfileFuncs(cfg Config) {
-	reg := rt.tel
-	names := make([]string, 0, len(cfg.Actors))
-	for _, spec := range cfg.Actors {
-		names = append(names, spec.Name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		cell := rt.actors[name].cost
-		label := fmt.Sprintf("{actor=%q}", name)
-		reg.CounterFunc("eactors_actor_invocations"+label, "body invocations of the actor",
-			cell.Invocations.Load)
-		reg.CounterFunc("eactors_actor_invoke_ns"+label, "cumulative body CPU time",
-			cell.InvokeNs.Load)
-		reg.CounterFunc("eactors_actor_msgs_sent"+label, "messages the actor sent",
-			cell.MsgsSent.Load)
-		reg.CounterFunc("eactors_actor_bytes_sent"+label, "plaintext bytes the actor sent",
-			cell.BytesSent.Load)
-		reg.CounterFunc("eactors_actor_msgs_recv"+label, "messages the actor received",
-			cell.MsgsRecv.Load)
-		reg.CounterFunc("eactors_actor_bytes_recv"+label, "plaintext bytes the actor received",
-			cell.BytesRecv.Load)
-		reg.CounterFunc("eactors_actor_crossings"+label, "enclave crossings charged to the actor",
-			cell.Crossings.Load)
-		reg.CounterFunc("eactors_actor_seal_ns"+label, "channel seal time charged to the actor (sampled estimate)",
-			cell.SealNs.Load)
-	}
 }

@@ -134,12 +134,12 @@ func NewRuntime(platform *sgx.Platform, cfg Config) (*Runtime, error) {
 		stopCh:   make(chan struct{}),
 	}
 	if cfg.Telemetry {
-		rt.tel = telemetry.New(len(cfg.Workers), cfg.TelemetryRecorderSize)
+		rt.tel = telemetry.New(len(cfg.Workers), telemetry.DefaultRecorderSize)
 		rt.m = newMetrics(rt.tel, len(cfg.Workers))
 		platform.AttachTelemetry(rt.tel)
 	}
 	if cfg.Trace {
-		rt.tr = trace.New(len(cfg.Workers), cfg.TraceBufferSpans, cfg.TraceSampleEvery)
+		rt.tr = trace.New(len(cfg.Workers), trace.DefaultBufferSpans, cfg.TraceSampleEvery)
 	}
 	if cfg.Profile {
 		rt.prof = profile.NewCollector(cfg.ProfileSampleEvery)
@@ -210,20 +210,16 @@ func NewRuntime(platform *sgx.Platform, cfg Config) (*Runtime, error) {
 	rt.workers = make([]*Worker, len(cfg.Workers))
 	for i := range cfg.Workers {
 		rt.workers[i] = &Worker{
-			id:          i,
-			rt:          rt,
-			ctx:         sgx.NewContext(platform),
-			idleSleep:   cfg.IdleSleep,
-			drainBudget: cfg.DrainBudget,
-			doorbell:    make(chan struct{}, 1),
-			stop:        rt.stopCh,
-			done:        make(chan struct{}),
+			id:        i,
+			rt:        rt,
+			ctx:       sgx.NewContext(platform),
+			idleSleep: cfg.IdleSleep,
+			doorbell:  make(chan struct{}, 1),
+			stop:      rt.stopCh,
+			done:      make(chan struct{}),
 		}
 		if rt.workers[i].idleSleep == 0 {
 			rt.workers[i].idleSleep = DefaultIdleSleep
-		}
-		if rt.workers[i].drainBudget == 0 {
-			rt.workers[i].drainBudget = DefaultDrainBudget
 		}
 		if rt.m != nil {
 			rt.workers[i].m = rt.m
@@ -256,9 +252,6 @@ func NewRuntime(platform *sgx.Platform, cfg Config) (*Runtime, error) {
 
 	if rt.tel != nil {
 		rt.registerRuntimeFuncs()
-		if rt.prof != nil {
-			rt.registerProfileFuncs(cfg)
-		}
 	}
 	return rt, nil
 }

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -24,8 +22,8 @@ const (
 //
 // Restarts are performed by the worker that owns the actor — the only
 // thread allowed to touch its endpoints — so no cross-thread handshake
-// is needed; the SUPERVISOR system eactor (SupervisorSpec) is the
-// observation and manual-override plane on top.
+// is needed; Runtime.Supervision observes them and RestartActor is the
+// manual override.
 type RestartPolicy struct {
 	// OnPanic enables supervised restarts. False (the zero value) keeps
 	// the permanent park.
@@ -151,112 +149,4 @@ func (rt *Runtime) RestartActor(name string) error {
 	inst.forceGen.Store(inst.parkGen.Load())
 	inst.worker.Wake()
 	return nil
-}
-
-// SupervisorSpec returns the SUPERVISOR system eactor: the observation
-// and control plane of the supervision layer, served over ordinary
-// channels like the MONITOR (the paper's system-eactor pattern,
-// Section 4). Restart enforcement itself is worker-driven — a
-// deployment without a SUPERVISOR still restarts actors per their
-// RestartPolicy; the SUPERVISOR adds inspection and manual overrides.
-//
-// Wire a channel from any eactor to the supervisor and send it one of
-// the plain-text commands; the answer returns on the same channel:
-//
-//	status           one line per actor: parked/healthy, restart count,
-//	                 last failure, time until the pending restart
-//	failed           only the currently parked actors
-//	restart <actor>  force-restart a parked actor now (bypasses backoff
-//	                 and policy)
-//
-// Unlike the MONITOR it does not require Config.Telemetry: it reads
-// the runtime's supervision state directly.
-func SupervisorSpec(name string, worker int) Spec {
-	return Spec{
-		Name:   name,
-		Worker: worker,
-		State:  &supervisorState{},
-		Body:   supervisorBody,
-	}
-}
-
-type supervisorState struct {
-	req []byte
-}
-
-func supervisorBody(self *Self) {
-	st := self.State.(*supervisorState)
-	for _, ep := range self.Endpoints() {
-		if cap(st.req) < ep.MaxPayload() {
-			st.req = make([]byte, ep.MaxPayload())
-		}
-		for {
-			n, ok, err := ep.Recv(st.req[:ep.MaxPayload()])
-			if !ok {
-				break
-			}
-			self.Progress()
-			if err != nil {
-				continue
-			}
-			reply := supervisorAnswer(self, strings.TrimSpace(string(st.req[:n])))
-			if len(reply) > ep.MaxPayload() {
-				reply = reply[:ep.MaxPayload()]
-			}
-			// Supervision must never block; a full reply direction drops
-			// the answer and the client's next command gets a fresh one.
-			_ = ep.Send(reply) //sendcheck:ok
-		}
-	}
-}
-
-func supervisorAnswer(self *Self, query string) []byte {
-	rt := self.Runtime()
-	var buf bytes.Buffer
-	cmd, arg, _ := strings.Cut(query, " ")
-	switch cmd {
-	case "status", "failed":
-		parked := 0
-		for _, s := range rt.Supervision() {
-			if s.Parked {
-				parked++
-			} else if cmd == "failed" {
-				continue
-			}
-			writeSupervision(&buf, s)
-		}
-		if cmd == "failed" && parked == 0 {
-			buf.WriteString("ok: no parked actors\n")
-		}
-	case "restart":
-		actor := strings.TrimSpace(arg)
-		if err := rt.RestartActor(actor); err != nil {
-			fmt.Fprintf(&buf, "error: %v\n", err)
-		} else {
-			fmt.Fprintf(&buf, "restart requested: %s\n", actor)
-		}
-	default:
-		fmt.Fprintf(&buf, "error: unknown command %q (status|failed|restart <actor>)", query)
-	}
-	return buf.Bytes()
-}
-
-func writeSupervision(buf *bytes.Buffer, s ActorSupervision) {
-	state := "healthy"
-	if s.Parked {
-		state = "parked"
-	}
-	fmt.Fprintf(buf, "%s %s restarts=%d", s.Name, state, s.Restarts)
-	if s.Parked {
-		fmt.Fprintf(buf, " failure=%q", s.Failure)
-		switch {
-		case s.RestartDue:
-			fmt.Fprintf(buf, " next_restart=%s", s.NextRestart.Round(time.Microsecond))
-		case s.Policy.OnPanic:
-			buf.WriteString(" next_restart=exhausted")
-		default:
-			buf.WriteString(" next_restart=never")
-		}
-	}
-	buf.WriteByte('\n')
 }

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/eactors/eactors-go/internal/telemetry"
 )
 
 // TestRestartOnPanic is the headline supervision property: an actor
@@ -62,8 +64,10 @@ func TestRestartOnPanic(t *testing.T) {
 	if _, ok := rt.ActorFailure("flappy"); ok {
 		t.Fatal("restarted actor still reports as failed")
 	}
-	if v, ok := rt.Telemetry().CounterValue("eactors_restarts"); !ok || v != 1 {
-		t.Fatalf("eactors_restarts = %d, %v, want 1", v, ok)
+	var metrics strings.Builder
+	rt.Telemetry().WritePrometheus(&metrics)
+	if !strings.Contains(metrics.String(), "\neactors_restarts_total 1\n") {
+		t.Fatalf("eactors_restarts_total is not 1:\n%s", metrics.String())
 	}
 }
 
@@ -244,23 +248,20 @@ func TestRestartMailboxFlushed(t *testing.T) {
 	}
 }
 
-// supervisorDeployment wires a client endpoint (driven by the test) to
-// a SUPERVISOR, alongside a crashing actor parked under a deliberately
-// long backoff so the test can observe the parked state.
-func supervisorDeployment(t *testing.T) (*Endpoint, *Runtime, *atomic.Int64) {
-	t.Helper()
-	runs := new(atomic.Int64)
+// TestRestartActorOverride drives the manual override: RestartActor
+// rejects an unknown and a healthy actor, and frees a parked one at
+// once, bypassing its 30s backoff; Supervision reports the park and the
+// recovery.
+func TestRestartActorOverride(t *testing.T) {
+	var runs atomic.Int64
 	cfg := Config{
-		Workers:     []WorkerSpec{{}, {}},
-		PoolNodes:   16,
-		NodePayload: 4096,
-		Channels:    []ChannelSpec{{Name: "sup", A: "client", B: "supervisor", Capacity: 8}},
+		Workers: []WorkerSpec{{}},
 		Actors: []Spec{
-			{Name: "client", Worker: 0, Body: func(*Self) {}},
+			{Name: "healthy", Worker: 0, Body: func(*Self) {}},
 			{
 				Name: "crashy", Worker: 0,
-				// Parks long enough for status to see it; the test frees
-				// it early via the supervisor's manual restart.
+				// Parks long enough to be observed; only the override
+				// can free it within the test's deadline.
 				Restart: RestartPolicy{OnPanic: true, Backoff: 30 * time.Second},
 				Body: func(self *Self) {
 					if runs.Add(1) == 1 {
@@ -268,7 +269,6 @@ func supervisorDeployment(t *testing.T) (*Endpoint, *Runtime, *atomic.Int64) {
 					}
 				},
 			},
-			SupervisorSpec("supervisor", 1),
 		},
 	}
 	rt, err := NewRuntime(zeroPlatform(), cfg)
@@ -278,16 +278,7 @@ func supervisorDeployment(t *testing.T) (*Endpoint, *Runtime, *atomic.Int64) {
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(rt.Stop)
-	return rt.actors["client"].endpoints["sup"], rt, runs
-}
-
-// TestSupervisorEactor drives the SUPERVISOR's command surface end to
-// end: status shows the parked actor with its pending restart, a
-// manual restart bypasses the 30s backoff, and the follow-up status
-// reflects the recovery.
-func TestSupervisorEactor(t *testing.T) {
-	ep, rt, runs := supervisorDeployment(t)
+	defer rt.Stop()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for len(rt.FailedActors()) == 0 {
@@ -296,34 +287,20 @@ func TestSupervisorEactor(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-
-	status := monitorQuery(t, ep, "status")
-	if !strings.Contains(status, "crashy parked restarts=0") ||
-		!strings.Contains(status, `failure="observed bug"`) ||
-		!strings.Contains(status, "next_restart=") {
-		t.Fatalf("status missing parked actor:\n%s", status)
-	}
-	if !strings.Contains(status, "client healthy") {
-		t.Fatalf("status missing healthy actor:\n%s", status)
+	sup := rt.Supervision()
+	if len(sup) != 2 || sup[0].Name != "crashy" || !sup[0].Parked || !sup[0].RestartDue ||
+		sup[0].Failure != "observed bug" || sup[1].Parked {
+		t.Fatalf("supervision of parked crashy = %+v", sup)
 	}
 
-	failedReply := monitorQuery(t, ep, "failed")
-	if !strings.Contains(failedReply, "crashy") || strings.Contains(failedReply, "client") {
-		t.Fatalf("failed reply = %q", failedReply)
+	if err := rt.RestartActor("nobody"); err == nil {
+		t.Fatal("RestartActor accepted an unknown actor")
 	}
-
-	if reply := monitorQuery(t, ep, "restart nobody"); !strings.Contains(reply, "error") {
-		t.Fatalf("restart of unknown actor not rejected: %q", reply)
+	if err := rt.RestartActor("healthy"); err == nil {
+		t.Fatal("RestartActor accepted a healthy actor")
 	}
-	if reply := monitorQuery(t, ep, "restart client"); !strings.Contains(reply, "error") {
-		t.Fatalf("restart of healthy actor not rejected: %q", reply)
-	}
-	if reply := monitorQuery(t, ep, "bogus"); !strings.Contains(reply, "error: unknown command") {
-		t.Fatalf("unknown command not rejected: %q", reply)
-	}
-
-	if reply := monitorQuery(t, ep, "restart crashy"); !strings.Contains(reply, "restart requested") {
-		t.Fatalf("restart crashy = %q", reply)
+	if err := rt.RestartActor("crashy"); err != nil {
+		t.Fatalf("RestartActor(crashy): %v", err)
 	}
 	for runs.Load() < 2 {
 		if time.Now().After(deadline) {
@@ -334,28 +311,23 @@ func TestSupervisorEactor(t *testing.T) {
 	if got := rt.ActorRestarts("crashy"); got != 1 {
 		t.Fatalf("ActorRestarts = %d, want 1", got)
 	}
-	status = monitorQuery(t, ep, "status")
-	if !strings.Contains(status, "crashy healthy restarts=1") {
-		t.Fatalf("post-restart status:\n%s", status)
-	}
-	if reply := monitorQuery(t, ep, "failed"); !strings.Contains(reply, "ok: no parked actors") {
-		t.Fatalf("failed after recovery = %q", reply)
+	if sup := rt.Supervision(); sup[0].Parked || sup[0].Restarts != 1 {
+		t.Fatalf("supervision after the override = %+v", sup[0])
 	}
 }
 
-// TestMonitorDumpOfRestartedActor: the flight dump captured at the
-// panic stays queryable through the MONITOR after the supervised
+// TestFlightDumpOfRestartedActor: the flight dump captured at the
+// panic, ending in the park, stays readable after the supervised
 // restart revived the actor.
-func TestMonitorDumpOfRestartedActor(t *testing.T) {
+func TestFlightDumpOfRestartedActor(t *testing.T) {
 	var runs atomic.Int64
 	cfg := Config{
-		Telemetry:   true,
-		Workers:     []WorkerSpec{{}, {}},
-		PoolNodes:   16,
-		NodePayload: 8192,
-		Channels:    []ChannelSpec{{Name: "mon", A: "client", B: "monitor", Capacity: 8}},
+		Telemetry: true,
+		Workers:   []WorkerSpec{{}},
 		Actors: []Spec{
-			{Name: "client", Worker: 0, Body: func(*Self) {}},
+			// Runs ahead of flappy on the same worker, so the dump taken
+			// at the panic holds invoke events.
+			{Name: "steady", Worker: 0, Body: func(*Self) {}},
 			{
 				Name: "flappy", Worker: 0,
 				Restart: RestartPolicy{OnPanic: true, Backoff: time.Millisecond},
@@ -365,7 +337,6 @@ func TestMonitorDumpOfRestartedActor(t *testing.T) {
 					}
 				},
 			},
-			MonitorSpec("monitor", 1),
 		},
 	}
 	rt, err := NewRuntime(zeroPlatform(), cfg)
@@ -384,10 +355,15 @@ func TestMonitorDumpOfRestartedActor(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	ep := rt.actors["client"].endpoints["mon"]
-	dump := monitorQuery(t, ep, "dump flappy")
-	if strings.Contains(dump, "error") || !strings.Contains(dump, "invoke") {
-		t.Fatalf("dump of restarted actor:\n%s", dump)
+	dump := rt.ActorFlightDump("flappy")
+	if len(dump) == 0 {
+		t.Fatal("no flight dump of the restarted actor")
+	}
+	if last := dump[len(dump)-1]; last.Kind != telemetry.EvPark {
+		t.Fatalf("dump ends in %v, want park:\n%s", last.Kind, telemetry.FormatDump(dump))
+	}
+	if text := telemetry.FormatDump(dump); !strings.Contains(text, "invoke") {
+		t.Fatalf("dump of restarted actor has no invoke events:\n%s", text)
 	}
 }
 

@@ -48,7 +48,7 @@ func newMetrics(reg *telemetry.Registry, workers int) *metrics {
 		drainExhaust: reg.Counter("eactors_worker_drain_exhausted", "invocations that consumed the whole RecvBatch drain budget"),
 		idles:        reg.Counter("eactors_worker_idle", "worker transitions into the doorbell idle wait"),
 		wakes:        reg.Counter("eactors_worker_wakes", "doorbell wakeups out of the idle wait"),
-		parks:        reg.Counter("eactors_actor_parks", "eactors parked after a body panic"),
+		parks:        reg.Counter("eactors_parks", "eactors parked after a body panic"),
 		restarts:     reg.Counter("eactors_restarts", "supervised restarts of parked eactors"),
 		sendBatch:    reg.Histogram("eactors_channel_send_batch_size", "SendBatch burst sizes", "msgs"),
 		recvBatch:    reg.Histogram("eactors_channel_recv_batch_size", "RecvBatch burst sizes", "msgs"),
@@ -134,8 +134,8 @@ func (rt *Runtime) registerChannelFuncs(ch *Channel) {
 }
 
 // Telemetry returns the runtime's registry, or nil when Config.Telemetry
-// was not set. Exporters (the MONITOR eactor, the HTTP handler) and
-// instrumented subsystems hang off this.
+// was not set. The HTTP handler (telemetry.Serve) and instrumented
+// subsystems hang off this.
 func (rt *Runtime) Telemetry() *telemetry.Registry { return rt.tel }
 
 // ActorFlightDump returns the flight-recorder dump captured when the

@@ -9,107 +9,6 @@ import (
 	"github.com/eactors/eactors-go/internal/telemetry"
 )
 
-// monitorDeployment builds and starts a telemetry-enabled runtime with a
-// MONITOR eactor wired to a "client" actor over an ordinary channel. The
-// client's endpoint is driven from the test goroutine (its body never
-// touches it), exactly like TestDoorbellWakesIdleWorker drives its
-// producer.
-func monitorDeployment(t *testing.T, enabled bool) (*Endpoint, *Runtime) {
-	t.Helper()
-	cfg := Config{
-		Telemetry: enabled,
-		Workers:   []WorkerSpec{{}, {}},
-		PoolNodes: 16,
-		// Summaries and reports are long; give the query channel room.
-		NodePayload: 8192,
-		Channels:    []ChannelSpec{{Name: "mon", A: "client", B: "monitor", Capacity: 8}},
-		Actors: []Spec{
-			{Name: "client", Worker: 0, Body: func(*Self) {}},
-			MonitorSpec("monitor", 1),
-		},
-	}
-	rt, err := NewRuntime(zeroPlatform(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Stop)
-	return rt.actors["client"].endpoints["mon"], rt
-}
-
-// monitorQuery sends one query and waits for the monitor's reply.
-func monitorQuery(t *testing.T, ep *Endpoint, query string) string {
-	t.Helper()
-	if err := ep.Send([]byte(query)); err != nil {
-		t.Fatalf("send %q: %v", query, err)
-	}
-	buf := make([]byte, ep.MaxPayload())
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n, ok, err := ep.Recv(buf)
-		if err != nil {
-			t.Fatalf("recv reply to %q: %v", query, err)
-		}
-		if ok {
-			return string(buf[:n])
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no reply to %q within 5s", query)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestMonitorMailboxRoundTrip is the acceptance check for the MONITOR
-// system eactor: stats, rates, report and dump queries answered over a
-// plain mailbox.
-func TestMonitorMailboxRoundTrip(t *testing.T) {
-	ep, _ := monitorDeployment(t, true)
-
-	stats := monitorQuery(t, ep, "stats")
-	if !strings.Contains(stats, "eactors_worker_invocations") {
-		t.Fatalf("stats reply missing worker counters:\n%s", stats)
-	}
-	if !strings.Contains(stats, "eactors_channel_msgs_sent") {
-		t.Fatalf("stats reply missing channel counters:\n%s", stats)
-	}
-
-	report := monitorQuery(t, ep, "report")
-	if !strings.Contains(report, "worker 0") || !strings.Contains(report, "channel mon") {
-		t.Fatalf("report reply incomplete:\n%s", report)
-	}
-
-	rates := monitorQuery(t, ep, "rates")
-	if !strings.Contains(rates, "eactors_worker_invocations/s") {
-		t.Fatalf("rates reply missing headline counter:\n%s", rates)
-	}
-
-	// Worker 1 runs the monitor itself, so its flight recorder must hold
-	// invoke events by the time it answers.
-	dump := monitorQuery(t, ep, "dump 1")
-	if !strings.Contains(dump, "invoke") {
-		t.Fatalf("worker dump has no invoke events:\n%s", dump)
-	}
-
-	if reply := monitorQuery(t, ep, "bogus"); !strings.Contains(reply, "error: unknown query") {
-		t.Fatalf("unknown query not rejected: %q", reply)
-	}
-	if reply := monitorQuery(t, ep, "dump nobody"); !strings.Contains(reply, "error") {
-		t.Fatalf("dump of unknown target not rejected: %q", reply)
-	}
-}
-
-// TestMonitorTelemetryDisabled: the monitor must answer (with an error),
-// not wedge, when the registry is absent.
-func TestMonitorTelemetryDisabled(t *testing.T) {
-	ep, _ := monitorDeployment(t, false)
-	if reply := monitorQuery(t, ep, "stats"); !strings.Contains(reply, "telemetry disabled") {
-		t.Fatalf("disabled-telemetry reply = %q", reply)
-	}
-}
-
 // TestDoorbellBurstWakeNotLost is the wake-coalescing regression test: a
 // burst of sends landing while the consumer is mid-drain must not lose
 // the wakeup. The consumer takes one message per invocation so every
@@ -281,10 +180,29 @@ func TestReportTelemetryCoverage(t *testing.T) {
 }
 
 // TestTelemetryPrometheusFamilies checks the registry a runtime builds
-// exposes the metric families the HTTP endpoint advertises.
+// exposes the metric families the HTTP endpoint advertises, with the
+// traffic a message moved through a channel counted.
 func TestTelemetryPrometheusFamilies(t *testing.T) {
-	ep, rt := monitorDeployment(t, true)
-	_ = monitorQuery(t, ep, "stats") // force some traffic through the channel
+	rt, err := NewRuntime(zeroPlatform(), Config{
+		Telemetry: true,
+		Workers:   []WorkerSpec{{}},
+		PoolNodes: 16,
+		Actors: []Spec{
+			{Name: "a", Worker: 0, Body: func(*Self) {}},
+			{Name: "b", Worker: 0, Body: func(*Self) {}},
+		},
+		Channels: []ChannelSpec{{Name: "link", A: "a", B: "b", Capacity: 8}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	if err := rt.actors["a"].endpoints["link"].Send([]byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := rt.actors["b"].endpoints["link"].Recv(make([]byte, 16)); !ok || err != nil {
+		t.Fatalf("Recv: ok=%v err=%v", ok, err)
+	}
 
 	var sb strings.Builder
 	if rt.Telemetry() == nil {
@@ -294,7 +212,8 @@ func TestTelemetryPrometheusFamilies(t *testing.T) {
 	text := sb.String()
 	for _, family := range []string{
 		"eactors_worker_invocations",
-		"eactors_channel_msgs_sent",
+		"eactors_channel_msgs_sent_total 1",
+		"eactors_channel_msgs_recv_total 1",
 		"eactors_sgx_crossings",
 		"eactors_pool_free",
 	} {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -303,60 +302,5 @@ func TestTracePipelineAcrossEnclaves(t *testing.T) {
 				sent.Load(), delivered.Load(), len(spans))
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestMonitorTraceVerb drives the MONITOR's trace query: it must answer
-// with per-hop breakdowns when tracing is armed — with telemetry off,
-// the subsystems are independent — and with a pointed error when not.
-func TestMonitorTraceVerb(t *testing.T) {
-	cfg := Config{
-		Trace:            true,
-		TraceSampleEvery: 1,
-		Workers:          []WorkerSpec{{}, {}},
-		PoolNodes:        16,
-		NodePayload:      8192,
-		Channels:         []ChannelSpec{{Name: "mon", A: "client", B: "monitor", Capacity: 8}},
-		Actors: []Spec{
-			{Name: "client", Worker: 0, Body: func(*Self) {}},
-			MonitorSpec("monitor", 1),
-		},
-	}
-	rt, err := NewRuntime(zeroPlatform(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Stop)
-	ep := rt.actors["client"].endpoints["mon"]
-
-	if reply := monitorQuery(t, ep, "trace"); reply != "no sampled traces recorded yet" {
-		t.Fatalf("empty-tracer reply = %q", reply)
-	}
-	tr := rt.Tracer()
-	ctx := tr.NewRoot()
-	now := time.Now().UnixNano()
-	tr.Record(0, trace.Span{TraceID: ctx.TraceID, ID: tr.NextSpan(), Kind: trace.KindInvoke, Start: now, Dur: 1500})
-	reply := monitorQuery(t, ep, "trace 2")
-	if !strings.Contains(reply, "trace ") || !strings.Contains(reply, "invoke") {
-		t.Fatalf("trace reply = %q, want a per-hop breakdown", reply)
-	}
-
-	// Tracing off: the verb must answer its own error, not telemetry's.
-	cfg.Trace = false
-	cfg.Telemetry = true
-	rt2, err := NewRuntime(zeroPlatform(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt2.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt2.Stop)
-	ep2 := rt2.actors["client"].endpoints["mon"]
-	if reply := monitorQuery(t, ep2, "trace"); !strings.Contains(reply, "tracing disabled") {
-		t.Fatalf("disabled-tracer reply = %q", reply)
 	}
 }

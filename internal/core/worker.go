@@ -26,10 +26,6 @@ type Worker struct {
 	actors    []*actorInstance
 	idleSleep time.Duration
 
-	// drainBudget is handed to each body invocation as its Self.RecvBatch
-	// allowance; see Config.DrainBudget.
-	drainBudget int
-
 	// doorbell wakes the worker from its idle sleep the moment one of
 	// its eactors gets work: channel sends ring the consumer's bell, and
 	// system eactors hand their Waker to I/O pumps. Without it, an idle
@@ -139,12 +135,11 @@ func (w *Worker) invoke(a *actorInstance, crossed bool) {
 		w.m.invocations.Inc(w.id)
 		w.m.invokeNs[w.id].Observe(elapsed)
 		w.rec.Record(telemetry.EvInvoke, a.tag, elapsed)
-		if a.self.drainLeft == 0 && w.drainBudget > 0 {
+		if a.self.drainLeft == 0 {
 			// The body consumed its entire RecvBatch allowance: a flooded
-			// mailbox. Frequent exhaustion is the signal to raise
-			// Config.DrainBudget (or add workers).
+			// mailbox. Frequent exhaustion is the signal to add workers.
 			w.m.drainExhaust.Inc(w.id)
-			w.rec.Record(telemetry.EvDrainExhaust, a.tag, uint64(w.drainBudget))
+			w.rec.Record(telemetry.EvDrainExhaust, a.tag, drainBudget)
 		}
 	}
 	if w.tr != nil {
@@ -171,7 +166,7 @@ func (w *Worker) invoke(a *actorInstance, crossed bool) {
 }
 
 // restartDue reports whether a parked actor's restart should be
-// performed now: either its backoff deadline passed or the SUPERVISOR
+// performed now: either its backoff deadline passed or RestartActor
 // forced it.
 func (w *Worker) restartDue(a *actorInstance) bool {
 	if a.forcePending() {
@@ -363,7 +358,7 @@ func (w *Worker) run() {
 				}
 			}
 			a.self.progressed = false
-			a.self.drainLeft = w.drainBudget
+			a.self.drainLeft = drainBudget
 			w.invoke(a, crossed)
 			if a.self.progressed {
 				progressed = true

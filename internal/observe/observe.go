@@ -1,10 +1,10 @@
 // Package observe is the observability wiring kvserver and xmppserver
 // share: one flag set, the telemetry endpoint with its trace and
-// cost-profile routes, the cost-model snapshot file, and the
-// signal-bounded stats loop.
+// cost-profile routes, and the signal-bounded stats loop.
 package observe
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -19,33 +19,45 @@ import (
 
 // Flags are the observability settings of one server process.
 type Flags struct {
-	Metrics         string
-	Trace           bool
-	TraceSample     int
-	Profile         bool
-	ProfileOut      string
-	ProfileInterval time.Duration
-	Stats           time.Duration
+	Metrics     string
+	Trace       bool
+	TraceSample int
+	Profile     bool
+	Stats       time.Duration
 }
 
 // Register defines the shared flags on fs.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Metrics, "metrics", "", "serve telemetry over HTTP at this address, e.g. :9090 (enables telemetry)")
-	fs.BoolVar(&f.Trace, "trace", false, "enable sampled causal tracing (exported on /debug/traces when -metrics is set)")
-	fs.IntVar(&f.TraceSample, "trace-sample", 0, "root one trace per this many inbound bursts (0 = default 64)")
-	fs.BoolVar(&f.Profile, "profile", false, "enable per-actor cost accounting (exported on /debug/profile when -metrics is set; see eactors top)")
-	fs.StringVar(&f.ProfileOut, "profile-out", "", "append periodic cost-model snapshots to this JSONL file (enables -profile)")
-	fs.DurationVar(&f.ProfileInterval, "profile-interval", 5*time.Second, "snapshot period for -profile-out")
+	fs.BoolVar(&f.Trace, "trace", false, "enable sampled causal tracing, served on /debug/traces (needs -metrics)")
+	fs.IntVar(&f.TraceSample, "trace-sample", 0, "root one trace per this many inbound bursts (0 = default 64; needs -metrics)")
+	fs.BoolVar(&f.Profile, "profile", false, "enable per-actor cost accounting, served on /debug/profile for eactors top (needs -metrics)")
 	fs.DurationVar(&f.Stats, "stats", 10*time.Second, "stats reporting interval (0 = off)")
 	return f
 }
 
+// Check rejects a sink armed without -metrics. The HTTP endpoint is the
+// only route by which traces and cost profiles leave the process, so a
+// sink armed without it would pay its recording cost for data nobody
+// can read.
+func (f *Flags) Check() error {
+	if f.Metrics != "" {
+		return nil
+	}
+	switch {
+	case f.Trace:
+		return errors.New("-trace needs -metrics: traces are served only on its /debug/traces")
+	case f.TraceSample != 0:
+		return errors.New("-trace-sample needs -metrics: traces are served only on its /debug/traces")
+	case f.Profile:
+		return errors.New("-profile needs -metrics: cost profiles are served only on its /debug/profile")
+	}
+	return nil
+}
+
 // Telemetry reports whether the runtime's telemetry must be enabled.
 func (f *Flags) Telemetry() bool { return f.Metrics != "" }
-
-// Profiling reports whether per-actor cost accounting must be enabled.
-func (f *Flags) Profiling() bool { return f.Profile || f.ProfileOut != "" }
 
 // Source is what a running server exposes to the observability wiring.
 type Source interface {
@@ -54,9 +66,9 @@ type Source interface {
 	ProfileSource() func() profile.Model
 }
 
-// Run serves the telemetry endpoint and the snapshot file that f asks
-// for, calls stats every f.Stats, and returns on SIGINT or SIGTERM.
-// Every line it prints starts with name.
+// Run serves the telemetry endpoint when f asks for one, calls stats
+// every f.Stats, and returns on SIGINT or SIGTERM. Every line it prints
+// starts with name.
 func (f *Flags) Run(name string, src Source, stats func()) error {
 	if f.Metrics != "" {
 		bound, stopHTTP, err := telemetry.Serve(f.Metrics, src.Telemetry(),
@@ -69,24 +81,9 @@ func (f *Flags) Run(name string, src Source, stats func()) error {
 		if f.Trace {
 			fmt.Printf("%s: traces on http://%s/debug/traces (Chrome trace-event JSON)\n", name, bound)
 		}
-		if f.Profiling() {
+		if f.Profile {
 			fmt.Printf("%s: cost profiles on http://%s/debug/profile (watch with eactors top)\n", name, bound)
 		}
-	}
-	if f.ProfileOut != "" {
-		file, err := os.OpenFile(f.ProfileOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("profile snapshot file: %w", err)
-		}
-		defer file.Close()
-		snap := profile.NewSnapshotter(src.ProfileSource(), file, f.ProfileInterval)
-		snap.Start()
-		defer func() {
-			if err := snap.Stop(); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: profile snapshots: %v\n", name, err)
-			}
-		}()
-		fmt.Printf("%s: cost-model snapshots every %s to %s\n", name, f.ProfileInterval, f.ProfileOut)
 	}
 
 	sig := make(chan os.Signal, 1)

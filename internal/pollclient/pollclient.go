@@ -1,13 +1,12 @@
 // Package pollclient is the small HTTP-polling helper shared by the
-// observability CLI (eactors top and trace): base-URL
-// normalisation, a bounded GET, and artifact capture for chaos CI.
+// observability CLI (eactors top and trace): base-URL normalisation
+// and a bounded GET.
 package pollclient
 
 import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"time"
 )
@@ -42,10 +41,4 @@ func Get(url string) ([]byte, error) {
 		return nil, fmt.Errorf("%s: %s", url, resp.Status)
 	}
 	return body, nil
-}
-
-// WriteArtifact writes data to path (0644), for -o artifact capture in
-// chaos CI jobs.
-func WriteArtifact(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644)
 }

@@ -3,8 +3,6 @@ package pollclient
 import (
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -41,16 +39,5 @@ func TestGet(t *testing.T) {
 	}
 	if _, err := Get("http://127.0.0.1:1/unreachable"); err == nil {
 		t.Fatal("Get(unreachable) must fail")
-	}
-}
-
-func TestWriteArtifact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.json")
-	if err := WriteArtifact(path, []byte("{}")); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil || string(data) != "{}" {
-		t.Fatalf("artifact = %q, %v", data, err)
 	}
 }

@@ -4,8 +4,8 @@
 // and received per peer (the actor→actor communication matrix), enclave
 // crossings charged to the initiating actor, seal/open time and volume,
 // and mailbox dwell folded from sampled trace spans — plus per-enclave
-// EPC residency/eviction attribution. The periodic snapshot (a
-// versioned JSONL cost model, see snapshot.go) is the stable input
+// EPC residency/eviction attribution. The snapshot (a versioned JSON
+// cost model, see snapshot.go) is the stable input
 // contract for placement decisions: which enclave/worker should run
 // each actor is answerable from observed cost, not static config.
 //
@@ -20,7 +20,7 @@
 //     and written only by their owning worker thread (actors and
 //     endpoints are single-owner, so "sharding" falls out of ownership);
 //     every field is an independent atomic, which keeps the concurrent
-//     readers — the snapshotter, Prometheus scrapes, the span folder —
+//     readers — /debug/profile snapshots, the span folder —
 //     race-clean without locks.
 //
 // Counters (messages, bytes, ops) are exact. Per-operation clock reads

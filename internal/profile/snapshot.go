@@ -1,14 +1,11 @@
 package profile
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
-	"time"
 )
 
 // SnapshotVersion is the current cost-model schema version. The
@@ -25,7 +22,8 @@ var ErrUnknownVersion = errors.New("profile: unknown snapshot version")
 // actor→actor communication matrix (as a sparse edge list), and the
 // per-enclave EPC attribution at one capture instant. It is the stable
 // input contract for the placement advisor (ROADMAP item 5) and the
-// wire format of /debug/profile and the JSONL snapshot files.
+// wire format of /debug/profile and of the JSONL history eactors top -o
+// keeps.
 type Model struct {
 	V            int           `json:"v"`
 	CapturedAtNs int64         `json:"captured_at_ns"`
@@ -151,7 +149,7 @@ func (c *Collector) Snapshot(nowNs int64) Model {
 	return m
 }
 
-// Encode writes the model as one JSON line (the JSONL snapshot record).
+// Encode writes the model as one JSON line (one JSONL record).
 func (m Model) Encode(w io.Writer) error {
 	b, err := json.Marshal(m)
 	if err != nil {
@@ -180,78 +178,4 @@ func Decode(data []byte) (Model, error) {
 		return Model{}, fmt.Errorf("profile: malformed snapshot: %w", err)
 	}
 	return m, nil
-}
-
-// DecodeStream parses a JSONL snapshot stream, skipping blank lines.
-// It stops at the first malformed or unknown-version record.
-func DecodeStream(r io.Reader) ([]Model, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []Model
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		m, err := Decode(line)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, m)
-	}
-	return out, sc.Err()
-}
-
-// Snapshotter periodically captures cost models from a source and
-// appends them as JSONL records — the continuous-profiling output that
-// survives the process (/debug/profile only shows the live view).
-type Snapshotter struct {
-	src   func() Model
-	w     io.Writer
-	every time.Duration
-	stop  chan struct{}
-	done  chan error
-}
-
-// NewSnapshotter builds a snapshotter over src writing to w every
-// period (minimum 10ms, default 5s when zero).
-func NewSnapshotter(src func() Model, w io.Writer, every time.Duration) *Snapshotter {
-	if every <= 0 {
-		every = 5 * time.Second
-	}
-	if every < 10*time.Millisecond {
-		every = 10 * time.Millisecond
-	}
-	return &Snapshotter{src: src, w: w, every: every, stop: make(chan struct{}), done: make(chan error, 1)}
-}
-
-// Start launches the snapshot loop.
-func (s *Snapshotter) Start() {
-	go func() {
-		t := time.NewTicker(s.every)
-		defer t.Stop()
-		var firstErr error
-		record := func() {
-			if err := s.src().Encode(s.w); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		for {
-			select {
-			case <-t.C:
-				record()
-			case <-s.stop:
-				record() // final snapshot so short runs still leave one record
-				s.done <- firstErr
-				return
-			}
-		}
-	}()
-}
-
-// Stop ends the loop after writing one final snapshot and returns the
-// first write error encountered, if any.
-func (s *Snapshotter) Stop() error {
-	close(s.stop)
-	return <-s.done
 }

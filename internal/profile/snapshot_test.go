@@ -5,10 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 // sampleModel builds a fully-populated model so round-trips exercise
@@ -72,99 +69,4 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	if _, err := Decode([]byte("{not json")); err == nil || errors.Is(err, ErrUnknownVersion) {
 		t.Fatalf("Decode(malformed) error = %v, want a parse error", err)
 	}
-}
-
-func TestDecodeStream(t *testing.T) {
-	m := sampleModel()
-	var buf bytes.Buffer
-	for i := 0; i < 3; i++ {
-		m.CapturedAtNs = int64(i + 1)
-		if err := m.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		buf.WriteString("\n") // blank lines are skipped
-	}
-	models, err := DecodeStream(&buf)
-	if err != nil {
-		t.Fatalf("DecodeStream: %v", err)
-	}
-	if len(models) != 3 {
-		t.Fatalf("DecodeStream returned %d models, want 3", len(models))
-	}
-	for i, got := range models {
-		if got.CapturedAtNs != int64(i+1) {
-			t.Errorf("model %d CapturedAtNs = %d, want %d", i, got.CapturedAtNs, i+1)
-		}
-	}
-
-	// A stream poisoned mid-way keeps the good prefix and surfaces the error.
-	var poisoned bytes.Buffer
-	m.Encode(&poisoned)
-	poisoned.WriteString(`{"v":99}` + "\n")
-	m.Encode(&poisoned)
-	models, err = DecodeStream(&poisoned)
-	if !errors.Is(err, ErrUnknownVersion) {
-		t.Fatalf("DecodeStream(poisoned) error = %v, want ErrUnknownVersion", err)
-	}
-	if len(models) != 1 {
-		t.Fatalf("DecodeStream(poisoned) kept %d models, want the 1 good prefix", len(models))
-	}
-}
-
-func TestSnapshotterWritesRecords(t *testing.T) {
-	c := NewCollector(4)
-	cell := c.RegisterActor(0, "a", "", 0)
-	cell.Invocations.Add(3)
-
-	var mu syncBuffer
-	s := NewSnapshotter(func() Model { return c.Snapshot(time.Now().UnixNano()) }, &mu, 10*time.Millisecond)
-	s.Start()
-	time.Sleep(35 * time.Millisecond)
-	if err := s.Stop(); err != nil {
-		t.Fatalf("Stop: %v", err)
-	}
-	models, err := DecodeStream(strings.NewReader(mu.String()))
-	if err != nil {
-		t.Fatalf("DecodeStream over snapshotter output: %v", err)
-	}
-	// At least the final stop-time record must exist even on a slow box.
-	if len(models) == 0 {
-		t.Fatal("snapshotter wrote no records")
-	}
-	last := models[len(models)-1]
-	if len(last.Actors) != 1 || last.Actors[0].Invocations != 3 {
-		t.Fatalf("final record = %+v, want actor a with 3 invocations", last)
-	}
-}
-
-func TestSnapshotterReportsWriteError(t *testing.T) {
-	s := NewSnapshotter(func() Model { return Model{V: SnapshotVersion} }, failWriter{}, 10*time.Millisecond)
-	s.Start()
-	time.Sleep(25 * time.Millisecond)
-	if err := s.Stop(); err == nil {
-		t.Fatal("Stop returned nil, want the write error")
-	}
-}
-
-type failWriter struct{}
-
-func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
-
-// syncBuffer is a mutex-guarded bytes.Buffer: the snapshotter goroutine
-// writes while the test reads.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
-}
-
-func (b *syncBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
-}
-
-func (b *syncBuffer) String() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.String()
 }

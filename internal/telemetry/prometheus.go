@@ -113,8 +113,8 @@ func WithTraces(t *trace.Tracer) ServeOption {
 }
 
 // WithProfile mounts /debug/profile on the handler: the current
-// per-actor cost-model snapshot (profile.SnapshotVersion JSON, the
-// same record the JSONL snapshotter writes). src is typically
+// per-actor cost-model snapshot (one profile.SnapshotVersion JSON
+// line, the record eactors top -o appends). src is typically
 // Runtime.CostProfile; a nil src serves 404 so callers can mount
 // conditionally without branching.
 func WithProfile(src func() profile.Model) ServeOption {

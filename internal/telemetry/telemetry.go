@@ -1,8 +1,8 @@
 // Package telemetry is the always-on observability subsystem of the
 // EActors runtime: per-worker sharded counters, log-bucketed latency
-// histograms, windowed rate meters and a fixed-size flight recorder per
-// worker. It is designed around two constraints that SGX systems impose
-// on measurement (cf. Stress-SGX and the SGX benchmarking literature):
+// histograms and a fixed-size flight recorder per worker. It is
+// designed around two constraints that SGX systems impose on
+// measurement (cf. Stress-SGX and the SGX benchmarking literature):
 //
 //   - The zero case must stay zero-cost. Every instrument is usable as a
 //     nil pointer: a nil *Counter, *Histogram or *Recorder is a
@@ -17,14 +17,11 @@
 //
 // Aggregation happens on the read side only: Total(), Snapshot() and the
 // Prometheus exposition walk the shards. Readers are expected to be rare
-// (a MONITOR eactor tick, an HTTP scrape); writers are the per-message
-// fast paths.
+// (an HTTP scrape, a Report call); writers are the per-message fast
+// paths.
 package telemetry
 
 import (
-	"fmt"
-	"io"
-	"sort"
 	"sync"
 )
 
@@ -174,39 +171,6 @@ func (r *Registry) addFunc(name, help string, gauge bool, fn func() uint64) {
 	r.order = append(r.order, name)
 }
 
-// CounterValue returns the current total of a named counter or func
-// metric, and whether it exists. Aggregation helpers for MONITOR.
-func (r *Registry) CounterValue(name string) (uint64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	r.mu.Lock()
-	c, cok := r.counters[name]
-	f, fok := r.funcs[name]
-	r.mu.Unlock()
-	if cok {
-		return c.Total(), true
-	}
-	if fok {
-		return f.fn(), true
-	}
-	return 0, false
-}
-
-// HistogramSnapshot returns a snapshot of a named histogram.
-func (r *Registry) HistogramSnapshot(name string) (HistSnapshot, bool) {
-	if r == nil {
-		return HistSnapshot{}, false
-	}
-	r.mu.Lock()
-	h, ok := r.hists[name]
-	r.mu.Unlock()
-	if !ok {
-		return HistSnapshot{}, false
-	}
-	return h.Snapshot(), true
-}
-
 // Each walks all registered metrics in registration order, invoking the
 // matching callback per kind. Histograms are passed as snapshots; the
 // walk takes the registry mutex only to copy the name list, so slow
@@ -232,29 +196,5 @@ func (r *Registry) Each(counter func(name, help string, total uint64, gauge bool
 		case h != nil && hist != nil:
 			hist(h.name, h.help, h.unit, h.Snapshot())
 		}
-	}
-}
-
-// WriteSummary renders a compact human-readable aggregate: every counter
-// total and every histogram's count/p50/p99/max, sorted by name. MONITOR
-// answers "stats" queries with this.
-func (r *Registry) WriteSummary(w io.Writer) {
-	if r == nil {
-		return
-	}
-	type line struct{ name, text string }
-	var lines []line
-	r.Each(
-		func(name, _ string, total uint64, _ bool) {
-			lines = append(lines, line{name, fmt.Sprintf("%s=%d\n", name, total)})
-		},
-		func(name, _, unit string, s HistSnapshot) {
-			lines = append(lines, line{name, fmt.Sprintf("%s count=%d p50=%d p99=%d max=%d %s\n",
-				name, s.Count, s.Quantile(0.50), s.Quantile(0.99), s.Max, unit)})
-		},
-	)
-	sort.Slice(lines, func(i, j int) bool { return lines[i].name < lines[j].name })
-	for _, l := range lines {
-		io.WriteString(w, l.text)
 	}
 }

@@ -29,7 +29,6 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	r.CounterFunc("f", "", func() uint64 { return 1 })
 	r.Each(nil, nil)
 	var sb strings.Builder
-	r.WriteSummary(&sb)
 	r.WritePrometheus(&sb)
 	if sb.Len() != 0 {
 		t.Fatalf("nil registry rendered output: %q", sb.String())
@@ -87,25 +86,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	if (HistSnapshot{}).Quantile(0.5) != 0 {
 		t.Fatalf("empty histogram quantile must be 0")
-	}
-}
-
-func TestMeterWindowedRate(t *testing.T) {
-	var m Meter
-	t0 := time.Unix(1000, 0)
-	if rate := m.Update(100, t0); rate != 0 {
-		t.Fatalf("priming update returned %v", rate)
-	}
-	rate := m.Update(300, t0.Add(2*time.Second))
-	if rate != 100 {
-		t.Fatalf("rate = %v, want 100/s", rate)
-	}
-	if m.Rate() != 100 {
-		t.Fatalf("Rate() = %v", m.Rate())
-	}
-	// Zero-width window keeps the previous rate instead of dividing by 0.
-	if r2 := m.Update(400, t0.Add(2*time.Second)); r2 != 100 {
-		t.Fatalf("zero-width window rate = %v", r2)
 	}
 }
 
@@ -210,21 +190,5 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != 200 {
 		t.Fatalf("/dump status = %d", resp2.StatusCode)
-	}
-}
-
-func TestWriteSummary(t *testing.T) {
-	r := New(1, 0)
-	r.Counter("b_counter", "").Add(0, 3)
-	r.Histogram("a_hist", "", "ns").Observe(10)
-	var sb strings.Builder
-	r.WriteSummary(&sb)
-	out := sb.String()
-	if !strings.Contains(out, "b_counter=3") || !strings.Contains(out, "a_hist count=1") {
-		t.Fatalf("summary = %q", out)
-	}
-	// Sorted: a_hist line before b_counter line.
-	if strings.Index(out, "a_hist") > strings.Index(out, "b_counter") {
-		t.Fatalf("summary not sorted: %q", out)
 	}
 }
