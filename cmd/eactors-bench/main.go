@@ -42,8 +42,6 @@ func run(args []string) error {
 	scale := fs.Float64("scale", 1.0, "scale iteration counts and measure windows (1.0 = paper scale)")
 	measure := fs.Duration("measure", 0, "override the steady-state measure window of the messaging figures")
 	format := fs.String("format", "table", "output format: table or csv")
-	telem := fs.Bool("telemetry", false, "enable runtime telemetry on benchmarked deployments (measures the instrumented configuration)")
-	metrics := fs.String("metrics", "", "serve each deployment's telemetry over HTTP at this address while it runs (implies -telemetry)")
 	plot := fs.String("plot", "", "write one SVG per figure into this directory (without -fig/-all: of a CSV read from stdin)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -52,8 +50,6 @@ func run(args []string) error {
 		return fmt.Errorf("-format must be table or csv")
 	}
 	measureOverride = *measure
-	bench.Telemetry = *telem || *metrics != ""
-	bench.MetricsAddr = *metrics
 	if !*all && *fig == "" {
 		if *plot == "" {
 			fs.Usage()

@@ -21,42 +21,46 @@ func TestUnknownVerb(t *testing.T) {
 	}
 }
 
-func TestTopOnce(t *testing.T) {
-	model := profile.Model{
-		V:            profile.SnapshotVersion,
-		CapturedAtNs: time.Now().UnixNano(),
-		Actors:       []profile.ActorCost{{Name: "frontend", Invocations: 7, MsgsSent: 7}},
-	}
+// serveProfile serves model on a telemetry endpoint and returns its
+// bound address.
+func serveProfile(t *testing.T, model profile.Model) string {
+	t.Helper()
 	bound, stop, err := telemetry.Serve("127.0.0.1:0", nil,
 		telemetry.WithProfile(func() profile.Model { return model }))
 	if err != nil {
 		t.Fatalf("telemetry.Serve: %v", err)
 	}
-	defer stop()
+	t.Cleanup(stop)
+	return bound
+}
 
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"top", "-addr", bound, "-once"}, &stdout, &stderr); err != nil {
-		t.Fatalf("top: %v\n%s", err, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "frontend") {
-		t.Errorf("top frame lacks the frontend actor:\n%s", stdout.String())
+func TestTopOnce(t *testing.T) {
+	bound := serveProfile(t, profile.Model{
+		V:            profile.SnapshotVersion,
+		CapturedAtNs: time.Now().UnixNano(),
+		Actors:       []profile.ActorCost{{Name: "frontend", Invocations: 7, MsgsSent: 7}},
+	})
+	// A bare host:port and the metrics URL the servers print both reach
+	// the profile endpoint.
+	for _, addr := range []string{bound, "http://" + bound + "/metrics"} {
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"top", "-addr", addr, "-once"}, &stdout, &stderr); err != nil {
+			t.Fatalf("top -addr %s: %v\n%s", addr, err, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), "frontend") {
+			t.Errorf("top -addr %s frame lacks the frontend actor:\n%s", addr, stdout.String())
+		}
 	}
 }
 
 // TestTopOnceAppendsHistory: with -o every top run appends the snapshot
 // it fetched as one JSONL record, so two runs leave two decodable lines.
 func TestTopOnceAppendsHistory(t *testing.T) {
-	model := profile.Model{
+	bound := serveProfile(t, profile.Model{
 		V:            profile.SnapshotVersion,
 		CapturedAtNs: time.Now().UnixNano(),
 		Actors:       []profile.ActorCost{{Name: "frontend", Invocations: 7}},
-	}
-	bound, stop, err := telemetry.Serve("127.0.0.1:0", nil,
-		telemetry.WithProfile(func() profile.Model { return model }))
-	if err != nil {
-		t.Fatalf("telemetry.Serve: %v", err)
-	}
-	defer stop()
+	})
 
 	path := filepath.Join(t.TempDir(), "costs.jsonl")
 	for i := 0; i < 2; i++ {

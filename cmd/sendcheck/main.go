@@ -149,7 +149,7 @@ func checkFile(path string) int {
 }
 
 // sendCall reports whether expr is a method call whose name starts
-// with "Send" (Send, SendNode, SendBatch, SendRetry, ...).
+// with "Send" (Send, SendBatch, SendRetry, ...).
 func sendCall(expr ast.Expr) (string, bool) {
 	call, ok := expr.(*ast.CallExpr)
 	if !ok {

@@ -139,7 +139,6 @@ func PingPongEA(pairs, size int, costs *sgx.CostModel, encrypted bool) (time.Dur
 		Workers:     []core.WorkerSpec{{}, {}},
 		PoolNodes:   16,
 		NodePayload: size + 64,
-		Telemetry:   Telemetry,
 		Channels: []core.ChannelSpec{{
 			Name: "pp", A: "ping", B: "pong", Plaintext: !encrypted, Capacity: 4,
 		}},

@@ -8,7 +8,6 @@ import (
 	"github.com/eactors/eactors-go/internal/kv"
 	"github.com/eactors/eactors-go/internal/load"
 	"github.com/eactors/eactors-go/internal/sgx"
-	"github.com/eactors/eactors-go/internal/telemetry"
 )
 
 // FigKVConfig parameterises the KV shard-scaling sweep (figkv): the
@@ -78,19 +77,11 @@ func runKVPoint(cfg FigKVConfig, shards, clients int) (float64, error) {
 		Platform:      sgx.NewPlatform(),
 		EncryptionKey: &key,
 		StoreSize:     4 << 20,
-		Telemetry:     Telemetry || MetricsAddr != "",
 	})
 	if err != nil {
 		return 0, err
 	}
-	stop := srv.Stop
-	if MetricsAddr != "" {
-		if bound, stopHTTP, err := telemetry.Serve(MetricsAddr, srv.Telemetry()); err == nil {
-			fmt.Printf("bench: figkv shards=%d metrics on http://%s/metrics\n", shards, bound)
-			stop = func() { stopHTTP(); srv.Stop() }
-		}
-	}
-	defer stop()
+	defer srv.Stop()
 
 	st, err := load.RunKV(load.KV{
 		Addr: srv.Addr(), Clients: clients, Depth: 1,

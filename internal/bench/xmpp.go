@@ -6,21 +6,9 @@ import (
 
 	"github.com/eactors/eactors-go/internal/load"
 	"github.com/eactors/eactors-go/internal/sgx"
-	"github.com/eactors/eactors-go/internal/telemetry"
 	"github.com/eactors/eactors-go/internal/xmpp"
 	"github.com/eactors/eactors-go/internal/xmpp/baseline"
 )
-
-// Telemetry enables the runtime observability subsystem on every EActors
-// deployment the benchmarks start (eactors-bench -telemetry). The paper's
-// throughput figures are normally run with it off; turning it on measures
-// the instrumented configuration.
-var Telemetry bool
-
-// MetricsAddr, when non-empty, serves each running EActors deployment's
-// registry over HTTP (Prometheus text + pprof) for the duration of that
-// deployment (eactors-bench -metrics). Implies Telemetry.
-var MetricsAddr string
 
 // messagePayloadBytes matches the paper's O2O workload: pseudo-random
 // strings of at most 150 bytes (Section 6.4.1).
@@ -67,19 +55,11 @@ func startDeployment(name string, trusted bool, enclaves int, ssl bool) (*xmppDe
 		Trusted:      trusted,
 		EnclaveCount: enclaves,
 		Platform:     sgx.NewPlatform(),
-		Telemetry:    Telemetry || MetricsAddr != "",
 	})
 	if err != nil {
 		return nil, err
 	}
-	stop := srv.Stop
-	if MetricsAddr != "" {
-		if bound, stopHTTP, err := telemetry.Serve(MetricsAddr, srv.Telemetry()); err == nil {
-			fmt.Printf("bench: %s metrics on http://%s/metrics\n", name, bound)
-			stop = func() { stopHTTP(); srv.Stop() }
-		}
-	}
-	return &xmppDeployment{name: name, addr: srv.Addr(), stop: stop}, nil
+	return &xmppDeployment{name: name, addr: srv.Addr(), stop: srv.Stop}, nil
 }
 
 // runO2OWorkload drives the paper's one-to-one scenario (load.RunO2O)
@@ -173,7 +153,6 @@ func Fig15GroupChat(cfg Fig15Config) ([]Row, error) {
 				EnclaveCount:   1,
 				DedicatedRooms: []string{benchRoom},
 				Platform:       sgx.NewPlatform(),
-				Telemetry:      Telemetry,
 			})
 			if err != nil {
 				return nil, err

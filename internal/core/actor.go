@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"github.com/eactors/eactors-go/internal/mem"
 	"github.com/eactors/eactors-go/internal/profile"
 	"github.com/eactors/eactors-go/internal/sgx"
 	"github.com/eactors/eactors-go/internal/telemetry"
@@ -146,9 +145,6 @@ func (s *Self) Enclave() *sgx.Enclave { return s.inst.enclave }
 // Context returns the worker's SGX execution context. Bodies use it for
 // ECalls/OCalls or SDK-mutex interaction when they must.
 func (s *Self) Context() *sgx.Context { return s.ctx }
-
-// Pool returns the runtime's shared node pool.
-func (s *Self) Pool() *mem.Pool { return s.rt.pool }
 
 // Channel returns the endpoint of the named channel that belongs to this
 // eactor. It corresponds to the connect() call of the paper's

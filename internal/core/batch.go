@@ -1,7 +1,7 @@
 package core
 
 // Batch-path helpers: the allocation patterns every batch consumer
-// needs, factored out so system eactors (netactors, storeactors, the
+// needs, factored out so system eactors (netactors, the kv pipeline, the
 // XMPP shards) share one idiom instead of hand-rolling buffer pools.
 
 // BatchBufs preallocates n receive buffers of size bytes each (one

@@ -109,8 +109,8 @@ func BenchmarkChannelPipelined(b *testing.B) {
 }
 
 // BenchmarkChannelFanIn models the system-eactor drain pattern (WRITER,
-// FILER, shard router): one consumer actor drains several inbound
-// channels per invocation. The batch variant pays one dequeue CAS and
+// shard router): one consumer actor drains several inbound channels per
+// invocation. The batch variant pays one dequeue CAS and
 // one pool trip per channel per sweep instead of one per message.
 func BenchmarkChannelFanIn(b *testing.B) {
 	const (

@@ -26,11 +26,6 @@ var (
 	// ErrPoolEmpty reports that no free node was available.
 	ErrPoolEmpty = errors.New("core: node pool exhausted")
 
-	// ErrChannelFull and ErrPoolExhausted are the former names, kept as
-	// aliases so errors.Is works across old and new call sites.
-	ErrChannelFull   = ErrMailboxFull
-	ErrPoolExhausted = ErrPoolEmpty
-
 	// ErrPayloadTooLarge reports a payload exceeding the node capacity
 	// (minus encryption overhead on encrypted channels).
 	ErrPayloadTooLarge = errors.New("core: payload exceeds node capacity")
@@ -531,7 +526,7 @@ func (e *Endpoint) stage(node *mem.Node, payload []byte) {
 	_ = node.SetLen(len(payload)) // bounded by the MaxPayload check
 }
 
-// sendStaged is the one send tail under Send, SendNode and SendBatch: it
+// sendStaged is the one send tail under Send and SendBatch: it
 // seals the staged nodes in place on encrypted channels (trace trailer
 // first on a tracing runtime), stamps their trace headers, enqueues them
 // with one cursor CAS, bumps the traffic counter once and rings the peer
@@ -592,7 +587,7 @@ func (e *Endpoint) Send(payload []byte) error {
 	return nil
 }
 
-// retryBackoff bounds in the SendRetry family: the wait starts at
+// retryBackoff bounds in SendRetry: the wait starts at
 // retryBaseBackoff, doubles per attempt and is capped at
 // retryMaxBackoff, so a retrying sender neither spins on a full mbox
 // nor sleeps past a consumer that drained it.
@@ -611,21 +606,9 @@ const (
 // SendRetry blocks the calling goroutine, so a non-blocking eactor body
 // should only use it with short deadlines.
 func (e *Endpoint) SendRetry(payload []byte, deadline time.Time) error {
-	return retrySend(deadline, func() error { return e.Send(payload) })
-}
-
-// SendNodeRetry is SendNode with the SendRetry persistence contract.
-// Node ownership transfers only on success; on error (including a
-// deadline expiry) the caller still owns the node.
-func (e *Endpoint) SendNodeRetry(node *mem.Node, deadline time.Time) error {
-	return retrySend(deadline, func() error { return e.SendNode(node) })
-}
-
-// retrySend is the persistence loop under SendRetry and SendNodeRetry.
-func retrySend(deadline time.Time, send func() error) error {
 	backoff := retryBaseBackoff
 	for {
-		err := send()
+		err := e.Send(payload)
 		if err == nil || (!errors.Is(err, ErrMailboxFull) && !errors.Is(err, ErrPoolEmpty)) {
 			return err
 		}
@@ -637,32 +620,6 @@ func retrySend(deadline time.Time, send func() error) error {
 			backoff *= 2
 		}
 	}
-}
-
-// SendNode transmits a node previously obtained from the pool without
-// copying the payload out of it. On encrypted channels the payload is
-// sealed in place (one move inside the node). Ownership of the node
-// transfers on success; on error the caller still owns it.
-func (e *Endpoint) SendNode(node *mem.Node) error {
-	if node == nil {
-		return errors.New("core: SendNode(nil)")
-	}
-	if limit := node.Cap() - e.overhead(); node.Len() > limit {
-		return fmt.Errorf("%w: %d > %d", ErrPayloadTooLarge, node.Len(), limit)
-	}
-	h := hop{e: e}
-	if !h.beginSend() {
-		return ErrMailboxFull
-	}
-	if e.cipher != nil {
-		e.stage(node, node.Payload())
-	}
-	nodes := e.nodeSlots(1)
-	nodes[0] = node
-	if e.sendStaged(&h, nodes) == 0 {
-		return e.sendFailed(ErrMailboxFull)
-	}
-	return nil
 }
 
 // noteScratchUse applies the scratch retention policy after an open that
@@ -738,7 +695,7 @@ func (e *Endpoint) recvStart(h *hop, want int) []*mem.Node {
 	return nodes[:got]
 }
 
-// open is the one receive helper under Recv, RecvNode and RecvBatch on
+// open is the one receive helper under Recv and RecvBatch on
 // encrypted channels: it returns the application payload of a dequeued
 // sealed frame. The frame is authenticated and decrypted into e.scratch
 // (valid until the next open), the sender's counter is checked against
@@ -852,31 +809,6 @@ func (e *Endpoint) Recv(buf []byte) (n int, ok bool, err error) {
 	return n, true, err
 }
 
-// RecvNode polls for a message and returns the node itself (decrypted in
-// place on encrypted channels). The caller owns the node and must return
-// it with Release (or forward it with SendNode).
-func (e *Endpoint) RecvNode() (*mem.Node, bool, error) {
-	h := hop{e: e}
-	nodes := e.recvStart(&h, 1)
-	if nodes == nil {
-		return nil, false, nil
-	}
-	node := nodes[0]
-	if e.cipher != nil {
-		payload, err := e.open(&h, node)
-		h.openedPass()
-		if err == nil {
-			err = node.SetPayload(payload)
-		}
-		if err != nil {
-			_ = e.pool.Put(node)
-			return nil, true, err
-		}
-	}
-	h.delivered(1, node.Len())
-	return node, true, nil
-}
-
 // checkSeq enforces strictly increasing sender counters on an
 // authenticated blob (the counter is the tail of the explicit nonce).
 func (e *Endpoint) checkSeq(blob []byte) error {
@@ -886,13 +818,6 @@ func (e *Endpoint) checkSeq(blob []byte) error {
 	}
 	e.lastSeq = seq
 	return nil
-}
-
-// Release returns a received node to the pool.
-func (e *Endpoint) Release(node *mem.Node) {
-	if node != nil {
-		_ = e.pool.Put(node)
-	}
 }
 
 // Pending returns the approximate number of queued inbound messages.

@@ -64,8 +64,9 @@ func TestEndpointRecvEmpty(t *testing.T) {
 	if _, ok, err := a.Recv(make([]byte, 8)); ok || err != nil {
 		t.Fatalf("Recv on empty = ok=%v err=%v", ok, err)
 	}
-	if n, ok, _ := a.RecvNode(); ok || n != nil {
-		t.Fatal("RecvNode on empty returned a node")
+	bufs, lens := BatchBufs(4, 8)
+	if n, err := a.RecvBatch(bufs, lens); n != 0 || err != nil {
+		t.Fatalf("RecvBatch on empty = %d err=%v", n, err)
 	}
 }
 
@@ -167,60 +168,6 @@ func TestEndpointShortRecvBuffer(t *testing.T) {
 	}
 }
 
-func TestSendNodeZeroCopyPlaintext(t *testing.T) {
-	a, b, rt := buildPair(t, false, 8, 16, 64)
-	node := rt.Pool().Get()
-	if node == nil {
-		t.Fatal("pool empty")
-	}
-	if err := node.SetPayload([]byte("zero copy")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SendNode(node); err != nil {
-		t.Fatalf("SendNode: %v", err)
-	}
-	got, ok, err := b.RecvNode()
-	if err != nil || !ok {
-		t.Fatalf("RecvNode: ok=%v err=%v", ok, err)
-	}
-	if got != node {
-		t.Fatal("plaintext SendNode copied the node")
-	}
-	if string(got.Payload()) != "zero copy" {
-		t.Fatalf("payload = %q", got.Payload())
-	}
-	b.Release(got)
-	if rt.Pool().Free() != 16 {
-		t.Fatalf("pool Free = %d, want 16", rt.Pool().Free())
-	}
-}
-
-func TestSendNodeEncrypted(t *testing.T) {
-	a, b, rt := buildPair(t, true, 8, 16, 128)
-	node := rt.Pool().Get()
-	if err := node.SetPayload([]byte("in-place sealed")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SendNode(node); err != nil {
-		t.Fatalf("SendNode: %v", err)
-	}
-	got, ok, err := b.RecvNode()
-	if err != nil || !ok {
-		t.Fatalf("RecvNode: ok=%v err=%v", ok, err)
-	}
-	if string(got.Payload()) != "in-place sealed" {
-		t.Fatalf("payload = %q", got.Payload())
-	}
-	b.Release(got)
-}
-
-func TestSendNodeNil(t *testing.T) {
-	a, _, _ := buildPair(t, false, 8, 16, 64)
-	if err := a.SendNode(nil); err == nil {
-		t.Fatal("SendNode(nil) accepted")
-	}
-}
-
 func TestChannelQuickRoundTrip(t *testing.T) {
 	a, b, _ := buildPair(t, true, 64, 128, 512)
 	buf := make([]byte, 512)
@@ -263,7 +210,7 @@ func TestEndpointPending(t *testing.T) {
 // plain or encrypted.
 func TestHopAllocatesNothing(t *testing.T) {
 	for _, encrypted := range []bool{false, true} {
-		a, b, rt := buildPair(t, encrypted, 16, 32, 256)
+		a, b, _ := buildPair(t, encrypted, 16, 32, 256)
 		payload := make([]byte, 64)
 		buf := make([]byte, 256)
 		burst := [][]byte{payload, payload, payload, payload}
@@ -276,20 +223,6 @@ func TestHopAllocatesNothing(t *testing.T) {
 				if _, ok, err := b.Recv(buf); !ok || err != nil {
 					t.Fatalf("Recv: ok=%v err=%v", ok, err)
 				}
-			},
-			"SendNode+RecvNode": func() {
-				node := rt.Pool().Get()
-				if err := node.SetPayload(payload); err != nil {
-					t.Fatal(err)
-				}
-				if err := a.SendNode(node); err != nil {
-					t.Fatal(err)
-				}
-				got, ok, err := b.RecvNode()
-				if !ok || err != nil {
-					t.Fatalf("RecvNode: ok=%v err=%v", ok, err)
-				}
-				b.Release(got)
 			},
 			"SendBatch+RecvBatch": func() {
 				if n, err := a.SendBatch(burst); n != len(burst) || err != nil {

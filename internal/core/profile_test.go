@@ -135,7 +135,7 @@ func TestProfileEncryptedChargesSealOpen(t *testing.T) {
 	}
 }
 
-func TestProfileBatchAndNodePaths(t *testing.T) {
+func TestProfileBatchPaths(t *testing.T) {
 	a, b, rt := buildProfiledPair(t, true)
 	sent, err := a.SendBatch(frames("m1", "m2", "m3"))
 	if err != nil || sent != 3 {
@@ -151,35 +151,17 @@ func TestProfileBatchAndNodePaths(t *testing.T) {
 		t.Fatalf("RecvBatch: got=%d err=%v", got, err)
 	}
 
-	node := rt.Pool().Get()
-	if node == nil {
-		t.Fatal("pool empty")
-	}
-	if err := node.SetPayload([]byte("node-msg")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SendNode(node); err != nil {
-		t.Fatalf("SendNode: %v", err)
-	}
-	rn, ok, err := b.RecvNode()
-	if !ok || err != nil {
-		t.Fatalf("RecvNode: ok=%v err=%v", ok, err)
-	}
-	if err := rt.Pool().Put(rn); err != nil {
-		t.Fatal(err)
-	}
-
 	m := rt.CostProfile()
 	ca, cb := actorCost(t, m, "a"), actorCost(t, m, "b")
-	wantBytes := uint64(len("m1m2m3") + len("node-msg"))
-	if ca.MsgsSent != 4 || ca.BytesSent != wantBytes {
-		t.Fatalf("sender = %+v, want 4 msgs / %d bytes over batch+node paths", ca, wantBytes)
+	wantBytes := uint64(len("m1m2m3"))
+	if ca.MsgsSent != 3 || ca.BytesSent != wantBytes {
+		t.Fatalf("sender = %+v, want 3 msgs / %d bytes over the batch path", ca, wantBytes)
 	}
-	if cb.MsgsRecv != 4 || cb.BytesRecv != wantBytes {
-		t.Fatalf("receiver = %+v, want 4 msgs / %d bytes over batch+node paths", cb, wantBytes)
+	if cb.MsgsRecv != 3 || cb.BytesRecv != wantBytes {
+		t.Fatalf("receiver = %+v, want 3 msgs / %d bytes over the batch path", cb, wantBytes)
 	}
-	if ca.SealOps != 4 || cb.OpenOps != 4 {
-		t.Fatalf("seal/open ops = %d/%d, want 4/4 (every sealed message exact)", ca.SealOps, cb.OpenOps)
+	if ca.SealOps != 3 || cb.OpenOps != 3 {
+		t.Fatalf("seal/open ops = %d/%d, want 3/3 (every sealed message exact)", ca.SealOps, cb.OpenOps)
 	}
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"testing"
-
-	"github.com/eactors/eactors-go/internal/mem"
 )
 
 // TestReplayRejected: the hostile runtime re-delivers a captured node;
@@ -74,7 +72,9 @@ func TestReorderRejected(t *testing.T) {
 	}
 }
 
-// TestReplayRejectedRecvNode covers the zero-copy receive path.
+// TestReplayRejectedRecvNode: a frame replayed after its original was
+// received and its node recycled must be rejected, and the received
+// node carrying the replay must still go back to the pool.
 func TestReplayRejectedRecvNode(t *testing.T) {
 	a, b, _ := buildPair(t, true, 8, 16, 128)
 	if err := a.Send([]byte("zc")); err != nil {
@@ -85,19 +85,18 @@ func TestReplayRejectedRecvNode(t *testing.T) {
 	raw = append(raw, node.Payload()...)
 	b.in.Enqueue(node)
 
-	got, ok, err := b.RecvNode()
-	if !ok || err != nil {
-		t.Fatalf("first RecvNode: %v %v", ok, err)
+	buf := make([]byte, 128)
+	n, ok, err := b.Recv(buf)
+	if !ok || err != nil || string(buf[:n]) != "zc" {
+		t.Fatalf("first Recv = %q ok=%v err=%v", buf[:n], ok, err)
 	}
-	b.Release(got)
 
 	dup := b.pool.Get()
 	_ = dup.SetPayload(raw)
 	b.in.Enqueue(dup)
-	var n *mem.Node
-	n, ok, err = b.RecvNode()
-	if !ok || !errors.Is(err, ErrReplay) || n != nil {
-		t.Fatalf("replayed RecvNode = %v ok=%v err=%v", n, ok, err)
+	n, ok, err = b.Recv(buf)
+	if !ok || !errors.Is(err, ErrReplay) || n != 0 {
+		t.Fatalf("replayed Recv n=%d ok=%v err=%v", n, ok, err)
 	}
 	// All nodes back in the pool.
 	if free := b.pool.Free(); free != 16 {

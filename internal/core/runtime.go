@@ -410,12 +410,6 @@ func (rt *Runtime) EndpointForTest(actor, channel string) (*Endpoint, error) {
 	return ep, nil
 }
 
-// EndpointForTest is the package-level convenience of
-// Runtime.EndpointForTest.
-func EndpointForTest(rt *Runtime, actor, channel string) (*Endpoint, error) {
-	return rt.EndpointForTest(actor, channel)
-}
-
 // Tracer returns the causal tracer, or nil (a valid no-op receiver)
 // when Config.Trace is off.
 func (rt *Runtime) Tracer() *trace.Tracer { return rt.tr }

@@ -41,7 +41,7 @@ func buildTracedPair(t *testing.T, encrypted bool) (a, b *Endpoint, sc *trace.Sc
 	if a, err = rt.EndpointForTest("a", "link"); err != nil {
 		t.Fatal(err)
 	}
-	if b, err = EndpointForTest(rt, "b", "link"); err != nil {
+	if b, err = rt.EndpointForTest("b", "link"); err != nil {
 		t.Fatal(err)
 	}
 	if sc, err = rt.ScopeForTest("a"); err != nil {
@@ -138,33 +138,6 @@ func TestTraceSendRecvEncrypted(t *testing.T) {
 	n, ok, err = b.Recv(buf)
 	if err != nil || !ok || string(buf[:n]) != "sealed only" {
 		t.Fatalf("untraced armed Recv: %q ok=%v err=%v", buf[:n], ok, err)
-	}
-}
-
-// TestTraceSendNodeEncrypted checks the zero-copy node path carries the
-// context through the sealed frame the same way the copying path does.
-func TestTraceSendNodeEncrypted(t *testing.T) {
-	a, b, sc, tr, rt := buildTracedPair(t, true)
-	ctx := tr.NewRoot()
-	sc.Adopt(ctx)
-	node := rt.Pool().Get()
-	if node == nil {
-		t.Fatal("pool empty")
-	}
-	if err := node.SetPayload([]byte("node traced")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SendNode(node); err != nil {
-		t.Fatalf("SendNode: %v", err)
-	}
-	got, ok, err := b.RecvNode()
-	if err != nil || !ok || string(got.Payload()) != "node traced" {
-		t.Fatalf("RecvNode: ok=%v err=%v payload=%q", ok, err, got.Payload())
-	}
-	b.Release(got)
-	kinds := kindCount(tr.Snapshot(), ctx.TraceID)
-	if kinds[trace.KindSend] == 0 || kinds[trace.KindOpen] == 0 {
-		t.Fatalf("node path kinds = %v, want send + open", kinds)
 	}
 }
 

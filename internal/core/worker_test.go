@@ -156,18 +156,26 @@ func TestEncryptedChannelTamper(t *testing.T) {
 	}
 }
 
-// TestRecvNodeTamper covers the zero-copy receive path under tampering.
-func TestRecvNodeTamper(t *testing.T) {
+// TestRecvBatchTamper: a tampered frame inside a batch is consumed and
+// its node returned to the pool, and the intact message behind it is
+// still delivered.
+func TestRecvBatchTamper(t *testing.T) {
 	a, b, _ := buildPair(t, true, 8, 16, 128)
-	if err := a.Send([]byte("payload")); err != nil {
-		t.Fatal(err)
+	if sent, err := a.SendBatch(frames("payload", "intact")); sent != 2 || err != nil {
+		t.Fatalf("SendBatch = %d, %v", sent, err)
 	}
 	node, _ := b.in.Dequeue()
 	node.Buf()[0] ^= 1
+	intact, _ := b.in.Dequeue()
 	b.in.Enqueue(node)
-	got, ok, err := b.RecvNode()
-	if !ok || err == nil || got != nil {
-		t.Fatalf("tampered RecvNode = %v ok=%v err=%v", got, ok, err)
+	b.in.Enqueue(intact)
+	bufs, lens := BatchBufs(2, 128)
+	n, err := b.RecvBatch(bufs, lens)
+	if n != 1 || err == nil || string(bufs[0][:lens[0]]) != "intact" {
+		t.Fatalf("tampered RecvBatch: n=%d err=%v first=%q", n, err, bufs[0][:lens[0]])
+	}
+	if free := b.pool.Free(); free != 16 {
+		t.Fatalf("pool Free = %d after tamper, want 16", free)
 	}
 }
 

@@ -37,7 +37,7 @@ const (
 	// SiteOpen covers sgx.Enclave.Unseal and the channel-layer payload
 	// open.
 	SiteOpen
-	// SiteSend is a core Endpoint send (Send/SendNode/SendBatch).
+	// SiteSend is a core Endpoint send (Send/SendBatch).
 	SiteSend
 	// SiteRecv is a core Endpoint receive.
 	SiteRecv

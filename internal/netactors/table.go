@@ -92,7 +92,6 @@ type Socket struct {
 	// finished writing: queued in the outbox or inside conn.Write.
 	unwritten    atomic.Int32
 	quit         chan struct{}
-	dropped      atomic.Uint64
 	pumpOnce     sync.Once
 	writeRunning atomic.Bool
 	closeOnce    sync.Once
@@ -103,10 +102,6 @@ type Socket struct {
 	ready  atomic.Pointer[readyQueue]
 	queued atomic.Bool
 }
-
-// Dropped returns the number of outbound frames dropped because the
-// peer was not draining its connection.
-func (s *Socket) Dropped() uint64 { return s.dropped.Load() }
 
 // ID returns the socket identifier.
 func (s *Socket) ID() uint32 { return s.id }
@@ -444,7 +439,6 @@ func (t *Table) Write(id uint32, data []byte) error {
 	default:
 		t.bufs.put(frame)
 		s.unwritten.Add(-1)
-		s.dropped.Add(1)
 		t.stats.dropped.Add(1)
 		return errBackpressure
 	}

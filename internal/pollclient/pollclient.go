@@ -11,17 +11,17 @@ import (
 	"time"
 )
 
-// URL normalises addr into a full endpoint URL: a bare host:port gains
-// the http:// scheme, and path (e.g. "/debug/profile") is appended
-// unless addr already names it.
+// URL normalises addr into a full endpoint URL: it keeps addr's scheme
+// (http:// for a bare host:port) and host, and replaces whatever path
+// addr names (such as the /metrics URL the servers print) with path
+// (e.g. "/debug/profile").
 func URL(addr, path string) string {
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
+	scheme, rest, ok := strings.Cut(addr, "://")
+	if !ok {
+		scheme, rest = "http", addr
 	}
-	if strings.Contains(addr, path) {
-		return addr
-	}
-	return strings.TrimSuffix(addr, "/") + path
+	host, _, _ := strings.Cut(rest, "/")
+	return scheme + "://" + host + path
 }
 
 // Get fetches url with a 5-second budget and returns the body; a

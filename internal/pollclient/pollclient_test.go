@@ -12,6 +12,7 @@ func TestURL(t *testing.T) {
 		{"127.0.0.1:9090", "/debug/profile", "http://127.0.0.1:9090/debug/profile"},
 		{"http://host:1/", "/debug/profile", "http://host:1/debug/profile"},
 		{"http://host:1/debug/profile", "/debug/profile", "http://host:1/debug/profile"},
+		{"http://host:1/metrics", "/debug/profile", "http://host:1/debug/profile"},
 		{"https://host", "/debug/traces", "https://host/debug/traces"},
 	} {
 		if got := URL(tc.addr, tc.path); got != tc.want {

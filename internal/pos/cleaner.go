@@ -22,9 +22,6 @@ func (r *Reader) Tick() {
 	r.seen.Store(r.store.epoch.Load())
 }
 
-// Seen returns the last epoch the reader published.
-func (r *Reader) Seen() uint64 { return r.seen.Load() }
-
 // RegisterReader adds a grace counter that constrains the Cleaner.
 func (s *Store) RegisterReader() *Reader {
 	r := &Reader{store: s}

@@ -153,14 +153,6 @@ func (m *CostModel) ChargeCycles(cycles float64) {
 	Spin(m.CyclesToDuration(cycles))
 }
 
-// CrossCost returns the duration of a single boundary crossing.
-func (m *CostModel) CrossCost() time.Duration {
-	if m == nil {
-		return 0
-	}
-	return m.CyclesToDuration(float64(m.CrossCycles))
-}
-
 // CopyCycles returns the marshalling cycle cost for copying n bytes
 // across the enclave boundary, modelling the L1 knee.
 func (m *CostModel) CopyCycles(n int) float64 {

@@ -134,15 +134,6 @@ func (e *Enclave) AllocBytes(n int) error {
 	return e.AllocPages((n + PageBytes - 1) / PageBytes)
 }
 
-// FreePages releases n EPC pages.
-func (e *Enclave) FreePages(n int) {
-	if n <= 0 {
-		return
-	}
-	e.pages.Add(-int64(n))
-	e.platform.epcUsed.Add(-int64(n))
-}
-
 // TouchPages models accessing n resident pages under EPC pressure: when
 // the platform working set exceeds the EPC budget, a fraction of the
 // touched pages miss and pay the eviction penalty. It reproduces the

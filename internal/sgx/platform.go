@@ -201,9 +201,6 @@ func (p *Platform) EnclaveByName(name string) (*Enclave, bool) {
 // EPCUsedPages reports the pages currently resident in the simulated EPC.
 func (p *Platform) EPCUsedPages() int64 { return p.epcUsed.Load() }
 
-// EPCBudgetPages reports the total EPC budget in pages.
-func (p *Platform) EPCBudgetPages() int64 { return p.epcPages }
-
 // Snapshot returns a copy of the simulator counters.
 func (p *Platform) Snapshot() Stats {
 	return Stats{

@@ -126,11 +126,3 @@ func (s HistSnapshot) Quantile(p float64) uint64 {
 	}
 	return s.Max
 }
-
-// Mean returns the arithmetic mean of all observations (0 when empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
