@@ -4,7 +4,6 @@
 //	eactors-load kv   -server 127.0.0.1:6380 -clients 8 -duration 10s -get-ratio 0.9
 //	eactors-load xmpp -server 127.0.0.1:5222 -clients 100 -duration 30s
 //	eactors-load xmpp -server 127.0.0.1:5222 -group room1 -clients 50
-//	eactors-load xmpp -server 127.0.0.1:5269 -s2s -depth 32 -clients 4
 //	eactors-load idle -kvserver bin/kvserver -xmppserver bin/xmppserver -conns 10000
 //
 // kv drives the framed KV protocol: each client keeps -depth requests in
@@ -31,9 +30,6 @@ import (
 
 	"github.com/eactors/eactors-go/internal/fdlimit"
 	"github.com/eactors/eactors-go/internal/load"
-	"github.com/eactors/eactors-go/internal/transport"
-	"github.com/eactors/eactors-go/internal/xmpp"
-	"github.com/eactors/eactors-go/internal/xmpp/stanza"
 )
 
 func main() {
@@ -125,31 +121,22 @@ func xmppVerb(fs *flag.FlagSet) func(io.Writer) (*load.Result, error) {
 	warmup := fs.Duration("warmup", time.Second, "warmup before measuring")
 	group := fs.String("group", "", "group-chat room: all clients join it, one sends")
 	payload := fs.Int("payload", 150, "message payload bytes")
-	s2s := fs.Bool("s2s", false, "drive a framed server-to-server federation endpoint instead of the client protocol")
-	depth := fs.Int("depth", 32, "stanzas kept in flight per federation link (with -s2s)")
 	return func(info io.Writer) (*load.Result, error) {
 		if *server == "" {
 			return nil, fmt.Errorf("-server is required")
 		}
 		var (
-			st       load.Stats
-			err      error
-			mode     string
-			runDepth int
+			st   load.Stats
+			err  error
+			mode string
 		)
-		switch {
-		case *s2s:
-			mode, runDepth = "s2s", max(*depth, 1)
-			fmt.Fprintf(info, "xmpp: s2s against %s, %d links x depth %d, %v warmup + %v measure\n",
-				*server, *clients, runDepth, *warmup, *duration)
-			st = runS2S(*server, max(*clients, 1), runDepth, makePayload(*payload), *warmup, *duration)
-		case *group != "":
+		if *group != "" {
 			mode = "group"
 			fmt.Fprintf(info, "xmpp: group %q against %s, %d members, %v warmup + %v measure\n",
 				*group, *server, *clients, *warmup, *duration)
 			st, err = load.RunGroup(load.Group{Addr: *server, Room: *group, Members: *clients,
 				Body: makePayload(*payload), Warmup: *warmup, Measure: *duration})
-		default:
+		} else {
 			mode = "o2o"
 			fmt.Fprintf(info, "xmpp: O2O against %s, %d clients, %v warmup + %v measure\n",
 				*server, *clients, *warmup, *duration)
@@ -159,12 +146,9 @@ func xmppVerb(fs *flag.FlagSet) func(io.Writer) (*load.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch mode {
-		case "s2s":
-			fmt.Fprintf(info, "throughput: %.0f stanzas/s (%d acked, %d errors)\n", st.Rate(), st.Ops, st.Errors)
-		case "group":
+		if mode == "group" {
 			fmt.Fprintf(info, "throughput: %.0f group msg/s (%d deliveries to %d members)\n", st.Rate(), st.Ops, st.Fanout)
-		default:
+		} else {
 			fmt.Fprintf(info, "throughput: %.0f req/s (%d requests in %v, %d errors)\n", st.Rate(), st.Ops, *duration, st.Errors)
 		}
 		fmt.Fprintf(info, "latency:    p50=%v p95=%v p99=%v (%d samples)\n",
@@ -172,52 +156,9 @@ func xmppVerb(fs *flag.FlagSet) func(io.Writer) (*load.Result, error) {
 			st.Latency.Percentile(0.95).Round(time.Microsecond),
 			st.Latency.Percentile(0.99).Round(time.Microsecond),
 			st.Latency.Count())
-		res := st.Result("xmppload", mode, *clients, runDepth)
+		res := st.Result("xmppload", mode, *clients, 0)
 		return &res, nil
 	}
-}
-
-// runS2S pumps stanzas over framed federation links, each keeping a
-// sliding ring of depth un-acked stanzas in flight — the s2s face of
-// the pipelining depth sweep.
-func runS2S(server string, links, depth int, body string, warmup, duration time.Duration) load.Stats {
-	type slot struct {
-		c     *transport.Call
-		start time.Time
-	}
-	return load.Measure(links, warmup, duration, func(id int, w *load.Window) {
-		link, err := xmpp.DialS2S(server, 10*time.Second)
-		if err != nil {
-			w.Fail()
-			return
-		}
-		defer link.Close()
-		xml := []byte(stanza.Message(fmt.Sprintf("load-%d@remote", id), "peer@local", body))
-		ring := make([]slot, 0, depth)
-		reap := func() {
-			s := ring[0]
-			ring = append(ring[:0], ring[1:]...)
-			if err := link.WaitAck(s.c); err != nil {
-				w.Fail()
-				return
-			}
-			w.Done(s.start)
-		}
-		for !w.Stopped() {
-			start := time.Now()
-			c, err := link.IssueStanza(xml)
-			if err != nil {
-				w.Fail()
-				break
-			}
-			if ring = append(ring, slot{c, start}); len(ring) == depth {
-				reap()
-			}
-		}
-		for len(ring) > 0 {
-			reap()
-		}
-	})
 }
 
 // makePayload is an n-byte message body of random letters and digits.

@@ -1,8 +1,8 @@
 // Command sendcheck is a vet-style audit of discarded channel-send
 // results. Endpoint sends report failure through typed errors
 // (core.ErrMailboxFull, core.ErrPoolEmpty); silently discarding one
-// hides lost messages, which is exactly how the pre-supervision
-// netactors and XMPP bugs looked. Every deliberate discard must carry
+// hides lost messages, which is exactly how the early netactors and
+// XMPP bugs looked. Every deliberate discard must carry
 // a `//sendcheck:ok` marker on the same line (or the line above),
 // which doubles as a prompt to justify the shed in a comment.
 //

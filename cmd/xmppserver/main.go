@@ -34,8 +34,6 @@ func run() error {
 	enclaves := flag.Int("enclaves", 1, "number of enclaves hosting the XMPP eactors (when trusted)")
 	rooms := flag.String("rooms", "", "comma-separated group chats confined to dedicated enclaves")
 	directory := flag.Bool("directory", true, "keep the online directory in a sealed persistent object store (the paper's Section 5.1 design)")
-	s2s := flag.String("s2s", "", "also accept framed server-to-server federation links on this address, e.g. 127.0.0.1:5269 (empty = off)")
-	domain := flag.String("domain", "localhost", "local domain announced on federation links (with -s2s)")
 	obs := observe.Register(flag.CommandLine)
 	flag.Parse()
 	if err := obs.Check(); err != nil {
@@ -78,14 +76,6 @@ func run() error {
 	defer srv.Stop()
 	fmt.Printf("xmppserver: listening on %s (shards=%d trusted=%v enclaves=%d)\n",
 		srv.Addr(), *shards, *trusted, *enclaves)
-	var s2sSrv *xmpp.S2SServer
-	if *s2s != "" {
-		if s2sSrv, err = xmpp.ListenS2S(*s2s, *domain, xmpp.S2SOptions{}); err != nil {
-			return fmt.Errorf("s2s listener: %w", err)
-		}
-		defer s2sSrv.Close()
-		fmt.Printf("xmppserver: s2s federation on %s (domain %q, framed transport)\n", s2sSrv.Addr(), *domain)
-	}
 	return obs.Run("xmppserver", srv, func() {
 		st := srv.Stats()
 		report := srv.Runtime().Report()
@@ -94,9 +84,5 @@ func run() error {
 		fmt.Printf("xmppserver: crossings=%d epc-evictions=%d pool-free=%d failed-actors=%v\n",
 			report.Platform.Crossings, report.Platform.EvictedPages,
 			report.PublicPoolFree, report.FailedActors)
-		if s2sSrv != nil {
-			fs := s2sSrv.Stats()
-			fmt.Printf("xmppserver: s2s links=%d stanzas=%d rejected=%d\n", fs.Links, fs.Stanzas, fs.Rejected)
-		}
 	})
 }

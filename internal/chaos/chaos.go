@@ -46,19 +46,18 @@ func ReproCommand(test string, seed uint64) string {
 	return fmt.Sprintf("CHAOS_SEED=%d go test -race -run %s ./internal/chaos", seed, test)
 }
 
-// DefaultRules is the standard chaos schedule: five fault classes
+// DefaultRules is the standard chaos schedule: four fault classes
 // spread over the enclave-crossing, channel, and seal sites. Rates are
 // low enough that forward progress dominates, high enough that every
-// armed class fires many times in a few thousand operations. EPCSpike
-// and Delay sit on the enter/exit sites, which the secure-sum ring never
-// reaches (it makes no crossings per round), so at most the three seal
-// and send classes can fire there.
+// armed class fires many times in a few thousand operations. Delay sits
+// on the exit site, which the secure-sum ring never reaches (it makes
+// no crossings per round), so at most the three seal and send classes
+// can fire there.
 func DefaultRules() []faults.Rule {
 	return []faults.Rule{
 		{Site: faults.SiteSeal, Class: faults.SealCorrupt, Rate: 0.02},
 		{Site: faults.SiteSend, Class: faults.SendFail, Rate: 0.02},
 		{Site: faults.SiteSend, Class: faults.DoorbellDrop, Rate: 0.01},
-		{Site: faults.SiteEnter, Class: faults.EPCSpike, Rate: 0.002, Pages: 64},
 		{Site: faults.SiteExit, Class: faults.Delay, Rate: 0.002, Delay: 100 * time.Microsecond},
 	}
 }
@@ -75,7 +74,6 @@ func XMPPRules() []faults.Rule {
 		{Site: faults.SiteSend, Class: faults.SendFail, Rate: 0.08},
 		{Site: faults.SiteSend, Class: faults.DoorbellDrop, Rate: 0.05},
 		{Site: faults.SiteRecv, Class: faults.Delay, Rate: 0.05, Delay: 50 * time.Microsecond},
-		{Site: faults.SiteEnter, Class: faults.EPCSpike, Rate: 0.05, Pages: 64},
 	}
 }
 

@@ -23,7 +23,6 @@ func KVRules() []faults.Rule {
 		{Site: faults.SiteSeal, Class: faults.SealCorrupt, Rate: 0.05},
 		{Site: faults.SiteSend, Class: faults.SendFail, Rate: 0.05},
 		{Site: faults.SiteSend, Class: faults.DoorbellDrop, Rate: 0.03},
-		{Site: faults.SiteEnter, Class: faults.EPCSpike, Rate: 0.02, Pages: 64},
 	}
 }
 

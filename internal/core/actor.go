@@ -52,11 +52,6 @@ type Spec struct {
 	// State is the eactor's initial private state, exposed as
 	// Self.State.
 	State any
-
-	// Restart is the supervision policy applied after a body panic. The
-	// zero value keeps the pre-supervision behaviour: the actor parks
-	// permanently (blast-radius containment, Section 2.3).
-	Restart RestartPolicy
 }
 
 // actorInstance binds a Spec to its resolved runtime resources.
@@ -72,28 +67,14 @@ type actorInstance struct {
 	// Config.Profile was set.
 	cost *profile.ActorCell
 
-	// failed parks the actor after a body panic (blast-radius
+	// failed parks the actor for good after a body panic (blast-radius
 	// containment); failure records the panic value and dump captures
 	// the owning worker's flight recorder at the moment of the park.
-	// Both are atomic pointers so post-mortems stay readable —
-	// race-free — after a supervised restart overwrites them on the
-	// next park.
+	// Both are written by the worker before failed flips and read by
+	// other goroutines after it, so they are atomic pointers.
 	failed  atomic.Bool
 	failure atomic.Pointer[string]
 	dump    atomic.Pointer[[]telemetry.Event]
-
-	// Supervision state. restarts counts completed restarts; restartAt
-	// is the UnixNano deadline of the pending restart (0 when none is
-	// scheduled). parkGen counts parks, and forceGen holds the park
-	// generation a manual RestartActor override targeted (0 = none):
-	// the owning worker honours the override — regardless of policy and
-	// backoff — only while the generations match, so a force issued
-	// against a park the worker has already restarted can never leak
-	// onto a healthy actor and bypass MaxRestarts on its next park.
-	restarts  atomic.Uint64
-	restartAt atomic.Int64
-	parkGen   atomic.Uint64
-	forceGen  atomic.Uint64
 
 	// scope is the actor's active trace context (zero value when tracing
 	// is disabled): cleared by the worker before each invocation, adopted
@@ -108,13 +89,6 @@ func (a *actorInstance) failureText() string {
 		return *s
 	}
 	return ""
-}
-
-// forcePending reports whether a manual restart override targets the
-// actor's current park.
-func (a *actorInstance) forcePending() bool {
-	fg := a.forceGen.Load()
-	return fg != 0 && fg == a.parkGen.Load()
 }
 
 // Self is the handle passed to an eactor's Init and Body; it provides

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -119,5 +120,89 @@ func TestPanicInEnclavedActor(t *testing.T) {
 			t.Fatal("survivor starved after co-located panic")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPanicParkUnderConcurrentTraffic: an actor crashing while two
+// producers on other workers hammer its mailbox parks exactly once;
+// the producers degrade to ErrMailboxFull (typed, not a wedge or a
+// node leak) and the rest of the deployment keeps running.
+func TestPanicParkUnderConcurrentTraffic(t *testing.T) {
+	var crashes, bystanderRuns atomic.Int64
+	cfg := Config{
+		Workers:   []WorkerSpec{{}, {}, {}},
+		PoolNodes: 32,
+		Channels: []ChannelSpec{
+			{Name: "t1", A: "prod-1", B: "victim", Capacity: 4},
+			{Name: "t2", A: "prod-2", B: "victim", Capacity: 4},
+		},
+		Actors: []Spec{
+			{Name: "prod-1", Worker: 1, Body: func(*Self) {}},
+			{Name: "prod-2", Worker: 2, Body: func(*Self) {}},
+			{
+				Name: "victim", Worker: 0,
+				Body: func(self *Self) {
+					crashes.Add(1)
+					panic("died mid-traffic")
+				},
+			},
+			{Name: "bystander", Worker: 0, Body: func(self *Self) {
+				bystanderRuns.Add(1)
+				self.Progress()
+			}},
+		},
+	}
+	rt, err := NewRuntime(zeroPlatform(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+
+	// Two goroutines drive the producers' endpoints concurrently with
+	// the crash, as cross-worker traffic would. The main loop waits for
+	// a rejected send before stopping them — against a parked 4-slot
+	// mailbox one is inevitable, but only once the producers have had
+	// the cycles to overfill it.
+	var full atomic.Int64
+	stop := make(chan struct{})
+	done := make(chan struct{}, 2)
+	for i, name := range []string{"prod-1", "prod-2"} {
+		ep := rt.actors[name].endpoints[[]string{"t1", "t2"}[i]]
+		go func(ep *Endpoint) {
+			defer func() { done <- struct{}{} }()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := ep.Send([]byte("spam")); err != nil {
+					if !errors.Is(err, ErrMailboxFull) && !errors.Is(err, ErrPoolEmpty) {
+						t.Errorf("unexpected send error: %v", err)
+						return
+					}
+					full.Add(1)
+				}
+			}
+		}(ep)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for len(rt.FailedActors()) == 0 || bystanderRuns.Load() < 1000 || full.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("park, bystander progress or full mailbox missing: failed=%v bystander=%d full=%d",
+				rt.FailedActors(), bystanderRuns.Load(), full.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	<-done
+	<-done
+
+	if got := crashes.Load(); got != 1 {
+		t.Fatalf("victim ran %d times, want exactly 1", got)
 	}
 }

@@ -68,23 +68,9 @@ func (rt *Runtime) actorFailed(name string) {
 	rt.failedMu.Unlock()
 }
 
-// actorRestarted removes a revived actor from the failed list (called
-// by workers after a supervised restart).
-func (rt *Runtime) actorRestarted(name string) {
-	rt.failedMu.Lock()
-	for i, n := range rt.failed {
-		if n == name {
-			rt.failed = append(rt.failed[:i], rt.failed[i+1:]...)
-			break
-		}
-	}
-	rt.failedMu.Unlock()
-}
-
-// FailedActors lists eactors currently parked after a body panic, with
-// their panic values available via ActorFailure. A supervised restart
-// removes the actor from the list; use ActorRestarts/Supervision for
-// the history.
+// FailedActors lists eactors parked after a body panic, with their
+// panic values available via ActorFailure. A parked actor stays parked
+// for the runtime's lifetime.
 func (rt *Runtime) FailedActors() []string {
 	rt.failedMu.Lock()
 	defer rt.failedMu.Unlock()

@@ -21,7 +21,6 @@ type metrics struct {
 	idles        *telemetry.Counter     // worker transitions into the idle wait
 	wakes        *telemetry.Counter     // doorbell wakeups out of the idle wait
 	parks        *telemetry.Counter     // actors parked after a body panic
-	restarts     *telemetry.Counter     // supervised restarts of parked actors
 
 	// Channel-side. Traffic totals (msgs sent/recv, send failures) are
 	// NOT duplicated here: the endpoint atomics remain the single source
@@ -49,7 +48,6 @@ func newMetrics(reg *telemetry.Registry, workers int) *metrics {
 		idles:        reg.Counter("eactors_worker_idle", "worker transitions into the doorbell idle wait"),
 		wakes:        reg.Counter("eactors_worker_wakes", "doorbell wakeups out of the idle wait"),
 		parks:        reg.Counter("eactors_parks", "eactors parked after a body panic"),
-		restarts:     reg.Counter("eactors_restarts", "supervised restarts of parked eactors"),
 		sendBatch:    reg.Histogram("eactors_channel_send_batch_size", "SendBatch burst sizes", "msgs"),
 		recvBatch:    reg.Histogram("eactors_channel_recv_batch_size", "RecvBatch burst sizes", "msgs"),
 		sealNs:       reg.Histogram("eactors_channel_seal_ns", "per-payload channel seal time, sampled 1/16", "ns"),
@@ -140,9 +138,8 @@ func (rt *Runtime) Telemetry() *telemetry.Registry { return rt.tel }
 
 // ActorFlightDump returns the flight-recorder dump captured when the
 // named actor's body last panicked: the final events of the owning
-// worker up to and including the park. The dump survives a supervised
-// restart — the post-mortem of a revived actor stays inspectable — and
-// is nil for an actor that never failed or when telemetry is disabled.
+// worker up to and including the park. It is nil for an actor that
+// never failed or when telemetry is disabled.
 func (rt *Runtime) ActorFlightDump(name string) []telemetry.Event {
 	inst, ok := rt.actors[name]
 	if !ok {

@@ -85,14 +85,11 @@ func (w *Worker) invoke(a *actorInstance, crossed bool) {
 		if r := recover(); r != nil {
 			// The failure text must be in place before the flag flips,
 			// so any reader that observes failed==true (ActorFailure,
-			// report.go) sees this park's message. It is an atomic
-			// pointer in its own right because supervised restarts let
-			// the worker re-park and overwrite it while a reader still
-			// holds failed==true from an earlier park. The
-			// flight-recorder dump follows the same discipline: it is
-			// captured — including the park event itself — before the
-			// flag flips, so the post-mortem (ActorFlightDump) shows
-			// what the worker did right up to the panic.
+			// report.go) sees this park's message. The flight-recorder
+			// dump follows the same discipline: it is captured —
+			// including the park event itself — before the flag flips,
+			// so the post-mortem (ActorFlightDump) shows what the
+			// worker did right up to the panic.
 			msg := fmt.Sprintf("%v", r)
 			a.failure.Store(&msg)
 			if w.m != nil {
@@ -101,16 +98,6 @@ func (w *Worker) invoke(a *actorInstance, crossed bool) {
 				dump := w.rec.Dump(0)
 				a.dump.Store(&dump)
 			}
-			// Schedule the supervised restart (if the policy grants one)
-			// before the park becomes visible, so any observer that sees
-			// failed==true also sees the deadline.
-			if !a.spec.Restart.exhausted(a.restarts.Load()) {
-				delay := a.spec.Restart.backoff(a.restarts.Load())
-				a.restartAt.Store(time.Now().Add(delay).UnixNano())
-			}
-			// New park, new generation: published before the flag so a
-			// RestartActor that sees failed==true targets this park.
-			a.parkGen.Add(1)
 			a.failed.Store(true)
 			w.rt.actorFailed(a.spec.Name)
 		}
@@ -165,96 +152,8 @@ func (w *Worker) invoke(a *actorInstance, crossed bool) {
 	}
 }
 
-// restartDue reports whether a parked actor's restart should be
-// performed now: either its backoff deadline passed or RestartActor
-// forced it.
-func (w *Worker) restartDue(a *actorInstance) bool {
-	if a.forcePending() {
-		return true
-	}
-	due := a.restartAt.Load()
-	return due != 0 && time.Now().UnixNano() >= due
-}
-
-// restart revives a parked actor on its owning worker — the only
-// goroutine allowed to touch the actor's endpoints, which is what makes
-// the mailbox flush safe without locks. The worker has already entered
-// the actor's enclave. It returns false when a Reinit failure re-parked
-// the actor.
-func (w *Worker) restart(a *actorInstance) bool {
-	a.forceGen.Store(0)
-	a.restartAt.Store(0)
-	if a.spec.Restart.FlushMailbox {
-		for _, ep := range a.endpoints {
-			for {
-				node, ok := ep.in.Dequeue()
-				if !ok {
-					break
-				}
-				_ = ep.pool.Put(node)
-			}
-		}
-	}
-	if a.spec.Restart.Reinit && a.spec.Init != nil {
-		if err := a.spec.Init(a.self); err != nil {
-			// A failing constructor is another failure: count it and
-			// re-park with the next backoff step (or permanently once
-			// the policy is exhausted).
-			msg := fmt.Sprintf("reinit: %v", err)
-			a.failure.Store(&msg)
-			n := a.restarts.Add(1)
-			if !a.spec.Restart.exhausted(n) {
-				a.restartAt.Store(time.Now().Add(a.spec.Restart.backoff(n)).UnixNano())
-			}
-			return false
-		}
-	}
-	n := a.restarts.Add(1)
-	if w.m != nil {
-		w.m.restarts.Inc(w.id)
-		w.rec.Record(telemetry.EvRestart, a.tag, n)
-	}
-	a.failed.Store(false)
-	w.rt.actorRestarted(a.spec.Name)
-	return true
-}
-
-// nextRestartDelay returns the time until the earliest pending restart
-// of this worker's actors, so the idle wait never sleeps through a
-// backoff deadline. A manual override is due immediately — it may be
-// the only pending restart (restartAt==0 for zero-policy actors), and
-// idleWait has already drained the doorbell by the time it asks, so
-// RestartActor's Wake alone cannot be relied on to cut the sleep short.
-func (w *Worker) nextRestartDelay() (time.Duration, bool) {
-	var earliest int64
-	for _, a := range w.actors {
-		if !a.failed.Load() {
-			continue
-		}
-		if a.forcePending() {
-			return 0, true
-		}
-		due := a.restartAt.Load()
-		if due == 0 {
-			continue
-		}
-		if earliest == 0 || due < earliest {
-			earliest = due
-		}
-	}
-	if earliest == 0 {
-		return 0, false
-	}
-	d := time.Until(time.Unix(0, earliest))
-	if d < 0 {
-		d = 0
-	}
-	return d, true
-}
-
 // idleWait parks the worker until its doorbell rings, the idle-sleep
-// timeout elapses, a pending restart comes due, or shutdown is
-// requested.
+// timeout elapses, or shutdown is requested.
 func (w *Worker) idleWait(timer *time.Timer) {
 	// Clear a stale ring so the bell reflects "work arrived after the
 	// last full round".
@@ -267,11 +166,7 @@ func (w *Worker) idleWait(timer *time.Timer) {
 		w.m.idles.Inc(w.id)
 		w.rec.Record(telemetry.EvIdle, 0, 0)
 	}
-	sleep := w.idleSleep
-	if d, ok := w.nextRestartDelay(); ok && d < sleep {
-		sleep = d
-	}
-	timer.Reset(sleep)
+	timer.Reset(w.idleSleep)
 	select {
 	case <-w.doorbell:
 		if w.m != nil {
@@ -307,12 +202,8 @@ func (w *Worker) run() {
 
 		progressed := false
 		for _, a := range w.actors {
-			restarting := false
 			if a.failed.Load() {
-				if !w.restartDue(a) {
-					continue
-				}
-				restarting = true
+				continue
 			}
 			crossed := false
 			if w.tr != nil || a.cost != nil {
@@ -343,14 +234,6 @@ func (w *Worker) run() {
 				}
 			} else {
 				w.ctx.Exit()
-			}
-			if restarting {
-				if !w.restart(a) {
-					continue
-				}
-				// The revived body runs immediately below; the restart
-				// itself is progress.
-				progressed = true
 			}
 			if w.inj != nil {
 				if act := w.inj.At(faults.SiteInvoke); act.Class == faults.Delay {

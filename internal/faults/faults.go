@@ -77,8 +77,6 @@ const (
 	SealCorrupt
 	// SendFail rejects the send as if the mailbox were full.
 	SendFail
-	// EPCSpike transiently inflates EPC pressure, forcing evictions.
-	EPCSpike
 	// DoorbellDrop suppresses the consumer worker's doorbell ring, so
 	// delivery waits for the idle-sleep poll.
 	DoorbellDrop
@@ -92,8 +90,7 @@ const (
 
 var classNames = [numClasses]string{
 	None: "none", SealCorrupt: "seal-corrupt", SendFail: "send-fail",
-	EPCSpike: "epc-spike", DoorbellDrop: "doorbell-drop",
-	Delay: "delay", SyncFail: "sync-fail",
+	DoorbellDrop: "doorbell-drop", Delay: "delay", SyncFail: "sync-fail",
 }
 
 // String names the class.
@@ -114,8 +111,6 @@ type Rule struct {
 	Rate float64
 	// Delay is the stall length for Delay-class rules.
 	Delay time.Duration
-	// Pages is the transient page pressure for EPCSpike rules.
-	Pages int
 }
 
 // Config describes a reproducible fault schedule.
@@ -134,15 +129,12 @@ type Action struct {
 	Class Class
 	// Delay is the stall for Delay-class actions.
 	Delay time.Duration
-	// Pages is the page pressure for EPCSpike actions.
-	Pages int
 }
 
 type compiledRule struct {
 	class     Class
 	threshold uint64 // fire when hash < threshold
 	delay     time.Duration
-	pages     int
 	salt      uint64 // mixes the rule index into the hash stream
 }
 
@@ -195,7 +187,6 @@ func New(cfg Config) *Injector {
 			class:     r.Class,
 			threshold: threshold,
 			delay:     r.Delay,
-			pages:     r.Pages,
 			salt:      splitmix64(uint64(i+1) * 0x9E3779B97F4A7C15),
 		})
 	}
@@ -236,7 +227,7 @@ func (inj *Injector) decide(site Site, n uint64) Action {
 			if inj.observer != nil {
 				inj.observer(site, r.class)
 			}
-			return Action{Class: r.class, Delay: r.delay, Pages: r.pages}
+			return Action{Class: r.class, Delay: r.delay}
 		}
 	}
 	return Action{}

@@ -11,7 +11,7 @@ func chaosRules() []Rule {
 		{Site: SiteSeal, Class: SealCorrupt, Rate: 0.05},
 		{Site: SiteSend, Class: SendFail, Rate: 0.1},
 		{Site: SiteSend, Class: DoorbellDrop, Rate: 0.05},
-		{Site: SiteEnter, Class: EPCSpike, Rate: 0.02, Pages: 64},
+		{Site: SiteEnter, Class: Delay, Rate: 0.02, Delay: 10 * time.Microsecond},
 		{Site: SiteExit, Class: Delay, Rate: 0.01, Delay: 10 * time.Microsecond},
 	}
 }

@@ -3,8 +3,6 @@ package pos
 import (
 	"encoding/binary"
 	"sync/atomic"
-
-	"github.com/eactors/eactors-go/internal/core"
 )
 
 // Reader is a grace counter for one consumer of the store. The paper's
@@ -98,28 +96,4 @@ func (s *Store) Clean() (int, error) {
 	}
 	s.cleaned.Add(uint64(reclaimed))
 	return reclaimed, nil
-}
-
-// CleanerActor returns an eactor Spec that runs Clean periodically —
-// the paper's housekeeping Cleaner eactor. every counts body invocations
-// between passes (the actor model has no timers).
-func (s *Store) CleanerActor(name string, worker int, every int) core.Spec {
-	if every < 1 {
-		every = 1
-	}
-	countdown := every
-	return core.Spec{
-		Name:   name,
-		Worker: worker,
-		Body: func(self *core.Self) {
-			countdown--
-			if countdown > 0 {
-				return
-			}
-			countdown = every
-			if n, err := s.Clean(); err == nil && n > 0 {
-				self.Progress()
-			}
-		},
-	}
 }

@@ -6,10 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
-
-	"github.com/eactors/eactors-go/internal/core"
-	"github.com/eactors/eactors-go/internal/sgx"
 )
 
 // Failure-injection tests: the store must reject corrupted files rather
@@ -95,37 +91,4 @@ func testEncKey() [32]byte {
 		k[i] = byte(0xA0 + i)
 	}
 	return k
-}
-
-// TestCleanerActorIntegration runs the Cleaner as an eactor inside a
-// runtime, the deployment the paper describes.
-func TestCleanerActorIntegration(t *testing.T) {
-	s := openTestStore(t, Options{})
-	for i := 0; i < 5; i++ {
-		if err := s.Set([]byte("key"), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	spec := s.CleanerActor("cleaner", 0, 2)
-	if spec.Name != "cleaner" || spec.Body == nil {
-		t.Fatalf("CleanerActor spec = %+v", spec)
-	}
-	rt, err := core.NewRuntime(
-		sgx.NewPlatform(sgx.WithCostModel(sgx.ZeroCostModel())),
-		core.Config{Workers: []core.WorkerSpec{{}}, Actors: []core.Spec{spec}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Stop()
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Cleaned < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("cleaner eactor reclaimed %d of 4 outdated versions", s.Stats().Cleaned)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }

@@ -115,17 +115,19 @@ func (c *Context) cross(site faults.Site) {
 	}
 	d := c.platform.chargeCrossing()
 	if inj := c.platform.flt.Load(); inj != nil {
-		// Injected crossing faults: delayed transitions and transient
-		// EPC spikes, attributed to the domain at call time.
-		c.platform.applyCrossingFault(inj.At(site), c.cur)
+		// Injected crossing fault: a delayed (interrupted and retried)
+		// transition.
+		if act := inj.At(site); act.Class == faults.Delay {
+			Spin(act.Delay)
+		}
 	}
 	if c.rec != nil {
 		// ID is the domain crossed out of / into (c.cur at call time).
 		c.rec.Record(telemetry.EvCrossing, uint32(c.cur), uint64(d))
 	}
 	if c.captureCross {
-		// Wall duration, so injected delays and EPC spikes show up in
-		// the crossing span just as they do in real latency.
+		// Wall duration, so injected delays show up in the crossing
+		// span just as they do in real latency.
 		c.lastCrossNS = wallStart.UnixNano()
 		c.lastCrossDur = int64(time.Since(wallStart))
 	}

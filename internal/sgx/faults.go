@@ -5,10 +5,10 @@ import (
 )
 
 // AttachFaults arms the platform with a deterministic fault injector:
-// boundary crossings consult it for injected delays and transient EPC
-// spikes, and Seal corrupts its output when the schedule says so. A nil
-// injector (or never attaching one) keeps every hook a single atomic
-// pointer load that reads nil.
+// boundary crossings consult it for injected delays, and Seal corrupts
+// its output when the schedule says so. A nil injector (or never
+// attaching one) keeps every hook a single atomic pointer load that
+// reads nil.
 //
 // The core runtime attaches Config.Faults here automatically; tests and
 // chaos drivers may also attach directly.
@@ -19,40 +19,6 @@ func (p *Platform) AttachFaults(inj *faults.Injector) {
 // Faults returns the attached injector, or nil.
 func (p *Platform) Faults() *faults.Injector {
 	return p.flt.Load()
-}
-
-// applyCrossingFault realises a crossing-site action: Delay spins for
-// the scheduled stall (modelling an interrupted/retried transition) and
-// EPCSpike applies transient page pressure attributed to enclave id.
-func (p *Platform) applyCrossingFault(act faults.Action, id EnclaveID) {
-	switch act.Class {
-	case faults.Delay:
-		Spin(act.Delay)
-	case faults.EPCSpike:
-		p.SpikeEPC(id, act.Pages)
-	}
-}
-
-// SpikeEPC models a transient burst of EPC demand (another tenant's
-// enclave faulting pages in): pages are charged against the platform
-// budget, any overflow pays the eviction penalty exactly as AllocPages
-// charges it, and the pressure is released immediately. The eviction
-// counters and flight-recorder trace make the spike observable.
-func (p *Platform) SpikeEPC(id EnclaveID, pages int) {
-	if pages <= 0 {
-		return
-	}
-	used := p.epcUsed.Add(int64(pages))
-	if over := used - p.epcPages; over > 0 {
-		evict := int64(pages)
-		if over < evict {
-			evict = over
-		}
-		p.evictedPages.Add(uint64(evict))
-		p.noteEviction(id, evict)
-		p.costs.ChargeCycles(float64(evict) * float64(p.costs.PageEvictCycles))
-	}
-	p.epcUsed.Add(-int64(pages))
 }
 
 // corruptSealedBlob realises a SealCorrupt action: one flipped bit in

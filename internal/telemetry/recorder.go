@@ -30,7 +30,6 @@ const (
 	EvNetWrite               // socket write; ID = socket, Arg = bytes
 	EvPOSGet                 // POS get; Arg = latency ns
 	EvPOSSet                 // POS set; Arg = latency ns
-	EvRestart                // parked actor restarted; ID = actor tag, Arg = restart count
 	EvFault                  // injected fault fired; ID = site, Arg = class
 )
 
@@ -41,7 +40,7 @@ var kindNames = [...]string{
 	EvIdle: "idle", EvWake: "wake", EvDrainExhaust: "drain-exhaust",
 	EvNetRead: "net-read", EvNetWrite: "net-write",
 	EvPOSGet: "pos-get", EvPOSSet: "pos-set",
-	EvRestart: "restart", EvFault: "fault",
+	EvFault: "fault",
 }
 
 // String names the event kind.

@@ -19,7 +19,7 @@
 // server. The EActors KV service reuses the codec, Window and Replay
 // inside its actor bodies (no goroutines, frames encoded straight into
 // send-stage slots riding the batched WRITER path); Session/Serve back
-// the standalone clients, the XMPP s2s federation stub and the tests.
+// the standalone clients, the benchmark's transport probe and the tests.
 package transport
 
 import (
@@ -39,7 +39,7 @@ import (
 //
 // HELLO frames carry no payload and keep opaque below 256 by design: a
 // legacy KV server parsing one sees a complete 9-byte request with an
-// unknown opcode (every mtype sits in 0xE1..0xE7, far from the legacy
+// unknown opcode (every mtype sits in 0xE1..0xE6, far from the legacy
 // 1..3 range) and drops the connection immediately, so a new client
 // fails fast with ErrLegacyPeer instead of hanging on a half-read frame.
 const HeaderSize = 16
@@ -86,9 +86,6 @@ const (
 	TCredit
 	// TGoAway announces an orderly close or a protocol violation.
 	TGoAway
-	// TStanza carries one XMPP stanza on a server-to-server federation
-	// link; acknowledged by TResponse (see internal/xmpp s2s).
-	TStanza
 
 	typeEnd
 )
@@ -111,8 +108,6 @@ func (t Type) String() string {
 		return "credit"
 	case TGoAway:
 		return "goaway"
-	case TStanza:
-		return "stanza"
 	default:
 		return fmt.Sprintf("type(0x%02x)", uint8(t))
 	}
@@ -124,8 +119,6 @@ func (t Type) String() string {
 const (
 	// FeatureKV is the pipelined key-value request protocol.
 	FeatureKV uint32 = 1 << 0
-	// FeatureS2S is the XMPP server-to-server stanza framing.
-	FeatureS2S uint32 = 1 << 1
 
 	// maxHelloFeatures caps the feature word a HELLO may carry.
 	maxHelloFeatures = 1 << 8

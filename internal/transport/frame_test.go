@@ -9,11 +9,11 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []Frame{
 		{Type: THello, Flags: Version1, Opaque: FeatureKV, Credit: DefaultWindow},
-		{Type: THelloAck, Flags: Version1, Opaque: FeatureKV | FeatureS2S, Credit: 1},
+		{Type: THelloAck, Flags: Version1, Opaque: FeatureKV | 1<<7, Credit: 1},
 		{Type: TRequest, Opaque: 42, Payload: []byte("hello")},
 		{Type: TResponse, Opaque: 0xFFFFFFFF, Credit: 21, Payload: bytes.Repeat([]byte{0xAB}, 4096)},
 		{Type: TGoAway, Payload: []byte("bye")},
-		{Type: TStanza, Opaque: 7, Payload: []byte("<message/>")},
+		{Type: TRequest, Opaque: 7, Payload: []byte("<message/>")},
 		{Type: TCredit, Credit: 1 << 20},
 	}
 	for _, want := range cases {
@@ -68,7 +68,7 @@ func TestHelloLegacyRejectShape(t *testing.T) {
 	// opcode (0xE1, outside 1..3), bytes 5..8 — keyLen and valLen — must
 	// be zero so the legacy parser sees a complete frame and rejects
 	// deterministically instead of waiting for payload bytes.
-	hello, err := Hello(FeatureKV|FeatureS2S, DefaultWindow)
+	hello, err := Hello(FeatureKV|1<<7, DefaultWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestHelloLegacyRejectShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Type(1).Valid() || Type('<').Valid() || !Type(buf[0]).Valid() {
+	if Type(1).Valid() || Type('<').Valid() || Type(0xE7).Valid() || !Type(buf[0]).Valid() {
 		t.Fatal("first-byte frame type check misclassifies")
 	}
 	for i := 5; i < 9; i++ {

@@ -30,8 +30,8 @@ var ErrTimeout = errors.New("transport: call timed out")
 
 // SessionOptions configures a client Session.
 type SessionOptions struct {
-	// Features are the capability bits offered in HELLO (FeatureKV,
-	// FeatureS2S, ...). Must stay below 256 (see Hello).
+	// Features are the capability bits offered in HELLO (FeatureKV).
+	// Must stay below 256 (see Hello).
 	Features uint32
 	// RecvWindow is the receive-buffer advertisement sent to the peer
 	// (DefaultWindow when zero). v1 peers respond only to requests, so

@@ -157,7 +157,7 @@ func TestStringers(t *testing.T) {
 		"response":   TResponse.String(),
 		"credit":     TCredit.String(),
 		"goaway":     TGoAway.String(),
-		"stanza":     TStanza.String(),
+		"type(0xe7)": Type(0xE7).String(),
 		"new":        VerdictNew.String(),
 		"replay":     VerdictReplay.String(),
 		"reject":     VerdictReject.String(),
