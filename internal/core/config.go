@@ -20,6 +20,10 @@ const (
 	DefaultIdleSleep = 10 * time.Millisecond
 )
 
+// idleSpin is how long an idle worker keeps polling before it parks on
+// its doorbell; with the round that overshoots it, about one core.wake_us.
+const idleSpin = 2500 * time.Nanosecond
+
 // drainBudget bounds how many messages one body invocation may consume
 // through Self.RecvBatch. The budget is what lets bodies drain
 // aggressively (the batch fast path) without letting one flooded eactor

@@ -191,7 +191,7 @@ func (w *Worker) run() {
 	if !timer.Stop() {
 		<-timer.C
 	}
-	idleRounds := 0
+	var spinUntil time.Time // zero while the last round made progress
 	for {
 		select {
 		case <-w.stop:
@@ -248,24 +248,25 @@ func (w *Worker) run() {
 			}
 		}
 
-		// Back off when a full round made no progress: first yield, then
-		// sleep. The sleep matters twice over on few-core hosts: idle
-		// workers must not starve busy ones, and — critically — the Go
-		// scheduler only polls the network eagerly when a P goes idle,
-		// so spinning workers would delay socket readiness delivery to
-		// the netactors pumps by milliseconds.
+		// A round without progress starts a spin of idleSpin: work that
+		// arrives within it is taken without paying a wake. The budget is
+		// a time because a Gosched round lasts as long as every other
+		// runnable goroutine takes. The first idle round always yields:
+		// parking straight from it doubled the pipelined KV tail
+		// (DESIGN.md §4.2.1). Past the budget the worker parks, so idle
+		// workers do not starve busy ones and Ps go idle, which is when
+		// the Go scheduler polls the network.
 		if progressed {
-			idleRounds = 0
+			spinUntil = time.Time{}
 			continue
 		}
-		idleRounds++
-		switch {
-		case idleRounds < 4:
-			// immediate retry
-		case idleRounds < 32:
-			runtime.Gosched()
-		default:
+		if now := time.Now(); spinUntil.IsZero() {
+			spinUntil = now.Add(idleSpin)
+		} else if !now.Before(spinUntil) {
 			w.idleWait(timer)
+			spinUntil = time.Time{}
+			continue
 		}
+		runtime.Gosched()
 	}
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/eactors/eactors-go/internal/telemetry"
 )
 
 // TestDoorbellWakesIdleWorker checks that an idle worker reacts to work
@@ -96,6 +99,103 @@ func TestWakerFromForeignGoroutine(t *testing.T) {
 	for polls.Load() == before {
 		if time.Now().After(deadline) {
 			t.Fatal("waker did not trigger a poll round within 300ms")
+		}
+	}
+}
+
+// TestDoorbellAtParkBoundary sends each message at a different offset
+// from the consumer's last progress, spread over three spin budgets, so
+// sends land before, across and after the worker's move from spinning to
+// parking. With the idle-sleep backstop at an hour only the doorbell can
+// deliver a message that lands after the park: a lost wakeup fails the
+// test after one second instead of hanging it.
+func TestDoorbellAtParkBoundary(t *testing.T) {
+	const iterations = 1200
+	// One message is in flight at a time, so one slot never blocks the
+	// consumer.
+	progress := make(chan time.Time, 1)
+	cfg := Config{
+		Workers:   []WorkerSpec{{}, {}},
+		IdleSleep: time.Hour,
+		Actors: []Spec{
+			{Name: "producer", Worker: 0, Body: func(*Self) {}},
+			{
+				Name: "consumer", Worker: 1,
+				Body: func(self *Self) {
+					buf := make([]byte, 16)
+					if _, ok, _ := self.MustChannel("link").Recv(buf); ok {
+						self.Progress()
+						progress <- time.Now()
+					}
+				},
+			},
+		},
+		Channels: []ChannelSpec{{Name: "link", A: "producer", B: "consumer"}},
+	}
+	rt, err := NewRuntime(zeroPlatform(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+
+	producer := rt.actors["producer"].endpoints["link"]
+	last := time.Now()
+	for i := 0; i < iterations; i++ {
+		offset := time.Duration(i%61) * 3 * idleSpin / 60
+		for time.Since(last) < offset {
+			// Busy-wait: a timer sleep is coarser than the spin budget.
+		}
+		if err := producer.Send([]byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case last = <-progress:
+		case <-time.After(time.Second):
+			t.Fatalf("message %d, sent %v after the consumer's last progress, not delivered within 1s (lost wakeup)", i, offset)
+		}
+	}
+}
+
+// TestIdleWorkersPark checks that the idle spin is bounded: in a runtime
+// with nothing to do, every worker keeps reaching its idle wait. The
+// flight recorder's idle events are recorded where the idle counter is
+// bumped, and unlike the counter they are kept per worker.
+func TestIdleWorkersPark(t *testing.T) {
+	const workers = 4
+	cfg := Config{Telemetry: true, IdleSleep: time.Millisecond}
+	for i := 0; i < workers; i++ {
+		cfg.Workers = append(cfg.Workers, WorkerSpec{})
+		cfg.Actors = append(cfg.Actors, Spec{Name: fmt.Sprintf("idle%d", i), Worker: i, Body: func(*Self) {}})
+	}
+	rt, err := NewRuntime(zeroPlatform(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now().UnixNano()
+	if err := rt.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+
+	idles := func(w *Worker) int {
+		n := 0
+		for _, ev := range w.rec.Dump(0) {
+			if ev.Kind == telemetry.EvIdle && ev.TS >= start {
+				n++
+			}
+		}
+		return n
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, w := range rt.workers {
+		for idles(w) < 3 {
+			if time.Now().After(deadline) {
+				t.Fatalf("worker %d entered its idle wait %d times in 5s, want >= 3", w.id, idles(w))
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

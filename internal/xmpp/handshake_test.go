@@ -110,6 +110,26 @@ func TestHandshakeStanzaBeforeAuthRejected(t *testing.T) {
 	}
 }
 
+// TestAuthAndMessageInOneWrite: bytes behind the auth in one segment
+// travel to the shard with the handoff, and the shard must route them
+// without waiting for more traffic from the client.
+func TestAuthAndMessageInOneWrite(t *testing.T) {
+	srv := startServer(t, xmpp.Options{Shards: 1})
+	bob := dial(t, srv.Addr(), "bob")
+	waitFor(t, func() bool { return srv.Online().Len() == 1 }, "bob online")
+
+	c := rawDial(t, srv.Addr())
+	c.send(stanza.StreamHeader("eager", xmpp.ServiceName))
+	c.send(stanza.Auth("eager", strings.Repeat("ab", 32)) + stanza.Message("eager", "bob", "piggybacked"))
+	msg, err := bob.ReadMessage(5 * time.Second)
+	if err != nil {
+		t.Fatalf("message sent with the auth never arrived: %v", err)
+	}
+	if msg.From != "eager" || msg.Body != "piggybacked" {
+		t.Fatalf("got %+v, want the piggybacked message from eager", msg)
+	}
+}
+
 // TestOversizedStanzaDisconnects: a client streaming an endless stanza
 // must be cut off at the scanner's size guard, not buffered forever.
 func TestOversizedStanzaDisconnects(t *testing.T) {

@@ -108,7 +108,7 @@ func (srv *Server) shardSpec(opts Options, i, worker int, enclave string) core.S
 			// Take over newly authenticated connections.
 			n, _ := self.RecvBatch(handoff, st.hoBufs, st.hoLens)
 			for i := 0; i < n; i++ {
-				srv.shardHandoff(self, st, read, st.hoBufs[i][:st.hoLens[i]])
+				srv.shardHandoff(self, st, read, write, closeCh, st.hoBufs[i][:st.hoLens[i]])
 			}
 
 			// Inbound traffic, one batched drain bounded by maxBatch and
@@ -132,15 +132,6 @@ func (srv *Server) shardSpec(opts Options, i, worker int, enclave string) core.S
 				}
 			}
 
-			// Per-round housekeeping over the whole PCL (the paper's
-			// batch pass): finish sessions whose scanners still hold
-			// complete stanzas from earlier oversized chunks.
-			for _, sess := range st.pcl {
-				if sess.scanner.Buffered() > 0 {
-					srv.shardDrainSession(self, st, sess, write, closeCh)
-				}
-			}
-
 			// One doorbell for everything this round produced.
 			srv.flushWrites(st, write)
 		},
@@ -148,8 +139,10 @@ func (srv *Server) shardSpec(opts Options, i, worker int, enclave string) core.S
 }
 
 // shardHandoff installs a session (or stray bytes) arriving from the
-// CONNECTOR.
-func (srv *Server) shardHandoff(self *core.Self, st *shardState, read *core.Endpoint, payload []byte) {
+// CONNECTOR and drains whatever complete stanzas the bytes hold: every
+// Feed is followed by a drain, so no session keeps a buffered stanza
+// waiting for its next read.
+func (srv *Server) shardHandoff(self *core.Self, st *shardState, read, write, closeCh *core.Endpoint, payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
@@ -160,15 +153,14 @@ func (srv *Server) shardHandoff(self *core.Self, st *shardState, read *core.Endp
 			return
 		}
 		sess := &session{sock: entry.Sock, user: entry.User, keyHex: entry.Key, authed: true, sawHdr: true}
-		if len(leftover) > 0 {
-			sess.scanner.Feed(leftover)
-		}
+		sess.scanner.Feed(leftover)
 		st.pcl[entry.Sock] = sess
 		w, _ := (netactors.Msg{Type: netactors.MsgWatch, Sock: entry.Sock}).AppendTo(st.scratch[:0])
 		st.scratch = w
 		// A lost watch leaves the session permanently deaf; persist it.
 		_ = read.SendRetry(w, controlDeadline()) //sendcheck:ok
 		self.Progress()
+		srv.shardDrainSession(self, st, sess, write, closeCh)
 	case handoffStray:
 		sock, data, err := decodeStray(payload)
 		if err != nil {
@@ -176,6 +168,7 @@ func (srv *Server) shardHandoff(self *core.Self, st *shardState, read *core.Endp
 		}
 		if sess, ok := st.pcl[sock]; ok {
 			sess.scanner.Feed(data)
+			srv.shardDrainSession(self, st, sess, write, closeCh)
 		}
 		self.Progress()
 	}
