@@ -5,11 +5,13 @@
 package client
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"github.com/eactors/eactors-go/internal/ecrypto"
@@ -23,6 +25,10 @@ type Client struct {
 	user    string
 	scanner stanza.Scanner
 	readBuf []byte
+
+	// wmu serialises SendMessage, which builds each stanza in wbuf.
+	wmu  sync.Mutex
+	wbuf []byte
 
 	key        [ecrypto.KeySize]byte
 	bodyCipher *ecrypto.Cipher
@@ -121,9 +127,14 @@ func (c *Client) next() (stanza.Stanza, error) {
 }
 
 // SendMessage sends a one-to-one chat message. The body travels as
-// given; real deployments put their end-to-end ciphertext here.
+// given; real deployments put their end-to-end ciphertext here. The
+// stanza is built in a buffer the client reuses, so it allocates
+// nothing; concurrent senders take turns.
 func (c *Client) SendMessage(to, body string) error {
-	_, err := c.conn.Write([]byte(stanza.Message(c.user, to, body)))
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.wbuf = stanza.AppendMessage(c.wbuf[:0], c.user, to, body)
+	_, err := c.conn.Write(c.wbuf)
 	return err
 }
 
@@ -188,7 +199,10 @@ func IQResult(el stanza.Stanza, id string) (bool, error) {
 	return true, nil
 }
 
-// Message is a received chat message.
+// Message is a received chat message. From, To and Body (unless it
+// held XML escapes or a sealed group body) are slices of one string copy
+// of the whole stanza, so a caller that keeps one field long after the
+// others should strings.Clone it rather than pin the whole stanza.
 type Message struct {
 	From  string
 	To    string
@@ -216,17 +230,21 @@ func (c *Client) ReadMessage(timeout time.Duration) (Message, error) {
 }
 
 // ReadStanza blocks (up to timeout; zero means no deadline) for the
-// next stanza; the end of the stream is ErrStreamClosed.
+// next stanza; the end of the stream is ErrStreamClosed. The stanza is a
+// copy, so callers may keep it past the next read.
 func (c *Client) ReadStanza(timeout time.Duration) (stanza.Stanza, error) {
 	if timeout > 0 {
 		_ = c.conn.SetReadDeadline(time.Now().Add(timeout))
 		defer c.conn.SetReadDeadline(time.Time{})
 	}
-	return c.readStanza()
+	el, err := c.readStanza()
+	el.Raw = bytes.Clone(el.Raw)
+	return el, err
 }
 
 // readStanza reads until the next stanza, skipping other stream
-// elements.
+// elements. The stanza aliases the scanner's buffer: it is valid until
+// the next read.
 func (c *Client) readStanza() (stanza.Stanza, error) {
 	for {
 		el, err := c.next()
@@ -243,12 +261,21 @@ func (c *Client) readStanza() (stanza.Stanza, error) {
 }
 
 // Decode turns a message stanza into a Message, unsealing a group body.
+// It copies the stanza once and slices the fields from that copy, so a
+// chat message without XML escapes costs one allocation.
 func (c *Client) Decode(el stanza.Stanza) (Message, error) {
+	raw := string(el.Raw)
+	text := func(lo, hi int, ok bool) string {
+		if !ok {
+			return ""
+		}
+		return stanza.Unescape(raw[lo:hi])
+	}
 	m := Message{
-		From:  el.Attr("from"),
-		To:    el.Attr("to"),
-		Body:  el.Body(),
-		Group: el.Attr("type") == "groupchat",
+		From:  text(el.AttrSpan("from")),
+		To:    text(el.AttrSpan("to")),
+		Body:  text(stanza.ChildSpan(el.Raw, "body")),
+		Group: el.AttrIs("type", "groupchat"),
 	}
 	if m.Group {
 		body, err := xmpp.OpenBodyWith(c.openCipher, m.Body)

@@ -17,6 +17,9 @@ type Directory interface {
 	Add(e OnlineEntry)
 	// Get looks a user up.
 	Get(user string) (OnlineEntry, bool)
+	// Sock returns the socket of the user named by the bytes: the
+	// lookup that routes a message.
+	Sock(user []byte) (uint32, bool)
 	// Remove unregisters a user.
 	Remove(user string)
 	// Len returns the number of online users.
@@ -71,6 +74,12 @@ func (d *POSDirectory) Get(user string) (OnlineEntry, bool) {
 		return OnlineEntry{}, false
 	}
 	return e, true
+}
+
+// Sock returns a user's socket.
+func (d *POSDirectory) Sock(user []byte) (uint32, bool) {
+	e, ok := d.Get(string(user))
+	return e.Sock, ok
 }
 
 // Remove unregisters a user.

@@ -102,21 +102,35 @@ func (l *OnlineList) Get(user string) (OnlineEntry, bool) {
 	l.mu.RLock()
 	enc, ok := l.entries[user]
 	l.mu.RUnlock()
-	if !ok {
+	if enc, ok = l.open(enc, ok); !ok {
 		return OnlineEntry{}, false
-	}
-	if l.cipher != nil {
-		plain, err := l.cipher.Open(nil, enc, nil)
-		if err != nil {
-			return OnlineEntry{}, false
-		}
-		enc = plain
 	}
 	e, err := decodeEntry(enc)
 	if err != nil {
 		return OnlineEntry{}, false
 	}
 	return e, true
+}
+
+// Sock returns a user's socket without decoding the entry's strings:
+// on an unsealed list it allocates nothing.
+func (l *OnlineList) Sock(user []byte) (uint32, bool) {
+	l.mu.RLock()
+	enc, ok := l.entries[string(user)]
+	l.mu.RUnlock()
+	if enc, ok = l.open(enc, ok); !ok || len(enc) < 4 {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint32(enc), true
+}
+
+// open returns the plaintext encoding of a found entry.
+func (l *OnlineList) open(enc []byte, found bool) ([]byte, bool) {
+	if !found || l.cipher == nil {
+		return enc, found
+	}
+	plain, err := l.cipher.Open(nil, enc, nil)
+	return plain, err == nil
 }
 
 // Remove unregisters a user.

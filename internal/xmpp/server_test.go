@@ -84,6 +84,26 @@ func testOneToOne(t *testing.T, srv *xmpp.Server) {
 	}
 }
 
+// TestOneToOneEscapedNames: user names holding XML specials travel
+// escaped; the shard routes on the unescaped name and forwards the
+// sender's own stanza.
+func TestOneToOneEscapedNames(t *testing.T) {
+	srv := startServer(t, xmpp.Options{Shards: 1, Trusted: true})
+	from, to := "a&b", `o'c<"`
+	sender := dial(t, srv.Addr(), from)
+	recipient := dial(t, srv.Addr(), to)
+	if err := sender.SendMessage(to, "x < y & z"); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := recipient.ReadMessage(10 * time.Second)
+	if err != nil {
+		t.Fatalf("ReadMessage: %v", err)
+	}
+	if msg.From != from || msg.To != to || msg.Body != "x < y & z" {
+		t.Fatalf("got %+v", msg)
+	}
+}
+
 func TestMessageToOfflineUserDropped(t *testing.T) {
 	srv := startServer(t, xmpp.Options{Shards: 1})
 	alice := dial(t, srv.Addr(), "alice")

@@ -1,6 +1,7 @@
 package xmpp
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -115,21 +116,7 @@ func (srv *Server) shardSpec(opts Options, i, worker int, enclave string) core.S
 			// the worker's drain budget.
 			n, _ = self.RecvBatch(read, st.readBufs, st.readLens)
 			for i := 0; i < n; i++ {
-				msg, err := netactors.ParseMsg(st.readBufs[i][:st.readLens[i]])
-				if err != nil {
-					continue
-				}
-				switch msg.Type {
-				case netactors.MsgClosed:
-					srv.shardDisconnect(st, closeCh, msg.Sock, false)
-				case netactors.MsgData:
-					sess, ok := st.pcl[msg.Sock]
-					if !ok {
-						continue
-					}
-					sess.scanner.Feed(msg.Data)
-					srv.shardDrainSession(self, st, sess, write, closeCh)
-				}
+				srv.shardRead(self, st, st.readBufs[i][:st.readLens[i]], write, closeCh)
 			}
 
 			// One doorbell for everything this round produced.
@@ -174,6 +161,24 @@ func (srv *Server) shardHandoff(self *core.Self, st *shardState, read, write, cl
 	}
 }
 
+// shardRead handles one message from the shard's READER: bytes for a
+// session, or the news that its socket closed.
+func (srv *Server) shardRead(self *core.Self, st *shardState, raw []byte, write, closeCh *core.Endpoint) {
+	msg, err := netactors.ParseMsg(raw)
+	if err != nil {
+		return
+	}
+	switch msg.Type {
+	case netactors.MsgClosed:
+		srv.shardDisconnect(st, closeCh, msg.Sock, false)
+	case netactors.MsgData:
+		if sess, ok := st.pcl[msg.Sock]; ok {
+			sess.scanner.Feed(msg.Data)
+			srv.shardDrainSession(self, st, sess, write, closeCh)
+		}
+	}
+}
+
 // shardDrainSession processes every complete stanza a session has
 // buffered.
 func (srv *Server) shardDrainSession(self *core.Self, st *shardState, sess *session, write, closeCh *core.Endpoint) {
@@ -200,7 +205,7 @@ func (srv *Server) shardDrainSession(self *core.Self, st *shardState, sess *sess
 			return
 		case el.Kind != stanza.KindStanza:
 			continue
-		case el.Name == "message" && el.Attr("type") == "groupchat":
+		case el.Name == "message" && el.AttrIs("type", "groupchat"):
 			srv.routeGroup(st, sess, &el, write)
 		case el.Name == "message":
 			srv.routeOneToOne(st, sess, &el, write)
@@ -221,19 +226,20 @@ func (srv *Server) shardDrainSession(self *core.Self, st *shardState, sess *sess
 // clients); the stanza is forwarded as received, with the sender
 // identity pinned to the authenticated user.
 func (srv *Server) routeOneToOne(st *shardState, sess *session, el *stanza.Stanza, write *core.Endpoint) {
-	target, ok := srv.online.Get(el.Attr("to"))
+	to := el.AttrBytes("to")
+	if bytes.IndexByte(to, '&') >= 0 {
+		to = []byte(stanza.Unescape(string(to)))
+	}
+	sock, ok := srv.online.Sock(to)
 	if !ok {
 		return // recipient offline: drop (no offline storage in the subset)
 	}
-	var frame []byte
-	if el.Attr("from") == sess.user {
-		frame = el.Raw
-	} else {
+	frame := el.Raw
+	if !el.AttrIs("from", sess.user) {
 		// Re-stamp the sender: clients cannot spoof each other.
-		rebuilt := stanza.Message(sess.user, el.Attr("to"), el.Body())
-		frame = []byte(rebuilt)
+		frame = []byte(stanza.Message(sess.user, el.Attr("to"), el.Body()))
 	}
-	srv.deliver(st, write, target.Sock, frame)
+	srv.deliver(st, write, sock, frame)
 	srv.routed.Add(1)
 }
 
@@ -292,17 +298,16 @@ func (srv *Server) routeGroup(st *shardState, sess *session, el *stanza.Stanza, 
 // motivates (contact discovery without revealing the roster to the
 // host).
 func (srv *Server) handleIQ(st *shardState, sess *session, el *stanza.Stanza, write *core.Endpoint) {
-	if el.Attr("type") != "get" {
+	if !el.AttrIs("type", "get") {
 		return
 	}
 	id := el.Attr("id")
-	raw := string(el.Raw)
 	switch {
-	case containsTag(raw, "ping"):
+	case containsTag(el.Raw, "ping"):
 		reply := fmt.Sprintf(`<iq type="result" id=%q to=%q from=%q/>`,
 			stanza.Escape(id), stanza.Escape(sess.user), ServiceName)
 		srv.deliver(st, write, sess.sock, []byte(reply))
-	case containsTag(raw, "who"):
+	case containsTag(el.Raw, "who"):
 		target := stanza.ChildText(el.Raw, "who")
 		status := "offline"
 		if _, ok := srv.online.Get(target); ok {
@@ -315,10 +320,11 @@ func (srv *Server) handleIQ(st *shardState, sess *session, el *stanza.Stanza, wr
 	}
 }
 
-// containsTag reports whether raw contains an opening <tag> or <tag/>.
-func containsTag(raw, tag string) bool {
+// containsTag reports whether raw contains an opening <tag>, <tag/> or
+// <tag ...>.
+func containsTag(raw []byte, tag string) bool {
 	for i := 0; i+len(tag)+1 < len(raw); i++ {
-		if raw[i] == '<' && raw[i+1:i+1+len(tag)] == tag {
+		if raw[i] == '<' && string(raw[i+1:i+1+len(tag)]) == tag {
 			next := raw[i+1+len(tag)]
 			if next == '>' || next == '/' || next == ' ' {
 				return true

@@ -2,7 +2,6 @@ package stanza
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Stanza and stream builders shared by the EActors service, the baseline
@@ -35,30 +34,31 @@ const AuthFailure = `<failure xmlns="urn:ietf:params:xml:ns:xmpp-sasl"/>`
 
 // Message builds a chat message stanza.
 func Message(from, to, body string) string {
-	var b strings.Builder
-	b.Grow(64 + len(from) + len(to) + len(body))
-	b.WriteString(`<message from="`)
-	b.WriteString(Escape(from))
-	b.WriteString(`" to="`)
-	b.WriteString(Escape(to))
-	b.WriteString(`" type="chat"><body>`)
-	b.WriteString(Escape(body))
-	b.WriteString(`</body></message>`)
-	return b.String()
+	return string(AppendMessage(make([]byte, 0, 64+len(from)+len(to)+len(body)), from, to, body))
+}
+
+// AppendMessage appends Message(from, to, body) to dst, for senders
+// that reuse one buffer.
+func AppendMessage(dst []byte, from, to, body string) []byte {
+	return appendChat(dst, from, to, "chat", body)
 }
 
 // GroupMessage builds a groupchat message stanza.
 func GroupMessage(from, room, body string) string {
-	var b strings.Builder
-	b.Grow(72 + len(from) + len(room) + len(body))
-	b.WriteString(`<message from="`)
-	b.WriteString(Escape(from))
-	b.WriteString(`" to="`)
-	b.WriteString(Escape(room))
-	b.WriteString(`" type="groupchat"><body>`)
-	b.WriteString(Escape(body))
-	b.WriteString(`</body></message>`)
-	return b.String()
+	return string(appendChat(make([]byte, 0, 72+len(from)+len(room)+len(body)), from, room, "groupchat", body))
+}
+
+// appendChat appends a message stanza of the given type.
+func appendChat(dst []byte, from, to, typ, body string) []byte {
+	dst = append(dst, `<message from="`...)
+	dst = appendEscaped(dst, from)
+	dst = append(dst, `" to="`...)
+	dst = appendEscaped(dst, to)
+	dst = append(dst, `" type="`...)
+	dst = append(dst, typ...)
+	dst = append(dst, `"><body>`...)
+	dst = appendEscaped(dst, body)
+	return append(dst, `</body></message>`...)
 }
 
 // Presence builds a presence stanza; to is typically room/nick for MUC

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/eactors/eactors-go/internal/testutil/allocs"
 )
 
 func scanAll(t *testing.T, input string) []Stanza {
@@ -34,7 +36,7 @@ func TestScannerStreamHeader(t *testing.T) {
 		t.Fatalf("kind=%v name=%q", st.Kind, st.Name)
 	}
 	if st.Attr("from") != "client" || st.Attr("to") != "server" {
-		t.Fatalf("attrs = %v", st.Attrs)
+		t.Fatalf("attrs of %s: from=%q to=%q", st.Raw, st.Attr("from"), st.Attr("to"))
 	}
 }
 
@@ -69,7 +71,7 @@ func TestScannerSelfClosing(t *testing.T) {
 		t.Fatalf("got %+v", got)
 	}
 	if got[0].Attr("to") != "room/alice" {
-		t.Fatalf("attrs = %v", got[0].Attrs)
+		t.Fatalf("attrs of %s", got[0].Raw)
 	}
 }
 
@@ -162,7 +164,7 @@ func TestAuthRoundTrip(t *testing.T) {
 		t.Fatalf("got %+v", got)
 	}
 	if got[0].Attr("user") != "alice" || got[0].Attr("key") != "deadbeef" {
-		t.Fatalf("attrs = %v", got[0].Attrs)
+		t.Fatalf("attrs of %s", got[0].Raw)
 	}
 }
 
@@ -221,5 +223,115 @@ func TestChildTextMissing(t *testing.T) {
 	}
 	if ChildText([]byte("<message><body>unclosed"), "body") != "" {
 		t.Fatal("unclosed child returned text")
+	}
+}
+
+// TestScannerBurstOfCompleteStanzas: many complete stanzas buffered at
+// once are not too large together; the limit is per element and for
+// bytes that have not yet formed one.
+func TestScannerBurstOfCompleteStanzas(t *testing.T) {
+	const n = 4000
+	burst := strings.Repeat(`<presence from="a"/>`, n)
+	if len(burst) <= MaxStanzaBytes {
+		t.Fatalf("burst of %d bytes does not exceed MaxStanzaBytes", len(burst))
+	}
+	var sc Scanner
+	sc.Feed([]byte(burst))
+	for i := 0; i < n; i++ {
+		st, ok, err := sc.Next()
+		if err != nil || !ok {
+			t.Fatalf("element %d: ok=%v err=%v", i, ok, err)
+		}
+		if st.Name != "presence" || !st.AttrIs("from", "a") {
+			t.Fatalf("element %d: %s", i, st.Raw)
+		}
+	}
+	if _, ok, err := sc.Next(); ok || err != nil {
+		t.Fatalf("after the burst: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestScannerElementTooLarge: one complete element longer than
+// MaxStanzaBytes is still rejected, whole or split.
+func TestScannerElementTooLarge(t *testing.T) {
+	big := Message("a", "b", strings.Repeat("x", MaxStanzaBytes))
+	var whole Scanner
+	whole.Feed([]byte(big))
+	if _, _, err := whole.Next(); err != ErrTooLarge {
+		t.Fatalf("whole: err = %v, want ErrTooLarge", err)
+	}
+	var split Scanner
+	for i := 0; i < len(big); i += 4096 {
+		split.Feed([]byte(big[i:min(i+4096, len(big))]))
+		if _, _, err := split.Next(); err == ErrTooLarge {
+			return
+		} else if err != nil {
+			t.Fatalf("split at %d: %v", i, err)
+		}
+	}
+	t.Fatal("split: never ErrTooLarge")
+}
+
+// TestStanzaAttrs covers the attribute accessors: escaped values,
+// a repeated key (the last one wins), an absent key, many attributes,
+// and a stanza with no Raw.
+func TestStanzaAttrs(t *testing.T) {
+	got := scanAll(t, `<iq a="1" b="2" c="3" d="4" e="5" f="6" g="7" h="8" i='x &amp; y' a="last"/>`)
+	st := &got[0]
+	if st.Attr("i") != "x & y" || !st.AttrIs("i", "x & y") || string(st.AttrBytes("i")) != "x &amp; y" {
+		t.Fatalf("i: Attr=%q AttrBytes=%q", st.Attr("i"), st.AttrBytes("i"))
+	}
+	if st.Attr("a") != "last" || st.Attr("h") != "8" {
+		t.Fatalf("a=%q h=%q", st.Attr("a"), st.Attr("h"))
+	}
+	if st.AttrBytes("z") != nil || st.Attr("z") != "" || !st.AttrIs("z", "") || st.AttrIs("z", "1") {
+		t.Fatal("absent attribute reported present")
+	}
+	if lo, hi, ok := st.AttrSpan("b"); !ok || string(st.Raw[lo:hi]) != "2" {
+		t.Fatalf("AttrSpan(b) = %d, %d, %v", lo, hi, ok)
+	}
+	var zero Stanza
+	if _, _, ok := zero.AttrSpan("a"); ok || zero.Attr("a") != "" {
+		t.Fatal("zero Stanza reported an attribute")
+	}
+}
+
+// TestStanzaCopySurvivesFeed: a stanza whose Raw is copied stays intact when the
+// scanner's buffer is reused by the next Feed.
+func TestStanzaCopySurvivesFeed(t *testing.T) {
+	var sc Scanner
+	sc.Feed([]byte(Message("alice", "bob", "first")))
+	st, ok, err := sc.Next()
+	if err != nil || !ok {
+		t.Fatalf("ok=%v err=%v", ok, err)
+	}
+	kept := st
+	kept.Raw = append([]byte(nil), st.Raw...)
+	sc.Feed([]byte(Message("carol", "dave", "other")))
+	if kept.Attr("from") != "alice" || kept.Attr("to") != "bob" || kept.Body() != "first" {
+		t.Fatalf("copy changed: %s", kept.Raw)
+	}
+}
+
+// TestScannerAllocatesNothing: feeding and scanning a chat message and
+// reading the attributes the shard routes on allocates nothing.
+func TestScannerAllocatesNothing(t *testing.T) {
+	allocs.SkipUnderRace(t)
+	msg := []byte(Message("alice", "bob", strings.Repeat("payload ", 19)))
+	var sc Scanner
+	step := func() {
+		sc.Feed(msg)
+		st, ok, err := sc.Next()
+		if err != nil || !ok || st.Name != "message" || !st.AttrIs("from", "alice") ||
+			string(st.AttrBytes("to")) != "bob" || st.AttrIs("type", "groupchat") {
+			t.Fatalf("scan: ok=%v err=%v %s", ok, err, st.Raw)
+		}
+		if _, _, ok := ChildSpan(st.Raw, "body"); !ok {
+			t.Fatal("no body")
+		}
+	}
+	step()
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Errorf("Feed + Next + attribute reads allocate %v times per message, want 0", n)
 	}
 }
