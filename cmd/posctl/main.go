@@ -32,7 +32,7 @@ func main() {
 func run() error {
 	store := flag.String("store", "", "store file path (required)")
 	size := flag.Int("size", 16<<20, "store size in bytes (used at creation)")
-	buckets := flag.Int("buckets", 0, "bucket count (must match an existing store)")
+	buckets := flag.Int("buckets", 0, "bucket count (0: the stored count, or a full superblock page for a new store; nonzero must match an existing store)")
 	region := flag.Int("region", 0, "region size in bytes")
 	metrics := flag.String("metrics", "", "serve store telemetry over HTTP at this address, e.g. :9090, until interrupted (like kvserver/xmppserver)")
 	flag.Parse()

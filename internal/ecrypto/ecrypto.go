@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"hash"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -141,16 +142,25 @@ func NewDeterministic(key [KeySize]byte) (*Deterministic, error) {
 }
 
 // Seal deterministically encrypts plaintext: same input, same output.
-func (d *Deterministic) Seal(plaintext []byte) []byte {
+func (d *Deterministic) Seal(plaintext []byte) []byte { return d.AppendSeal(nil, plaintext) }
+
+// AppendSeal appends the deterministic blob for plaintext to dst and
+// returns the extended slice. It allocates only when dst lacks room for
+// max(SealedLen(len(plaintext)), 32) more bytes: the MAC is summed in
+// place past len(dst), so bytes up to that bound are scratch. plaintext
+// must not overlap that space.
+func (d *Deterministic) AppendSeal(dst, plaintext []byte) []byte {
+	dst = slices.Grow(dst, max(SealedLen(len(plaintext)), sha256.Size))
 	mac := d.macs.Get().(hash.Hash)
 	mac.Reset()
 	mac.Write(plaintext)
 	// The MAC is summed into the blob itself (a local array would escape
 	// through the hash.Hash interface); its first NonceSize bytes are the
 	// nonce and the rest is overwritten by the ciphertext.
-	blob := mac.Sum(make([]byte, 0, max(SealedLen(len(plaintext)), sha256.Size)))[:NonceSize]
+	n := len(dst)
+	blob := mac.Sum(dst)[:n+NonceSize]
 	d.macs.Put(mac)
-	return d.aead.Seal(blob, blob, plaintext, nil)
+	return d.aead.Seal(blob, blob[n:], plaintext, nil)
 }
 
 // Open decrypts a blob produced by Seal.

@@ -207,6 +207,14 @@ func TestDeterministicRoundTrip(t *testing.T) {
 	if err != nil || string(got) != "user:alice" {
 		t.Fatalf("Open = %q, %v", got, err)
 	}
+	// AppendSeal keeps dst's bytes and appends the same blob, also for
+	// plaintexts shorter than the MAC it sums in place.
+	for _, p := range []string{"user:alice", "", "ab"} {
+		out := d.AppendSeal([]byte("prefix"), []byte(p))
+		if want := append([]byte("prefix"), d.Seal([]byte(p))...); !bytes.Equal(out, want) {
+			t.Fatalf("AppendSeal(%q) = %x, want %x", p, out, want)
+		}
+	}
 }
 
 func TestDeterministicTamper(t *testing.T) {

@@ -63,9 +63,10 @@ func (s *Store) graceEpoch() uint64 {
 // been passed by every registered reader. It returns the number of
 // regions reclaimed.
 func (s *Store) Clean() (int, error) {
-	if s.closed.Load() {
+	if !s.enter() {
 		return 0, ErrClosed
 	}
+	defer s.memMu.RUnlock()
 	grace := s.graceEpoch()
 	mem := s.mem
 	reclaimed := 0
@@ -74,7 +75,7 @@ func (s *Store) Clean() (int, error) {
 		headOff := offBucketHeads + 8*b
 		prev := uint64(0)
 		off := binary.LittleEndian.Uint64(mem[headOff:])
-		for off != 0 && s.validRecordOff(off) {
+		for step := 0; s.chainLink(off, step); step++ {
 			rec := mem[off : off+uint64(s.regionSize)]
 			next := binary.LittleEndian.Uint64(rec[recNext:])
 			flags := binary.LittleEndian.Uint32(rec[recFlags:])

@@ -51,3 +51,15 @@ func mapFile(path string, size int) (mem []byte, closer func() error, syncer fun
 	}
 	return mem, closer, syncer, nil
 }
+
+// mapAnon maps size bytes of private anonymous memory for a volatile
+// store: zero pages the kernel supplies on first touch, outside the
+// collected heap, so an unused region costs no resident memory and the
+// store does not raise the GC goal.
+func mapAnon(size int) (mem []byte, closer func() error, err error) {
+	mem, err = syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+	if err != nil {
+		return nil, nil, fmt.Errorf("pos: mmap %d anonymous bytes: %w", size, err)
+	}
+	return mem, func() error { return syscall.Munmap(mem) }, nil
+}

@@ -21,3 +21,8 @@ func mapFile(path string, size int) (mem []byte, closer func() error, syncer fun
 	}
 	return mem, flush, flush, nil
 }
+
+// mapAnon backs a volatile store with a heap buffer.
+func mapAnon(size int) (mem []byte, closer func() error, err error) {
+	return make([]byte, size), func() error { return nil }, nil
+}

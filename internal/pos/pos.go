@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +30,7 @@ import (
 // Store geometry and layout constants.
 const (
 	magic         = 0xEAC7_0B5E_EAC7_0B5E
-	version       = 1
+	version       = 2
 	headerPages   = 2 // superblock + sealed-key slot
 	pageSize      = 4096
 	minRegionSize = 64
@@ -44,11 +43,16 @@ const (
 	offRegionSize  = 24
 	offRegionCount = 28
 	offFreeHead    = 32
-	offBucketHeads = 40 // bucket head table starts here, 8 bytes each
+	offFresh       = 40 // the fresh mark: offset of the first region never allocated
+	offBucketHeads = 48 // bucket head table starts here, 8 bytes each
 
 	// Sealed-key slot (second page).
 	offSealedLen  = pageSize
 	offSealedBlob = pageSize + 4
+
+	// maxBuckets is the bucket count whose head table fills the
+	// superblock page; new stores default to it.
+	maxBuckets = (offSealedLen - offBucketHeads) / 8
 
 	// Record header layout within a region.
 	recNext   = 0  // u64 offset of next record in bucket chain (0 = nil)
@@ -82,7 +86,9 @@ type Options struct {
 	Path string
 	// SizeBytes is the total store size; rounded up to whole pages.
 	SizeBytes int
-	// Buckets is the number of bucket stacks (default 64).
+	// Buckets is the number of bucket stacks. Zero means the stored
+	// count on reopen and, for a new store, as many as fill the
+	// superblock page (506): short chains cost nothing extra.
 	Buckets int
 	// RegionSize is the fixed record region size in bytes (default 256).
 	// One key-value pair must fit in RegionSize-recData bytes.
@@ -104,8 +110,14 @@ type Store struct {
 	regionSize  int
 	regionCount int
 	regionsOff  int
+	regionsEnd  uint64 // regionsOff + regionCount*regionSize
 
+	// freeMu guards the free list and the fresh mark. free counts the
+	// free list and fresh mirrors the superblock's mark, so occupancy
+	// is read without touching a region.
 	freeMu    sync.Mutex
+	free      int
+	fresh     uint64
 	bucketMu  []sync.Mutex
 	epoch     atomic.Uint64
 	readersMu sync.Mutex
@@ -113,8 +125,15 @@ type Store struct {
 
 	det  *ecrypto.Deterministic // nil in plaintext mode
 	pair *ecrypto.Cipher
+	// plain holds *[]byte scratch of regionSize bytes, in which Set lays
+	// out a pair's keyLen‖key‖value before sealing it into the region.
+	plain sync.Pool
 
+	// closed is set first by Close; memMu is then taken for writing,
+	// which waits out every operation already past its closed check
+	// (they hold it for reading, see enter) before the mapping goes.
 	closed atomic.Bool
+	memMu  sync.RWMutex
 
 	sets    atomic.Uint64
 	gets    atomic.Uint64
@@ -147,10 +166,7 @@ func Open(opts Options) (*Store, error) {
 	if opts.SizeBytes < headerPages*pageSize+minRegionSize {
 		return nil, fmt.Errorf("pos: size %d too small", opts.SizeBytes)
 	}
-	if opts.Buckets == 0 {
-		opts.Buckets = 64
-	}
-	if opts.Buckets < 1 {
+	if opts.Buckets < 0 {
 		return nil, fmt.Errorf("pos: bucket count %d", opts.Buckets)
 	}
 	if opts.RegionSize == 0 {
@@ -163,17 +179,17 @@ func Open(opts Options) (*Store, error) {
 
 	var (
 		mem    []byte
-		closer = func() error { return nil }
+		closer func() error
 		syncer = func() error { return nil }
 		err    error
 	)
 	if opts.Path != "" {
 		mem, closer, syncer, err = mapFile(opts.Path, size)
-		if err != nil {
-			return nil, err
-		}
 	} else {
-		mem = make([]byte, size)
+		mem, closer, err = mapAnon(size)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	s := &Store{mem: mem, closer: closer, syncer: syncer}
@@ -190,6 +206,10 @@ func Open(opts Options) (*Store, error) {
 		}
 		s.det = det
 		s.pair = pair
+		s.plain.New = func() any {
+			b := make([]byte, s.regionSize)
+			return &b
+		}
 	}
 
 	if binary.LittleEndian.Uint64(mem[offMagic:]) == magic {
@@ -207,10 +227,16 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
+// formatSuperblock writes a new superblock. It touches no region: the
+// free list starts empty and the fresh mark at the first region, so a
+// region's pages are first written when allocRegion hands it out.
 func (s *Store) formatSuperblock(opts Options, size int) error {
-	headTable := offBucketHeads + 8*opts.Buckets
-	if headTable > offSealedLen {
-		return fmt.Errorf("pos: %d buckets do not fit the superblock page", opts.Buckets)
+	buckets := opts.Buckets
+	if buckets == 0 {
+		buckets = maxBuckets
+	}
+	if buckets > maxBuckets {
+		return fmt.Errorf("pos: %d buckets do not fit the superblock page", buckets)
 	}
 	regionsOff := headerPages * pageSize
 	regionCount := (size - regionsOff) / opts.RegionSize
@@ -222,29 +248,26 @@ func (s *Store) formatSuperblock(opts Options, size int) error {
 	binary.LittleEndian.PutUint64(mem[offMagic:], magic)
 	binary.LittleEndian.PutUint32(mem[offVersion:], version)
 	binary.LittleEndian.PutUint64(mem[offSize:], uint64(size))
-	binary.LittleEndian.PutUint32(mem[offBuckets:], uint32(opts.Buckets))
+	binary.LittleEndian.PutUint32(mem[offBuckets:], uint32(buckets))
 	binary.LittleEndian.PutUint32(mem[offRegionSize:], uint32(opts.RegionSize))
 	binary.LittleEndian.PutUint32(mem[offRegionCount:], uint32(regionCount))
-	for b := 0; b < opts.Buckets; b++ {
-		binary.LittleEndian.PutUint64(mem[offBucketHeads+8*b:], 0)
-	}
+	binary.LittleEndian.PutUint64(mem[offFreeHead:], 0)
+	binary.LittleEndian.PutUint64(mem[offFresh:], uint64(regionsOff))
+	clear(mem[offBucketHeads : offBucketHeads+8*buckets])
 
-	// Build the free list: every region chained through its first word.
-	var prev uint64
-	for i := regionCount - 1; i >= 0; i-- {
-		off := uint64(regionsOff + i*opts.RegionSize)
-		binary.LittleEndian.PutUint64(mem[off:], prev)
-		prev = off
-	}
-	binary.LittleEndian.PutUint64(mem[offFreeHead:], prev)
-
-	s.buckets = opts.Buckets
+	s.buckets = buckets
 	s.regionSize = opts.RegionSize
 	s.regionCount = regionCount
 	s.regionsOff = regionsOff
+	s.regionsEnd = uint64(regionsOff) + uint64(regionCount)*uint64(opts.RegionSize)
+	s.fresh = uint64(regionsOff)
 	return nil
 }
 
+// loadSuperblock validates an existing superblock and counts the free
+// list once. The fresh mark and every free-list link are checked like
+// chain links: a corrupt one rejects the store instead of handing out a
+// region outside the grid.
 func (s *Store) loadSuperblock(opts Options) error {
 	mem := s.mem
 	if binary.LittleEndian.Uint32(mem[offVersion:]) != version {
@@ -258,11 +281,26 @@ func (s *Store) loadSuperblock(opts Options) error {
 	s.regionSize = int(binary.LittleEndian.Uint32(mem[offRegionSize:]))
 	s.regionCount = int(binary.LittleEndian.Uint32(mem[offRegionCount:]))
 	s.regionsOff = headerPages * pageSize
-	if s.buckets < 1 || s.regionSize < minRegionSize || s.regionCount < 1 {
+	s.regionsEnd = uint64(s.regionsOff) + uint64(s.regionCount)*uint64(s.regionSize)
+	if s.buckets < 1 || s.buckets > maxBuckets || s.regionSize < minRegionSize ||
+		s.regionCount < 1 || s.regionsEnd > uint64(len(mem)) {
 		return fmt.Errorf("%w: corrupt geometry", ErrBadStore)
 	}
 	if opts.Buckets != 0 && opts.Buckets != s.buckets {
 		return fmt.Errorf("%w: bucket count %d differs from stored %d", ErrBadStore, opts.Buckets, s.buckets)
+	}
+	s.fresh = binary.LittleEndian.Uint64(mem[offFresh:])
+	if s.fresh != s.regionsEnd && !s.validRecordOff(s.fresh) {
+		return fmt.Errorf("%w: fresh mark %d off the region grid", ErrBadStore, s.fresh)
+	}
+	// Only allocated regions are ever freed, so the list holds at most
+	// the regions below the mark; a longer walk is a cycle.
+	used := int((s.fresh - uint64(s.regionsOff)) / uint64(s.regionSize))
+	for off := binary.LittleEndian.Uint64(mem[offFreeHead:]); off != 0; off = binary.LittleEndian.Uint64(mem[off:]) {
+		if !s.validRecordOff(off) || off >= s.fresh || s.free == used {
+			return fmt.Errorf("%w: corrupt free list", ErrBadStore)
+		}
+		s.free++
 	}
 	return nil
 }
@@ -277,16 +315,24 @@ func (s *Store) MaxPair() int {
 	return capacity
 }
 
-// storedPairSize returns the region bytes a pair occupies after
-// encoding — without paying for the encryption itself, so the write-back
-// layer can validate sizes eagerly. Mirrors encode: in encrypted mode
-// the key is sealed deterministically and the value stored as the
+// storedPairSize returns the region bytes a pair occupies once stored —
+// without paying for the encryption itself. Mirrors Set: in encrypted
+// mode the key is sealed deterministically and the value stored as the
 // sealed (keyLen32 || key || value) combination.
 func (s *Store) storedPairSize(keyLen, valLen int) int {
 	if s.det == nil {
 		return recData + keyLen + valLen
 	}
 	return recData + (keyLen + ecrypto.Overhead) + (4 + keyLen + valLen + ecrypto.Overhead)
+}
+
+// checkPairSize rejects a pair that does not fit one region, so the
+// write-back layer can fail a Set before it is cached.
+func (s *Store) checkPairSize(keyLen, valLen int) error {
+	if need := s.storedPairSize(keyLen, valLen); need > s.regionSize {
+		return fmt.Errorf("%w: %d bytes into %d-byte region", ErrTooLarge, need, s.regionSize)
+	}
+	return nil
 }
 
 // Buckets returns the configured bucket count.
@@ -296,22 +342,37 @@ func (s *Store) Buckets() int { return s.buckets }
 func (s *Store) Regions() int { return s.regionCount }
 
 func (s *Store) bucketOf(key []byte) int {
-	h := fnv.New32a()
-	h.Write(key)
-	return int(h.Sum32() % uint32(s.buckets))
+	return int(fnv1a(key) % uint32(s.buckets))
 }
 
-// allocRegion pops a region from the free list, or 0 when full.
+// fnv1a is 32-bit FNV-1a, inline so hashing a key allocates nothing. It
+// places stored keys in buckets and routes keys to shards (ShardOf).
+func fnv1a(b []byte) uint32 {
+	h := uint32(2166136261)
+	for _, c := range b {
+		h ^= uint32(c)
+		h *= 16777619
+	}
+	return h
+}
+
+// allocRegion pops a region off the free list, else takes the region at
+// the fresh mark and advances the mark; 0 when the store is full.
 func (s *Store) allocRegion() uint64 {
 	s.freeMu.Lock()
 	defer s.freeMu.Unlock()
-	head := binary.LittleEndian.Uint64(s.mem[offFreeHead:])
-	if head == 0 {
+	if head := binary.LittleEndian.Uint64(s.mem[offFreeHead:]); head != 0 {
+		binary.LittleEndian.PutUint64(s.mem[offFreeHead:], binary.LittleEndian.Uint64(s.mem[head:]))
+		s.free--
+		return head
+	}
+	if s.fresh == s.regionsEnd {
 		return 0
 	}
-	next := binary.LittleEndian.Uint64(s.mem[head:])
-	binary.LittleEndian.PutUint64(s.mem[offFreeHead:], next)
-	return head
+	off := s.fresh
+	s.fresh += uint64(s.regionSize)
+	binary.LittleEndian.PutUint64(s.mem[offFresh:], s.fresh)
+	return off
 }
 
 func (s *Store) freeRegion(off uint64) {
@@ -320,37 +381,16 @@ func (s *Store) freeRegion(off uint64) {
 	head := binary.LittleEndian.Uint64(s.mem[offFreeHead:])
 	binary.LittleEndian.PutUint64(s.mem[off:], head)
 	binary.LittleEndian.PutUint64(s.mem[offFreeHead:], off)
+	s.free++
 }
 
-// FreeRegions counts the regions on the free list (O(n), for tests and
-// stats).
+// FreeRegions returns the regions Set can still take: the free list
+// plus the never-used regions past the fresh mark. O(1); it reads no
+// region.
 func (s *Store) FreeRegions() int {
 	s.freeMu.Lock()
 	defer s.freeMu.Unlock()
-	count := 0
-	for off := binary.LittleEndian.Uint64(s.mem[offFreeHead:]); off != 0; {
-		count++
-		off = binary.LittleEndian.Uint64(s.mem[off:])
-	}
-	return count
-}
-
-// encode transforms a pair for storage: identity in plaintext mode; in
-// encrypted mode the key becomes its deterministic ciphertext and the
-// value the sealed combination of key and value.
-func (s *Store) encode(key, value []byte) (storedKey, storedValue []byte, err error) {
-	if s.det == nil {
-		return key, value, nil
-	}
-	storedKey = s.det.Seal(key)
-	combined := make([]byte, 0, 4+len(key)+len(value))
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(key)))
-	combined = append(combined, lenBuf[:]...)
-	combined = append(combined, key...)
-	combined = append(combined, value...)
-	storedValue = s.pair.Seal(nil, combined, storedKey)
-	return storedKey, storedValue, nil
+	return s.free + int((s.regionsEnd-s.fresh)/uint64(s.regionSize))
 }
 
 // decodeValue recovers the plaintext value from a stored pair, verifying
@@ -387,19 +427,16 @@ func (s *Store) lookupKey(key []byte) []byte {
 }
 
 // Set stores a new version of key. Older versions stay in the bucket
-// (marked outdated) until the Cleaner reclaims them.
+// (marked outdated) until the Cleaner reclaims them. The pair is encoded
+// straight into its region, so Set allocates nothing.
 func (s *Store) Set(key, value []byte) error {
-	if s.closed.Load() {
+	if !s.enter() {
 		return ErrClosed
 	}
+	defer s.memMu.RUnlock()
 	defer s.observeSet(s.opStart())
-	storedKey, storedValue, err := s.encode(key, value)
-	if err != nil {
+	if err := s.checkPairSize(len(key), len(value)); err != nil {
 		return err
-	}
-	if recData+len(storedKey)+len(storedValue) > s.regionSize {
-		return fmt.Errorf("%w: %d+%d bytes into %d-byte region",
-			ErrTooLarge, len(storedKey), len(storedValue), s.regionSize)
 	}
 	region := s.allocRegion()
 	if region == 0 {
@@ -408,13 +445,32 @@ func (s *Store) Set(key, value []byte) error {
 	epoch := s.epoch.Add(1)
 
 	mem := s.mem
-	rec := mem[region : region+uint64(s.regionSize)]
+	end := region + uint64(s.regionSize)
+	rec := mem[region:end:end] // appends must not run into the next region
+	var storedKey []byte
+	valLen := 0
+	if s.det == nil {
+		storedKey = append(rec[recData:recData], key...)
+		valLen = copy(rec[recData+len(key):], value)
+	} else {
+		storedKey = s.det.AppendSeal(rec[recData:recData], key)
+		// s.mem is the untrusted side: nothing unsealed may be written
+		// into it, not even between a copy and the seal over it. The
+		// combination is laid out in pooled scratch and sealed from there
+		// into its slot.
+		buf := s.plain.Get().(*[]byte)
+		plain := *buf
+		binary.LittleEndian.PutUint32(plain, uint32(len(key)))
+		n := 4 + copy(plain[4:], key)
+		n += copy(plain[n:], value)
+		slot := recData + len(storedKey)
+		valLen = len(s.pair.Seal(rec[slot:slot], plain[:n], storedKey))
+		s.plain.Put(buf)
+	}
 	binary.LittleEndian.PutUint32(rec[recFlags:], 0)
 	binary.LittleEndian.PutUint64(rec[recEpoch:], epoch)
 	binary.LittleEndian.PutUint32(rec[recKeyLen:], uint32(len(storedKey)))
-	binary.LittleEndian.PutUint32(rec[recValLen:], uint32(len(storedValue)))
-	copy(rec[recData:], storedKey)
-	copy(rec[recData+len(storedKey):], storedValue)
+	binary.LittleEndian.PutUint32(rec[recValLen:], uint32(valLen))
 
 	b := s.bucketOf(storedKey)
 	s.bucketMu[b].Lock()
@@ -424,7 +480,7 @@ func (s *Store) Set(key, value []byte) error {
 	binary.LittleEndian.PutUint64(mem[headOff:], region)
 	// Mark older versions outdated right away (Section 4.1: "the marking
 	// of outdated values is performed immediately after updates").
-	for off := head; off != 0 && s.validRecordOff(off); {
+	for off, step := head, 0; s.chainLink(off, step); step++ {
 		r := mem[off : off+uint64(s.regionSize)]
 		if s.recordKeyEquals(r, storedKey) {
 			flags := binary.LittleEndian.Uint32(r[recFlags:])
@@ -452,10 +508,18 @@ func (s *Store) recordKeyEquals(rec, key []byte) bool {
 // before dereferencing it: the mmap is the trust boundary, and a
 // corrupted next pointer must end the chain, not crash the process.
 func (s *Store) validRecordOff(off uint64) bool {
-	if off < uint64(s.regionsOff) || off+uint64(s.regionSize) > uint64(len(s.mem)) {
+	if off < uint64(s.regionsOff) || off >= s.regionsEnd {
 		return false
 	}
 	return (off-uint64(s.regionsOff))%uint64(s.regionSize) == 0
+}
+
+// chainLink reports whether a chain walk may follow off as its link
+// number step (from 0): off is on the region grid, and the walk has not
+// yet visited as many records as the store has regions, so a cycle left
+// by a corrupted next pointer ends the walk instead of hanging it.
+func (s *Store) chainLink(off uint64, step int) bool {
+	return off != 0 && step < s.regionCount && s.validRecordOff(off)
 }
 
 // recordSpans reads a record's key/value lengths and checks they fit
@@ -472,9 +536,10 @@ func (s *Store) recordSpans(rec []byte) (keyLen, valLen int, ok bool) {
 
 // Get returns the newest value stored for key.
 func (s *Store) Get(key []byte) ([]byte, bool, error) {
-	if s.closed.Load() {
+	if !s.enter() {
 		return nil, false, ErrClosed
 	}
+	defer s.memMu.RUnlock()
 	defer s.observeGet(s.opStart())
 	s.gets.Add(1)
 	storedKey := s.lookupKey(key)
@@ -482,7 +547,7 @@ func (s *Store) Get(key []byte) ([]byte, bool, error) {
 	mem := s.mem
 	s.bucketMu[b].Lock()
 	defer s.bucketMu[b].Unlock()
-	for off := binary.LittleEndian.Uint64(mem[offBucketHeads+8*b:]); off != 0 && s.validRecordOff(off); {
+	for off, step := binary.LittleEndian.Uint64(mem[offBucketHeads+8*b:]), 0; s.chainLink(off, step); step++ {
 		rec := mem[off : off+uint64(s.regionSize)]
 		if s.recordKeyEquals(rec, storedKey) {
 			flags := binary.LittleEndian.Uint32(rec[recFlags:])
@@ -508,16 +573,17 @@ func (s *Store) Get(key []byte) ([]byte, bool, error) {
 
 // Delete tombstones key. It reports whether a live version existed.
 func (s *Store) Delete(key []byte) (bool, error) {
-	if s.closed.Load() {
+	if !s.enter() {
 		return false, ErrClosed
 	}
+	defer s.memMu.RUnlock()
 	storedKey := s.lookupKey(key)
 	b := s.bucketOf(storedKey)
 	mem := s.mem
 	s.bucketMu[b].Lock()
 	defer s.bucketMu[b].Unlock()
 	found := false
-	for off := binary.LittleEndian.Uint64(mem[offBucketHeads+8*b:]); off != 0 && s.validRecordOff(off); {
+	for off, step := binary.LittleEndian.Uint64(mem[offBucketHeads+8*b:]), 0; s.chainLink(off, step); step++ {
 		rec := mem[off : off+uint64(s.regionSize)]
 		if s.recordKeyEquals(rec, storedKey) {
 			flags := binary.LittleEndian.Uint32(rec[recFlags:])
@@ -535,9 +601,10 @@ func (s *Store) Delete(key []byte) (bool, error) {
 
 // Sync flushes the store to its backing file (msync on Linux).
 func (s *Store) Sync() error {
-	if s.closed.Load() {
+	if !s.enter() {
 		return ErrClosed
 	}
+	defer s.memMu.RUnlock()
 	if inj := s.flt.Load(); inj != nil {
 		switch act := inj.At(faults.SitePosSync); act.Class {
 		case faults.SyncFail:
@@ -550,11 +617,26 @@ func (s *Store) Sync() error {
 	return s.syncer()
 }
 
-// Close flushes and releases the store.
+// enter admits one operation on the mapping, or reports false once the
+// store is closed. An admitted operation holds memMu for reading until
+// it is done with s.mem, so Close cannot unmap it underneath.
+func (s *Store) enter() bool {
+	s.memMu.RLock()
+	if s.closed.Load() {
+		s.memMu.RUnlock()
+		return false
+	}
+	return true
+}
+
+// Close flushes and releases the store. Operations still in flight are
+// waited for; any that start later fail with ErrClosed.
 func (s *Store) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
+	s.memMu.Lock()
+	defer s.memMu.Unlock()
 	return s.closer()
 }
 
@@ -562,9 +644,10 @@ func (s *Store) Close() error {
 // (Section 4.1: encryption keys survive reboots as sealed data inside
 // the POS).
 func (s *Store) StoreSealedKey(blob []byte) error {
-	if s.closed.Load() {
+	if !s.enter() {
 		return ErrClosed
 	}
+	defer s.memMu.RUnlock()
 	if len(blob) > pageSize-4 {
 		return fmt.Errorf("pos: sealed blob %d bytes exceeds slot", len(blob))
 	}
@@ -575,9 +658,10 @@ func (s *Store) StoreSealedKey(blob []byte) error {
 
 // LoadSealedKey reads back the sealed key blob.
 func (s *Store) LoadSealedKey() ([]byte, error) {
-	if s.closed.Load() {
+	if !s.enter() {
 		return nil, ErrClosed
 	}
+	defer s.memMu.RUnlock()
 	n := int(binary.LittleEndian.Uint32(s.mem[offSealedLen:]))
 	if n == 0 {
 		return nil, ErrNoSealedKey
@@ -595,16 +679,18 @@ func (s *Store) LoadSealedKey() ([]byte, error) {
 // values are decrypted for the callback. Mutations during iteration are
 // allowed (bucket locks are taken one at a time).
 func (s *Store) Range(fn func(key, value []byte) bool) error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
 	mem := s.mem
 	for b := 0; b < s.buckets; b++ {
+		// Admitted per bucket, not across fn, which may call back into
+		// the store while Close waits.
+		if !s.enter() {
+			return ErrClosed
+		}
 		s.bucketMu[b].Lock()
 		seen := make(map[string]bool)
 		type pair struct{ key, value []byte }
 		var out []pair
-		for off := binary.LittleEndian.Uint64(mem[offBucketHeads+8*b:]); off != 0 && s.validRecordOff(off); {
+		for off, step := binary.LittleEndian.Uint64(mem[offBucketHeads+8*b:]), 0; s.chainLink(off, step); step++ {
 			rec := mem[off : off+uint64(s.regionSize)]
 			keyLen, valLen, ok := s.recordSpans(rec)
 			if !ok {
@@ -623,6 +709,7 @@ func (s *Store) Range(fn func(key, value []byte) bool) error {
 			off = binary.LittleEndian.Uint64(rec[recNext:])
 		}
 		s.bucketMu[b].Unlock()
+		s.memMu.RUnlock()
 
 		for _, p := range out {
 			key, value := p.key, p.value

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -221,6 +222,88 @@ func TestReopenGeometryMismatch(t *testing.T) {
 	_ = s.Close()
 	if _, err := Open(Options{Path: path, SizeBytes: 64 * 1024, Buckets: 16}); err == nil {
 		t.Fatal("bucket mismatch accepted on reopen")
+	}
+}
+
+// TestFormatTouchesNoRegion: formatting writes the superblock only, so
+// a new store pages in a region when Set first takes it, not at Open.
+// The file starts as non-zero garbage; every region byte must survive
+// Open, and the store must work over it.
+func TestFormatTouchesNoRegion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.pos")
+	if err := os.WriteFile(path, bytes.Repeat([]byte{0xEE}, 64*1024), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{Path: path, SizeBytes: 64 * 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.FreeRegions() != s.Regions() {
+		t.Fatalf("FreeRegions = %d of %d on a new store", s.FreeRegions(), s.Regions())
+	}
+	for i, c := range s.mem[s.regionsOff:] {
+		if c != 0xEE {
+			t.Fatalf("Open wrote region byte %d", s.regionsOff+i)
+		}
+	}
+	if err := s.Set([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := s.Get([]byte("k")); err != nil || !ok || string(got) != "v" {
+		t.Fatalf("Get = %q ok=%v err=%v", got, ok, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReopenMidFresh: a store reopened with part of its regions used
+// reports the rest as free and keeps allocating past its fresh mark —
+// into the free list first, then into never-used regions — without
+// handing out a live record's region.
+func TestReopenMidFresh(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.pos")
+	opts := Options{Path: path, SizeBytes: 64 * 1024}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := s.Regions()
+	const live = 40
+	for i := 0; i < live; i++ {
+		if err := s.Set([]byte(fmt.Sprintf("old-%d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One outdated version, reclaimed: the free list is not empty either.
+	if err := s.Set([]byte("old-0"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Clean(); err != nil || n != 1 {
+		t.Fatalf("Clean = %d, %v; want 1", n, err)
+	}
+	_ = s.Close()
+
+	re, err := Open(opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	if got := re.FreeRegions(); got != regions-live {
+		t.Fatalf("FreeRegions after reopen = %d, want %d of %d", got, regions-live, regions)
+	}
+	for i := 0; i < regions-live; i++ {
+		if err := re.Set([]byte(fmt.Sprintf("new-%d", i)), []byte("w")); err != nil {
+			t.Fatalf("Set %d of %d free regions: %v", i, regions-live, err)
+		}
+	}
+	if err := re.Set([]byte("one-too-many"), []byte("x")); !errors.Is(err, ErrFull) {
+		t.Fatalf("Set into a full store err = %v, want ErrFull", err)
+	}
+	for i := 0; i < live; i++ {
+		if got, ok, err := re.Get([]byte(fmt.Sprintf("old-%d", i))); err != nil || !ok || string(got) != "v" {
+			t.Fatalf("old-%d = %q ok=%v err=%v after refilling the store", i, got, ok, err)
+		}
 	}
 }
 

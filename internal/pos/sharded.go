@@ -71,11 +71,23 @@ type ShardedOptions struct {
 }
 
 // cacheEntry is one write-back cache slot. val is nil only for
-// tombstones (del set).
+// tombstones (del set). gen counts the entry's Sets and Deletes, so a
+// flush tells an entry re-dirtied since its snapshot by one compare.
 type cacheEntry struct {
 	val   []byte
+	gen   uint64
 	dirty bool
 	del   bool
+}
+
+// pending is one dirty entry in a flush snapshot; its value is
+// vals[off:off+n] of the shard's snapshot arena.
+type pending struct {
+	key    string
+	e      *cacheEntry
+	gen    uint64
+	off, n int
+	del    bool
 }
 
 // shard is one Store plus its write-back cache.
@@ -85,6 +97,14 @@ type shard struct {
 	cache map[string]*cacheEntry
 	dirty int // number of dirty entries (tracked under mu)
 	clean int // number of clean (pure cache) entries
+
+	// The flush snapshot, reused so a write-back allocates nothing once
+	// they have grown to the shard's dirty set: the batch, the arena
+	// holding copies of its values, and the key the apply loop passes
+	// to the Store. Only flushShard touches them, under flushMu.
+	batch []pending
+	vals  []byte
+	key   []byte
 }
 
 // ShardedStore is a sharded, cached Persistent Object Store. All
@@ -112,12 +132,7 @@ func ShardOf(key []byte, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	h := uint32(2166136261)
-	for _, b := range key {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	return int(h % uint32(shards))
+	return int(fnv1a(key) % uint32(shards))
 }
 
 // OpenSharded creates or re-opens a sharded store. Re-opening a
@@ -271,9 +286,8 @@ func (ss *ShardedStore) Set(key, value []byte) error {
 		return ErrClosed
 	}
 	sh := ss.shardFor(key)
-	if need := sh.store.storedPairSize(len(key), len(value)); need > sh.store.regionSize {
-		return fmt.Errorf("%w: %d bytes into %d-byte region",
-			ErrTooLarge, need, sh.store.regionSize)
+	if err := sh.store.checkPairSize(len(key), len(value)); err != nil {
+		return err
 	}
 	sh.mu.Lock()
 	e, ok := sh.cache[string(key)]
@@ -287,6 +301,7 @@ func (ss *ShardedStore) Set(key, value []byte) error {
 		sh.dirty++
 	}
 	e.val = append(e.val[:0], value...)
+	e.gen++
 	e.dirty = true
 	e.del = false
 	sh.mu.Unlock()
@@ -322,6 +337,7 @@ func (ss *ShardedStore) Delete(key []byte) (bool, error) {
 		sh.dirty++
 	}
 	e.val = nil
+	e.gen++
 	e.dirty = true
 	e.del = true
 	sh.mu.Unlock()
@@ -331,38 +347,40 @@ func (ss *ShardedStore) Delete(key []byte) (bool, error) {
 // flushShard writes back one shard: snapshot the dirty entries under
 // the lock, apply them to the Store, one Sync, then mark them clean —
 // unless the Sync failed, in which case every entry stays dirty for the
-// next attempt.
+// next attempt. The caller holds flushMu, which owns the snapshot
+// buffers.
 func (ss *ShardedStore) flushShard(sh *shard) error {
-	type pending struct {
-		key string
-		e   *cacheEntry
-		val []byte
-		del bool
-	}
 	sh.mu.RLock()
 	if sh.dirty == 0 {
 		sh.mu.RUnlock()
 		return nil
 	}
-	batch := make([]pending, 0, sh.dirty)
+	batch, vals := sh.batch[:0], sh.vals[:0]
 	for k, e := range sh.cache {
 		if e.dirty {
-			batch = append(batch, pending{key: k, e: e, val: append([]byte(nil), e.val...), del: e.del})
+			batch = append(batch, pending{key: k, e: e, gen: e.gen, off: len(vals), n: len(e.val), del: e.del})
+			vals = append(vals, e.val...)
 		}
 	}
 	sh.mu.RUnlock()
+	sh.batch, sh.vals = batch, vals
+	// Drop the snapshot's entry pointers and key strings when done, so
+	// the kept batch does not hold entries the cache has since let go.
+	defer clear(batch)
 
 	for _, p := range batch {
+		sh.key = append(sh.key[:0], p.key...)
 		var err error
 		if p.del {
-			_, err = sh.store.Delete([]byte(p.key))
+			_, err = sh.store.Delete(sh.key)
 		} else {
-			err = sh.store.Set([]byte(p.key), p.val)
+			val := vals[p.off : p.off+p.n]
+			err = sh.store.Set(sh.key, val)
 			if errors.Is(err, ErrFull) {
 				// Rewriting hot keys leaves outdated records behind;
 				// reclaim them and retry once before giving up.
 				if _, cerr := sh.store.Clean(); cerr == nil {
-					err = sh.store.Set([]byte(p.key), p.val)
+					err = sh.store.Set(sh.key, val)
 				}
 			}
 		}
@@ -381,16 +399,13 @@ func (ss *ShardedStore) flushShard(sh *shard) error {
 		return err
 	}
 	// Durable: mark the flushed entries clean — unless a concurrent
-	// writer re-dirtied one (its newer value was not in this snapshot).
+	// writer re-dirtied one (its newer version was not in this snapshot).
 	cleaned := 0
 	sh.mu.Lock()
 	for _, p := range batch {
 		e := sh.cache[p.key]
-		if e != p.e || !e.dirty {
+		if e != p.e || !e.dirty || e.gen != p.gen {
 			continue
-		}
-		if e.del != p.del || (!e.del && string(e.val) != string(p.val)) {
-			continue // re-dirtied since the snapshot
 		}
 		e.dirty = false
 		sh.dirty--

@@ -281,6 +281,56 @@ func TestShardedFlushRacesClose(t *testing.T) {
 	}
 }
 
+// TestShardedCacheMissRacesClose: Gets that miss the cache read the
+// shard's Store without any ShardedStore lock, so Close can run while
+// they walk the mapping. A volatile store's mapping is unmapped by
+// Close; each such Get must finish first or return ErrClosed, never
+// fault on the released memory.
+func TestShardedCacheMissRacesClose(t *testing.T) {
+	for round := 0; round < 8; round++ {
+		ss, err := OpenSharded(ShardedOptions{
+			Shards: 2, SizeBytes: 256 * 1024, CacheEntries: -1,
+			EncryptionKey: kvBenchEncKey(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		val := bytes.Repeat([]byte{0x3C}, 100)
+		keys := make([][]byte, 64)
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("key-%d", i))
+			if err := ss.Set(keys[i], val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ss.Flush(); err != nil { // with no clean cache, every Get now misses
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				for i := id; ; i++ {
+					got, ok, err := ss.Get(keys[i%len(keys)])
+					if errors.Is(err, ErrClosed) {
+						return
+					}
+					if err != nil || !ok || !bytes.Equal(got, val) {
+						t.Errorf("Get = %d bytes ok=%v err=%v", len(got), ok, err)
+						return
+					}
+				}
+			}(w)
+		}
+		time.Sleep(time.Millisecond)
+		if err := ss.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		wg.Wait()
+	}
+}
+
 func TestShardedConcurrentAcrossShards(t *testing.T) {
 	ss := openTestSharded(t, ShardedOptions{Shards: 8, SizeBytes: 1 << 20})
 	const workers = 8

@@ -19,8 +19,7 @@ type storeTelemetry struct {
 
 // AttachTelemetry exposes the store's counters and occupancy through reg
 // and begins observing get/set/sync latency. Call once, before the store
-// is shared; scraping FreeRegions walks the free list, so the gauge is
-// read-time O(regions).
+// is shared.
 func (s *Store) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -33,7 +32,7 @@ func (s *Store) AttachTelemetry(reg *telemetry.Registry) {
 	reg.CounterFunc("eactors_pos_sets", "POS Set operations", s.sets.Load)
 	reg.CounterFunc("eactors_pos_gets", "POS Get operations", s.gets.Load)
 	reg.CounterFunc("eactors_pos_cleaned", "regions reclaimed by the cleaner", s.cleaned.Load)
-	reg.GaugeFunc("eactors_pos_free_regions", "regions on the free list",
+	reg.GaugeFunc("eactors_pos_free_regions", "regions Set can still take",
 		func() uint64 { return uint64(s.FreeRegions()) })
 	reg.GaugeFunc("eactors_pos_regions", "total regions in the store",
 		func() uint64 { return uint64(s.regionCount) })

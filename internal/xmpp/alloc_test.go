@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/eactors/eactors-go/internal/core"
-	"github.com/eactors/eactors-go/internal/ecrypto"
 	"github.com/eactors/eactors-go/internal/netactors"
 	"github.com/eactors/eactors-go/internal/testutil/allocs"
 	"github.com/eactors/eactors-go/internal/xmpp/stanza"
@@ -16,7 +15,14 @@ import (
 // from the READER, scanned, looked up in an unsealed Online list and
 // staged and flushed to the WRITER — the route xmpp_o2o drives twice
 // per operation — allocates nothing.
-func TestShardRouteAllocatesNothing(t *testing.T) {
+func TestShardRouteAllocatesNothing(t *testing.T) { testShardRouteAllocations(t, false) }
+
+// TestSealedShardRouteAllocatesNothing is the same route over a list
+// sealed at rest, as every multi-enclave layout deploys it: the entry is
+// opened into the shard's scratch buffer, not a fresh one.
+func TestSealedShardRouteAllocatesNothing(t *testing.T) { testShardRouteAllocations(t, true) }
+
+func testShardRouteAllocations(t *testing.T, sealed bool) {
 	allocs.SkipUnderRace(t)
 	var writer *core.Endpoint
 	noop := func(*core.Self) {}
@@ -36,7 +42,7 @@ func TestShardRouteAllocatesNothing(t *testing.T) {
 			{Name: "close-0", A: shardName(0), B: "closer", Plaintext: true},
 		},
 	}
-	online, err := NewOnlineList(false, [ecrypto.KeySize]byte{})
+	online, err := NewOnlineList(sealed, testKey())
 	if err != nil {
 		t.Fatal(err)
 	}

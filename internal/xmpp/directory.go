@@ -18,8 +18,10 @@ type Directory interface {
 	// Get looks a user up.
 	Get(user string) (OnlineEntry, bool)
 	// Sock returns the socket of the user named by the bytes: the
-	// lookup that routes a message.
-	Sock(user []byte) (uint32, bool)
+	// lookup that routes a message. An entry sealed at rest is opened
+	// into *scratch, which the caller keeps between lookups; the list is
+	// shared across shards, so the buffer cannot live on it unlocked.
+	Sock(user []byte, scratch *[]byte) (uint32, bool)
 	// Remove unregisters a user.
 	Remove(user string)
 	// Len returns the number of online users.
@@ -76,8 +78,9 @@ func (d *POSDirectory) Get(user string) (OnlineEntry, bool) {
 	return e, true
 }
 
-// Sock returns a user's socket.
-func (d *POSDirectory) Sock(user []byte) (uint32, bool) {
+// Sock returns a user's socket. The store decodes into its own copy, so
+// scratch is unused.
+func (d *POSDirectory) Sock(user []byte, _ *[]byte) (uint32, bool) {
 	e, ok := d.Get(string(user))
 	return e.Sock, ok
 }

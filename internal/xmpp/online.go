@@ -102,7 +102,10 @@ func (l *OnlineList) Get(user string) (OnlineEntry, bool) {
 	l.mu.RLock()
 	enc, ok := l.entries[user]
 	l.mu.RUnlock()
-	if enc, ok = l.open(enc, ok); !ok {
+	if !ok {
+		return OnlineEntry{}, false
+	}
+	if enc, ok = l.open(nil, enc); !ok {
 		return OnlineEntry{}, false
 	}
 	e, err := decodeEntry(enc)
@@ -112,24 +115,36 @@ func (l *OnlineList) Get(user string) (OnlineEntry, bool) {
 	return e, true
 }
 
-// Sock returns a user's socket without decoding the entry's strings:
-// on an unsealed list it allocates nothing.
-func (l *OnlineList) Sock(user []byte) (uint32, bool) {
+// Sock returns a user's socket without decoding the entry's strings. A
+// sealed entry is opened into *scratch (see Directory.Sock), so once
+// the buffer has grown a lookup allocates nothing on either list.
+func (l *OnlineList) Sock(user []byte, scratch *[]byte) (uint32, bool) {
 	l.mu.RLock()
 	enc, ok := l.entries[string(user)]
 	l.mu.RUnlock()
-	if enc, ok = l.open(enc, ok); !ok || len(enc) < 4 {
+	if !ok {
+		return 0, false
+	}
+	if enc, ok = l.open((*scratch)[:0], enc); !ok {
+		return 0, false
+	}
+	if l.cipher != nil {
+		*scratch = enc // keep the grown buffer; never alias a plain entry
+	}
+	if len(enc) < 4 {
 		return 0, false
 	}
 	return binary.LittleEndian.Uint32(enc), true
 }
 
-// open returns the plaintext encoding of a found entry.
-func (l *OnlineList) open(enc []byte, found bool) ([]byte, bool) {
-	if !found || l.cipher == nil {
-		return enc, found
+// open returns a stored entry's encoding: enc itself on a plain list,
+// else enc opened and appended to dst. An entry that fails to open reads
+// as absent.
+func (l *OnlineList) open(dst, enc []byte) ([]byte, bool) {
+	if l.cipher == nil {
+		return enc, true
 	}
-	plain, err := l.cipher.Open(nil, enc, nil)
+	plain, err := l.cipher.Open(dst, enc, nil)
 	return plain, err == nil
 }
 

@@ -30,6 +30,7 @@ type shardState struct {
 	pcl     map[uint32]*session // the paper's private client list
 	pending [][]byte            // owned frames that hit a full write channel
 	scratch []byte
+	dirBuf  []byte // opens sealed directory entries (Directory.Sock)
 	// stage batches outbound frames: one SendBatch — one pool trip, one
 	// mbox CAS, one WRITER doorbell — per flush instead of per stanza.
 	stage core.SendStage
@@ -230,7 +231,7 @@ func (srv *Server) routeOneToOne(st *shardState, sess *session, el *stanza.Stanz
 	if bytes.IndexByte(to, '&') >= 0 {
 		to = []byte(stanza.Unescape(string(to)))
 	}
-	sock, ok := srv.online.Sock(to)
+	sock, ok := srv.online.Sock(to, &st.dirBuf)
 	if !ok {
 		return // recipient offline: drop (no offline storage in the subset)
 	}
