@@ -54,7 +54,7 @@ func run() error {
 	defer s.Close()
 
 	if *metrics != "" {
-		reg := telemetry.New(1, 0)
+		reg := telemetry.New(1)
 		s.AttachTelemetry(reg)
 		bound, stopHTTP, err := telemetry.Serve(*metrics, reg)
 		if err != nil {

@@ -11,14 +11,13 @@ import (
 // switched on or off, returning the two endpoints. The runtime's
 // workers never run; the benchmark drives the endpoints directly, the
 // way the core channel and trace benchmarks do.
-func buildProfilePair(b *testing.B, profiled, encrypted bool, sampleEvery int) (src, dst *core.Endpoint) {
+func buildProfilePair(b *testing.B, profiled, encrypted bool) (src, dst *core.Endpoint) {
 	b.Helper()
 	cfg := core.Config{
-		Profile:            profiled,
-		ProfileSampleEvery: sampleEvery,
-		Workers:            []core.WorkerSpec{{}},
-		PoolNodes:          512,
-		NodePayload:        256,
+		Profile:     profiled,
+		Workers:     []core.WorkerSpec{{}},
+		PoolNodes:   512,
+		NodePayload: 256,
 		Actors: []core.Spec{
 			{Name: "a", Worker: 0, Body: func(*core.Self) {}},
 			{Name: "b", Worker: 0, Body: func(*core.Self) {}},
@@ -44,8 +43,8 @@ func buildProfilePair(b *testing.B, profiled, encrypted bool, sampleEvery int) (
 	return src, dst
 }
 
-func benchProfileSendRecv(b *testing.B, profiled, encrypted bool, sampleEvery int) {
-	src, dst := buildProfilePair(b, profiled, encrypted, sampleEvery)
+func benchProfileSendRecv(b *testing.B, profiled, encrypted bool) {
+	src, dst := buildProfilePair(b, profiled, encrypted)
 	payload := make([]byte, 64)
 	buf := make([]byte, 256)
 	b.ReportAllocs()
@@ -60,9 +59,9 @@ func benchProfileSendRecv(b *testing.B, profiled, encrypted bool, sampleEvery in
 	}
 }
 
-func benchProfileBatch(b *testing.B, profiled bool, sampleEvery int) {
+func benchProfileBatch(b *testing.B, profiled bool) {
 	const batch = 64
-	src, dst := buildProfilePair(b, profiled, false, sampleEvery)
+	src, dst := buildProfilePair(b, profiled, false)
 	payload := make([]byte, 64)
 	payloads := make([][]byte, batch)
 	for i := range payloads {
@@ -87,25 +86,16 @@ func benchProfileBatch(b *testing.B, profiled bool, sampleEvery int) {
 // accounting layer on the channel hot path (acceptance budget ≤2% vs
 // the unprofiled baseline: one nil check per path).
 func BenchmarkProfileOff(b *testing.B) {
-	b.Run("single", func(b *testing.B) { benchProfileSendRecv(b, false, false, 0) })
-	b.Run("single-enc", func(b *testing.B) { benchProfileSendRecv(b, false, true, 0) })
-	b.Run("batch64", func(b *testing.B) { benchProfileBatch(b, false, 0) })
+	b.Run("single", func(b *testing.B) { benchProfileSendRecv(b, false, false) })
+	b.Run("single-enc", func(b *testing.B) { benchProfileSendRecv(b, false, true) })
+	b.Run("batch64", func(b *testing.B) { benchProfileBatch(b, false) })
 }
 
-// BenchmarkProfileSampled is the armed cost at the default 1-in-16
-// seal/open clock decimation: counters are unconditional atomics on the
+// BenchmarkProfileSampled is the armed cost, seal/open clocked on the
+// hop's 1-in-16 sampling tick: counters are unconditional atomics on the
 // owner's cache-padded cell; only the decimated ops pay clock reads.
 func BenchmarkProfileSampled(b *testing.B) {
-	b.Run("single", func(b *testing.B) { benchProfileSendRecv(b, true, false, 0) })
-	b.Run("single-enc", func(b *testing.B) { benchProfileSendRecv(b, true, true, 0) })
-	b.Run("batch64", func(b *testing.B) { benchProfileBatch(b, true, 0) })
-}
-
-// BenchmarkProfileFull clocks every seal/open (ProfileSampleEvery=1) —
-// the exact-timing configuration the EXPERIMENTS.md overhead table
-// reports; not CI-gated, since it is a diagnostic mode.
-func BenchmarkProfileFull(b *testing.B) {
-	b.Run("single", func(b *testing.B) { benchProfileSendRecv(b, true, false, 1) })
-	b.Run("single-enc", func(b *testing.B) { benchProfileSendRecv(b, true, true, 1) })
-	b.Run("batch64", func(b *testing.B) { benchProfileBatch(b, true, 1) })
+	b.Run("single", func(b *testing.B) { benchProfileSendRecv(b, true, false) })
+	b.Run("single-enc", func(b *testing.B) { benchProfileSendRecv(b, true, true) })
+	b.Run("batch64", func(b *testing.B) { benchProfileBatch(b, true) })
 }

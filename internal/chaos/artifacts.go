@@ -7,18 +7,18 @@ import (
 	"path/filepath"
 
 	"github.com/eactors/eactors-go/internal/core"
-	"github.com/eactors/eactors-go/internal/telemetry"
 )
 
 // ArtifactDirEnv names the directory the CI chaos job points at: when a
-// run fails, the harness drops post-mortem artifacts there (per-worker
-// flight-recorder dumps and the sampled causal traces) and the workflow
-// uploads the directory. Unset means no artifacts — local runs stay
-// clean unless asked.
+// run fails, the harness drops post-mortem artifacts there (the metrics
+// exposition and the sampled causal traces) and the workflow uploads the
+// directory. Unset means no artifacts — local runs stay clean unless
+// asked.
 const ArtifactDirEnv = "CHAOS_ARTIFACT_DIR"
 
-// dumpArtifacts writes the failing run's flight recorders and trace
-// snapshot to $CHAOS_ARTIFACT_DIR as <label>-seed<seed>-flight.txt and
+// dumpArtifacts writes the failing run's metrics and trace snapshot to
+// $CHAOS_ARTIFACT_DIR as <label>-seed<seed>-metrics.txt (the /metrics
+// text: parks, failed actors, faults injected, traffic) and
 // <label>-seed<seed>-traces.json. Everything is best-effort: artifact
 // trouble must never mask the failure that triggered it.
 func dumpArtifacts(label string, seed uint64, rt *core.Runtime) {
@@ -32,11 +32,8 @@ func dumpArtifacts(label string, seed uint64, rt *core.Runtime) {
 	prefix := fmt.Sprintf("%s-seed%d", label, seed)
 	if reg := rt.Telemetry(); reg != nil {
 		var buf bytes.Buffer
-		for i := 0; i < reg.Shards(); i++ {
-			fmt.Fprintf(&buf, "== worker %d ==\n%s", i, telemetry.FormatDump(reg.Recorder(i).Dump(0)))
-		}
-		fmt.Fprintf(&buf, "== system ==\n%s", telemetry.FormatDump(reg.SystemRecorder().Dump(0)))
-		_ = os.WriteFile(filepath.Join(dir, prefix+"-flight.txt"), buf.Bytes(), 0o644)
+		reg.WritePrometheus(&buf)
+		_ = os.WriteFile(filepath.Join(dir, prefix+"-metrics.txt"), buf.Bytes(), 0o644)
 	}
 	if tr := rt.Tracer(); tr != nil {
 		var buf bytes.Buffer

@@ -157,7 +157,7 @@ func RunXMPP(seed uint64, messages int, timeout time.Duration) (Result, error) {
 	srv, err := xmpp.Start(xmpp.Options{
 		Shards: 2, Trusted: true, EnclaveCount: 2, Faults: inj,
 		// Observability stays on so a failing seed leaves post-mortems
-		// (flight recorders + densely sampled traces, see dumpArtifacts).
+		// (metrics + densely sampled traces, see dumpArtifacts).
 		Telemetry: true, Trace: true, TraceSampleEvery: 8,
 	})
 	if err != nil {

@@ -101,7 +101,7 @@ func RunKV(seed uint64, ops int, timeout time.Duration) (Result, error) {
 		FlushInterval: 10 * time.Millisecond,
 		Faults:        inj,
 		// Observability stays on during chaos runs so a failing seed
-		// leaves post-mortems: flight recorders plus densely sampled
+		// leaves post-mortems: the metrics exposition plus densely sampled
 		// traces (see dumpArtifacts).
 		Telemetry:        true,
 		Trace:            true,

@@ -17,7 +17,6 @@ import (
 
 	"github.com/eactors/eactors-go/internal/profile"
 	"github.com/eactors/eactors-go/internal/sgx"
-	"github.com/eactors/eactors-go/internal/telemetry"
 	"github.com/eactors/eactors-go/internal/trace"
 )
 
@@ -57,7 +56,7 @@ type Spec struct {
 // actorInstance binds a Spec to its resolved runtime resources.
 type actorInstance struct {
 	spec      Spec
-	tag       uint32       // dense id for flight-recorder events
+	tag       uint32       // dense id for trace spans and cost cells
 	enclave   *sgx.Enclave // nil when untrusted
 	self      *Self
 	worker    *Worker
@@ -68,13 +67,11 @@ type actorInstance struct {
 	cost *profile.ActorCell
 
 	// failed parks the actor for good after a body panic (blast-radius
-	// containment); failure records the panic value and dump captures
-	// the owning worker's flight recorder at the moment of the park.
-	// Both are written by the worker before failed flips and read by
-	// other goroutines after it, so they are atomic pointers.
+	// containment); failure records the panic value. It is written by
+	// the worker before failed flips and read by other goroutines after
+	// it, so it is an atomic pointer.
 	failed  atomic.Bool
 	failure atomic.Pointer[string]
-	dump    atomic.Pointer[[]telemetry.Event]
 
 	// scope is the actor's active trace context (zero value when tracing
 	// is disabled): cleared by the worker before each invocation, adopted

@@ -51,7 +51,7 @@ type Channel struct {
 	name      string
 	a, b      string // endpoint actor names
 	encrypted bool
-	tag       uint32 // dense id for flight-recorder events
+	tag       uint32 // dense id for trace spans and dwell attribution
 	ab, ba    *mem.Mbox
 	epA, epB  *Endpoint
 }
@@ -114,13 +114,14 @@ type Endpoint struct {
 	// inj is the runtime's fault injector (Config.Faults); nil in production.
 	inj *faults.Injector
 
-	// Telemetry (all nil/zero unless Config.Telemetry): rec is the owning
-	// worker's flight recorder, sendNs the per-channel sampled latency
-	// histogram and sampleTick the owner-thread-local sampling counter.
-	m          *metrics
-	rec        *telemetry.Recorder
-	sendNs     *telemetry.Histogram
-	sampleTick uint32
+	// tick is the owner-thread-local sampling counter telemetry and cost
+	// accounting share (see hop.sample).
+	tick uint32
+
+	// Telemetry (all nil unless Config.Telemetry): sendNs is the
+	// per-channel sampled latency histogram.
+	m      *metrics
+	sendNs *telemetry.Histogram
 
 	// Tracing (all nil/zero unless Config.Trace): tr is the runtime's
 	// causal tracer, scope the owning actor's trace scope and owner its
@@ -133,15 +134,13 @@ type Endpoint struct {
 	scope *trace.Scope
 	owner int
 
-	// Cost accounting (all nil/zero unless Config.Profile): pc is the
-	// owning actor's cost cell, pcEdge this direction's communication-
-	// matrix edge, pcMask the seal/open clock-read sampling mask and
-	// pcTick its owner-thread-local counter. Counters are exact; clock
-	// reads are decimated 1-in-(pcMask+1) and extrapolated.
+	// Cost accounting (all nil unless Config.Profile): pc is the owning
+	// actor's cost cell and pcEdge this direction's communication-matrix
+	// edge, which counts bytes; its message count is sent below.
+	// Counters are exact; clock reads are taken on the sampling tick and
+	// extrapolated.
 	pc     *profile.ActorCell
 	pcEdge *profile.EdgeCell
-	pcMask uint32
-	pcTick uint32
 
 	sent         atomic.Uint64
 	received     atomic.Uint64
@@ -201,7 +200,7 @@ type hop struct {
 	batch  bool      // SendBatch/RecvBatch: burst sizes are observed
 	mute   bool      // injected DoorbellDrop: the peer is not woken
 	tel    bool      // telemetry samples this operation (1 in 16)
-	pscale uint32    // cost-accounting clock extrapolation; 0 = untimed
+	pcNs   bool      // cost accounting times this seal/open pass (1 in 16)
 	ctx    trace.Ctx // send: stamped on outbound nodes; recv: adopted
 	parent uint32    // send: the scope span the send span hangs off
 	enq    int64     // send: stamped enqueue time; recv: the adopted node's
@@ -213,30 +212,32 @@ type hop struct {
 	bytes, msgs, opened, openBytes int
 }
 
-// sample decides, once per operation, which sinks pay for clock reads:
-// telemetry times 1 operation in 16, cost accounting 1 seal/open pass in
-// pcMask+1 (pscale is the period the measured duration is multiplied
-// by). The ticks are owner-local, so sampling needs no synchronisation,
-// and the skipped operations avoid the clock reads that would dominate
-// the fast path's instrumentation.
+// sampleMask is the period of the endpoint's sampling tick, less one.
+const sampleMask = profile.SampleEvery - 1
+
+// sample decides, once per operation, which sinks pay for clock reads.
+// One tick serves both timed sinks: the first operation of every 16 is
+// timed for telemetry and, on an encrypted channel, its seal/open pass
+// for cost accounting, which scales the duration by the period. The
+// tick is owner-local, so sampling needs no synchronisation, and the
+// skipped operations avoid the clock reads that would dominate the fast
+// path's instrumentation.
 func (h *hop) sample() {
 	e := h.e
-	if e.m != nil {
-		e.sampleTick++
-		h.tel = e.sampleTick&latencySampleMask == 0
+	if e.m == nil && e.pc == nil {
+		return
 	}
-	if e.pc != nil && e.cipher != nil {
-		if e.pcTick++; e.pcTick&e.pcMask == 0 {
-			h.pscale = e.pcMask + 1
-		}
-	}
+	sampled := e.tick&sampleMask == 0
+	e.tick++
+	h.tel = sampled && e.m != nil
+	h.pcNs = sampled && e.pc != nil && e.cipher != nil
 }
 
 // passStart reads the clock ahead of a seal or open pass when any sink
 // times it; traced is the caller's knowledge that the pass belongs to a
 // sampled trace.
 func (h *hop) passStart(traced bool) {
-	if h.tel || h.pscale > 0 || traced {
+	if h.tel || h.pcNs || traced {
 		h.edge = time.Now()
 	}
 }
@@ -308,8 +309,8 @@ func (h *hop) sealed(nodes []*mem.Node) {
 	if h.tel {
 		e.m.sealNs.Observe(uint64(dur) / uint64(len(nodes)))
 	}
-	if h.pscale > 0 {
-		e.pc.SealNs.Add(uint64(dur) * uint64(h.pscale))
+	if h.pcNs {
+		e.pc.SealNs.Add(uint64(dur) * profile.SampleEvery)
 	}
 	if h.ctx.Traced() {
 		h.span(trace.KindSeal, e.tr.NextSpan(), h.ctx.Span, h.edge.UnixNano(), int64(dur))
@@ -345,20 +346,16 @@ func (h *hop) outbound(nodes []*mem.Node) {
 }
 
 // sent closes a send that enqueued msgs nodes and left kept with the
-// caller: traffic is charged to the owning actor and this direction's
-// edge, sampled operations pay for the flight-recorder event and the
-// latency observation, a traced send records its span (a burst shares
-// one), and the consumer's doorbell is rung — unless the fault schedule
-// dropped it, which the worker's idle-sleep poll recovers, trading
-// latency for liveness.
+// caller: the bytes are charged to this direction's edge (its message
+// count is the endpoint's sent counter), a sampled operation pays for
+// the latency observation, a traced send records its span (a burst
+// shares one), and the consumer's doorbell is rung — unless the fault
+// schedule dropped it, which the worker's idle-sleep poll recovers,
+// trading latency for liveness.
 func (h *hop) sent(msgs int, kept []*mem.Node) {
 	e := h.e
 	if e.pc != nil {
-		n, bytes := uint64(msgs), uint64(h.bytes-e.plainBytes(kept))
-		e.pc.MsgsSent.Add(n)
-		e.pc.BytesSent.Add(bytes)
-		e.pcEdge.Msgs.Add(n)
-		e.pcEdge.Bytes.Add(bytes)
+		e.pcEdge.Bytes.Add(uint64(h.bytes - e.plainBytes(kept)))
 	}
 	if h.batch && e.m != nil {
 		e.m.sendBatch.Observe(uint64(msgs))
@@ -366,7 +363,6 @@ func (h *hop) sent(msgs int, kept []*mem.Node) {
 	if !h.start.IsZero() {
 		dur := time.Since(h.start)
 		if h.tel {
-			e.rec.Record(telemetry.EvEnqueue, e.ch.tag, uint64(msgs))
 			e.sendNs.Observe(uint64(dur))
 		}
 		if h.ctx.Traced() {
@@ -393,9 +389,6 @@ func (h *hop) beginRecv(nodes []*mem.Node) {
 		}
 	}
 	h.sample()
-	if h.tel {
-		e.rec.Record(telemetry.EvDequeue, e.ch.tag, uint64(len(nodes)))
-	}
 	if h.batch && e.m != nil {
 		e.m.recvBatch.Observe(uint64(len(nodes)))
 	}
@@ -435,8 +428,8 @@ func (h *hop) openedPass() {
 		if h.tel {
 			e.m.openNs.Observe(dur / uint64(h.msgs))
 		}
-		if h.pscale > 0 {
-			e.pc.OpenNs.Add(dur * uint64(h.pscale))
+		if h.pcNs {
+			e.pc.OpenNs.Add(dur * profile.SampleEvery)
 		}
 	}
 	if traced {

@@ -93,9 +93,9 @@ type Config struct {
 	// IdleSleep is the worker back-off once all its eactors are idle.
 	IdleSleep time.Duration
 
-	// Telemetry enables the observability subsystem: sharded counters,
-	// latency histograms and a per-worker flight recorder, exposed
-	// through Runtime.Telemetry (served over HTTP by telemetry.Serve).
+	// Telemetry enables the observability subsystem: sharded counters and
+	// latency histograms, exposed through Runtime.Telemetry (served over
+	// HTTP by telemetry.Serve).
 	// Disabled, every instrumentation site reduces to one nil check;
 	// enabled, hot-path latency sampling keeps the overhead within ~10%
 	// on the message fast path (see DESIGN.md §Observability).
@@ -119,14 +119,9 @@ type Config struct {
 	// Runtime.CostProfile snapshots the deployment-wide cost model.
 	// Independent of Telemetry and Trace (though dwell attribution needs
 	// Trace: it is folded from sampled dwell spans). Disabled, every
-	// site reduces to a nil check.
+	// site reduces to a nil check. Seal/open clock reads are taken 1 in
+	// profile.SampleEvery operations and extrapolated.
 	Profile bool
-
-	// ProfileSampleEvery decimates the seal/open clock reads: 1 in this
-	// many operations is timed and the result extrapolated (rounded up
-	// to a power of two; profile.DefaultSampleEvery when zero; 1 times
-	// every operation).
-	ProfileSampleEvery int
 
 	// Faults arms the deterministic fault injector on every hook site of
 	// this deployment: channel sends/receives, enclave crossings, sealing,
@@ -228,9 +223,6 @@ func (c *Config) validate() error {
 	}
 	if c.TraceSampleEvery < 0 {
 		return fmt.Errorf("core: negative trace configuration")
-	}
-	if c.ProfileSampleEvery < 0 {
-		return fmt.Errorf("core: negative profile sample period")
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -8,18 +9,17 @@ import (
 	"github.com/eactors/eactors-go/internal/profile"
 )
 
-// buildProfiledPair wires a 2-actor deployment with cost accounting at
-// sample-every-1 (every seal/open is clocked) and hands back the
-// test-harness endpoints. encrypted places the actors in two enclaves,
-// so the channel seals.
+// buildProfiledPair wires a 2-actor deployment with cost accounting
+// (the first seal/open of every sampling period is clocked) and hands
+// back the test-harness endpoints. encrypted places the actors in two
+// enclaves, so the channel seals.
 func buildProfiledPair(t *testing.T, encrypted bool) (a, b *Endpoint, rt *Runtime) {
 	t.Helper()
 	cfg := Config{
-		Profile:            true,
-		ProfileSampleEvery: 1,
-		Workers:            []WorkerSpec{{}},
-		PoolNodes:          16,
-		NodePayload:        128,
+		Profile:     true,
+		Workers:     []WorkerSpec{{}},
+		PoolNodes:   16,
+		NodePayload: 128,
 		Actors: []Spec{
 			{Name: "a", Worker: 0, Body: func(*Self) {}},
 			{Name: "b", Worker: 0, Body: func(*Self) {}},
@@ -102,8 +102,8 @@ func TestProfilePlainSendRecv(t *testing.T) {
 	if len(m.Edges) != 1 || m.Edges[0].Src != "a" || m.Edges[0].Dst != "b" || m.Edges[0].Msgs != 3 {
 		t.Fatalf("edges = %+v, want a->b with 3 msgs", m.Edges)
 	}
-	if m.SampleEvery != 1 {
-		t.Fatalf("SampleEvery = %d, want 1", m.SampleEvery)
+	if m.SampleEvery != 16 {
+		t.Fatalf("SampleEvery = %d, want 16", m.SampleEvery)
 	}
 }
 
@@ -162,6 +162,65 @@ func TestProfileBatchPaths(t *testing.T) {
 	}
 	if ca.SealOps != 3 || cb.OpenOps != 3 {
 		t.Fatalf("seal/open ops = %d/%d, want 3/3 (every sealed message exact)", ca.SealOps, cb.OpenOps)
+	}
+}
+
+// TestProfileEdgesAreTheOneSource checks that the cost profile keeps no
+// second copy of a send count: each edge's message count is its sending
+// endpoint's Sent, and each actor's sent traffic is the sum of its
+// outgoing edges. Both directions of a sealed channel carry Send and
+// SendBatch traffic; each endpoint does three operations a round, so
+// over 16 rounds the shared 1-in-16 tick lands on every kind of
+// operation and times seal and open on both sides.
+func TestProfileEdgesAreTheOneSource(t *testing.T) {
+	a, b, rt := buildProfiledPair(t, true)
+	const rounds = 16
+	bufs, lens := BatchBufs(4, 128)
+	wantBytes := map[string]uint64{}
+	for r := 0; r < rounds; r++ {
+		for _, dir := range []struct {
+			name     string
+			src, dst *Endpoint
+		}{{"a", a, b}, {"b", b, a}} {
+			one := []byte(fmt.Sprintf("%s-single-%d", dir.name, r))
+			batch := frames("x", "yy", dir.name+"-batch")
+			if err := dir.src.Send(one); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := dir.src.SendBatch(batch); n != len(batch) || err != nil {
+				t.Fatalf("SendBatch = %d, %v", n, err)
+			}
+			wantBytes[dir.name] += uint64(len(one) + len("x") + len("yy") + len(dir.name+"-batch"))
+			if n, err := dir.dst.RecvBatch(bufs, lens); n != 4 || err != nil {
+				t.Fatalf("RecvBatch = %d, %v", n, err)
+			}
+		}
+	}
+
+	m := rt.CostProfile()
+	senders := map[string]*Endpoint{"a": a, "b": b}
+	edgeMsgs, edgeBytes := map[string]uint64{}, map[string]uint64{}
+	for _, e := range m.Edges {
+		if want := senders[e.Src].Sent(); e.Msgs != want {
+			t.Errorf("edge %s->%s msgs = %d, want the sender's Sent() %d", e.Src, e.Dst, e.Msgs, want)
+		}
+		edgeMsgs[e.Src] += e.Msgs
+		edgeBytes[e.Src] += e.Bytes
+	}
+	if len(m.Edges) != 2 {
+		t.Fatalf("edges = %+v, want a->b and b->a", m.Edges)
+	}
+	for _, name := range []string{"a", "b"} {
+		c := actorCost(t, m, name)
+		if c.MsgsSent != edgeMsgs[name] || c.BytesSent != edgeBytes[name] {
+			t.Errorf("actor %s sent %d msgs / %d bytes, its edges %d / %d", name, c.MsgsSent, c.BytesSent, edgeMsgs[name], edgeBytes[name])
+		}
+		if c.MsgsSent != 4*rounds || c.BytesSent != wantBytes[name] {
+			t.Errorf("actor %s sent %d msgs / %d bytes, want %d / %d", name, c.MsgsSent, c.BytesSent, 4*rounds, wantBytes[name])
+		}
+		if c.SealOps != 4*rounds || c.OpenOps != 4*rounds || c.SealNs == 0 || c.OpenNs == 0 {
+			t.Errorf("actor %s seal %d ops / %d ns, open %d ops / %d ns; want %d ops each, timed", name, c.SealOps, c.SealNs, c.OpenOps, c.OpenNs, 4*rounds)
+		}
 	}
 }
 

@@ -120,7 +120,7 @@ func NewRuntime(platform *sgx.Platform, cfg Config) (*Runtime, error) {
 		stopCh:   make(chan struct{}),
 	}
 	if cfg.Telemetry {
-		rt.tel = telemetry.New(len(cfg.Workers), telemetry.DefaultRecorderSize)
+		rt.tel = telemetry.New(len(cfg.Workers))
 		rt.m = newMetrics(rt.tel, len(cfg.Workers))
 		platform.AttachTelemetry(rt.tel)
 	}
@@ -128,20 +128,11 @@ func NewRuntime(platform *sgx.Platform, cfg Config) (*Runtime, error) {
 		rt.tr = trace.New(len(cfg.Workers), trace.DefaultBufferSpans, cfg.TraceSampleEvery)
 	}
 	if cfg.Profile {
-		rt.prof = profile.NewCollector(cfg.ProfileSampleEvery)
+		rt.prof = profile.NewCollector()
 	}
 	if cfg.Faults != nil {
 		rt.flt = cfg.Faults
 		platform.AttachFaults(cfg.Faults)
-		if rt.tel != nil {
-			// Every injected fault leaves an EvFault event on the system
-			// flight recorder (Record is race-clean from any goroutine),
-			// so a chaos run's post-mortem shows what was injected where.
-			rec := rt.tel.SystemRecorder()
-			cfg.Faults.SetObserver(func(site faults.Site, class faults.Class) {
-				rec.Record(telemetry.EvFault, uint32(site), uint64(class))
-			})
-		}
 	}
 
 	// Enclaves (plus their private pools, whose memory is charged to the
@@ -173,8 +164,8 @@ func NewRuntime(platform *sgx.Platform, cfg Config) (*Runtime, error) {
 		}
 	}
 
-	// Actor instances. Tags are small dense ids the flight recorder uses
-	// in place of names (events are two words, not strings).
+	// Actor instances. Tags are small dense ids trace spans and the cost
+	// profile use in place of names.
 	for tag, spec := range cfg.Actors {
 		inst := &actorInstance{
 			spec:      spec,
@@ -207,11 +198,7 @@ func NewRuntime(platform *sgx.Platform, cfg Config) (*Runtime, error) {
 		if rt.workers[i].idleSleep == 0 {
 			rt.workers[i].idleSleep = DefaultIdleSleep
 		}
-		if rt.m != nil {
-			rt.workers[i].m = rt.m
-			rt.workers[i].rec = rt.tel.Recorder(i)
-			rt.workers[i].ctx.AttachTelemetry(i, rt.workers[i].rec)
-		}
+		rt.workers[i].m = rt.m
 		if rt.tr != nil {
 			rt.workers[i].tr = rt.tr
 			// Crossing capture lets a traced invocation claim the enclave
@@ -283,20 +270,18 @@ func (rt *Runtime) buildChannel(cs ChannelSpec) error {
 		// Each direction gets its own communication-matrix edge; dwell
 		// spans recorded by a receiving worker for this channel resolve
 		// to the receiving actor.
-		epA.pc, epA.pcEdge, epA.pcMask = instA.cost, rt.prof.RegisterEdge(instA.tag, instB.tag, cs.Name), rt.prof.Mask()
-		epB.pc, epB.pcEdge, epB.pcMask = instB.cost, rt.prof.RegisterEdge(instB.tag, instA.tag, cs.Name), rt.prof.Mask()
+		epA.pc, epA.pcEdge = instA.cost, rt.prof.RegisterEdge(instA.tag, instB.tag, cs.Name, epA.Sent)
+		epB.pc, epB.pcEdge = instB.cost, rt.prof.RegisterEdge(instB.tag, instA.tag, cs.Name, epB.Sent)
 		rt.prof.RegisterDwell(ch.tag, instB.spec.Worker, instB.tag) // A→B messages dwell at B
 		rt.prof.RegisterDwell(ch.tag, instA.spec.Worker, instA.tag) // B→A messages dwell at A
 	}
 	if rt.m != nil {
-		// Endpoints are single-owner (their actor's worker), so each
-		// carries its owner's flight recorder; the sampled send-latency
-		// histogram is shared per channel.
+		// The sampled send-latency histogram is shared per channel.
 		sendNs := rt.tel.Histogram(
 			fmt.Sprintf("eactors_channel_send_ns{channel=%q}", cs.Name),
 			"send operation latency, sampled 1/16", "ns")
-		epA.m, epA.rec, epA.sendNs = rt.m, rt.tel.Recorder(instA.worker.id), sendNs
-		epB.m, epB.rec, epB.sendNs = rt.m, rt.tel.Recorder(instB.worker.id), sendNs
+		epA.m, epA.sendNs = rt.m, sendNs
+		epB.m, epB.sendNs = rt.m, sendNs
 	}
 
 	if encrypted {

@@ -32,14 +32,6 @@ type metrics struct {
 	openNs    *telemetry.Histogram // in-channel payload open time (sampled)
 }
 
-// latencySampleMask subsamples the per-operation clock reads on the
-// channel hot path: 1 in 16 operations pays the two time.Now calls that
-// feed the latency histograms, keeping the amortised overhead well under
-// the ≤10% budget while the counters (one sharded atomic add) stay
-// exact. The endpoint's tick counter is owner-thread-local, so sampling
-// costs no synchronisation.
-const latencySampleMask = 15
-
 func newMetrics(reg *telemetry.Registry, workers int) *metrics {
 	m := &metrics{
 		reg:          reg,
@@ -135,18 +127,3 @@ func (rt *Runtime) registerChannelFuncs(ch *Channel) {
 // was not set. The HTTP handler (telemetry.Serve) and instrumented
 // subsystems hang off this.
 func (rt *Runtime) Telemetry() *telemetry.Registry { return rt.tel }
-
-// ActorFlightDump returns the flight-recorder dump captured when the
-// named actor's body last panicked: the final events of the owning
-// worker up to and including the park. It is nil for an actor that
-// never failed or when telemetry is disabled.
-func (rt *Runtime) ActorFlightDump(name string) []telemetry.Event {
-	inst, ok := rt.actors[name]
-	if !ok {
-		return nil
-	}
-	if dump := inst.dump.Load(); dump != nil {
-		return *dump
-	}
-	return nil
-}

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/eactors/eactors-go/internal/telemetry"
 )
 
 // TestDoorbellBurstWakeNotLost is the wake-coalescing regression test: a
@@ -162,20 +160,20 @@ func TestReportTelemetryCoverage(t *testing.T) {
 		t.Fatal("platform crossings missing")
 	}
 
-	// The panic must have produced a flight-recorder dump ending in the
-	// park event — the acceptance criterion for post-mortem tracing.
-	dump := rt.ActorFlightDump("crash")
-	if len(dump) == 0 {
-		t.Fatal("no flight dump captured for the panicked actor")
+	// The park's post-mortem: the panic text, and the parks and
+	// failed-actor series on /metrics.
+	if msg, ok := rt.ActorFailure("crash"); !ok || msg != "report coverage" {
+		t.Fatalf("ActorFailure(crash) = %q, %v; want the panic text", msg, ok)
 	}
-	if last := dump[len(dump)-1]; last.Kind != telemetry.EvPark {
-		t.Fatalf("dump ends in %v, want park:\n%s", last.Kind, telemetry.FormatDump(dump))
+	if _, ok := rt.ActorFailure("ping"); ok {
+		t.Fatal("healthy actor reports a failure")
 	}
-	if rt.ActorFlightDump("ping") != nil {
-		t.Fatal("healthy actor has a failure dump")
-	}
-	if rt.ActorFlightDump("nobody") != nil {
-		t.Fatal("unknown actor has a failure dump")
+	var sb strings.Builder
+	rt.Telemetry().WritePrometheus(&sb)
+	for _, want := range []string{"eactors_parks_total 1\n", "eactors_failed_actors 1\n"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("prometheus text missing %q:\n%s", want, sb.String())
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"github.com/eactors/eactors-go/internal/faults"
 	"github.com/eactors/eactors-go/internal/sgx"
-	"github.com/eactors/eactors-go/internal/telemetry"
 	"github.com/eactors/eactors-go/internal/trace"
 )
 
@@ -33,10 +32,9 @@ type Worker struct {
 	// (~1ms), which would put a millisecond on every message hop.
 	doorbell chan struct{}
 
-	// m and rec are the telemetry instruments and this worker's flight
-	// recorder; both nil unless Config.Telemetry was set.
-	m   *metrics
-	rec *telemetry.Recorder
+	// m is the telemetry instrument set; nil unless Config.Telemetry was
+	// set.
+	m *metrics
 
 	// tr is the runtime's causal tracer; nil unless Config.Trace was
 	// set. The worker clears each actor's scope before invoking it and
@@ -85,18 +83,11 @@ func (w *Worker) invoke(a *actorInstance, crossed bool) {
 		if r := recover(); r != nil {
 			// The failure text must be in place before the flag flips,
 			// so any reader that observes failed==true (ActorFailure,
-			// report.go) sees this park's message. The flight-recorder
-			// dump follows the same discipline: it is captured —
-			// including the park event itself — before the flag flips,
-			// so the post-mortem (ActorFlightDump) shows what the
-			// worker did right up to the panic.
+			// report.go) sees this park's message.
 			msg := fmt.Sprintf("%v", r)
 			a.failure.Store(&msg)
 			if w.m != nil {
 				w.m.parks.Inc(w.id)
-				w.rec.Record(telemetry.EvPark, a.tag, 0)
-				dump := w.rec.Dump(0)
-				a.dump.Store(&dump)
 			}
 			a.failed.Store(true)
 			w.rt.actorFailed(a.spec.Name)
@@ -121,12 +112,10 @@ func (w *Worker) invoke(a *actorInstance, crossed bool) {
 	if w.m != nil {
 		w.m.invocations.Inc(w.id)
 		w.m.invokeNs[w.id].Observe(elapsed)
-		w.rec.Record(telemetry.EvInvoke, a.tag, elapsed)
 		if a.self.drainLeft == 0 {
 			// The body consumed its entire RecvBatch allowance: a flooded
 			// mailbox. Frequent exhaustion is the signal to add workers.
 			w.m.drainExhaust.Inc(w.id)
-			w.rec.Record(telemetry.EvDrainExhaust, a.tag, drainBudget)
 		}
 	}
 	if w.tr != nil {
@@ -164,14 +153,12 @@ func (w *Worker) idleWait(timer *time.Timer) {
 	}
 	if w.m != nil {
 		w.m.idles.Inc(w.id)
-		w.rec.Record(telemetry.EvIdle, 0, 0)
 	}
 	timer.Reset(w.idleSleep)
 	select {
 	case <-w.doorbell:
 		if w.m != nil {
 			w.m.wakes.Inc(w.id)
-			w.rec.Record(telemetry.EvWake, 0, 0)
 		}
 	case <-timer.C:
 		return

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/eactors/eactors-go/internal/telemetry"
 )
 
 // TestDoorbellWakesIdleWorker checks that an idle worker reacts to work
@@ -160,9 +158,9 @@ func TestDoorbellAtParkBoundary(t *testing.T) {
 }
 
 // TestIdleWorkersPark checks that the idle spin is bounded: in a runtime
-// with nothing to do, every worker keeps reaching its idle wait. The
-// flight recorder's idle events are recorded where the idle counter is
-// bumped, and unlike the counter they are kept per worker.
+// with nothing to do, every worker keeps reaching its idle wait. The idle
+// counter is sharded per worker, so each worker's shard counts its own
+// idle waits.
 func TestIdleWorkersPark(t *testing.T) {
 	const workers = 4
 	cfg := Config{Telemetry: true, IdleSleep: time.Millisecond}
@@ -174,21 +172,12 @@ func TestIdleWorkersPark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now().UnixNano()
 	if err := rt.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Stop()
 
-	idles := func(w *Worker) int {
-		n := 0
-		for _, ev := range w.rec.Dump(0) {
-			if ev.Kind == telemetry.EvIdle && ev.TS >= start {
-				n++
-			}
-		}
-		return n
-	}
+	idles := func(w *Worker) uint64 { return rt.m.idles.Shard(w.id) }
 	deadline := time.Now().Add(5 * time.Second)
 	for _, w := range rt.workers {
 		for idles(w) < 3 {

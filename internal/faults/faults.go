@@ -151,11 +151,6 @@ type Injector struct {
 
 	injected atomic.Uint64
 	byClass  [numClasses]atomic.Uint64
-
-	// observer, when set, is called for every injected fault (used by
-	// the core runtime to bump eactors_faults_injected and trace the
-	// event). It must be set before the injector is shared.
-	observer func(Site, Class)
 }
 
 type paddedCounter struct {
@@ -193,14 +188,6 @@ func New(cfg Config) *Injector {
 	return inj
 }
 
-// SetObserver installs the per-injection callback. Call before sharing
-// the injector; the callback must be safe for concurrent use.
-func (inj *Injector) SetObserver(fn func(Site, Class)) {
-	if inj != nil {
-		inj.observer = fn
-	}
-}
-
 // At assigns the next operation index at site and returns the scheduled
 // action. Nil-safe.
 func (inj *Injector) At(site Site) Action {
@@ -224,9 +211,6 @@ func (inj *Injector) decide(site Site, n uint64) Action {
 		if h < r.threshold {
 			inj.injected.Add(1)
 			inj.byClass[r.class].Add(1)
-			if inj.observer != nil {
-				inj.observer(site, r.class)
-			}
 			return Action{Class: r.class, Delay: r.delay}
 		}
 	}

@@ -97,26 +97,22 @@ func TestNilInjector(t *testing.T) {
 	if inj.String() != "faults: off" {
 		t.Fatalf("nil String = %q", inj.String())
 	}
-	inj.SetObserver(func(Site, Class) {}) // must not panic
 }
 
-// TestObserver: every injection reaches the observer.
-func TestObserver(t *testing.T) {
+// TestInjectedCountsEveryFault: every injection is counted, in total and
+// under its class (eactors_faults_injected reads the total).
+func TestInjectedCountsEveryFault(t *testing.T) {
 	inj := New(Config{Seed: 3, Rules: []Rule{{Site: SiteSeal, Class: SealCorrupt, Rate: 1}}})
-	var calls int
-	inj.SetObserver(func(s Site, c Class) {
-		if s != SiteSeal || c != SealCorrupt {
-			t.Fatalf("observer got %s/%s", s, c)
-		}
-		calls++
-	})
 	for i := 0; i < 10; i++ {
 		if inj.At(SiteSeal).Class != SealCorrupt {
 			t.Fatal("rate-1 rule did not fire")
 		}
 	}
-	if calls != 10 {
-		t.Fatalf("observer calls = %d", calls)
+	if got := inj.Injected(); got != 10 {
+		t.Fatalf("Injected = %d, want 10", got)
+	}
+	if got := inj.InjectedByClass()[SealCorrupt.String()]; got != 10 {
+		t.Fatalf("InjectedByClass = %v, want 10 %s", inj.InjectedByClass(), SealCorrupt)
 	}
 }
 

@@ -83,3 +83,52 @@ func TestShardedFlushAllocatesNothing(t *testing.T) {
 		t.Fatalf("persisted value: %d bytes ok=%v err=%v", len(got), ok, err)
 	}
 }
+
+// openEncryptedWithKey opens an encrypted store holding key=val.
+func openEncryptedWithKey(t *testing.T, key, val []byte) *Store {
+	t.Helper()
+	enc := testEncKey()
+	s := openTestStore(t, Options{SizeBytes: 1 << 20, RegionSize: 512, EncryptionKey: &enc})
+	if err := s.Set(key, val); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestStoreEncryptedGetAllocatesOnlyTheValue: an encrypted Get seals the
+// key it looks up into pooled scratch, so the one allocation left is
+// the opened pair whose value it returns.
+func TestStoreEncryptedGetAllocatesOnlyTheValue(t *testing.T) {
+	allocs.SkipUnderRace(t)
+	key, val := []byte("user:alice"), bytes.Repeat([]byte{0x5A}, 200)
+	s := openEncryptedWithKey(t, key, val)
+	get := func() {
+		if got, ok, err := s.Get(key); err != nil || !ok || !bytes.Equal(got, val) {
+			t.Fatalf("Get = %d bytes ok=%v err=%v", len(got), ok, err)
+		}
+	}
+	get()
+	if n := testing.AllocsPerRun(200, get); n != 1 {
+		t.Errorf("encrypted Get allocates %v times per call, want 1 (the value)", n)
+	}
+}
+
+// TestStoreEncryptedDeleteAllocatesNothing: an encrypted Delete seals
+// the key it looks up into pooled scratch and tombstones in place.
+func TestStoreEncryptedDeleteAllocatesNothing(t *testing.T) {
+	allocs.SkipUnderRace(t)
+	key := []byte("user:alice")
+	s := openEncryptedWithKey(t, key, []byte("v"))
+	del := func() {
+		if _, err := s.Delete(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	del()
+	if n := testing.AllocsPerRun(200, del); n != 0 {
+		t.Errorf("encrypted Delete allocates %v times per call, want 0", n)
+	}
+	if _, ok, err := s.Get(key); err != nil || ok {
+		t.Fatalf("Get after Delete: ok=%v err=%v, want absent", ok, err)
+	}
+}

@@ -126,7 +126,8 @@ type Store struct {
 	det  *ecrypto.Deterministic // nil in plaintext mode
 	pair *ecrypto.Cipher
 	// plain holds *[]byte scratch of regionSize bytes, in which Set lays
-	// out a pair's keyLen‖key‖value before sealing it into the region.
+	// out a pair's keyLen‖key‖value before sealing it into the region,
+	// and lookups seal the key they search for.
 	plain sync.Pool
 
 	// closed is set first by Close; memMu is then taken for writing,
@@ -418,12 +419,16 @@ func (s *Store) decodeValue(storedKey, storedValue, wantKey []byte) ([]byte, err
 	return combined[4+keyLen:], nil
 }
 
-// lookupKey returns the byte string used for hashing and comparison.
-func (s *Store) lookupKey(key []byte) []byte {
+// lookupKey returns the byte string used for hashing and comparison. In
+// encrypted mode it is sealed into pooled scratch, returned as buf for
+// the caller to hand back to s.plain once done with the key; buf is nil
+// in plaintext mode.
+func (s *Store) lookupKey(key []byte) (storedKey []byte, buf *[]byte) {
 	if s.det == nil {
-		return key
+		return key, nil
 	}
-	return s.det.Seal(key)
+	buf = s.plain.Get().(*[]byte)
+	return s.det.AppendSeal((*buf)[:0], key), buf
 }
 
 // Set stores a new version of key. Older versions stay in the bucket
@@ -542,7 +547,10 @@ func (s *Store) Get(key []byte) ([]byte, bool, error) {
 	defer s.memMu.RUnlock()
 	defer s.observeGet(s.opStart())
 	s.gets.Add(1)
-	storedKey := s.lookupKey(key)
+	storedKey, buf := s.lookupKey(key)
+	if buf != nil {
+		defer s.plain.Put(buf)
+	}
 	b := s.bucketOf(storedKey)
 	mem := s.mem
 	s.bucketMu[b].Lock()
@@ -577,7 +585,10 @@ func (s *Store) Delete(key []byte) (bool, error) {
 		return false, ErrClosed
 	}
 	defer s.memMu.RUnlock()
-	storedKey := s.lookupKey(key)
+	storedKey, buf := s.lookupKey(key)
+	if buf != nil {
+		defer s.plain.Put(buf)
+	}
 	b := s.bucketOf(storedKey)
 	mem := s.mem
 	s.bucketMu[b].Lock()

@@ -3,6 +3,7 @@ package profile
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -14,37 +15,20 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	if cell := c.RegisterActor(0, "a", "", 0); cell != nil {
 		t.Fatal("nil collector must hand out nil actor cells")
 	}
-	if cell := c.RegisterEdge(0, 1, "ch"); cell != nil {
+	if cell := c.RegisterEdge(0, 1, "ch", func() uint64 { return 1 }); cell != nil {
 		t.Fatal("nil collector must hand out nil edge cells")
 	}
 	c.RegisterEnclave("e", func() int64 { return 0 }, func() uint64 { return 0 })
 	c.RegisterDwell(0, 0, 0)
 	c.FoldSpans([]trace.Span{{ID: 1, Kind: trace.KindDwell}})
-	if got := c.Mask(); got != 0 {
-		t.Fatalf("nil Mask() = %d, want 0", got)
-	}
-	if got := c.SampleEvery(); got != 0 {
-		t.Fatalf("nil SampleEvery() = %d, want 0", got)
-	}
 	m := c.Snapshot(42)
-	if m.V != SnapshotVersion || m.CapturedAtNs != 42 || len(m.Actors) != 0 {
+	if m.V != SnapshotVersion || m.CapturedAtNs != 42 || m.SampleEvery != 0 || len(m.Actors) != 0 {
 		t.Fatalf("nil Snapshot = %+v, want empty versioned model", m)
 	}
 }
 
-func TestSampleEveryRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, DefaultSampleEvery}, {-3, DefaultSampleEvery},
-		{1, 1}, {2, 2}, {3, 4}, {16, 16}, {17, 32},
-	} {
-		if got := NewCollector(tc.in).SampleEvery(); got != tc.want {
-			t.Errorf("NewCollector(%d).SampleEvery() = %d, want %d", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestRegisterActorIdempotent(t *testing.T) {
-	c := NewCollector(1)
+	c := NewCollector()
 	a := c.RegisterActor(3, "x", "e", 1) // sparse tag grows the table
 	b := c.RegisterActor(3, "ignored", "ignored", 9)
 	if a != b {
@@ -57,16 +41,17 @@ func TestRegisterActorIdempotent(t *testing.T) {
 }
 
 func TestSnapshotEdgesAndEnclaves(t *testing.T) {
-	c := NewCollector(1)
+	c := NewCollector()
 	c.RegisterActor(0, "a", "encl", 0)
 	c.RegisterActor(1, "b", "", 1)
-	hot := c.RegisterEdge(0, 1, "hot")
-	cold := c.RegisterEdge(1, 0, "cold")
-	warm := c.RegisterEdge(0, 1, "warm")
-	_ = cold // no traffic: must be omitted
-	hot.Msgs.Add(10)
+	// The readers stand in for the sending endpoints' traffic counters.
+	var hotSent, coldSent, warmSent atomic.Uint64
+	hot := c.RegisterEdge(0, 1, "hot", hotSent.Load)
+	c.RegisterEdge(1, 0, "cold", coldSent.Load) // no traffic: must be omitted
+	c.RegisterEdge(0, 1, "warm", warmSent.Load)
+	hotSent.Add(10)
 	hot.Bytes.Add(1000)
-	warm.Msgs.Add(3)
+	warmSent.Add(3)
 	pages, evicted := int64(7), uint64(2)
 	c.RegisterEnclave("encl", func() int64 { return pages }, func() uint64 { return evicted })
 	c.RegisterEnclave("bad", nil, nil) // ignored
@@ -80,6 +65,9 @@ func TestSnapshotEdgesAndEnclaves(t *testing.T) {
 	}
 	if m.Edges[0].Channel != "hot" || m.Edges[0].Msgs != 10 || m.Edges[0].Src != "a" || m.Edges[0].Dst != "b" {
 		t.Fatalf("edges not sorted by traffic / resolved to names: %+v", m.Edges)
+	}
+	if a := m.Actors[0]; a.MsgsSent != 13 || a.BytesSent != 1000 {
+		t.Fatalf("actor a sent %d msgs / %d bytes, want 13 / 1000 (the sum of its outgoing edges)", a.MsgsSent, a.BytesSent)
 	}
 	if len(m.Enclaves) != 1 {
 		t.Fatalf("enclaves = %+v, want 1 (nil-func registration ignored)", m.Enclaves)
@@ -107,10 +95,12 @@ func TestCollectorMatchesNaiveReference(t *testing.T) {
 	const actors = 4
 	f := func(seed int64, opsRaw uint16) bool {
 		ops := int(opsRaw)%512 + 64
-		c := NewCollector(1)
+		c := NewCollector()
 		cells := make([]*ActorCell, actors)
+		sent := make([]atomic.Uint64, actors) // the actors' endpoint counters
 		for i := range cells {
 			cells[i] = c.RegisterActor(uint32(i), string(rune('a'+i)), "", i)
+			c.RegisterEdge(uint32(i), uint32((i+1)%actors), "ring", sent[i].Load)
 		}
 		ref := &naiveCosts{inv: map[int]uint64{}, sent: map[int]uint64{}}
 
@@ -125,7 +115,7 @@ func TestCollectorMatchesNaiveReference(t *testing.T) {
 					actor := rng.Intn(actors)
 					n := uint64(rng.Intn(100))
 					cells[actor].Invocations.Add(1)
-					cells[actor].MsgsSent.Add(n)
+					sent[actor].Add(n)
 					ref.mu.Lock()
 					ref.inv[actor]++
 					ref.sent[actor] += n
@@ -161,7 +151,7 @@ func TestCollectorMatchesNaiveReference(t *testing.T) {
 }
 
 func TestFoldSpansAttributesDwell(t *testing.T) {
-	c := NewCollector(1)
+	c := NewCollector()
 	c.RegisterActor(0, "recv", "", 1)
 	c.RegisterDwell(7, 1, 0) // channel tag 7 received on worker 1 → actor 0
 
@@ -192,7 +182,7 @@ func TestFoldSpansAttributesDwell(t *testing.T) {
 }
 
 func TestFoldSpansWrapSafe(t *testing.T) {
-	c := NewCollector(1)
+	c := NewCollector()
 	c.RegisterActor(0, "recv", "", 0)
 	c.RegisterDwell(1, 0, 0)
 	// Walk the high-water mark toward the uint32 wrap the way real span

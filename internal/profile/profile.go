@@ -23,9 +23,13 @@
 //     readers — /debug/profile snapshots, the span folder —
 //     race-clean without locks.
 //
-// Counters (messages, bytes, ops) are exact. Per-operation clock reads
-// (seal/open ns) are decimated 1-in-SampleEvery and extrapolated by the
-// period at write time, so totals are unbiased estimates; dwell comes
+// Counters (messages, bytes, ops) are exact, and none is kept twice:
+// an edge's message count is the sending endpoint's own traffic counter,
+// read through the reader RegisterEdge takes, and an actor's sent
+// traffic is summed from its outgoing edges when a snapshot is taken.
+// Per-operation clock reads (seal/open ns) are taken 1-in-SampleEvery
+// on the channel hop's sampling tick and extrapolated by the period at
+// write time, so totals are unbiased estimates; dwell comes
 // from the tracer's 1-in-N span sampling and is therefore reported as a
 // (sum, samples) pair — consumers use the mean, never the sum.
 package profile
@@ -35,10 +39,10 @@ import (
 	"sync/atomic"
 )
 
-// DefaultSampleEvery is the seal/open clock-read decimation: 1 in this
-// many operations pays the two time.Now calls, and the measured duration
-// is scaled by the period. Matches the telemetry layer's sampling budget.
-const DefaultSampleEvery = 16
+// SampleEvery is the seal/open clock-read period: the channel hop's one
+// sampling tick, shared with the telemetry latency histograms, times 1
+// operation in this many, and the measured duration is scaled by it.
+const SampleEvery = 16
 
 // ActorCell is one actor's cost accumulator. Fields are written with
 // independent atomic adds by the actor's owning worker (and, for the
@@ -49,11 +53,9 @@ type ActorCell struct {
 	Invocations atomic.Uint64
 	InvokeNs    atomic.Uint64
 
-	// Traffic attributed to this actor's own sends/receives. Bytes are
-	// plaintext payload bytes (pre-seal), so trusted and untrusted
-	// placements of the same actor compare like for like.
-	MsgsSent  atomic.Uint64
-	BytesSent atomic.Uint64
+	// Traffic this actor received. Bytes are plaintext payload bytes
+	// (pre-seal), so trusted and untrusted placements of the same actor
+	// compare like for like. What it sent lives on its outgoing edges.
 	MsgsRecv  atomic.Uint64
 	BytesRecv atomic.Uint64
 
@@ -77,17 +79,17 @@ type ActorCell struct {
 	DwellNs      atomic.Uint64
 	DwellSamples atomic.Uint64
 
-	_ [8]byte // pad to 128 bytes
+	_ [24]byte // pad to 128 bytes
 }
 
-// EdgeCell accumulates one direction of one channel: messages and
-// plaintext bytes from the sending actor to the receiving actor. Each
-// cell has a single writer (the sending endpoint's owner thread).
+// EdgeCell accumulates the plaintext bytes one direction of one channel
+// carried from the sending actor to the receiving actor; the message
+// count is the sending endpoint's (see RegisterEdge). Each cell has a
+// single writer (the sending endpoint's owner thread).
 type EdgeCell struct {
-	Msgs  atomic.Uint64
 	Bytes atomic.Uint64
 
-	_ [48]byte // pad to 64 bytes
+	_ [56]byte // pad to 64 bytes
 }
 
 // ActorMeta is the registration identity of an actor cell.
@@ -110,6 +112,7 @@ type actorEntry struct {
 
 type edgeEntry struct {
 	meta EdgeMeta
+	msgs func() uint64
 	cell *EdgeCell
 }
 
@@ -125,8 +128,6 @@ type enclaveEntry struct {
 // the collector, and snapshot/fold readers take the mutex only to walk
 // the immutable entry lists.
 type Collector struct {
-	mask uint32 // sampleEvery-1 (power of two)
-
 	mu     sync.Mutex
 	actors []actorEntry      // dense by actor tag
 	edges  []edgeEntry       // registration order
@@ -137,36 +138,9 @@ type Collector struct {
 	foldHW uint32 // highest folded span ID (dedup across folds)
 }
 
-// NewCollector builds a collector. sampleEvery is the seal/open
-// clock-read decimation, rounded up to a power of two
-// (DefaultSampleEvery when zero; 1 times every operation).
-func NewCollector(sampleEvery int) *Collector {
-	if sampleEvery <= 0 {
-		sampleEvery = DefaultSampleEvery
-	}
-	mask := uint32(1)
-	for int(mask) < sampleEvery {
-		mask <<= 1
-	}
-	return &Collector{mask: mask - 1, dwell: make(map[uint64]uint32)}
-}
-
-// Mask returns the sampling mask hot paths combine with their local
-// tick counter (period-1; zero means every operation is timed).
-func (c *Collector) Mask() uint32 {
-	if c == nil {
-		return 0
-	}
-	return c.mask
-}
-
-// SampleEvery returns the effective clock-read sampling period (0 on a
-// nil collector).
-func (c *Collector) SampleEvery() int {
-	if c == nil {
-		return 0
-	}
-	return int(c.mask) + 1
+// NewCollector builds an empty collector.
+func NewCollector() *Collector {
+	return &Collector{dwell: make(map[uint64]uint32)}
 }
 
 // RegisterActor creates (or returns) the cost cell for the actor with
@@ -191,16 +165,17 @@ func (c *Collector) RegisterActor(tag uint32, name, enclave string, worker int) 
 }
 
 // RegisterEdge creates the cell for the directed edge src→dst over the
-// named channel. Each endpoint direction registers its own edge, so a
-// bidirectional channel contributes two.
-func (c *Collector) RegisterEdge(src, dst uint32, channel string) *EdgeCell {
+// named channel. msgs reads the messages the sending endpoint has
+// enqueued, the edge's message count. Each endpoint direction registers
+// its own edge, so a bidirectional channel contributes two.
+func (c *Collector) RegisterEdge(src, dst uint32, channel string, msgs func() uint64) *EdgeCell {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cell := &EdgeCell{}
-	c.edges = append(c.edges, edgeEntry{meta: EdgeMeta{Src: src, Dst: dst, Channel: channel}, cell: cell})
+	c.edges = append(c.edges, edgeEntry{meta: EdgeMeta{Src: src, Dst: dst, Channel: channel}, msgs: msgs, cell: cell})
 	return cell
 }
 

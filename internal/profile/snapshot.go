@@ -88,9 +88,22 @@ func (c *Collector) Snapshot(nowNs int64) Model {
 	if c == nil {
 		return m
 	}
-	m.SampleEvery = c.SampleEvery()
+	m.SampleEvery = SampleEvery
 	c.mu.Lock()
 	defer c.mu.Unlock()
+
+	// Each edge is read once, so an actor's sent traffic is exactly the
+	// sum of the outgoing edges this snapshot reports.
+	type traffic struct{ msgs, bytes uint64 }
+	edges := make([]traffic, len(c.edges))
+	sent := make([]traffic, len(c.actors))
+	for i, e := range c.edges {
+		edges[i] = traffic{e.msgs(), e.cell.Bytes.Load()}
+		if int(e.meta.Src) < len(sent) {
+			sent[e.meta.Src].msgs += edges[i].msgs
+			sent[e.meta.Src].bytes += edges[i].bytes
+		}
+	}
 
 	names := make(map[uint32]string, len(c.actors))
 	byEnclave := make(map[string]uint64)
@@ -109,8 +122,8 @@ func (c *Collector) Snapshot(nowNs int64) Model {
 			Worker:       e.meta.Worker,
 			Invocations:  e.cell.Invocations.Load(),
 			InvokeNs:     e.cell.InvokeNs.Load(),
-			MsgsSent:     e.cell.MsgsSent.Load(),
-			BytesSent:    e.cell.BytesSent.Load(),
+			MsgsSent:     sent[tag].msgs,
+			BytesSent:    sent[tag].bytes,
 			MsgsRecv:     e.cell.MsgsRecv.Load(),
 			BytesRecv:    e.cell.BytesRecv.Load(),
 			Crossings:    crossings,
@@ -124,17 +137,16 @@ func (c *Collector) Snapshot(nowNs int64) Model {
 			DwellSamples: e.cell.DwellSamples.Load(),
 		})
 	}
-	for _, e := range c.edges {
-		msgs := e.cell.Msgs.Load()
-		if msgs == 0 {
+	for i, e := range c.edges {
+		if edges[i].msgs == 0 {
 			continue
 		}
 		m.Edges = append(m.Edges, EdgeCost{
 			Src:     names[e.meta.Src],
 			Dst:     names[e.meta.Dst],
 			Channel: e.meta.Channel,
-			Msgs:    msgs,
-			Bytes:   e.cell.Bytes.Load(),
+			Msgs:    edges[i].msgs,
+			Bytes:   edges[i].bytes,
 		})
 	}
 	for _, e := range c.encl {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/eactors/eactors-go/internal/faults"
-	"github.com/eactors/eactors-go/internal/telemetry"
 )
 
 // Context is a per-thread execution context tracking which enclave the
@@ -23,11 +22,6 @@ type Context struct {
 
 	// crossings counts the crossings performed by this context alone.
 	crossings uint64
-
-	// shard and rec are set by AttachTelemetry (see telemetry.go); rec
-	// traces each crossing as an EvCrossing flight-recorder event.
-	shard int
-	rec   *telemetry.Recorder
 
 	// Crossing capture for causal tracing (ArmCrossCapture): the wall
 	// start and duration of the most recent crossing, retro-attributed
@@ -113,17 +107,13 @@ func (c *Context) cross(site faults.Site) {
 	if c.captureCross {
 		wallStart = time.Now()
 	}
-	d := c.platform.chargeCrossing()
+	c.platform.chargeCrossing()
 	if inj := c.platform.flt.Load(); inj != nil {
 		// Injected crossing fault: a delayed (interrupted and retried)
 		// transition.
 		if act := inj.At(site); act.Class == faults.Delay {
 			Spin(act.Delay)
 		}
-	}
-	if c.rec != nil {
-		// ID is the domain crossed out of / into (c.cur at call time).
-		c.rec.Record(telemetry.EvCrossing, uint32(c.cur), uint64(d))
 	}
 	if c.captureCross {
 		// Wall duration, so injected delays show up in the crossing

@@ -123,7 +123,6 @@ func (e *Enclave) AllocPages(n int) error {
 		}
 		p.evictedPages.Add(uint64(evict))
 		e.evicted.Add(uint64(evict))
-		p.noteEviction(e.id, evict)
 		p.costs.ChargeCycles(float64(evict) * float64(p.costs.PageEvictCycles))
 	}
 	return nil
@@ -155,6 +154,5 @@ func (e *Enclave) TouchPages(n int) {
 	}
 	p.evictedPages.Add(uint64(misses))
 	e.evicted.Add(uint64(misses))
-	p.noteEviction(e.id, misses)
 	p.costs.ChargeCycles(float64(misses) * float64(p.costs.PageEvictCycles))
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/eactors/eactors-go/internal/faults"
 )
@@ -229,16 +228,14 @@ func (s Stats) Delta(earlier Stats) Stats {
 	}
 }
 
-// chargeCrossing burns one boundary-crossing cost and counts it. It
-// returns the charged duration so contexts can trace it.
-func (p *Platform) chargeCrossing() time.Duration {
+// chargeCrossing burns one boundary-crossing cost and counts it.
+func (p *Platform) chargeCrossing() {
 	p.crossings.Add(1)
 	d := p.costs.CyclesToDuration(float64(p.costs.CrossCycles))
 	if t := p.tel.Load(); t != nil {
 		t.crossNs.Observe(uint64(d))
 	}
 	Spin(d)
-	return d
 }
 
 // chargeCopy burns the marshalling cost for n bytes and counts them.

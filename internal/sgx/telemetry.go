@@ -12,21 +12,20 @@ import (
 // the single source of truth — the registry reads them through
 // CounterFunc/GaugeFunc adapters at scrape time — so attaching telemetry
 // adds no second set of bookkeeping atomics. Only the latency histograms
-// and the eviction trace are written from the charge paths, each behind
-// one atomic pointer load that is nil when telemetry is off.
+// are written from the charge paths, behind one atomic pointer load that
+// is nil when telemetry is off.
 type platformTelemetry struct {
 	reg      *telemetry.Registry
 	crossNs  *telemetry.Histogram
 	sealOps  *telemetry.Counter
 	sealNs   *telemetry.Histogram
 	unsealNs *telemetry.Histogram
-	rec      *telemetry.Recorder // system recorder: EPC eviction events
 }
 
 // AttachTelemetry exposes the platform's simulator counters through reg
-// and begins observing crossing, seal and EPC-eviction costs. It is
-// typically called once by the core runtime before enclaves are created;
-// enclaves created later register their page gauges on creation.
+// and begins observing crossing and seal costs. It is typically called
+// once by the core runtime before enclaves are created; enclaves created
+// later register their page gauges on creation.
 func (p *Platform) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -37,7 +36,6 @@ func (p *Platform) AttachTelemetry(reg *telemetry.Registry) {
 		sealOps:  reg.Counter("eactors_sgx_seal_ops", "enclave Seal/Unseal operations"),
 		sealNs:   reg.Histogram("eactors_sgx_seal_ns", "Enclave.Seal latency", "ns"),
 		unsealNs: reg.Histogram("eactors_sgx_unseal_ns", "Enclave.Unseal latency", "ns"),
-		rec:      reg.SystemRecorder(),
 	}
 	reg.CounterFunc("eactors_sgx_crossings", "boundary crossings (each enter or exit is one)", p.crossings.Load)
 	reg.CounterFunc("eactors_sgx_ecalls", "ECall round trips", p.ecalls.Load)
@@ -71,22 +69,6 @@ func (t *platformTelemetry) registerEnclaveGauge(e *Enclave) {
 		fmt.Sprintf("eactors_sgx_enclave_pages{enclave=%q}", e.name),
 		"EPC pages accounted to the enclave",
 		func() uint64 { return uint64(e.pages.Load()) })
-}
-
-// noteEviction traces an EPC eviction burst on the system flight recorder.
-func (p *Platform) noteEviction(id EnclaveID, pages int64) {
-	if t := p.tel.Load(); t != nil {
-		t.rec.Record(telemetry.EvEvict, uint32(id), uint64(pages))
-	}
-}
-
-// AttachTelemetry hands the context its owning worker's flight recorder;
-// every boundary crossing is then traced as an EvCrossing event carrying
-// the charged cost. shard is the worker's registry shard index, kept for
-// symmetry with the other per-worker attach points.
-func (c *Context) AttachTelemetry(shard int, rec *telemetry.Recorder) {
-	c.shard = shard
-	c.rec = rec
 }
 
 // sealOpStart returns the timestamp to measure a Seal/Unseal against, or

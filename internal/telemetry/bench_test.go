@@ -10,7 +10,7 @@ import (
 // overhead numbers.
 
 func BenchmarkCounterInc(b *testing.B) {
-	r := New(4, 0)
+	r := New(4)
 	c := r.Counter("bench", "")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -27,7 +27,7 @@ func BenchmarkCounterIncNil(b *testing.B) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	r := New(1, 0)
+	r := New(1)
 	h := r.Histogram("bench", "", "ns")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -36,26 +36,10 @@ func BenchmarkHistogramObserve(b *testing.B) {
 }
 
 func BenchmarkHistogramObserveSince(b *testing.B) {
-	r := New(1, 0)
+	r := New(1)
 	h := r.Histogram("bench", "", "ns")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.ObserveSince(time.Now())
-	}
-}
-
-func BenchmarkRecorderRecord(b *testing.B) {
-	rec := NewRecorder(1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rec.Record(EvEnqueue, 1, 64)
-	}
-}
-
-func BenchmarkRecorderRecordNil(b *testing.B) {
-	var rec *Recorder
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rec.Record(EvEnqueue, 1, 64)
 	}
 }

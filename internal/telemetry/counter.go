@@ -62,7 +62,15 @@ func (c *Counter) Total() uint64 {
 	}
 	var t uint64
 	for i := range c.cells {
-		t += c.cells[i].v.Load()
+		t += c.Shard(i)
 	}
 	return t
+}
+
+// Shard returns one shard's count: Shard(w) is what worker w added.
+func (c *Counter) Shard(shard int) uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.cells[shard&c.mask].v.Load()
 }

@@ -14,7 +14,7 @@ import (
 func TestRegisterProcessMetrics(t *testing.T) {
 	RegisterProcessMetrics(nil) // nil registry is a no-op
 
-	reg := New(1, 64)
+	reg := New(1)
 	RegisterProcessMetrics(reg)
 	RegisterProcessMetrics(reg) // idempotent: addFunc dedupes by name
 
@@ -50,7 +50,7 @@ func TestProcessGauges(t *testing.T) {
 }
 
 func TestServeWithProfile(t *testing.T) {
-	reg := New(1, 64)
+	reg := New(1)
 	src := func() profile.Model {
 		return profile.Model{V: profile.SnapshotVersion, CapturedAtNs: 7}
 	}
@@ -80,7 +80,7 @@ func TestServeWithProfile(t *testing.T) {
 }
 
 func TestServeWithoutProfileIs404(t *testing.T) {
-	bound, stop, err := Serve("127.0.0.1:0", New(1, 64), WithProfile(nil))
+	bound, stop, err := Serve("127.0.0.1:0", New(1), WithProfile(nil))
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}

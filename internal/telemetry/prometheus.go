@@ -124,7 +124,6 @@ func WithProfile(src func() profile.Model) ServeOption {
 // Handler returns an HTTP handler exposing the registry:
 //
 //	/metrics        Prometheus text format
-//	/dump           flight-recorder dumps (all workers, relative time)
 //	/debug/traces   sampled causal traces, Chrome trace-event JSON
 //	                (with WithTraces)
 //	/debug/profile  per-actor cost-model snapshot JSON (with WithProfile)
@@ -156,17 +155,6 @@ func Handler(r *Registry, opts ...ServeOption) http.Handler {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
-	})
-	mux.HandleFunc("/dump", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if r == nil {
-			io.WriteString(w, "(telemetry disabled)\n")
-			return
-		}
-		for i := 0; i < r.Shards(); i++ {
-			fmt.Fprintf(w, "== worker %d ==\n%s", i, FormatDump(r.Recorder(i).Dump(0)))
-		}
-		fmt.Fprintf(w, "== system ==\n%s", FormatDump(r.SystemRecorder().Dump(0)))
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -29,7 +29,7 @@ func get(t *testing.T, bound, path string) (int, string, string) {
 }
 
 func TestServe(t *testing.T) {
-	reg := New(2, 64)
+	reg := New(2)
 	c := reg.Counter("test_requests", "requests served")
 	c.Inc(0)
 	c.Inc(1)

@@ -1,19 +1,18 @@
 // Package telemetry is the always-on observability subsystem of the
-// EActors runtime: per-worker sharded counters, log-bucketed latency
-// histograms and a fixed-size flight recorder per worker. It is
-// designed around two constraints that SGX systems impose on
-// measurement (cf. Stress-SGX and the SGX benchmarking literature):
+// EActors runtime: per-worker sharded counters and log-bucketed
+// latency histograms. It is designed around two constraints that SGX
+// systems impose on measurement (cf. Stress-SGX and the SGX
+// benchmarking literature):
 //
 //   - The zero case must stay zero-cost. Every instrument is usable as a
-//     nil pointer: a nil *Counter, *Histogram or *Recorder is a
-//     compiled-in no-op whose hot-path cost is one predictable branch.
+//     nil pointer: a nil *Counter or *Histogram is a compiled-in no-op
+//     whose hot-path cost is one predictable branch.
 //     The runtime only allocates instruments when Config.Telemetry is
 //     set, so deployments that do not observe pay (almost) nothing.
 //
 //   - The hot path must not serialise. Counters are sharded per worker
-//     with cache-line padding (no false sharing between workers),
-//     histogram buckets are independent atomics, and the flight recorder
-//     is a power-of-two ring claimed with a single atomic index bump.
+//     with cache-line padding (no false sharing between workers) and
+//     histogram buckets are independent atomics.
 //
 // Aggregation happens on the read side only: Total(), Snapshot() and the
 // Prometheus exposition walk the shards. Readers are expected to be rare
@@ -25,79 +24,31 @@ import (
 	"sync"
 )
 
-// Registry holds a deployment's instruments plus its per-worker flight
-// recorders. Instruments are registered once at wiring time (get-or-
-// create by name, mutex-protected) and then used lock-free; the registry
-// is safe for concurrent use.
+// Registry holds a deployment's instruments. Instruments are registered
+// once at wiring time (get-or-create by name, mutex-protected) and then
+// used lock-free; the registry is safe for concurrent use.
 type Registry struct {
 	shards int
 
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	hists     map[string]*Histogram
-	funcs     map[string]*FuncMetric
-	order     []string // registration order for stable exposition
-	recorders []*Recorder
-	system    *Recorder
+	mu       sync.Mutex
+	counters map[string]*Counter
+	hists    map[string]*Histogram
+	funcs    map[string]*FuncMetric
+	order    []string // registration order for stable exposition
 }
 
-// DefaultRecorderSize is the per-worker flight-recorder ring size.
-const DefaultRecorderSize = 1024
-
-// New creates a registry for a deployment with the given worker count.
-// Each worker gets a flight recorder of recorderSize events (rounded up
-// to a power of two; DefaultRecorderSize when zero), plus one extra
-// "system" recorder for events that occur off the worker threads (EPC
-// evictions, platform seal ops, I/O pumps).
-func New(workers, recorderSize int) *Registry {
+// New creates a registry for a deployment with the given worker count:
+// every counter it hands out has one shard per worker.
+func New(workers int) *Registry {
 	if workers < 1 {
 		workers = 1
 	}
-	if recorderSize <= 0 {
-		recorderSize = DefaultRecorderSize
-	}
-	r := &Registry{
+	return &Registry{
 		shards:   workers,
 		counters: make(map[string]*Counter),
 		hists:    make(map[string]*Histogram),
 		funcs:    make(map[string]*FuncMetric),
 	}
-	r.recorders = make([]*Recorder, workers)
-	for i := range r.recorders {
-		r.recorders[i] = NewRecorder(recorderSize)
-	}
-	r.system = NewRecorder(recorderSize)
-	return r
-}
-
-// Shards returns the worker count the registry was built for.
-func (r *Registry) Shards() int {
-	if r == nil {
-		return 0
-	}
-	return r.shards
-}
-
-// Recorder returns the flight recorder of the given worker (nil on a nil
-// registry, so call sites need no guard). Out-of-range workers get the
-// system recorder.
-func (r *Registry) Recorder(worker int) *Recorder {
-	if r == nil {
-		return nil
-	}
-	if worker < 0 || worker >= len(r.recorders) {
-		return r.system
-	}
-	return r.recorders[worker]
-}
-
-// SystemRecorder returns the recorder for events raised off the worker
-// threads (platform-level evictions, pump I/O).
-func (r *Registry) SystemRecorder() *Recorder {
-	if r == nil {
-		return nil
-	}
-	return r.system
 }
 
 // Counter returns the named sharded counter, creating it on first use.

@@ -19,12 +19,8 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	c.Inc(0)
 	h.Observe(42)
 	h.ObserveSince(time.Now())
-	if c.Total() != 0 || h.Snapshot().Count != 0 {
+	if c.Total() != 0 || c.Shard(3) != 0 || h.Snapshot().Count != 0 {
 		t.Fatalf("nil instruments must stay zero")
-	}
-	r.Recorder(0).Record(EvInvoke, 1, 2)
-	if got := r.Recorder(0).Dump(0); got != nil {
-		t.Fatalf("nil recorder dump = %v, want nil", got)
 	}
 	r.CounterFunc("f", "", func() uint64 { return 1 })
 	r.Each(nil, nil)
@@ -36,7 +32,7 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 }
 
 func TestCounterShardingAndTotal(t *testing.T) {
-	r := New(4, 0)
+	r := New(4)
 	c := r.Counter("msgs", "test")
 	if again := r.Counter("msgs", "test"); again != c {
 		t.Fatalf("Counter must be get-or-create")
@@ -56,10 +52,15 @@ func TestCounterShardingAndTotal(t *testing.T) {
 	if got := c.Total(); got != 4005 {
 		t.Fatalf("Total = %d, want 4005", got)
 	}
+	for shard, want := range []uint64{1000, 1000, 1000, 1005} {
+		if got := c.Shard(shard); got != want {
+			t.Fatalf("Shard(%d) = %d, want %d", shard, got, want)
+		}
+	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	r := New(1, 0)
+	r := New(1)
 	h := r.Histogram("lat", "test", "ns")
 	// 900 fast observations (~100ns) and 100 slow (~1ms).
 	for i := 0; i < 900; i++ {
@@ -89,59 +90,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestRecorderRingAndDump(t *testing.T) {
-	rec := NewRecorder(16)
-	for i := 0; i < 40; i++ {
-		rec.Record(EvEnqueue, uint32(i), uint64(i))
-	}
-	events := rec.Dump(0)
-	if len(events) != 16 {
-		t.Fatalf("dump length = %d, want ring size 16", len(events))
-	}
-	// Oldest-first: the ring retains events 24..39.
-	if events[0].ID != 24 || events[15].ID != 39 {
-		t.Fatalf("dump window = [%d..%d], want [24..39]", events[0].ID, events[15].ID)
-	}
-	last4 := rec.Dump(4)
-	if len(last4) != 4 || last4[3].ID != 39 {
-		t.Fatalf("Dump(4) = %v", last4)
-	}
-	if !strings.Contains(FormatDump(events), "enqueue") {
-		t.Fatalf("FormatDump missing kind name")
-	}
-	// Arg saturation: huge args clamp instead of corrupting the ID bits.
-	rec.Record(EvNetRead, 7, 1<<40)
-	ev := rec.Dump(1)[0]
-	if ev.ID != 7 || ev.Arg != 1<<argBits-1 {
-		t.Fatalf("saturated event = %+v", ev)
-	}
-}
-
-func TestRecorderConcurrentDumpIsRaceFree(t *testing.T) {
-	rec := NewRecorder(64)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				rec.Record(EvDequeue, uint32(i), 1)
-			}
-		}
-	}()
-	for i := 0; i < 100; i++ {
-		_ = rec.Dump(0)
-	}
-	close(stop)
-	wg.Wait()
-}
-
 func TestPrometheusExposition(t *testing.T) {
-	r := New(2, 0)
+	r := New(2)
 	r.Counter("worker_invocations", "body invocations").Add(0, 7)
 	r.Histogram("invoke_ns", "body latency", "ns").Observe(1500)
 	r.GaugeFunc("pool_free", "free nodes", func() uint64 { return 42 })
@@ -166,7 +116,7 @@ func TestPrometheusExposition(t *testing.T) {
 }
 
 func TestServeMetricsEndpoint(t *testing.T) {
-	r := New(1, 0)
+	r := New(1)
 	r.Counter("hits", "").Inc(0)
 	addr, stop, err := Serve("127.0.0.1:0", r)
 	if err != nil {
@@ -182,13 +132,5 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	n, _ := resp.Body.Read(buf)
 	if !strings.Contains(string(buf[:n]), "hits_total 1") {
 		t.Fatalf("metrics body missing counter: %s", buf[:n])
-	}
-	resp2, err := http.Get("http://" + addr + "/dump")
-	if err != nil {
-		t.Fatalf("GET /dump: %v", err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != 200 {
-		t.Fatalf("/dump status = %d", resp2.StatusCode)
 	}
 }

@@ -4,8 +4,8 @@
 // dwell, seal/open, enclave crossing, body invoke, socket I/O, POS
 // access) into preallocated per-worker ring buffers.
 //
-// The design constraints mirror the telemetry flight recorder
-// (Section 2.2's scarce-EPC argument applies to instrumentation too):
+// The design constraints mirror the telemetry instruments' (Section
+// 2.2's scarce-EPC argument applies to instrumentation too):
 //
 //   - Zero allocation on the message path. Span slots are preallocated
 //     atomics; the context rides in the reserved trace header of

@@ -48,9 +48,9 @@ type Options struct {
 	DirectoryStore *pos.Store
 	// Telemetry enables the runtime observability subsystem
 	// (core.Config.Telemetry): worker/channel/SGX metrics, a stanza
-	// routing latency histogram, the networking and service counters, and
-	// per-worker flight recorders. Export via Server.Telemetry — e.g.
-	// telemetry.Serve for the Prometheus/pprof endpoint.
+	// routing latency histogram and the networking and service counters.
+	// Export via Server.Telemetry — e.g. telemetry.Serve for the
+	// Prometheus/pprof endpoint.
 	Telemetry bool
 	// Trace enables sampled causal tracing (core.Config.Trace),
 	// independent of Telemetry. Export via Server.Tracer — e.g.
