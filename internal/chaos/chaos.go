@@ -145,10 +145,11 @@ func RunSecureSum(seed, rounds uint64, dynamic bool, timeout time.Duration) (Res
 // RunXMPP starts the sharded XMPP service with the chaos schedule
 // armed and pushes `messages` distinct chat messages from alice to bob
 // over real TCP connections. The service's control plane (handshake,
-// watch, handoff) rides SendRetry and must survive injected faults on
-// its own; the chat data plane sheds load by design, so the harness
-// layers the obvious client protocol on top: resend until the receiver
-// has seen the body, dedup on the receiving side.
+// watch, handoff) waits out injected send failures in its actors' send
+// stages and must survive them on its own; the chat data plane sheds
+// load by design, so the harness layers the obvious client protocol on
+// top: resend until the receiver has seen the body, dedup on the
+// receiving side.
 func RunXMPP(seed uint64, messages int, timeout time.Duration) (Result, error) {
 	inj := faults.New(faults.Config{Seed: seed, Rules: XMPPRules()})
 	res := Result{Seed: seed}
@@ -170,7 +171,7 @@ func RunXMPP(seed uint64, messages int, timeout time.Duration) (Result, error) {
 	}
 
 	// A corrupted seal on a handshake frame or on the encrypted
-	// connector→shard session handoff is a loss SendRetry cannot see
+	// connector→shard session handoff is a loss no send stage can see
 	// (the send succeeded; the receiver dropped the payload), and
 	// neither has end-to-end retransmission — it wedges that session
 	// for good. The recovery, like any real XMPP client's, is to

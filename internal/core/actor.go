@@ -175,6 +175,15 @@ func (s *Self) RecvBatch(ep *Endpoint, bufs [][]byte, lens []int) (int, error) {
 	return n, err
 }
 
+// Flush sends stage's frames to ep (SendStage.Flush) and records
+// progress when any went. The frames a full channel refuses stay
+// staged for the next Flush, so a body never waits on a mailbox.
+func (s *Self) Flush(stage *SendStage, ep *Endpoint) {
+	if n, _ := stage.Flush(ep); n > 0 {
+		s.progressed = true
+	}
+}
+
 // Tracer returns the runtime's causal tracer (nil — a valid no-op
 // receiver — when Config.Trace is off). Bodies use it with TraceScope
 // to record application-level spans (POS access, routing) and system

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/eactors/eactors-go/internal/faults"
 	"github.com/eactors/eactors-go/internal/mem"
 )
 
@@ -389,25 +390,160 @@ func TestBatchBufs(t *testing.T) {
 	}
 }
 
+// stagePair builds a plaintext channel of the given mailbox capacity
+// between two idle actors, with inj armed on the runtime (nil for none).
+func stagePair(t *testing.T, capacity int, inj *faults.Injector) (a, b *Endpoint) {
+	t.Helper()
+	cfg := Config{
+		Workers:     []WorkerSpec{{}},
+		NodePayload: 64,
+		Faults:      inj,
+		Actors: []Spec{
+			{Name: "a", Body: func(*Self) {}},
+			{Name: "b", Body: func(*Self) {}},
+		},
+		Channels: []ChannelSpec{{Name: "link", A: "a", B: "b", Capacity: capacity, Plaintext: true}},
+	}
+	rt, err := NewRuntime(zeroPlatform(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Stop)
+	return rt.actors["a"].endpoints["link"], rt.actors["b"].endpoints["link"]
+}
+
+// pushSeq stages the frame "f<i>".
+func pushSeq(s *SendStage, i int) bool {
+	return s.Push(fmt.Appendf(s.Slot(), "f%d", i))
+}
+
+// expectSeq drains up to max frames from b, checking each is "f<*next>".
+func expectSeq(t *testing.T, b *Endpoint, bufs [][]byte, lens []int, next *int, max int) {
+	t.Helper()
+	n, err := b.RecvBatch(bufs[:max], lens[:max])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if got, want := string(bufs[i][:lens[i]]), fmt.Sprintf("f%d", *next); got != want {
+			t.Fatalf("received %q, want %q: FIFO order broken", got, want)
+		}
+		*next++
+	}
+}
+
+// TestSendStageReuse drives a stage through rounds of pushes and
+// flushes: every frame arrives exactly once and in push order, whatever
+// a full mailbox or an injected SendFail refused on the way, and the
+// refused frames wait in the stage's own slots, which grow only to the
+// peak backlog.
 func TestSendStageReuse(t *testing.T) {
-	var s SendStage
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 5; i++ {
-			frame := append(s.Slot(), []byte(fmt.Sprintf("r%d-f%d", round, i))...)
-			s.Push(frame)
-		}
-		if s.Len() != 5 {
-			t.Fatalf("Len = %d, want 5", s.Len())
-		}
-		for i, f := range s.Frames() {
-			if want := fmt.Sprintf("r%d-f%d", round, i); string(f) != want {
-				t.Fatalf("frame %d = %q, want %q", i, f, want)
+	for _, tc := range []struct {
+		name     string
+		capacity int     // mailbox capacity
+		drain    int     // frames the consumer takes per round
+		sendFail float64 // SendFail rate at SiteSend
+	}{
+		{name: "roomy", capacity: 16, drain: 16},
+		{name: "full_mailbox", capacity: 4, drain: 3},
+		{name: "send_fail", capacity: 16, drain: 16, sendFail: 0.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var inj *faults.Injector
+			if tc.sendFail > 0 {
+				inj = faults.New(faults.Config{Seed: 1, Rules: []faults.Rule{
+					{Site: faults.SiteSend, Class: faults.SendFail, Rate: tc.sendFail},
+				}})
 			}
+			a, b := stagePair(t, tc.capacity, inj)
+			bufs, lens := BatchBufs(16, 64)
+			var s SendStage
+			const rounds, perRound = 20, 5
+			pushed, next, peak, refused := 0, 0, 0, 0
+			for round := 0; round < rounds || s.Len() > 0; round++ {
+				if round > 10*rounds {
+					t.Fatalf("%d frames still staged after %d rounds", s.Len(), round)
+				}
+				for i := 0; i < perRound && round < rounds; i++ {
+					pushSeq(&s, pushed)
+					pushed++
+				}
+				peak = max(peak, s.Len())
+				before := s.Len()
+				sent, err := s.Flush(a)
+				if sent < before && err == nil {
+					t.Fatalf("Flush sent %d of %d without an error", sent, before)
+				}
+				if sent < before {
+					refused++
+				}
+				if s.Len() != before-sent {
+					t.Fatalf("Len after Flush = %d, want %d", s.Len(), before-sent)
+				}
+				expectSeq(t, b, bufs, lens, &next, tc.drain)
+			}
+			expectSeq(t, b, bufs, lens, &next, 16)
+			if next != pushed {
+				t.Fatalf("received %d of %d frames", next, pushed)
+			}
+			if len(s.slots) != peak {
+				t.Fatalf("%d slots for a peak of %d staged frames: slots not reused", len(s.slots), peak)
+			}
+			if tc.name != "roomy" && refused == 0 {
+				t.Fatal("no Flush was refused: the case exercised no backpressure")
+			}
+		})
+	}
+}
+
+// TestSendStageBound: a stage holds at most maxStaged frames and
+// refuses the rest without growing; the frames it took still go out
+// complete and in order.
+func TestSendStageBound(t *testing.T) {
+	a, b := stagePair(t, 64, nil)
+	var s SendStage
+	for i := 0; i < maxStaged+100; i++ {
+		if took := pushSeq(&s, i); took != (i < maxStaged) {
+			t.Fatalf("Push of frame %d took=%v with %d staged", i, took, s.Len())
 		}
-		s.Reset()
-		if s.Len() != 0 {
-			t.Fatalf("Len after Reset = %d", s.Len())
+	}
+	if s.Len() != maxStaged || len(s.slots) != maxStaged+1 {
+		t.Fatalf("Len = %d, slots = %d; want %d and %d", s.Len(), len(s.slots), maxStaged, maxStaged+1)
+	}
+	bufs, lens := BatchBufs(64, 64)
+	next := 0
+	for rounds := 0; s.Len() > 0; rounds++ {
+		if rounds > 2*maxStaged/64 {
+			t.Fatalf("%d frames still staged", s.Len())
 		}
+		_, _ = s.Flush(a)
+		expectSeq(t, b, bufs, lens, &next, 64)
+	}
+	if next != maxStaged {
+		t.Fatalf("received %d frames, want %d", next, maxStaged)
+	}
+}
+
+// TestSendStageDropsOversized: a frame the channel can never carry is
+// dropped by the Flush that meets it instead of wedging the frames
+// staged around it.
+func TestSendStageDropsOversized(t *testing.T) {
+	a, b := stagePair(t, 16, nil)
+	var s SendStage
+	pushSeq(&s, 0)
+	s.Push(append(s.Slot(), make([]byte, a.MaxPayload()+1)...))
+	pushSeq(&s, 1)
+	if _, err := s.Flush(a); !errors.Is(err, ErrPayloadTooLarge) {
+		t.Fatalf("Flush err = %v, want ErrPayloadTooLarge", err)
+	}
+	if sent, err := s.Flush(a); sent != 2 || err != nil {
+		t.Fatalf("Flush = %d, %v; want 2, nil", sent, err)
+	}
+	bufs, lens := BatchBufs(4, 64)
+	next := 0
+	expectSeq(t, b, bufs, lens, &next, 4)
+	if next != 2 {
+		t.Fatalf("received %d frames, want 2", next)
 	}
 }
 

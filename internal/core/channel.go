@@ -20,7 +20,7 @@ import (
 // (cmd/sendcheck enforces this in CI).
 var (
 	// ErrMailboxFull reports a full mbox; the sender should retry on a
-	// later body invocation (or bound a retry with SendRetry).
+	// later body invocation (a SendStage keeps the frames until then).
 	ErrMailboxFull = errors.New("core: channel mbox full")
 
 	// ErrPoolEmpty reports that no free node was available.
@@ -578,41 +578,6 @@ func (e *Endpoint) Send(payload []byte) error {
 		return e.sendFailed(ErrMailboxFull)
 	}
 	return nil
-}
-
-// retryBackoff bounds in SendRetry: the wait starts at
-// retryBaseBackoff, doubles per attempt and is capped at
-// retryMaxBackoff, so a retrying sender neither spins on a full mbox
-// nor sleeps past a consumer that drained it.
-const (
-	retryBaseBackoff = 10 * time.Microsecond
-	retryMaxBackoff  = time.Millisecond
-)
-
-// SendRetry is Send with bounded persistence: transient failures
-// (ErrMailboxFull, ErrPoolEmpty) are retried with exponential backoff
-// until the deadline, at which point the last typed error is returned.
-// Non-transient errors return immediately. It is meant for control
-// messages whose loss would wedge a protocol (connection handoffs, SMC
-// rounds) — bulk data paths should stay on Send and shed load instead.
-//
-// SendRetry blocks the calling goroutine, so a non-blocking eactor body
-// should only use it with short deadlines.
-func (e *Endpoint) SendRetry(payload []byte, deadline time.Time) error {
-	backoff := retryBaseBackoff
-	for {
-		err := e.Send(payload)
-		if err == nil || (!errors.Is(err, ErrMailboxFull) && !errors.Is(err, ErrPoolEmpty)) {
-			return err
-		}
-		if !time.Now().Before(deadline) {
-			return err
-		}
-		time.Sleep(backoff)
-		if backoff < retryMaxBackoff {
-			backoff *= 2
-		}
-	}
 }
 
 // noteScratchUse applies the scratch retention policy after an open that

@@ -14,8 +14,9 @@ import (
 type metrics struct {
 	reg *telemetry.Registry
 
-	// Worker-side.
-	invocations  *telemetry.Counter     // body invocations, sharded per worker
+	// Worker-side. Body invocations are not counted apart: the
+	// per-worker invoke histograms count them, and
+	// eactors_worker_invocations sums their counts at read time.
 	invokeNs     []*telemetry.Histogram // per-worker body-invoke latency
 	drainExhaust *telemetry.Counter     // invocations that consumed their whole drain budget
 	idles        *telemetry.Counter     // worker transitions into the idle wait
@@ -35,7 +36,6 @@ type metrics struct {
 func newMetrics(reg *telemetry.Registry, workers int) *metrics {
 	m := &metrics{
 		reg:          reg,
-		invocations:  reg.Counter("eactors_worker_invocations", "eactor body invocations"),
 		drainExhaust: reg.Counter("eactors_worker_drain_exhausted", "invocations that consumed the whole RecvBatch drain budget"),
 		idles:        reg.Counter("eactors_worker_idle", "worker transitions into the doorbell idle wait"),
 		wakes:        reg.Counter("eactors_worker_wakes", "doorbell wakeups out of the idle wait"),
@@ -51,6 +51,14 @@ func newMetrics(reg *telemetry.Registry, workers int) *metrics {
 			fmt.Sprintf("eactors_worker_invoke_ns{worker=%q}", fmt.Sprint(i)),
 			"eactor body invocation latency", "ns")
 	}
+	reg.CounterFunc("eactors_worker_invocations", "eactor body invocations",
+		func() uint64 {
+			var n uint64
+			for _, h := range m.invokeNs {
+				n += h.Snapshot().Count
+			}
+			return n
+		})
 	return m
 }
 

@@ -110,7 +110,6 @@ func (w *Worker) invoke(a *actorInstance, crossed bool) {
 		a.cost.InvokeNs.Add(elapsed)
 	}
 	if w.m != nil {
-		w.m.invocations.Inc(w.id)
 		w.m.invokeNs[w.id].Observe(elapsed)
 		if a.self.drainLeft == 0 {
 			// The body consumed its entire RecvBatch allowance: a flooded

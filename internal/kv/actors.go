@@ -1,8 +1,6 @@
 package kv
 
 import (
-	"time"
-
 	"github.com/eactors/eactors-go/internal/core"
 	"github.com/eactors/eactors-go/internal/netactors"
 	"github.com/eactors/eactors-go/internal/pos"
@@ -10,11 +8,7 @@ import (
 	"github.com/eactors/eactors-go/internal/transport"
 )
 
-// maxPendingFrames bounds each retry queue before frames are dropped
-// (slow-receiver protection; clients retry at the protocol layer).
-const maxPendingFrames = 4096
-
-// stageFlushBatch caps an outbound stage before a mid-round flush.
+// stageFlushBatch is the outbound batch a stage sends mid-round.
 const stageFlushBatch = 64
 
 // maxReplaySessions bounds the per-KVSTORE replay-state table; beyond
@@ -22,11 +16,6 @@ const stageFlushBatch = 64
 // fresh requests, which at-least-once semantics tolerate). Close
 // notifications normally reclaim entries long before this trips.
 const maxReplaySessions = 1024
-
-// controlDeadline bounds SendRetry on control sends (watches, closes):
-// losing one wedges or leaks a socket, so they persist through
-// transient channel fullness.
-func controlDeadline() time.Time { return time.Now().Add(50 * time.Millisecond) }
 
 // connState is the FRONTEND's per-socket state: frame reassembly, the
 // handshake flag and the opaque replay-window horizon that preserves
@@ -40,31 +29,23 @@ type connState struct {
 	maxOpaque  uint32
 }
 
-// frontendState is the FRONTEND eactor's private state.
+// frontendState is the FRONTEND eactor's private state. Every line
+// out of the FRONTEND has its own stage, which keeps in order what a
+// full channel refuses (core.SendStage).
 type frontendState struct {
-	phase     int
-	listener  uint32
 	socks     map[uint32]*connState
-	scratch   []byte
 	recvBufs  [][]byte
 	recvLens  []int
 	acceptBuf []byte
-	// stages/pending batch the routed requests per KVSTORE shard: one
-	// SendBatch per shard per round, pending spill under backpressure.
-	stages  []core.SendStage
-	pending [][][]byte
-	// fwStage/fwPending batch session-control frames (HELLO-ACK,
-	// GOAWAY) for the FRONTEND's direct fwrite line to the WRITER.
-	fwStage   core.SendStage
-	fwPending [][]byte
-	frameBuf  []byte
+	// stages[i] batches the requests routed to KVSTORE shard i, and the
+	// close notices that reclaim their replay state behind them.
+	stages []core.SendStage
+	// fwStage carries session-control frames (HELLO-ACK) over the
+	// FRONTEND's direct fwrite line to the WRITER; readStage the watches
+	// to the READER; closeStage the closes to the CLOSER.
+	fwStage, readStage, closeStage core.SendStage
+	frameBuf                       []byte
 }
-
-const (
-	fphListen = iota
-	fphAwaitListener
-	fphServe
-)
 
 // maxBatch bounds the messages one FRONTEND or KVSTORE invocation
 // drains.
@@ -77,7 +58,6 @@ func newFrontendState(shards int) *frontendState {
 		socks:     make(map[uint32]*connState),
 		acceptBuf: make([]byte, 4096),
 		stages:    make([]core.SendStage, shards),
-		pending:   make([][][]byte, shards),
 	}
 	st.recvBufs, st.recvLens = core.BatchBufs(maxBatch, core.DefaultNodePayload)
 	return st
@@ -92,6 +72,7 @@ func newFrontendState(shards int) *frontendState {
 func (srv *Server) frontendSpec(opts Options, worker, shards int, addrCh chan<- string) core.Spec {
 	maxForward := netactors.MaxData(core.DefaultNodePayload)
 	st := newFrontendState(shards)
+	lis := netactors.NewListener(opts.ListenAddr)
 	var open, accept, read, closeCh, fwrite *core.Endpoint
 	reqChans := make([]*core.Endpoint, shards)
 	return core.Spec{
@@ -110,36 +91,7 @@ func (srv *Server) frontendSpec(opts Options, worker, shards int, addrCh chan<- 
 			return nil
 		},
 		Body: func(self *core.Self) {
-			switch st.phase {
-			case fphListen:
-				m, _ := (netactors.Msg{Type: netactors.MsgListen, Data: []byte(opts.ListenAddr)}).AppendTo(st.scratch[:0])
-				st.scratch = m
-				if open.Send(m) == nil {
-					st.phase = fphAwaitListener
-					self.Progress()
-				}
-			case fphAwaitListener:
-				if st.listener == 0 {
-					n, ok, err := open.Recv(st.acceptBuf)
-					if err != nil || !ok {
-						return
-					}
-					msg, err := netactors.ParseMsg(st.acceptBuf[:n])
-					if err != nil || msg.Type != netactors.MsgOpenOK {
-						return
-					}
-					st.listener = msg.Sock
-					addrCh <- string(msg.Data)
-				}
-				// Re-enterable until the watch lands: an unwatched
-				// listener accepts nobody.
-				w, _ := (netactors.Msg{Type: netactors.MsgWatch, Sock: st.listener}).AppendTo(st.scratch[:0])
-				st.scratch = w
-				if accept.SendRetry(w, controlDeadline()) == nil {
-					st.phase = fphServe
-					self.Progress()
-				}
-			case fphServe:
+			if lis.Up(self, open, accept, addrCh) {
 				srv.frontendServe(self, st, opts, accept, read, closeCh, fwrite, reqChans, shards, maxForward)
 			}
 		},
@@ -149,32 +101,6 @@ func (srv *Server) frontendSpec(opts Options, worker, shards int, addrCh chan<- 
 // frontendServe is one serve-phase invocation.
 func (srv *Server) frontendServe(self *core.Self, st *frontendState, opts Options,
 	accept, read, closeCh, fwrite *core.Endpoint, reqChans []*core.Endpoint, shards, maxForward int) {
-
-	// Frames that hit a full channel last round go first, in FIFO
-	// order, so per-socket request order survives backpressure.
-	for i := range st.pending {
-		if len(st.pending[i]) == 0 {
-			continue
-		}
-		n, _ := reqChans[i].SendBatch(st.pending[i]) //sendcheck:ok
-		if n > 0 {
-			self.Progress()
-			st.pending[i] = st.pending[i][n:]
-			if len(st.pending[i]) == 0 {
-				st.pending[i] = nil
-			}
-		}
-	}
-	if len(st.fwPending) > 0 {
-		n, _ := fwrite.SendBatch(st.fwPending) //sendcheck:ok
-		if n > 0 {
-			self.Progress()
-			st.fwPending = st.fwPending[n:]
-			if len(st.fwPending) == 0 {
-				st.fwPending = nil
-			}
-		}
-	}
 
 	// New connections: watch their bytes.
 	for {
@@ -187,10 +113,7 @@ func (srv *Server) frontendServe(self *core.Self, st *frontendState, opts Option
 			continue
 		}
 		st.socks[msg.Sock] = &connState{}
-		w, _ := (netactors.Msg{Type: netactors.MsgWatch, Sock: msg.Sock}).AppendTo(st.scratch[:0])
-		st.scratch = w
-		// An unwatched socket never produces bytes; persist the watch.
-		_ = read.SendRetry(w, controlDeadline()) //sendcheck:ok
+		(netactors.Msg{Type: netactors.MsgWatch, Sock: msg.Sock}).StageOn(&st.readStage)
 		self.Progress()
 	}
 
@@ -204,7 +127,7 @@ func (srv *Server) frontendServe(self *core.Self, st *frontendState, opts Option
 		switch msg.Type {
 		case netactors.MsgClosed:
 			if cs, ok := st.socks[msg.Sock]; ok {
-				srv.forgetConn(st, cs, msg.Sock, reqChans)
+				srv.forgetConn(st, cs, msg.Sock)
 			}
 		case netactors.MsgData:
 			// Every byte goes to the frame scanner; a peer speaking
@@ -215,32 +138,33 @@ func (srv *Server) frontendServe(self *core.Self, st *frontendState, opts Option
 			}
 		}
 	}
+	// Every stage flushes once a round; what a full channel refuses goes
+	// first next round.
 	for i := range st.stages {
-		srv.flushStage(st, i, reqChans[i])
+		self.Flush(&st.stages[i], reqChans[i])
 	}
-	srv.flushCtl(st, fwrite)
+	self.Flush(&st.fwStage, fwrite)
+	self.Flush(&st.readStage, read)
+	self.Flush(&st.closeStage, closeCh)
 }
 
 // dropConn cuts a peer off: forgets its session and closes the socket.
-func (srv *Server) dropConn(st *frontendState, cs *connState, sock uint32, closeCh *core.Endpoint, reqChans []*core.Endpoint) {
-	srv.forgetConn(st, cs, sock, reqChans)
-	c, _ := (netactors.Msg{Type: netactors.MsgClose, Sock: sock}).AppendTo(nil)
-	// A lost close leaks the socket; persist it.
-	_ = closeCh.SendRetry(c, controlDeadline()) //sendcheck:ok
+func (srv *Server) dropConn(st *frontendState, cs *connState, sock uint32) {
+	srv.forgetConn(st, cs, sock)
+	(netactors.Msg{Type: netactors.MsgClose, Sock: sock}).StageOn(&st.closeStage)
 }
 
 // forgetConn drops a socket's state and, if the session ever routed a
-// request, forwards the close to every KVSTORE so replay caches are
-// reclaimed promptly (maxReplaySessions backstops losses).
-func (srv *Server) forgetConn(st *frontendState, cs *connState, sock uint32, reqChans []*core.Endpoint) {
+// request, stages the close for every KVSTORE so replay caches are
+// reclaimed promptly. The close queues behind the session's requests
+// in each shard's stage, so it never overtakes one.
+func (srv *Server) forgetConn(st *frontendState, cs *connState, sock uint32) {
 	delete(st.socks, sock)
 	if !cs.opaqueSeen {
 		return
 	}
-	m, _ := (netactors.Msg{Type: netactors.MsgClosed, Sock: sock}).AppendTo(st.scratch[:0])
-	st.scratch = m
-	for _, ep := range reqChans {
-		_ = ep.SendRetry(m, controlDeadline()) //sendcheck:ok
+	for i := range st.stages {
+		(netactors.Msg{Type: netactors.MsgClosed, Sock: sock}).StageOn(&st.stages[i])
 	}
 }
 
@@ -254,7 +178,7 @@ func (srv *Server) routeFrames(self *core.Self, st *frontendState, opts Options,
 	for {
 		f, raw, ok, err := cs.frames.Next()
 		if err != nil {
-			srv.dropConn(st, cs, sock, closeCh, reqChans)
+			srv.dropConn(st, cs, sock)
 			return
 		}
 		if !ok {
@@ -264,7 +188,7 @@ func (srv *Server) routeFrames(self *core.Self, st *frontendState, opts Options,
 		switch f.Type {
 		case transport.THello:
 			if cs.helloSeen || f.Flags != transport.Version1 || f.Opaque&transport.FeatureKV == 0 {
-				srv.dropConn(st, cs, sock, closeCh, reqChans)
+				srv.dropConn(st, cs, sock)
 				return
 			}
 			cs.helloSeen = true
@@ -272,22 +196,17 @@ func (srv *Server) routeFrames(self *core.Self, st *frontendState, opts Options,
 			ack := transport.HelloAck(transport.FeatureKV, uint32(opts.SessionWindow))
 			frame, err := transport.AppendFrame(st.frameBuf[:0], ack)
 			if err != nil {
-				srv.dropConn(st, cs, sock, closeCh, reqChans)
+				srv.dropConn(st, cs, sock)
 				return
 			}
 			st.frameBuf = frame
-			m, err := (netactors.Msg{Type: netactors.MsgData, Sock: sock, Data: frame}).AppendTo(st.fwStage.Slot())
-			if err != nil {
-				srv.dropConn(st, cs, sock, closeCh, reqChans)
-				return
-			}
-			st.fwStage.Push(m)
-			if st.fwStage.Len() >= stageFlushBatch {
-				srv.flushCtl(st, fwrite)
+			(netactors.Msg{Type: netactors.MsgData, Sock: sock, Data: frame}).StageOn(&st.fwStage)
+			if st.fwStage.Len()%stageFlushBatch == 0 {
+				self.Flush(&st.fwStage, fwrite)
 			}
 		case transport.TRequest:
 			if !cs.helloSeen || len(raw) > maxForward {
-				srv.dropConn(st, cs, sock, closeCh, reqChans)
+				srv.dropConn(st, cs, sock)
 				return
 			}
 			// Opaque replay-window horizon: a fresh opaque advances it,
@@ -301,81 +220,45 @@ func (srv *Server) routeFrames(self *core.Self, st *frontendState, opts Options,
 			} else if d := int32(f.Opaque - cs.maxOpaque); d > 0 {
 				cs.maxOpaque = f.Opaque
 			} else if -d >= int32(opts.ReplayWindow) {
-				srv.dropConn(st, cs, sock, closeCh, reqChans)
+				srv.dropConn(st, cs, sock)
 				return
 			}
 			req, _, err := ParseRequest(f.Payload)
 			if err != nil || req.Op < OpGet || req.Op > OpDel {
-				srv.dropConn(st, cs, sock, closeCh, reqChans)
+				srv.dropConn(st, cs, sock)
 				return
 			}
 			srv.stageRequest(st, req.Key, sock, raw, reqChans, shards)
 		case transport.TGoAway:
-			srv.dropConn(st, cs, sock, closeCh, reqChans)
+			srv.dropConn(st, cs, sock)
 			return
 		default:
 			// TCredit and friends are harmless in v1; anything the
 			// session layer does not know is a violation.
 			if !f.Type.Valid() {
-				srv.dropConn(st, cs, sock, closeCh, reqChans)
+				srv.dropConn(st, cs, sock)
 				return
 			}
 		}
 	}
 }
 
-// stageRequest stages one raw request frame for the shard owning key.
+// stageRequest stages one raw request frame for the shard owning key,
+// sending a full batch mid-round.
 func (srv *Server) stageRequest(st *frontendState, key []byte, sock uint32, raw []byte,
 	reqChans []*core.Endpoint, shards int) {
 
 	shard := pos.ShardOf(key, shards)
-	m, err := (netactors.Msg{Type: netactors.MsgData, Sock: sock, Data: raw}).AppendTo(st.stages[shard].Slot())
-	if err != nil {
-		return
-	}
-	st.stages[shard].Push(m)
-	if st.stages[shard].Len() >= stageFlushBatch {
+	if (netactors.Msg{Type: netactors.MsgData, Sock: sock, Data: raw}).StageOn(&st.stages[shard]) &&
+		st.stages[shard].Len()%stageFlushBatch == 0 {
 		srv.flushStage(st, shard, reqChans[shard])
 	}
 }
 
-// flushStage sends shard i's staged frames as one batch; under
-// backpressure the remainder spills to the bounded pending queue (the
-// stage's slots are reused next round, so spilled frames get copies).
+// flushStage sends shard i's staged requests as one batch; what a full
+// channel refuses stays staged.
 func (srv *Server) flushStage(st *frontendState, i int, ep *core.Endpoint) {
-	if st.stages[i].Len() == 0 {
-		return
-	}
-	sent := 0
-	if len(st.pending[i]) == 0 {
-		sent, _ = ep.SendBatch(st.stages[i].Frames()) //sendcheck:ok
-	}
-	for _, f := range st.stages[i].Frames()[sent:] {
-		if len(st.pending[i]) >= maxPendingFrames {
-			break // slow-receiver protection: shed, clients retry
-		}
-		st.pending[i] = append(st.pending[i], append([]byte(nil), f...))
-	}
-	st.stages[i].Reset()
-}
-
-// flushCtl sends the staged session-control frames over fwrite, with
-// the same bounded pending spill as the shard stages.
-func (srv *Server) flushCtl(st *frontendState, fwrite *core.Endpoint) {
-	if st.fwStage.Len() == 0 {
-		return
-	}
-	sent := 0
-	if len(st.fwPending) == 0 {
-		sent, _ = fwrite.SendBatch(st.fwStage.Frames()) //sendcheck:ok
-	}
-	for _, f := range st.fwStage.Frames()[sent:] {
-		if len(st.fwPending) >= maxPendingFrames {
-			break
-		}
-		st.fwPending = append(st.fwPending, append([]byte(nil), f...))
-	}
-	st.fwStage.Reset()
+	_, _ = st.stages[i].Flush(ep)
 }
 
 func reqChannel(i int) string   { return "req-" + itoa(i) }
@@ -398,8 +281,7 @@ type storeState struct {
 	valBuf   []byte
 	respBuf  []byte
 	frameBuf []byte
-	stage    core.SendStage
-	pending  [][]byte
+	stage    core.SendStage // responses to the WRITER
 	// replays is the per-session dedup state: a resent opaque is
 	// answered from its cached response frame, so SET/DEL take effect
 	// exactly once under at-least-once resends.
@@ -449,16 +331,6 @@ func (srv *Server) storeSpec(opts Options, i, worker int, enclave string) core.S
 			return nil
 		},
 		Body: func(self *core.Self) {
-			if len(st.pending) > 0 {
-				n, _ := write.SendBatch(st.pending) //sendcheck:ok
-				if n > 0 {
-					self.Progress()
-					st.pending = st.pending[n:]
-					if len(st.pending) == 0 {
-						st.pending = nil
-					}
-				}
-			}
 			n, _ := self.RecvBatch(req, st.recvBufs, st.recvLens)
 			for j := 0; j < n; j++ {
 				msg, err := netactors.ParseMsg(st.recvBufs[j][:st.recvLens[j]])
@@ -478,13 +350,9 @@ func (srv *Server) storeSpec(opts Options, i, worker int, enclave string) core.S
 				if out == nil {
 					continue
 				}
-				m, err := (netactors.Msg{Type: netactors.MsgData, Sock: msg.Sock, Data: out}).AppendTo(st.stage.Slot())
-				if err != nil {
-					continue
-				}
-				st.stage.Push(m)
-				if st.stage.Len() >= stageFlushBatch {
-					srv.flushWrites(st, write)
+				if (netactors.Msg{Type: netactors.MsgData, Sock: msg.Sock, Data: out}).StageOn(&st.stage) &&
+					st.stage.Len()%stageFlushBatch == 0 {
+					self.Flush(&st.stage, write)
 				}
 			}
 			if n > 0 && syncPerBurst {
@@ -495,7 +363,7 @@ func (srv *Server) storeSpec(opts Options, i, worker int, enclave string) core.S
 				_ = srv.store.Flush()
 				tr.End(self.WorkerID(), self.TraceScope(), trace.KindPOSSync, uint32(i), start)
 			}
-			srv.flushWrites(st, write)
+			self.Flush(&st.stage, write)
 		},
 	}
 }
@@ -542,25 +410,6 @@ func (srv *Server) executeFrame(self *core.Self, st *storeState, opts Options, s
 	st.frameBuf = frame
 	sess.Store(f.Opaque, frame)
 	return frame
-}
-
-// flushWrites sends the staged responses as one batch, spilling the
-// remainder to the bounded pending queue under backpressure.
-func (srv *Server) flushWrites(st *storeState, write *core.Endpoint) {
-	if st.stage.Len() == 0 {
-		return
-	}
-	sent := 0
-	if len(st.pending) == 0 {
-		sent, _ = write.SendBatch(st.stage.Frames()) //sendcheck:ok
-	}
-	for _, f := range st.stage.Frames()[sent:] {
-		if len(st.pending) >= maxPendingFrames {
-			break
-		}
-		st.pending = append(st.pending, append([]byte(nil), f...))
-	}
-	st.stage.Reset()
 }
 
 // execute runs one request against the sharded store; a GET's value

@@ -38,11 +38,6 @@ func (s *System) Table() *Table { return s.table }
 // runtime has stopped.
 func (s *System) Shutdown() { s.table.CloseAll() }
 
-// controlReplyDeadline bounds the SendRetry persistence of control
-// replies (open/accept results) whose loss would wedge the requesting
-// client; data paths shed load instead and never block this long.
-const controlReplyDeadline = 50 * time.Millisecond
-
 // reply encodes m and sends it on ep. The returned error is typed:
 // core.ErrMailboxFull / core.ErrPoolEmpty mean a transient shortage the
 // caller may retry on a later invocation; anything else is an encoding
@@ -56,24 +51,15 @@ func reply(ep *core.Endpoint, m Msg, scratch *[]byte) error {
 	return ep.Send(buf)
 }
 
-// replyRetry is reply with bounded persistence (Endpoint.SendRetry) for
-// control messages that must not be lost to a transiently full channel.
-func replyRetry(ep *core.Endpoint, m Msg, scratch *[]byte) error {
-	buf, err := m.AppendTo((*scratch)[:0])
-	if err != nil {
-		return err
-	}
-	*scratch = buf
-	return ep.SendRetry(buf, time.Now().Add(controlReplyDeadline))
-}
-
 // OpenerSpec builds the OPENER eactor serving the named channels: it
 // creates server sockets (MsgListen) and client sockets (MsgDial) and
-// returns their identifiers (MsgOpenOK/MsgOpenErr).
+// returns their identifiers (MsgOpenOK/MsgOpenErr). A dropped open
+// result would wedge the requester, so each channel's results go out
+// through its own stage, which keeps what a full channel refuses.
 func (s *System) OpenerSpec(name string, worker int, channels ...string) core.Spec {
 	table := s.table
 	var eps []*core.Endpoint
-	var scratch []byte
+	stages := make([]core.SendStage, len(channels))
 	recvBuf := make([]byte, core.DefaultNodePayload)
 	return core.Spec{
 		Name:   name,
@@ -89,56 +75,51 @@ func (s *System) OpenerSpec(name string, worker int, channels ...string) core.Sp
 			return nil
 		},
 		Body: func(self *core.Self) {
-			for _, ep := range eps {
-				n, ok, err := ep.Recv(recvBuf)
-				if err != nil || !ok {
-					continue
-				}
-				msg, err := ParseMsg(recvBuf[:n])
-				if err != nil {
-					continue
-				}
-				self.Progress()
-				switch msg.Type {
-				case MsgListen:
-					lis, err := net.Listen("tcp", string(msg.Data))
-					if err != nil {
-						// A dropped open result wedges the requester, so
-						// these replies persist through transient fullness;
-						// past the deadline the client's own timeout rules.
-						_ = replyRetry(ep, Msg{Type: MsgOpenErr, Data: []byte(err.Error())}, &scratch) //sendcheck:ok
-						continue
+			for i, ep := range eps {
+				if n, ok, err := ep.Recv(recvBuf); err == nil && ok {
+					if msg, err := ParseMsg(recvBuf[:n]); err == nil && (msg.Type == MsgListen || msg.Type == MsgDial) {
+						self.Progress()
+						table.open(msg).StageOn(&stages[i])
 					}
-					sock := table.AddListener(lis)
-					// Return the bound address so ":0" listens work.
-					_ = replyRetry(ep, Msg{Type: MsgOpenOK, Sock: sock.id, Data: []byte(lis.Addr().String())}, &scratch) //sendcheck:ok
-				case MsgDial:
-					conn, err := net.DialTimeout("tcp", string(msg.Data), dialTimeout)
-					if err != nil {
-						_ = replyRetry(ep, Msg{Type: MsgOpenErr, Data: []byte(err.Error())}, &scratch) //sendcheck:ok
-						continue
-					}
-					sock := table.AddConn(conn)
-					table.stats.dials.Add(1)
-					_ = replyRetry(ep, Msg{Type: MsgOpenOK, Sock: sock.id}, &scratch) //sendcheck:ok
 				}
+				self.Flush(&stages[i], ep)
 			}
 		},
 	}
 }
 
+// open serves one OPENER request (MsgListen or MsgDial) and returns its
+// result.
+func (t *Table) open(msg Msg) Msg {
+	if msg.Type == MsgListen {
+		lis, err := net.Listen("tcp", string(msg.Data))
+		if err != nil {
+			return Msg{Type: MsgOpenErr, Data: []byte(err.Error())}
+		}
+		// Return the bound address so ":0" listens work.
+		return Msg{Type: MsgOpenOK, Sock: t.AddListener(lis).id, Data: []byte(lis.Addr().String())}
+	}
+	conn, err := net.DialTimeout("tcp", string(msg.Data), dialTimeout)
+	if err != nil {
+		return Msg{Type: MsgOpenErr, Data: []byte(err.Error())}
+	}
+	t.stats.dials.Add(1)
+	return Msg{Type: MsgOpenOK, Sock: t.AddConn(conn).id}
+}
+
 // AccepterSpec builds the ACCEPTER eactor: clients watch a listener
 // socket (MsgWatch) and receive MsgAccepted for every new connection.
+// Each watch stages its announcements, so the ones a full channel
+// refuses go first next round and no accepted socket is lost.
 func (s *System) AccepterSpec(name string, worker int, channels ...string) core.Spec {
 	table := s.table
 	type watch struct {
-		ep      *core.Endpoint
-		sock    *Socket
-		pending uint32 // accepted id whose announcement failed; 0 = none
+		ep    *core.Endpoint
+		sock  *Socket
+		stage core.SendStage
 	}
 	var eps []*core.Endpoint
 	var watches []*watch
-	var scratch []byte
 	recvBuf := make([]byte, core.DefaultNodePayload)
 	return core.Spec{
 		Name:   name,
@@ -171,23 +152,16 @@ func (s *System) AccepterSpec(name string, worker int, channels ...string) core.
 				}
 			}
 			for _, w := range watches {
-			drain:
-				for i := 0; i < drainBatch; i++ {
-					id := w.pending
-					if id == 0 {
-						select {
-						case id = <-w.sock.accepted:
-						default:
-							break drain
-						}
+			fill:
+				for w.stage.Len() < drainBatch {
+					select {
+					case id := <-w.sock.accepted:
+						(Msg{Type: MsgAccepted, Sock: id}).StageOn(&w.stage)
+					default:
+						break fill
 					}
-					if reply(w.ep, Msg{Type: MsgAccepted, Sock: id}, &scratch) != nil {
-						w.pending = id // channel full: retry next round
-						break drain
-					}
-					w.pending = 0
-					self.Progress()
 				}
+				self.Flush(&w.stage, w.ep)
 			}
 		},
 	}
@@ -195,13 +169,14 @@ func (s *System) AccepterSpec(name string, worker int, channels ...string) core.
 
 // readWatch is one READER-watched connection socket.
 type readWatch struct {
-	ep      *core.Endpoint
-	sock    *Socket
-	pending [][]byte // encoded frames that hit a full channel, retried first
-	tick    uint32   // per-socket trace sampling counter (trace.MaybeRoot)
-	// backlogged marks the watch as owned by the READER's backpressure
-	// backlog (pending frames) rather than the ready queue.
-	backlogged bool
+	ep   *core.Endpoint
+	sock *Socket
+	// held is the stage holding the frames its forwarding channel
+	// refused, retried first; while it is set the watch belongs to the
+	// READER's backlog rather than the ready queue. It is nil otherwise,
+	// so an idle watch carries no stage memory.
+	held *core.SendStage
+	tick uint32 // per-socket trace sampling counter (trace.MaybeRoot)
 }
 
 // ReaderSpec builds the READER eactor: clients watch connection sockets
@@ -214,7 +189,7 @@ type readWatch struct {
 // (Socket.markReady) exactly when its inbox gains bytes or hits EOF, and
 // the body pops and drains exactly the queued sockets, so an idle watch
 // costs no drain work however many there are. Sockets whose forwarding
-// channel filled (pending frames) move to a small backlog scanned every
+// channel filled (held frames) move to a small backlog scanned every
 // invocation: the bounded few under backpressure, not the watch set.
 func (s *System) ReaderSpec(name string, worker int, channels ...string) core.Spec {
 	table := s.table
@@ -269,8 +244,8 @@ func (s *System) ReaderSpec(name string, worker int, channels ...string) core.Sp
 				}
 			}
 
-			// Backpressured sockets: frames that hit a full forwarding
-			// channel retry until the consumer drains.
+			// Backpressured sockets: frames a full forwarding channel
+			// refused retry until the consumer drains.
 			live := backlog[:0]
 			for _, w := range backlog {
 				if watches[w.sock.id] != w {
@@ -280,11 +255,10 @@ func (s *System) ReaderSpec(name string, worker int, channels ...string) core.Sp
 					delete(watches, w.sock.id) // MsgClosed delivered
 					continue
 				}
-				if len(w.pending) > 0 {
+				if w.held != nil {
 					live = append(live, w)
 					continue
 				}
-				w.backlogged = false
 				if w.sock.hasWork() {
 					w.sock.markReady()
 				}
@@ -307,15 +281,14 @@ func (s *System) ReaderSpec(name string, worker int, channels ...string) core.Sp
 					}
 					continue
 				}
-				if w.backlogged {
+				if w.held != nil {
 					continue // the backlog pass owns this socket
 				}
 				if !s.drainSocket(self, w, &stage, &scratch) {
 					delete(watches, sock.id) // MsgClosed delivered
 					continue
 				}
-				if len(w.pending) > 0 {
-					w.backlogged = true
+				if w.held != nil {
 					backlog = append(backlog, w)
 					continue
 				}
@@ -332,16 +305,15 @@ func (s *System) ReaderSpec(name string, worker int, channels ...string) core.Sp
 // (MsgClosed sent).
 func (s *System) drainSocket(self *core.Self, w *readWatch, stage *core.SendStage, scratch *[]byte) bool {
 	s.table.stats.drains.Add(1)
-	// Retry frames a previously full channel left behind, in order.
-	for len(w.pending) > 0 {
-		n, _ := w.ep.SendBatch(w.pending) //sendcheck:ok
-		if n == 0 {
-			return true // still backed up; chunks wait in the inbox
+	// Frames a full channel refused go first, in order; until they are
+	// through, new chunks wait in the inbox.
+	if w.held != nil {
+		self.Flush(w.held, w.ep)
+		if w.held.Len() > 0 {
+			return true
 		}
-		self.Progress()
-		w.pending = w.pending[n:]
+		w.held = nil
 	}
-	w.pending = nil
 	// The READER is the wire ingress, so this is where sampled traces
 	// are rooted: 1-in-SampleEvery inbound bursts get a fresh trace whose
 	// root span (KindNetRead) covers the drain and the forwarding send.
@@ -359,7 +331,6 @@ func (s *System) drainSocket(self *core.Self, w *readWatch, stage *core.SendStag
 		}
 	}
 	maxChunk := MaxData(w.ep.MaxPayload())
-	stage.Reset()
 	for stage.Len() < drainBatch {
 		var chunk []byte
 		select {
@@ -375,11 +346,7 @@ func (s *System) drainSocket(self *core.Self, w *readWatch, stage *core.SendStag
 			if len(emit) > maxChunk {
 				emit = rest[:maxChunk]
 			}
-			frame, err := (Msg{Type: MsgData, Sock: w.sock.id, Data: emit}).AppendTo(stage.Slot())
-			if err != nil {
-				return true // cannot happen: emit fits the frame limit
-			}
-			stage.Push(frame)
+			(Msg{Type: MsgData, Sock: w.sock.id, Data: emit}).StageOn(stage)
 			rest = rest[len(emit):]
 		}
 		// The stage holds a copy now; the read buffer goes back.
@@ -389,7 +356,7 @@ func (s *System) drainSocket(self *core.Self, w *readWatch, stage *core.SendStag
 		if netCtx.Traced() {
 			self.TraceScope().Adopt(netCtx)
 		}
-		n, _ := w.ep.SendBatch(stage.Frames()) //sendcheck:ok
+		self.Flush(stage, w.ep)
 		if netCtx.Traced() {
 			tr.Record(self.WorkerID(), trace.Span{
 				TraceID: netCtx.TraceID, ID: netCtx.Span,
@@ -398,15 +365,11 @@ func (s *System) drainSocket(self *core.Self, w *readWatch, stage *core.SendStag
 			})
 			self.TraceScope().Clear()
 		}
-		if n > 0 {
-			self.Progress()
-		}
-		// Stage slots are reused next round, so spilled frames get copies
-		// (backpressure path only).
-		for _, f := range stage.Frames()[n:] {
-			w.pending = append(w.pending, append([]byte(nil), f...))
-		}
-		if len(w.pending) > 0 {
+		if stage.Len() > 0 {
+			// The watch keeps the refused frames, slots and all; the
+			// READER's stage starts the next socket empty.
+			w.held = new(core.SendStage)
+			*w.held, *stage = *stage, core.SendStage{}
 			return true
 		}
 	}

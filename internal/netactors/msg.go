@@ -19,6 +19,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"github.com/eactors/eactors-go/internal/core"
 )
 
 // MsgType discriminates messages exchanged with the system eactors.
@@ -81,6 +83,14 @@ func (m Msg) AppendTo(buf []byte) ([]byte, error) {
 	binary.LittleEndian.PutUint16(hdr[5:], uint16(len(m.Data)))
 	buf = append(buf, hdr[:]...)
 	return append(buf, m.Data...), nil
+}
+
+// StageOn encodes m into the next slot of stage and stages it, reporting
+// whether the stage took it (false for Data past the frame limit or a
+// full stage).
+func (m Msg) StageOn(stage *core.SendStage) bool {
+	buf, err := m.AppendTo(stage.Slot())
+	return err == nil && stage.Push(buf)
 }
 
 // ParseMsg decodes one message. The returned Data aliases b.

@@ -2,36 +2,27 @@ package xmpp
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/eactors/eactors-go/internal/core"
 	"github.com/eactors/eactors-go/internal/netactors"
 	"github.com/eactors/eactors-go/internal/xmpp/stanza"
 )
 
-// controlDeadline bounds SendRetry on the connector's control sends
-// (watch/unwatch, handoff, handshake frames, teardown closes): losing
-// one of these wedges a client session, so they persist through
-// transient channel fullness and injected send failures.
-func controlDeadline() time.Time { return time.Now().Add(50 * time.Millisecond) }
-
 // connectorState is the CONNECTOR eactor's private state.
 type connectorState struct {
-	phase    int
-	listener uint32
 	sessions map[uint32]*session
 	// handedOff remembers which shard now owns a socket, so bytes that
 	// raced the reader handover can be forwarded.
 	handedOff map[uint32]int
-	scratch   []byte
 	recvBuf   []byte
+	// The CONNECTOR's outboxes: readStage carries watches and unwatches
+	// to its READER, writeStage handshake frames and teardown closes to
+	// the WRITER, handoff[i] sessions and stray bytes to shard i. A lost
+	// control frame would wedge a session, so whatever a full channel
+	// refuses stays staged, in order, for the next round.
+	readStage, writeStage core.SendStage
+	handoff               []core.SendStage
 }
-
-const (
-	cphListen = iota
-	cphAwaitListener
-	cphServe
-)
 
 // connectorSpec builds the CONNECTOR eactor (Figure 7): it opens the
 // server socket, accepts clients, runs the stream/auth handshake, then
@@ -42,10 +33,12 @@ func (srv *Server) connectorSpec(opts Options, worker int, enclave string, shard
 		sessions:  make(map[uint32]*session),
 		handedOff: make(map[uint32]int),
 		recvBuf:   make([]byte, 4096),
+		handoff:   make([]core.SendStage, shards),
 	}
+	lis := netactors.NewListener(opts.ListenAddr)
 	var (
-		open, accept, read, write, closeCh *core.Endpoint
-		handoff                            []*core.Endpoint
+		open, accept, read, write *core.Endpoint
+		handoff                   []*core.Endpoint
 	)
 	return core.Spec{
 		Name:    "connector",
@@ -57,7 +50,6 @@ func (srv *Server) connectorSpec(opts Options, worker int, enclave string, shard
 			accept = self.MustChannel("c-accept")
 			read = self.MustChannel("c-read")
 			write = self.MustChannel("c-write")
-			closeCh = self.MustChannel("c-close")
 			handoff = make([]*core.Endpoint, shards)
 			for i := 0; i < shards; i++ {
 				handoff[i] = self.MustChannel(fmt.Sprintf("handoff-%d", i))
@@ -65,38 +57,8 @@ func (srv *Server) connectorSpec(opts Options, worker int, enclave string, shard
 			return nil
 		},
 		Body: func(self *core.Self) {
-			switch st.phase {
-			case cphListen:
-				m, _ := (netactors.Msg{Type: netactors.MsgListen, Data: []byte(opts.ListenAddr)}).AppendTo(st.scratch[:0])
-				st.scratch = m
-				if open.Send(m) == nil {
-					st.phase = cphAwaitListener
-					self.Progress()
-				}
-			case cphAwaitListener:
-				if st.listener == 0 {
-					n, ok, err := open.Recv(st.recvBuf)
-					if err != nil || !ok {
-						return
-					}
-					msg, err := netactors.ParseMsg(st.recvBuf[:n])
-					if err != nil || msg.Type != netactors.MsgOpenOK {
-						return
-					}
-					st.listener = msg.Sock
-					addrCh <- string(msg.Data)
-				}
-				// The MsgOpenOK is consumed by now, so this phase must be
-				// re-enterable until the watch lands: an unwatched listener
-				// accepts nobody, ever.
-				w, _ := (netactors.Msg{Type: netactors.MsgWatch, Sock: st.listener}).AppendTo(st.scratch[:0])
-				st.scratch = w
-				if accept.SendRetry(w, controlDeadline()) == nil {
-					st.phase = cphServe
-					self.Progress()
-				}
-			case cphServe:
-				srv.connectorServe(self, st, accept, read, write, closeCh, handoff, shards)
+			if lis.Up(self, open, accept, addrCh) {
+				srv.connectorServe(self, st, accept, read, write, handoff, shards)
 			}
 		},
 	}
@@ -105,7 +67,7 @@ func (srv *Server) connectorSpec(opts Options, worker int, enclave string, shard
 // connectorServe is one serve-phase invocation: accept new sockets,
 // drive handshakes, hand authenticated sessions to their shards.
 func (srv *Server) connectorServe(self *core.Self, st *connectorState,
-	accept, read, write, closeCh *core.Endpoint, handoff []*core.Endpoint, shards int) {
+	accept, read, write *core.Endpoint, handoff []*core.Endpoint, shards int) {
 
 	// New connections.
 	for {
@@ -118,11 +80,7 @@ func (srv *Server) connectorServe(self *core.Self, st *connectorState,
 			continue
 		}
 		st.sessions[msg.Sock] = &session{sock: msg.Sock}
-		w, _ := (netactors.Msg{Type: netactors.MsgWatch, Sock: msg.Sock}).AppendTo(st.scratch[:0])
-		st.scratch = w
-		// An unwatched socket never produces handshake bytes, so the
-		// watch must survive a transiently full channel.
-		_ = read.SendRetry(w, controlDeadline()) //sendcheck:ok
+		(netactors.Msg{Type: netactors.MsgWatch, Sock: msg.Sock}).StageOn(&st.readStage)
 		self.Progress()
 	}
 
@@ -143,8 +101,10 @@ func (srv *Server) connectorServe(self *core.Self, st *connectorState,
 			delete(st.handedOff, msg.Sock)
 		case netactors.MsgData:
 			if shard, ok := st.handedOff[msg.Sock]; ok {
-				// Raced the reader handover: forward to the new owner.
-				_ = handoff[shard].SendRetry(encodeStray(msg.Sock, msg.Data), controlDeadline()) //sendcheck:ok
+				// Raced the reader handover: forward to the new owner,
+				// behind the handoff in the same stage.
+				hs := &st.handoff[shard]
+				hs.Push(append(hs.Slot(), encodeStray(msg.Sock, msg.Data)...))
 				continue
 			}
 			sess, ok := st.sessions[msg.Sock]
@@ -152,25 +112,31 @@ func (srv *Server) connectorServe(self *core.Self, st *connectorState,
 				continue
 			}
 			sess.scanner.Feed(msg.Data)
-			srv.connectorHandshake(self, st, sess, read, write, closeCh, handoff, shards)
+			srv.connectorHandshake(self, st, sess, shards)
 		}
+	}
+	self.Flush(&st.readStage, read)
+	self.Flush(&st.writeStage, write)
+	if st.writeStage.Len() > 0 {
+		return // handoffs wait: a shard must not answer before AuthSuccess
+	}
+	for i := range st.handoff {
+		self.Flush(&st.handoff[i], handoff[i])
 	}
 }
 
 // connectorHandshake advances one session's handshake as far as its
 // buffered bytes allow.
-func (srv *Server) connectorHandshake(self *core.Self, st *connectorState, sess *session,
-	read, write, closeCh *core.Endpoint, handoff []*core.Endpoint, shards int) {
-
+func (srv *Server) connectorHandshake(self *core.Self, st *connectorState, sess *session, shards int) {
+	send := func(data string) {
+		(netactors.Msg{Type: netactors.MsgData, Sock: sess.sock, Data: []byte(data)}).StageOn(&st.writeStage)
+	}
 	fail := func() {
 		srv.authFail.Add(1)
-		_ = srv.sendFrame(write, sess.sock, []byte(stanza.AuthFailure), &st.scratch) //sendcheck:ok
+		send(stanza.AuthFailure)
 		// The close travels on the WRITER's channel behind the failure
-		// frame, so the peer sees the rejection before the reset. A lost
-		// close leaks the socket, so it persists like the other control
-		// sends.
-		c, _ := (netactors.Msg{Type: netactors.MsgClose, Sock: sess.sock}).AppendTo(nil)
-		_ = write.SendRetry(c, controlDeadline()) //sendcheck:ok
+		// frame, so the peer sees the rejection before the reset.
+		(netactors.Msg{Type: netactors.MsgClose, Sock: sess.sock}).StageOn(&st.writeStage)
 		delete(st.sessions, sess.sock)
 	}
 
@@ -190,7 +156,7 @@ func (srv *Server) connectorHandshake(self *core.Self, st *connectorState, sess 
 				return
 			}
 			sess.sawHdr = true
-			_ = srv.sendFrame(write, sess.sock, []byte(stanza.StreamHeader(ServiceName, el.Attr("from"))), &st.scratch) //sendcheck:ok
+			send(stanza.StreamHeader(ServiceName, el.Attr("from")))
 		case el.Kind == stanza.KindStanza && el.Name == "auth":
 			user := el.Attr("user")
 			key := el.Attr("key")
@@ -203,18 +169,14 @@ func (srv *Server) connectorHandshake(self *core.Self, st *connectorState, sess 
 			sess.authed = true
 			srv.online.Add(OnlineEntry{User: user, Sock: sess.sock, Key: key})
 			srv.conns.Add(1)
-			_ = srv.sendFrame(write, sess.sock, []byte(stanza.AuthSuccess), &st.scratch) //sendcheck:ok
+			send(stanza.AuthSuccess)
 
 			// Hand the connection to its shard: release our READER and
-			// transfer any bytes the scanner still buffers. A dropped
-			// handoff would orphan the session — the shard would never
-			// learn the socket exists — so both control sends persist.
+			// transfer any bytes the scanner still buffers.
 			shard := shardOf(user, shards)
-			u, _ := (netactors.Msg{Type: netactors.MsgUnwatch, Sock: sess.sock}).AppendTo(st.scratch[:0])
-			st.scratch = u
-			_ = read.SendRetry(u, controlDeadline()) //sendcheck:ok
-			leftover := sess.scanner.Remainder()
-			_ = handoff[shard].SendRetry(encodeHandoff(OnlineEntry{User: user, Sock: sess.sock, Key: key}, leftover), controlDeadline()) //sendcheck:ok
+			(netactors.Msg{Type: netactors.MsgUnwatch, Sock: sess.sock}).StageOn(&st.readStage)
+			hs := &st.handoff[shard]
+			hs.Push(append(hs.Slot(), encodeHandoff(OnlineEntry{User: user, Sock: sess.sock, Key: key}, sess.scanner.Remainder())...))
 			delete(st.sessions, sess.sock)
 			st.handedOff[sess.sock] = shard
 			self.Progress()
@@ -225,17 +187,4 @@ func (srv *Server) connectorHandshake(self *core.Self, st *connectorState, sess 
 			return
 		}
 	}
-}
-
-// sendFrame wraps bytes in a MsgData frame and sends them to a WRITER
-// with bounded persistence — handshake frames are part of the control
-// plane; a client blocks on every one of them. The error is typed
-// (core.ErrMailboxFull past the deadline) for callers that care.
-func (srv *Server) sendFrame(write *core.Endpoint, sock uint32, data []byte, scratch *[]byte) error {
-	m, err := (netactors.Msg{Type: netactors.MsgData, Sock: sock, Data: data}).AppendTo((*scratch)[:0])
-	if err != nil {
-		return err
-	}
-	*scratch = m
-	return write.SendRetry(m, controlDeadline())
 }

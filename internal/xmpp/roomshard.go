@@ -100,7 +100,6 @@ func (srv *Server) roomShardSpec(opts Options, j, worker int, enclave, room stri
 	}
 	var in []*core.Endpoint
 	var write *core.Endpoint
-	var pending [][]byte
 	var stage core.SendStage
 	recvBufs, recvLens := core.BatchBufs(maxBatch, 8192)
 	return core.Spec{
@@ -120,18 +119,6 @@ func (srv *Server) roomShardSpec(opts Options, j, worker int, enclave, room stri
 			return err
 		},
 		Body: func(self *core.Self) {
-			// Retry frames that previously hit a full channel, as one
-			// batch in FIFO order.
-			if len(pending) > 0 {
-				n, _ := write.SendBatch(pending) //sendcheck:ok
-				if n > 0 {
-					self.Progress()
-					pending = pending[n:]
-					if len(pending) == 0 {
-						pending = nil
-					}
-				}
-			}
 			for _, ep := range in {
 				n, _ := self.RecvBatch(ep, recvBufs, recvLens)
 				for i := 0; i < n; i++ {
@@ -143,24 +130,9 @@ func (srv *Server) roomShardSpec(opts Options, j, worker int, enclave, room stri
 				}
 			}
 			// One SendBatch — one doorbell to the room's WRITER — for the
-			// whole fan-out this round. Stage slots are reused next round,
-			// so spilled frames get copies (backpressure path only).
-			if stage.Len() > 0 {
-				sent := 0
-				if len(pending) == 0 {
-					sent, _ = write.SendBatch(stage.Frames()) //sendcheck:ok
-				}
-				if sent > 0 {
-					self.Progress()
-				}
-				for _, f := range stage.Frames()[sent:] {
-					if len(pending) >= maxPendingWrites {
-						break // slow-receiver protection: drop the rest
-					}
-					pending = append(pending, append([]byte(nil), f...))
-				}
-				stage.Reset()
-			}
+			// whole fan-out this round, behind what a full channel refused
+			// last round.
+			self.Flush(&stage, write)
 		},
 	}
 }
@@ -191,11 +163,7 @@ func (srv *Server) roomFanout(fwd roomForward, cipherFor func(string) (*ecrypto.
 		}
 		sealed := SealBodyWith(memberCipher, body)
 		frame := stanza.GroupMessage(fwd.sender, fwd.room, sealed)
-		m, err := (netactors.Msg{Type: netactors.MsgData, Sock: entry.Sock, Data: []byte(frame)}).AppendTo(stage.Slot())
-		if err != nil {
-			continue
-		}
-		stage.Push(m)
+		(netactors.Msg{Type: netactors.MsgData, Sock: entry.Sock, Data: []byte(frame)}).StageOn(stage)
 		srv.fanout.Add(1)
 	}
 }

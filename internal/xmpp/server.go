@@ -291,7 +291,6 @@ func (srv *Server) buildConfig(opts Options, enclaveCount int) (core.Config, cha
 		core.ChannelSpec{Name: "c-accept", A: "connector", B: "accepter", Plaintext: true},
 		core.ChannelSpec{Name: "c-read", A: "connector", B: "c-reader", Plaintext: true, Capacity: 4096},
 		core.ChannelSpec{Name: "c-write", A: "connector", B: "c-writer", Plaintext: true, Capacity: 4096},
-		core.ChannelSpec{Name: "c-close", A: "connector", B: "closer", Plaintext: true},
 	)
 	for i := 0; i < shards; i++ {
 		cfg.Channels = append(cfg.Channels,
@@ -304,7 +303,7 @@ func (srv *Server) buildConfig(opts Options, enclaveCount int) (core.Config, cha
 	}
 
 	// Networking eactors (always untrusted).
-	closerChannels := []string{"c-close"}
+	var closerChannels []string
 	for i := 0; i < shards; i++ {
 		closerChannels = append(closerChannels, fmt.Sprintf("close-%d", i))
 	}

@@ -12,13 +12,9 @@ import (
 	"github.com/eactors/eactors-go/internal/xmpp/stanza"
 )
 
-// maxPendingWrites bounds the retry queue before frames are dropped
-// (slow-receiver protection).
-const maxPendingWrites = 4096
-
-// deliverFlushBatch caps the outbound stage before a mid-round flush:
-// a large group fan-out still goes out in doorbell-coalesced batches
-// instead of accumulating the whole room in the stage.
+// deliverFlushBatch is the outbound batch the stage sends mid-round: a
+// large group fan-out goes out in doorbell-coalesced batches instead of
+// accumulating the whole room in the stage.
 const deliverFlushBatch = 64
 
 // maxBatch bounds the messages one shard or room-shard invocation
@@ -27,13 +23,15 @@ const maxBatch = 32
 
 // shardState is one XMPP eactor's private state.
 type shardState struct {
-	pcl     map[uint32]*session // the paper's private client list
-	pending [][]byte            // owned frames that hit a full write channel
-	scratch []byte
-	dirBuf  []byte // opens sealed directory entries (Directory.Sock)
+	pcl    map[uint32]*session // the paper's private client list
+	dirBuf []byte              // opens sealed directory entries (Directory.Sock)
 	// stage batches outbound frames: one SendBatch — one pool trip, one
 	// mbox CAS, one WRITER doorbell — per flush instead of per stanza.
 	stage core.SendStage
+	// readStage carries watches to the shard's READER and closeStage
+	// closes to the CLOSER: a lost one leaves a session deaf or leaks a
+	// socket, so what a full channel refuses stays staged.
+	readStage, closeStage core.SendStage
 	// readBufs/hoBufs are the batch receive sets for the read and
 	// handoff channels.
 	readBufs, hoBufs [][]byte
@@ -94,23 +92,10 @@ func (srv *Server) shardSpec(opts Options, i, worker int, enclave string) core.S
 			return nil
 		},
 		Body: func(self *core.Self) {
-			// Retry frames that previously hit a full channel, as one
-			// batch in FIFO order.
-			if len(st.pending) > 0 {
-				n, _ := write.SendBatch(st.pending) //sendcheck:ok
-				if n > 0 {
-					self.Progress()
-					st.pending = st.pending[n:]
-					if len(st.pending) == 0 {
-						st.pending = nil
-					}
-				}
-			}
-
 			// Take over newly authenticated connections.
 			n, _ := self.RecvBatch(handoff, st.hoBufs, st.hoLens)
 			for i := 0; i < n; i++ {
-				srv.shardHandoff(self, st, read, write, closeCh, st.hoBufs[i][:st.hoLens[i]])
+				srv.shardHandoff(self, st, write, closeCh, st.hoBufs[i][:st.hoLens[i]])
 			}
 
 			// Inbound traffic, one batched drain bounded by maxBatch and
@@ -121,7 +106,11 @@ func (srv *Server) shardSpec(opts Options, i, worker int, enclave string) core.S
 			}
 
 			// One doorbell for everything this round produced.
-			srv.flushWrites(st, write)
+			if srv.flushWrites(st, write) > 0 {
+				self.Progress()
+			}
+			self.Flush(&st.readStage, read)
+			self.Flush(&st.closeStage, closeCh)
 		},
 	}
 }
@@ -130,7 +119,7 @@ func (srv *Server) shardSpec(opts Options, i, worker int, enclave string) core.S
 // CONNECTOR and drains whatever complete stanzas the bytes hold: every
 // Feed is followed by a drain, so no session keeps a buffered stanza
 // waiting for its next read.
-func (srv *Server) shardHandoff(self *core.Self, st *shardState, read, write, closeCh *core.Endpoint, payload []byte) {
+func (srv *Server) shardHandoff(self *core.Self, st *shardState, write, closeCh *core.Endpoint, payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
@@ -143,10 +132,7 @@ func (srv *Server) shardHandoff(self *core.Self, st *shardState, read, write, cl
 		sess := &session{sock: entry.Sock, user: entry.User, keyHex: entry.Key, authed: true, sawHdr: true}
 		sess.scanner.Feed(leftover)
 		st.pcl[entry.Sock] = sess
-		w, _ := (netactors.Msg{Type: netactors.MsgWatch, Sock: entry.Sock}).AppendTo(st.scratch[:0])
-		st.scratch = w
-		// A lost watch leaves the session permanently deaf; persist it.
-		_ = read.SendRetry(w, controlDeadline()) //sendcheck:ok
+		(netactors.Msg{Type: netactors.MsgWatch, Sock: entry.Sock}).StageOn(&st.readStage)
 		self.Progress()
 		srv.shardDrainSession(self, st, sess, write, closeCh)
 	case handoffStray:
@@ -357,38 +343,21 @@ func (srv *Server) handlePresence(sess *session, el *stanza.Stanza) {
 }
 
 // deliver frames bytes for a socket and stages the frame on the
-// outbound batch; the round's flushWrites (or a mid-round flush when a
-// big fan-out fills the stage) pushes everything with one SendBatch.
+// outbound batch; the round's flush (or a mid-round one when a big
+// fan-out fills a batch) pushes everything with one SendBatch.
 func (srv *Server) deliver(st *shardState, write *core.Endpoint, sock uint32, data []byte) {
-	m, err := (netactors.Msg{Type: netactors.MsgData, Sock: sock, Data: data}).AppendTo(st.stage.Slot())
-	if err != nil {
-		return
-	}
-	st.stage.Push(m)
-	if st.stage.Len() >= deliverFlushBatch {
+	if (netactors.Msg{Type: netactors.MsgData, Sock: sock, Data: data}).StageOn(&st.stage) &&
+		st.stage.Len()%deliverFlushBatch == 0 {
 		srv.flushWrites(st, write)
 	}
 }
 
-// flushWrites sends the staged frames as one batch. While the retry
-// queue is non-empty the stage spills behind it instead of sending, so
-// per-socket FIFO order survives backpressure. Stage slots are reused
-// next round, so spilled frames get copies (backpressure path only).
-func (srv *Server) flushWrites(st *shardState, write *core.Endpoint) {
-	if st.stage.Len() == 0 {
-		return
-	}
-	sent := 0
-	if len(st.pending) == 0 {
-		sent, _ = write.SendBatch(st.stage.Frames()) //sendcheck:ok
-	}
-	for _, f := range st.stage.Frames()[sent:] {
-		if len(st.pending) >= maxPendingWrites {
-			break // slow-receiver protection: drop the rest
-		}
-		st.pending = append(st.pending, append([]byte(nil), f...))
-	}
-	st.stage.Reset()
+// flushWrites sends the staged frames as one batch and returns how many
+// went. What a full WRITER channel refuses stays staged and goes first
+// next flush, so per-socket FIFO order survives backpressure.
+func (srv *Server) flushWrites(st *shardState, write *core.Endpoint) int {
+	n, _ := st.stage.Flush(write)
+	return n
 }
 
 // shardDisconnect tears a session down, optionally closing the socket.
@@ -401,9 +370,7 @@ func (srv *Server) shardDisconnect(st *shardState, closeCh *core.Endpoint, sock 
 	srv.online.Remove(sess.user)
 	srv.rooms.LeaveAll(sess.user)
 	if closeSock {
-		// A lost close leaks the socket; persist it like the other
-		// control sends.
-		c, _ := (netactors.Msg{Type: netactors.MsgClose, Sock: sock}).AppendTo(nil)
-		_ = closeCh.SendRetry(c, controlDeadline()) //sendcheck:ok
+		(netactors.Msg{Type: netactors.MsgClose, Sock: sock}).StageOn(&st.closeStage)
+		_, _ = st.closeStage.Flush(closeCh)
 	}
 }

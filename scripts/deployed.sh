@@ -5,11 +5,12 @@
 # It builds every program under cmd/ and examples/ and the benchmark
 # harness with coverage on for every package of the module, drives them
 # the way they are deployed (both servers under every eactors-load verb,
-# xmppclient, posctl, eactors top|trace, eactors-bench -all and -plot,
-# sendcheck, every example, the five harness workloads with tracing off
-# and on) plus the chaos suite, and merges the counters with
-# go tool covdata. It prints each package's share of executed non-test
-# statements and every function no run enters, then judges files:
+# xmppclient, posctl, eactors top|trace, eactors-bench -all, -plot and
+# one table-format figure, sendcheck, every example, the five harness
+# workloads with tracing off and on) plus the chaos suite, and merges
+# the counters with go tool covdata. It prints each package's share of
+# executed non-test statements and every function no run enters, then
+# judges files:
 #
 #   a compiled non-test file outside benchmark/ and internal/testutil/
 #   that executes no statement fails the gate, unless
@@ -120,6 +121,7 @@ echo "deployed: eactors-bench -all -scale 0.002 -format csv -plot" >&2
 "$bin/eactors-bench" -all -scale 0.002 -format csv -plot "$run/plots" >"$run/all.csv" 2>>"$log" ||
 	fail "eactors-bench -all"
 step "$bin/eactors-bench" -plot "$run/replot" <"$run/all.csv"
+step "$bin/eactors-bench" -fig 1 -scale 0.002
 
 for trace in 0 1; do
 	step "$bin/benchmark" -seconds 1 -trace "$trace" -scratch "$run/bench"
