@@ -21,7 +21,7 @@ import (
 // the connscale-smoke CI job. It launches the real kvserver and
 // xmppserver binaries, parks thousands of idle connections on each, and
 // asserts that an idle connection stays cheap — at most one goroutine
-// (its parked read pump; write pumps idle out) plus a fixed allowance,
+// (its parked read pump; write pumps exit once drained) plus a fixed allowance,
 // and a hard per-connection memory ceiling. It also prints the p99 of a
 // small live workload running next to the idle connections, without
 // gating on it. The binaries must be prebuilt; scripts/connscale.sh
@@ -44,7 +44,7 @@ func idleVerb(fs *flag.FlagSet) func(io.Writer) (*load.Result, error) {
 	fs.StringVar(&o.kvserver, "kvserver", "bin/kvserver", "kvserver binary")
 	fs.StringVar(&o.xmppserver, "xmppserver", "bin/xmppserver", "xmppserver binary")
 	fs.IntVar(&o.conns, "conns", 10_000, "idle connections to park on each server")
-	fs.DurationVar(&o.settle, "settle", 3*time.Second, "wait after the last idle conn before sampling (write pumps idle out, GC settles)")
+	fs.DurationVar(&o.settle, "settle", 3*time.Second, "wait after the last idle conn before sampling (write pumps drain, GC settles)")
 	fs.IntVar(&o.goroutineCeiling, "goroutine-ceiling", 128, "max server goroutines beyond one per idle connection")
 	fs.IntVar(&o.connMemCeiling, "conn-mem-ceiling", 20<<10, "max RSS bytes per idle connection")
 	fs.BoolVar(&o.skipPerf, "skip-perf", false, "skip the live workload next to the idle connections")
@@ -72,7 +72,7 @@ func runIdle(o idleOptions, out io.Writer) error {
 		}
 		rows = append(rows, r)
 		if limit := o.conns + o.goroutineCeiling; r.goroutines > limit {
-			fmt.Fprintf(out, "idle: FAIL %s: %d goroutines with %d idle conns exceeds %d — more than one goroutine per idle connection (a write pump that never idles out?)\n",
+			fmt.Fprintf(out, "idle: FAIL %s: %d goroutines with %d idle conns exceeds %d — more than one goroutine per idle connection (a write pump that never exits?)\n",
 				s.name, r.goroutines, o.conns, limit)
 			failures++
 		}

@@ -219,9 +219,6 @@ func TestPrintTable(t *testing.T) {
 	if !strings.Contains(out, "figX") || !strings.Contains(out, "req/s") {
 		t.Fatalf("table output:\n%s", out)
 	}
-	if rows[0].String() == "" {
-		t.Fatal("Row.String empty")
-	}
 }
 
 func TestWriteCSV(t *testing.T) {

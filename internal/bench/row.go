@@ -28,12 +28,6 @@ type Row struct {
 	Unit  string
 }
 
-// String renders a row for logs.
-func (r Row) String() string {
-	return fmt.Sprintf("%-8s %-14s %s=%-10g %12.2f %s",
-		r.Figure, r.Series, r.XLabel, r.X, r.Value, r.Unit)
-}
-
 // PrintTable renders rows grouped by figure and series, one x per line,
 // in the shape of the paper's plots.
 func PrintTable(w io.Writer, rows []Row) {

@@ -54,9 +54,9 @@ func TestReaderDrainAllocatesNothing(t *testing.T) {
 	})
 }
 
-// TestWriterTableWriteAllocatesNothing: Table.Write copies an outbound
-// frame into a free-list buffer that the write pump returns after
-// conn.Write, so a written frame allocates nothing end to end.
+// TestWriterTableWriteAllocatesNothing: Table.Write hands a frame the
+// kernel takes whole straight to the socket, through a write callback
+// bound once per socket, so a written frame allocates nothing.
 func TestWriterTableWriteAllocatesNothing(t *testing.T) {
 	allocs.SkipUnderRace(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -12,7 +12,8 @@
 // non-blockingly. The pump also queues the socket on its READER's ready
 // queue, so the READER drains only sockets that have bytes, never its
 // whole watch set. At the actor layer the semantics (polling, batching,
-// per-socket mboxes) match the paper.
+// per-socket mboxes) match the paper. The WRITER needs no substitute: it
+// writes each frame non-blockingly on its own worker, as in the paper.
 package netactors
 
 import (

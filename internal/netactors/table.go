@@ -5,6 +5,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -22,10 +23,10 @@ const freeBufs = 128
 
 // bufList is a table's bounded free list of readBufBytes buffers. Read
 // pumps take one per read and the READER hands it back once it has
-// copied the chunk into its send stage; Write takes one per outbound
-// frame and the write pump hands it back after conn.Write. Only chunks
-// and frames in flight hold buffers, so idle sockets hold none beyond
-// the one a parked pump reads into.
+// copied the chunk into its send stage; Write takes one per frame the
+// kernel refused and the write pump hands it back after conn.Write. Only
+// chunks and refused frames in flight hold buffers, so idle sockets hold
+// none beyond the one a parked read pump reads into.
 type bufList chan []byte
 
 // get returns a buffer of length n, recycled when n fits readBufBytes.
@@ -62,6 +63,7 @@ type tableStats struct {
 	dials    atomic.Uint64
 	accepts  atomic.Uint64
 	dropped  atomic.Uint64
+	queued   atomic.Uint64 // frames or remainders the kernel refused, handed to a write pump
 	// drains counts READER socket drains: with the ready queue it tracks
 	// the sockets that had work, not the size of any watch set.
 	drains atomic.Uint64
@@ -84,13 +86,19 @@ type Socket struct {
 	// delivers data; it is swapped on connection handoff.
 	wake atomic.Pointer[func()]
 
-	// outbox feeds the write pump; a full outbox means the peer is not
-	// draining and frames are dropped (slow-consumer policy), so the
-	// WRITER eactor never blocks on a stalled connection.
+	// outbox feeds the write pump what the kernel refused; a full outbox
+	// drops frames (slow-consumer policy), so the WRITER eactor never
+	// blocks on a stalled connection.
 	outbox chan []byte
 	// unwritten counts frames accepted by Write that the pump has not
 	// finished writing: queued in the outbox or inside conn.Write.
-	unwritten    atomic.Int32
+	unwritten atomic.Int32
+	// wmu serialises Write. raw is nil for a conn without a file
+	// descriptor; inline is its write callback, bound once in AddConn.
+	wmu          sync.Mutex
+	raw          syscall.RawConn
+	inline       func(fd uintptr) bool
+	pending      []byte
 	quit         chan struct{}
 	pumpOnce     sync.Once
 	writeRunning atomic.Bool
@@ -113,8 +121,6 @@ type Table struct {
 	next  uint32
 	socks map[uint32]*Socket
 
-	writeDeadline time.Duration
-
 	// pumps counts the running pump goroutines of every socket the table
 	// ever registered, so CloseAll can return after the last has exited.
 	pumps sync.WaitGroup
@@ -126,9 +132,8 @@ type Table struct {
 // NewTable creates an empty socket table.
 func NewTable() *Table {
 	return &Table{
-		socks:         make(map[uint32]*Socket),
-		writeDeadline: time.Second,
-		bufs:          make(bufList, freeBufs),
+		socks: make(map[uint32]*Socket),
+		bufs:  make(bufList, freeBufs),
 	}
 }
 
@@ -149,6 +154,15 @@ func (t *Table) AddConn(conn net.Conn) *Socket {
 		inbox:  make(chan []byte, inboxCap),
 		outbox: make(chan []byte, inboxCap),
 		quit:   make(chan struct{}),
+	}
+	if sc, ok := conn.(syscall.Conn); ok {
+		s.raw, _ = sc.SyscallConn()
+	}
+	// One non-blocking write of s.pending, leaving the rest there; true
+	// means RawConn.Write never waits for writability.
+	s.inline = func(fd uintptr) bool {
+		s.pending = s.pending[writeFD(fd, s.pending):]
+		return true
 	}
 	t.socks[s.id] = s
 	return s
@@ -361,59 +375,44 @@ func (s *Socket) startAcceptPump(t *Table) {
 // draining its connection.
 var errBackpressure = errors.New("netactors: outbound frame dropped (slow consumer)")
 
-// writePumpIdle is how long a write pump lingers without traffic before
-// exiting. Pumps are restartable (ensureWritePump), so an idle
-// connection costs zero goroutines — at 10k mostly-idle connections the
-// lingering pumps would otherwise dominate the goroutine count.
-const writePumpIdle = 250 * time.Millisecond
+// writeDeadline bounds each blocking write of the write pump.
+const writeDeadline = time.Second
 
 // ensureWritePump guarantees a pump goroutine is draining the outbox.
-func (s *Socket) ensureWritePump(deadline time.Duration) {
+func (s *Socket) ensureWritePump() {
 	if s.writeRunning.CompareAndSwap(false, true) {
 		s.pumps.Add(1)
-		go s.writePump(deadline)
+		go s.writePump()
 	}
 }
 
-// writePump performs the blocking writes for a connection, exiting when
-// the socket closes, the connection errors, or the outbox stays empty
-// for writePumpIdle (the frame-arrives-as-we-exit race is closed by a
-// post-clear recheck and by Write's enqueue-then-ensure ordering).
-func (s *Socket) writePump(deadline time.Duration) {
+// writePump writes a connection's backlog and exits once the outbox is
+// empty (a post-clear recheck catches a frame queued as it exits), the
+// socket closes or the connection errors. It clears its deadline before
+// counting its last frame written: an expired one fails inline writes.
+func (s *Socket) writePump() {
 	defer s.pumps.Done()
-	idle := time.NewTimer(writePumpIdle)
-	defer idle.Stop()
 	for {
 		select {
 		case frame := <-s.outbox:
-			if deadline > 0 {
-				_ = s.conn.SetWriteDeadline(time.Now().Add(deadline))
-			}
+			_ = s.conn.SetWriteDeadline(time.Now().Add(writeDeadline))
 			n, err := s.conn.Write(frame)
 			s.bufs.put(frame)
-			s.unwritten.Add(-1)
 			s.stats.bytesOut.Add(uint64(n))
+			if err == nil && len(s.outbox) == 0 {
+				_ = s.conn.SetWriteDeadline(time.Time{})
+			}
+			s.unwritten.Add(-1)
 			if err != nil {
 				s.writeRunning.Store(false)
 				return // read side reports the failure as EOF
 			}
-			if !idle.Stop() {
-				select {
-				case <-idle.C:
-				default:
-				}
-			}
-			idle.Reset(writePumpIdle)
 		case <-s.quit:
 			s.writeRunning.Store(false)
 			return
-		case <-idle.C:
+		default:
 			s.writeRunning.Store(false)
-			// A frame may have been enqueued between the timer firing
-			// and the flag clearing; reclaim the pump role or leave it
-			// to the Write that lost the race.
 			if len(s.outbox) > 0 && s.writeRunning.CompareAndSwap(false, true) {
-				idle.Reset(writePumpIdle)
 				continue
 			}
 			return
@@ -421,20 +420,35 @@ func (s *Socket) writePump(deadline time.Duration) {
 	}
 }
 
-// Write queues a copy of data for the connection's write pump. A
-// stalled peer costs a dropped frame, never a blocked eactor (the
-// paper's WRITER uses non-blocking send syscalls for the same reason).
+// Write sends data with one non-blocking write on the WRITER's worker,
+// as the paper's WRITER does, when nothing is queued ahead of it. Only
+// what the kernel refuses is copied for the write pump, whose blocking
+// write also reports a failed connection. The check and the enqueue
+// share wmu, so two WRITERs on one socket never interleave or reorder
+// frames. A stalled peer costs a dropped frame, never a blocked eactor.
 func (t *Table) Write(id uint32, data []byte) error {
 	s, ok := t.Get(id)
 	if !ok || s.conn == nil {
 		return errUnknownSocket
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.raw != nil && s.unwritten.Load() == 0 {
+		s.pending = data
+		_ = s.raw.Write(s.inline) // a closed fd leaves it all pending
+		t.stats.bytesOut.Add(uint64(len(data) - len(s.pending)))
+		data, s.pending = s.pending, nil
+		if len(data) == 0 {
+			return nil
+		}
 	}
 	frame := t.bufs.get(len(data))
 	copy(frame, data)
 	s.unwritten.Add(1) // before the enqueue, so the pump never decrements first
 	select {
 	case s.outbox <- frame:
-		s.ensureWritePump(t.writeDeadline)
+		t.stats.queued.Add(1)
+		s.ensureWritePump()
 		return nil
 	default:
 		t.bufs.put(frame)

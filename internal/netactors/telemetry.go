@@ -18,6 +18,7 @@ func (s *System) AttachTelemetry(reg *telemetry.Registry) {
 	reg.CounterFunc("eactors_net_dials", "outbound connections established", t.stats.dials.Load)
 	reg.CounterFunc("eactors_net_accepts", "inbound connections accepted", t.stats.accepts.Load)
 	reg.CounterFunc("eactors_net_dropped_frames", "outbound frames dropped on slow consumers", t.stats.dropped.Load)
+	reg.CounterFunc("eactors_net_write_backlog_frames", "outbound frames or remainders the kernel refused, handed to a write pump", t.stats.queued.Load)
 	reg.GaugeFunc("eactors_net_sockets", "sockets registered in the table",
 		func() uint64 { return uint64(t.Len()) })
 	reg.GaugeFunc("eactors_net_queue_depth", "queued frames across all per-connection inboxes and outboxes",
