@@ -8,7 +8,7 @@
 // top renders a live per-actor cost table from /debug/profile (servers
 // run with -profile): body CPU, message rates, enclave crossings, seal
 // bandwidth, mailbox dwell, the hottest actor-to-actor edges, and
-// per-enclave EPC attribution. The first frame shows cumulative totals;
+// per-enclave crossings. The first frame shows cumulative totals;
 // every later frame shows rates over the refresh window. With -once it
 // prints a single frame and exits; with -o every snapshot it fetches is
 // appended to the file as one JSONL record, so repeated runs keep a

@@ -81,8 +81,7 @@ func run() error {
 		report := srv.Runtime().Report()
 		fmt.Printf("xmppserver: online=%d connections=%d routed=%d group-fanout=%d auth-failures=%d\n",
 			srv.Online().Len(), st.Connections, st.Routed, st.GroupFanout, st.AuthFailures)
-		fmt.Printf("xmppserver: crossings=%d epc-evictions=%d pool-free=%d failed-actors=%v\n",
-			report.Platform.Crossings, report.Platform.EvictedPages,
-			report.PublicPoolFree, report.FailedActors)
+		fmt.Printf("xmppserver: crossings=%d pool-free=%d failed-actors=%v\n",
+			report.Platform.Crossings, report.PublicPoolFree, report.FailedActors)
 	})
 }

@@ -237,3 +237,14 @@ func TestWriteCSV(t *testing.T) {
 		t.Fatalf("missing row: %s", out)
 	}
 }
+
+// SeriesValue finds the value of a (figure, series, x) point; ok is
+// false when absent. Tests use it to check shape properties.
+func SeriesValue(rows []Row, figure, series string, x float64) (float64, bool) {
+	for _, r := range rows {
+		if r.Figure == figure && r.Series == series && r.X == x {
+			return r.Value, true
+		}
+	}
+	return 0, false
+}

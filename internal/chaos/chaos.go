@@ -40,12 +40,6 @@ func SeedFromEnv(def uint64) uint64 {
 	return def
 }
 
-// ReproCommand renders the command line that replays a failing run:
-// same seed, same schedule, same faults.
-func ReproCommand(test string, seed uint64) string {
-	return fmt.Sprintf("CHAOS_SEED=%d go test -race -run %s ./internal/chaos", seed, test)
-}
-
 // DefaultRules is the standard chaos schedule: four fault classes
 // spread over the enclave-crossing, channel, and seal sites. Rates are
 // low enough that forward progress dominates, high enough that every

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -115,4 +116,10 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 	if !differs {
 		t.Fatalf("seeds 42 and 43 produced identical schedules across %d ops on every site", n)
 	}
+}
+
+// ReproCommand renders the command line that replays a failing run:
+// same seed, same schedule, same faults.
+func ReproCommand(test string, seed uint64) string {
+	return fmt.Sprintf("CHAOS_SEED=%d go test -race -run %s ./internal/chaos", seed, test)
 }

@@ -79,15 +79,6 @@ type actorInstance struct {
 	scope trace.Scope
 }
 
-// failureText returns the last recorded panic value ("" if the actor
-// never failed). Safe from any goroutine.
-func (a *actorInstance) failureText() string {
-	if s := a.failure.Load(); s != nil {
-		return *s
-	}
-	return ""
-}
-
 // Self is the handle passed to an eactor's Init and Body; it provides
 // access to the eactor's channels, private state and execution context.
 // A Self is owned by its worker thread and must not escape to other
@@ -104,18 +95,11 @@ type Self struct {
 	State any
 }
 
-// Name returns the eactor's configured name.
-func (s *Self) Name() string { return s.inst.spec.Name }
-
 // Runtime returns the owning runtime.
 func (s *Self) Runtime() *Runtime { return s.rt }
 
 // Enclave returns the hosting enclave, or nil when running untrusted.
 func (s *Self) Enclave() *sgx.Enclave { return s.inst.enclave }
-
-// Context returns the worker's SGX execution context. Bodies use it for
-// ECalls/OCalls or SDK-mutex interaction when they must.
-func (s *Self) Context() *sgx.Context { return s.ctx }
 
 // Channel returns the endpoint of the named channel that belongs to this
 // eactor. It corresponds to the connect() call of the paper's
@@ -124,7 +108,7 @@ func (s *Self) Context() *sgx.Context { return s.ctx }
 func (s *Self) Channel(name string) (*Endpoint, error) {
 	ep, ok := s.inst.endpoints[name]
 	if !ok {
-		return nil, fmt.Errorf("core: actor %q has no endpoint on channel %q", s.Name(), name)
+		return nil, fmt.Errorf("core: actor %q has no endpoint on channel %q", s.inst.spec.Name, name)
 	}
 	return ep, nil
 }
@@ -142,11 +126,6 @@ func (s *Self) MustChannel(name string) *Endpoint {
 // Progress records that the body did useful work this invocation; the
 // worker uses it to back off when all its eactors are idle.
 func (s *Self) Progress() { s.progressed = true }
-
-// DrainBudget returns how many more messages this invocation may
-// consume through RecvBatch before the worker moves on to its next
-// eactor (256 messages, reset every invocation).
-func (s *Self) DrainBudget() int { return s.drainLeft }
 
 // RecvBatch is the budgeted batch receive bodies should use on hot
 // channels: it drains up to min(len(bufs), len(lens), remaining drain

@@ -36,8 +36,8 @@ func TestSendBatchRecvBatchPlaintext(t *testing.T) {
 			t.Fatalf("message %d = %q, want %q", i, got, want)
 		}
 	}
-	if a.Sent() != 3 || b.Received() != 3 {
-		t.Fatalf("counters: sent=%d received=%d", a.Sent(), b.Received())
+	if a.Sent() != 3 || b.received.Load() != 3 {
+		t.Fatalf("counters: sent=%d received=%d", a.Sent(), b.received.Load())
 	}
 	// All nodes must be back in the pool after the round trip.
 	if free := a.pool.Free(); free != 16 {
@@ -153,7 +153,7 @@ func TestRecvBatchReplayRejected(t *testing.T) {
 	if dup == nil {
 		t.Fatal("pool empty")
 	}
-	if err := dup.SetPayload(n1.Payload()); err != nil {
+	if err := dup.SetLen(copy(dup.Buf(), n1.Payload())); err != nil {
 		t.Fatal(err)
 	}
 	b.in.Enqueue(n1)
@@ -196,7 +196,7 @@ func TestReplayAcrossBatchBoundary(t *testing.T) {
 		t.Fatalf("RecvBatch = %d, %v", got, err)
 	}
 	dup := b.pool.Get()
-	_ = dup.SetPayload(raw)
+	_ = dup.SetLen(copy(dup.Buf(), raw))
 	b.in.Enqueue(dup)
 	if _, ok, err := b.Recv(make([]byte, 128)); !ok || !errors.Is(err, ErrReplay) {
 		t.Fatalf("replay after batch: ok=%v err=%v, want ErrReplay", ok, err)
@@ -213,8 +213,8 @@ func TestSendBatchPartialChannelFull(t *testing.T) {
 	if free := a.pool.Free(); free != 16-2 {
 		t.Fatalf("pool Free = %d, want 14", free)
 	}
-	if a.SendFailures() != 1 {
-		t.Fatalf("SendFailures = %d, want 1", a.SendFailures())
+	if a.sendFailures.Load() != 1 {
+		t.Fatalf("SendFailures = %d, want 1", a.sendFailures.Load())
 	}
 }
 
@@ -345,8 +345,8 @@ func TestSelfRecvBatchHonoursDrainBudget(t *testing.T) {
 	if err != nil || n != 4 {
 		t.Fatalf("budgeted RecvBatch = %d, %v; want 4", n, err)
 	}
-	if self.DrainBudget() != 0 {
-		t.Fatalf("DrainBudget after drain = %d, want 0", self.DrainBudget())
+	if self.drainLeft != 0 {
+		t.Fatalf("drain budget after drain = %d, want 0", self.drainLeft)
 	}
 	// Budget exhausted: nothing more this invocation.
 	if n, err := self.RecvBatch(ep, bufs, lens); n != 0 || err != nil {

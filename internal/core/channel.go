@@ -77,16 +77,13 @@ func (c *Channel) Stats() ChannelStats {
 	}
 }
 
-// Name returns the configured channel name.
-func (c *Channel) Name() string { return c.name }
-
 // Encrypted reports whether payloads are sealed in transit.
 func (c *Channel) Encrypted() bool { return c.encrypted }
 
 // Scratch-buffer retention policy: an endpoint that once carried a
 // node-sized message would otherwise pin that much staging memory
 // forever (per endpoint — with thousands of channels that adds up,
-// and inside an enclave it is EPC-accounted). A buffer larger than
+// and inside an enclave it occupies scarce EPC). A buffer larger than
 // scratchSoftCap is released after scratchShrinkAfter consecutive
 // uses that stayed under the cap; a streak of large messages keeps
 // the buffer, so steady large traffic never reallocates.
@@ -153,15 +150,6 @@ type Endpoint struct {
 
 // Sent returns the number of messages this endpoint enqueued.
 func (e *Endpoint) Sent() uint64 { return e.sent.Load() }
-
-// Received returns the number of messages this endpoint dequeued.
-func (e *Endpoint) Received() uint64 { return e.received.Load() }
-
-// SendFailures returns how many sends hit a full mbox or empty pool.
-func (e *Endpoint) SendFailures() uint64 { return e.sendFailures.Load() }
-
-// Channel returns the owning channel.
-func (e *Endpoint) Channel() *Channel { return e.ch }
 
 // traces reports whether the runtime traces (Config.Trace). Outbound
 // nodes are then stamped, and every sealed frame ends in the 16-byte
@@ -777,6 +765,3 @@ func (e *Endpoint) checkSeq(blob []byte) error {
 	e.lastSeq = seq
 	return nil
 }
-
-// Pending returns the approximate number of queued inbound messages.
-func (e *Endpoint) Pending() int { return e.in.Len() }

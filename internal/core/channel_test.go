@@ -196,10 +196,10 @@ func TestEndpointPending(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := b.Pending(); got != 3 {
+	if got := b.in.Len(); got != 3 {
 		t.Fatalf("Pending = %d, want 3", got)
 	}
-	if got := a.Pending(); got != 0 {
+	if got := a.in.Len(); got != 0 {
 		t.Fatalf("sender Pending = %d, want 0", got)
 	}
 }

@@ -36,15 +36,15 @@ const drainBudget = 256
 type EnclaveSpec struct {
 	// Name is the enclave identity referenced by Spec.Enclave.
 	Name string
-	// SizeBytes is the initial code+data footprint charged to the EPC at
-	// creation. Zero uses a small default (the paper reports ~500 KiB
-	// per XMPP enclave, Section 6.1).
+	// SizeBytes is the initial code+data footprint, charged as a
+	// page-by-page load copy at creation. Zero uses a small default (the
+	// paper reports ~500 KiB per XMPP enclave, Section 6.1).
 	SizeBytes int
 	// PrivatePoolNodes, when positive, preallocates a private node pool
 	// inside this enclave (Section 3.3: "the framework preallocates
 	// private and public pools at system start"). Channels whose two
 	// endpoints both live in this enclave draw nodes from the private
-	// pool — their messages then never leave EPC-accounted memory — all
+	// pool — their messages then never leave the enclave's memory — all
 	// other channels use the shared public pool.
 	PrivatePoolNodes int
 }
@@ -130,34 +130,6 @@ type Config struct {
 	// hook to a single pointer load. The same seed replays the same fault
 	// schedule; see internal/faults.
 	Faults *faults.Injector
-}
-
-// MemoryFootprint estimates the bytes the deployment preallocates:
-// the public pool, per-enclave private pools, and mbox slot arrays.
-// Deployments use it to plan against the EPC budget (Section 2.2's
-// scarce-memory constraint) before starting a runtime.
-func (c *Config) MemoryFootprint() (publicPool, privatePools, mboxes int) {
-	poolNodes := c.PoolNodes
-	if poolNodes == 0 {
-		poolNodes = DefaultPoolNodes
-	}
-	payload := c.NodePayload
-	if payload == 0 {
-		payload = DefaultNodePayload
-	}
-	publicPool = poolNodes * payload
-	for _, e := range c.Enclaves {
-		privatePools += e.PrivatePoolNodes * payload
-	}
-	const slotBytes = 16 // sequence word + node pointer per ring slot
-	for _, ch := range c.Channels {
-		capacity := ch.Capacity
-		if capacity == 0 {
-			capacity = DefaultMboxCapacity
-		}
-		mboxes += 2 * capacity * slotBytes
-	}
-	return publicPool, privatePools, mboxes
 }
 
 func (c *Config) validate() error {

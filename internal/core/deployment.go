@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 )
 
@@ -107,15 +106,6 @@ func ParseDeployment(data []byte) (*Deployment, error) {
 		return nil, fmt.Errorf("core: parsing deployment: %w", err)
 	}
 	return &d, nil
-}
-
-// LoadDeployment reads and decodes a deployment file.
-func LoadDeployment(path string) (*Deployment, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading deployment: %w", err)
-	}
-	return ParseDeployment(data)
 }
 
 // Resolve assembles a runnable Config by looking every actor type up in

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -66,13 +64,9 @@ func testRegistry(rounds *atomic.Int64, target int64) Registry {
 }
 
 func TestDeploymentEndToEnd(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "deploy.json")
-	if err := os.WriteFile(path, []byte(testDeployment), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, err := LoadDeployment(path)
+	d, err := ParseDeployment([]byte(testDeployment))
 	if err != nil {
-		t.Fatalf("LoadDeployment: %v", err)
+		t.Fatalf("ParseDeployment: %v", err)
 	}
 	var rounds atomic.Int64
 	cfg, err := d.Resolve(testRegistry(&rounds, 25))
@@ -154,9 +148,6 @@ func TestDeploymentErrors(t *testing.T) {
 	}
 	if _, err := ParseDeployment([]byte(`not json`)); err == nil {
 		t.Fatal("garbage accepted")
-	}
-	if _, err := LoadDeployment("/nonexistent/deploy.json"); err == nil {
-		t.Fatal("missing file accepted")
 	}
 
 	d, err := ParseDeployment([]byte(`{

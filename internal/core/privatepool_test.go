@@ -4,14 +4,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"github.com/eactors/eactors-go/internal/sgx"
 )
 
 // TestPrivatePoolSelection checks the paper's private/public pool split
 // (Section 3.3): same-enclave channels use the enclave's private pool,
-// cross-enclave channels the public pool, and the private pool's memory
-// is charged to the enclave's EPC footprint.
+// cross-enclave channels the public pool.
 func TestPrivatePoolSelection(t *testing.T) {
 	p := zeroPlatform()
 	body := func(*Self) {}
@@ -68,15 +65,6 @@ func TestPrivatePoolSelection(t *testing.T) {
 	}
 	if rt.Pool().Free() != 16 {
 		t.Fatalf("public Free = %d after private send, want 16", rt.Pool().Free())
-	}
-
-	// The private pool's backing memory counts toward the enclave's EPC
-	// footprint (8 nodes x 128 B rounds up to one page beyond the code
-	// size).
-	home, _ := rt.EnclaveByName("home")
-	base := (DefaultEnclaveSize + sgx.PageBytes - 1) / sgx.PageBytes
-	if got := home.PagesResident(); got != int64(base)+1 {
-		t.Fatalf("home EPC pages = %d, want %d", got, base+1)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestReplayRejected(t *testing.T) {
 	if dup == nil {
 		t.Fatal("pool empty")
 	}
-	if err := dup.SetPayload(node.Payload()); err != nil {
+	if err := dup.SetLen(copy(dup.Buf(), node.Payload())); err != nil {
 		t.Fatal(err)
 	}
 	b.in.Enqueue(node)
@@ -92,7 +92,7 @@ func TestReplayRejectedRecvNode(t *testing.T) {
 	}
 
 	dup := b.pool.Get()
-	_ = dup.SetPayload(raw)
+	_ = dup.SetLen(copy(dup.Buf(), raw))
 	b.in.Enqueue(dup)
 	n, ok, err = b.Recv(buf)
 	if !ok || !errors.Is(err, ErrReplay) || n != 0 {
@@ -114,7 +114,7 @@ func TestPlaintextChannelNoSeqCheck(t *testing.T) {
 	}
 	node, _ := b.in.Dequeue()
 	dup := b.pool.Get()
-	_ = dup.SetPayload(node.Payload())
+	_ = dup.SetLen(copy(dup.Buf(), node.Payload()))
 	b.in.Enqueue(node)
 	b.in.Enqueue(dup)
 	buf := make([]byte, 64)

@@ -14,7 +14,7 @@ type Report struct {
 	Workers []WorkerReport
 	// Channels carries per-channel traffic counters.
 	Channels []ChannelReport
-	// Enclaves lists enclave EPC footprints.
+	// Enclaves lists the enclaves and their private pools.
 	Enclaves []EnclaveReport
 	// FailedActors lists eactors parked after a body panic.
 	FailedActors []string
@@ -56,10 +56,9 @@ type ChannelReport struct {
 	SendP99Ns uint64
 }
 
-// EnclaveReport describes one enclave's footprint.
+// EnclaveReport describes one enclave.
 type EnclaveReport struct {
-	Name          string
-	PagesResident int64
+	Name string
 	// PrivatePoolFree is -1 when the enclave has no private pool.
 	PrivatePoolFree int
 }
@@ -101,10 +100,9 @@ func (rt *Runtime) Report() Report {
 		r.Channels = append(r.Channels, cr)
 	}
 	sort.Slice(r.Channels, func(i, j int) bool { return r.Channels[i].Name < r.Channels[j].Name })
-	for name, e := range rt.enclaves {
+	for name := range rt.enclaves {
 		er := EnclaveReport{
 			Name:            name,
-			PagesResident:   e.PagesResident(),
 			PrivatePoolFree: -1,
 		}
 		if p, ok := rt.privatePools[name]; ok {

@@ -77,13 +77,14 @@ func (rt *Runtime) FailedActors() []string {
 	return append([]string(nil), rt.failed...)
 }
 
-// ActorFailure returns the recorded panic value of a failed actor.
+// ActorFailure returns the recorded panic value of a failed actor. The
+// worker stores the value before it sets the failed flag.
 func (rt *Runtime) ActorFailure(name string) (string, bool) {
 	inst, ok := rt.actors[name]
 	if !ok || !inst.failed.Load() {
 		return "", false
 	}
-	return inst.failureText(), true
+	return *inst.failure.Load(), true
 }
 
 // NewRuntime validates cfg and builds a runtime on the given platform.
@@ -135,8 +136,7 @@ func NewRuntime(platform *sgx.Platform, cfg Config) (*Runtime, error) {
 		platform.AttachFaults(cfg.Faults)
 	}
 
-	// Enclaves (plus their private pools, whose memory is charged to the
-	// enclave's EPC footprint).
+	// Enclaves, plus their private pools.
 	rt.privatePools = make(map[string]*mem.Pool)
 	for _, es := range cfg.Enclaves {
 		size := es.SizeBytes
@@ -149,14 +149,10 @@ func NewRuntime(platform *sgx.Platform, cfg Config) (*Runtime, error) {
 			return nil, err
 		}
 		rt.enclaves[es.Name] = e
-		rt.prof.RegisterEnclave(es.Name, e.PagesResident, e.EvictedPages)
+		rt.prof.RegisterEnclave(es.Name)
 		if es.PrivatePoolNodes > 0 {
 			privArena, err := mem.NewArena(es.PrivatePoolNodes, nodePayload)
 			if err != nil {
-				rt.teardownEnclaves()
-				return nil, err
-			}
-			if err := e.AllocBytes(privArena.Bytes()); err != nil {
 				rt.teardownEnclaves()
 				return nil, err
 			}
@@ -194,18 +190,13 @@ func NewRuntime(platform *sgx.Platform, cfg Config) (*Runtime, error) {
 			doorbell:  make(chan struct{}, 1),
 			stop:      rt.stopCh,
 			done:      make(chan struct{}),
+			m:         rt.m,
+			tr:        rt.tr,
+			inj:       rt.flt,
 		}
 		if rt.workers[i].idleSleep == 0 {
 			rt.workers[i].idleSleep = DefaultIdleSleep
 		}
-		rt.workers[i].m = rt.m
-		if rt.tr != nil {
-			rt.workers[i].tr = rt.tr
-			// Crossing capture lets a traced invocation claim the enclave
-			// transition that preceded it.
-			rt.workers[i].ctx.ArmCrossCapture()
-		}
-		rt.workers[i].inj = rt.flt
 	}
 	for _, spec := range cfg.Actors {
 		w := rt.workers[spec.Worker]
@@ -353,12 +344,6 @@ func (rt *Runtime) PrivatePool(enclave string) (*mem.Pool, bool) {
 	return p, ok
 }
 
-// EnclaveByName returns a configured enclave.
-func (rt *Runtime) EnclaveByName(name string) (*sgx.Enclave, bool) {
-	e, ok := rt.enclaves[name]
-	return e, ok
-}
-
 // ChannelByName returns a configured channel.
 func (rt *Runtime) ChannelByName(name string) (*Channel, bool) {
 	ch, ok := rt.channels[name]
@@ -396,9 +381,6 @@ func (rt *Runtime) ScopeForTest(actor string) (*trace.Scope, error) {
 	}
 	return &inst.scope, nil
 }
-
-// Workers returns the runtime's workers.
-func (rt *Runtime) Workers() []*Worker { return rt.workers }
 
 // Start runs the eactor constructors (inside their enclaves) and starts
 // the workers. It may be called once.

@@ -170,7 +170,7 @@ func TestColocatedWorkerNeverLeavesEnclave(t *testing.T) {
 	waitOrFatal(t, rt, 10*time.Second)
 	rt.Stop()
 
-	w := rt.Workers()[0]
+	w := rt.workers[0]
 	// One enter at the start, one exit at shutdown: exactly 2 crossings.
 	if got := w.Context().Crossings(); got != 2 {
 		t.Fatalf("co-located worker paid %d crossings, want 2", got)
@@ -196,7 +196,7 @@ func TestAlternatingWorkerPaysTransitions(t *testing.T) {
 	waitOrFatal(t, rt, 10*time.Second)
 	rt.Stop()
 
-	w := rt.Workers()[0]
+	w := rt.workers[0]
 	// At least two crossings per completed round (e1->e2 and e2->e1).
 	if got := w.Context().Crossings(); got < 200 {
 		t.Fatalf("alternating worker paid %d crossings, want >= 200", got)
@@ -297,14 +297,14 @@ func TestInitOrderingAndErrors(t *testing.T) {
 }
 
 func TestInitRunsInsideEnclave(t *testing.T) {
-	var initID sgx.EnclaveID
+	var inside bool
 	cfg := Config{
 		Enclaves: []EnclaveSpec{{Name: "home"}},
 		Workers:  []WorkerSpec{{}},
 		Actors: []Spec{{
 			Name: "a", Enclave: "home", Worker: 0, Body: func(*Self) {},
 			Init: func(s *Self) error {
-				initID = s.Context().Current()
+				inside = s.ctx.InEnclave()
 				return nil
 			},
 		}},
@@ -317,9 +317,8 @@ func TestInitRunsInsideEnclave(t *testing.T) {
 		t.Fatalf("Start: %v", err)
 	}
 	defer rt.Stop()
-	home, _ := rt.EnclaveByName("home")
-	if initID != home.ID() {
-		t.Fatalf("init ran in enclave %d, want %d", initID, home.ID())
+	if !inside {
+		t.Fatal("init ran outside the actor's enclave")
 	}
 }
 
@@ -345,22 +344,33 @@ func TestDoubleStartAndIdempotentStop(t *testing.T) {
 	}
 }
 
+// TestEnclaveCreationChargesEPC checks that creating an enclave pays its
+// page-by-page load copy into the EPC (at least the charged spin), and
+// that Stop destroys it.
 func TestEnclaveCreationChargesEPC(t *testing.T) {
-	p := zeroPlatform()
+	// Only the cold copy costs anything: 10 pages at 1700 cycles/byte is
+	// 20.5 ms at 3.4 GHz.
+	p := sgx.NewPlatform(sgx.WithCostModel(&sgx.CostModel{
+		FrequencyGHz: sgx.DefaultFrequencyGHz, TimeScale: 1, CopyCyclesPerByteCold: 1700,
+	}))
 	cfg := Config{
 		Enclaves: []EnclaveSpec{{Name: "sized", SizeBytes: 10 * sgx.PageBytes}},
 		Workers:  []WorkerSpec{{}},
 		Actors:   []Spec{{Name: "a", Enclave: "sized", Worker: 0, Body: func(*Self) {}}},
 	}
+	start := time.Now()
 	rt, err := NewRuntime(p, cfg)
 	if err != nil {
 		t.Fatalf("NewRuntime: %v", err)
 	}
-	if got := p.EPCUsedPages(); got != 10 {
-		t.Fatalf("EPCUsedPages = %d, want 10", got)
+	if took := time.Since(start); took < 20*time.Millisecond {
+		t.Fatalf("NewRuntime took %v, want at least the 20 ms load copy", took)
+	}
+	if _, err := p.CreateEnclave("sized", 0); err == nil {
+		t.Fatal("enclave missing from the platform while the runtime runs")
 	}
 	rt.Stop()
-	if got := p.EPCUsedPages(); got != 0 {
-		t.Fatalf("EPCUsedPages after Stop = %d, want 0", got)
+	if _, err := p.CreateEnclave("sized", 0); err != nil {
+		t.Fatalf("enclave still on the platform after Stop: %v", err)
 	}
 }

@@ -78,12 +78,12 @@ func (w *Worker) Actors() []string {
 // one eactor/enclave must not take the rest of the application down, so
 // the worker contains the blast radius and keeps scheduling its other
 // eactors.
-func (w *Worker) invoke(a *actorInstance, crossed bool) {
+func (w *Worker) invoke(a *actorInstance) {
 	defer func() {
 		if r := recover(); r != nil {
 			// The failure text must be in place before the flag flips,
-			// so any reader that observes failed==true (ActorFailure,
-			// report.go) sees this park's message.
+			// so any reader that observes failed==true sees this park's
+			// message.
 			msg := fmt.Sprintf("%v", r)
 			a.failure.Store(&msg)
 			if w.m != nil {
@@ -124,18 +124,6 @@ func (w *Worker) invoke(a *actorInstance, crossed bool) {
 				Kind: trace.KindInvoke, Ref: a.tag,
 				Start: start.UnixNano(), Dur: int64(elapsed),
 			})
-			if crossed {
-				// The worker paid an enclave transition to run this body;
-				// retro-attribute it now that we know the invocation was
-				// traced (the crossing happened before the scope existed).
-				if cs, cd := w.ctx.LastCrossing(); cs != 0 {
-					w.tr.Record(w.id, trace.Span{
-						TraceID: c.TraceID, ID: w.tr.NextSpan(), Parent: c.Span,
-						Kind: trace.KindCrossing, Ref: a.tag,
-						Start: cs, Dur: cd,
-					})
-				}
-			}
 		}
 	}
 }
@@ -191,35 +179,21 @@ func (w *Worker) run() {
 			if a.failed.Load() {
 				continue
 			}
-			crossed := false
-			if w.tr != nil || a.cost != nil {
-				// Track whether this placement move pays a transition, so
-				// a traced invocation can claim the crossing span and the
-				// cost profile charges it to the actor whose placement
-				// caused it.
-				pre := w.ctx.Crossings()
-				if a.enclave != nil {
-					if err := w.ctx.Enter(a.enclave); err != nil {
-						// Configuration was validated at startup; an enter
-						// failure means the enclave was destroyed underneath
-						// us, so park this actor.
-						continue
-					}
-				} else {
-					w.ctx.Exit()
-				}
-				if delta := w.ctx.Crossings() - pre; delta != 0 {
-					crossed = true
-					if a.cost != nil {
-						a.cost.Crossings.Add(delta)
-					}
-				}
-			} else if a.enclave != nil {
+			pre := w.ctx.Crossings()
+			if a.enclave != nil {
 				if err := w.ctx.Enter(a.enclave); err != nil {
+					// Configuration was validated at startup; an enter
+					// failure means the enclave was destroyed underneath
+					// us, so park this actor.
 					continue
 				}
 			} else {
 				w.ctx.Exit()
+			}
+			if delta := w.ctx.Crossings() - pre; delta != 0 && a.cost != nil {
+				// The cost profile charges a transition to the actor whose
+				// placement caused it.
+				a.cost.Crossings.Add(delta)
 			}
 			if w.inj != nil {
 				if act := w.inj.At(faults.SiteInvoke); act.Class == faults.Delay {
@@ -228,7 +202,7 @@ func (w *Worker) run() {
 			}
 			a.self.progressed = false
 			a.self.drainLeft = drainBudget
-			w.invoke(a, crossed)
+			w.invoke(a)
 			if a.self.progressed {
 				progressed = true
 			}

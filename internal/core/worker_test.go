@@ -203,7 +203,7 @@ func TestWorkerAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Stop()
-	workers := rt.Workers()
+	workers := rt.workers
 	if len(workers) != 1 || workers[0].ID() != 0 {
 		t.Fatalf("workers = %v", workers)
 	}

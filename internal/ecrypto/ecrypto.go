@@ -162,15 +162,3 @@ func (d *Deterministic) AppendSeal(dst, plaintext []byte) []byte {
 	d.macs.Put(mac)
 	return d.aead.Seal(blob, blob[n:], plaintext, nil)
 }
-
-// Open decrypts a blob produced by Seal.
-func (d *Deterministic) Open(blob []byte) ([]byte, error) {
-	if len(blob) < Overhead {
-		return nil, ErrCiphertextTooShort
-	}
-	out, err := d.aead.Open(nil, blob[:NonceSize], blob[NonceSize:], nil)
-	if err != nil {
-		return nil, ErrAuthFailed
-	}
-	return out, nil
-}

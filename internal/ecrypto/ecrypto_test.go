@@ -243,3 +243,15 @@ func TestDeterministicQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Open decrypts a blob produced by Seal.
+func (d *Deterministic) Open(blob []byte) ([]byte, error) {
+	if len(blob) < Overhead {
+		return nil, ErrCiphertextTooShort
+	}
+	out, err := d.aead.Open(nil, blob[:NonceSize], blob[NonceSize:], nil)
+	if err != nil {
+		return nil, ErrAuthFailed
+	}
+	return out, nil
+}

@@ -49,20 +49,6 @@ const (
 	numSites
 )
 
-var siteNames = [numSites]string{
-	SiteEnter: "enter", SiteExit: "exit", SiteSeal: "seal",
-	SiteOpen: "open", SiteSend: "send", SiteRecv: "recv",
-	SiteInvoke: "invoke", SitePosSync: "pos-sync",
-}
-
-// String names the site.
-func (s Site) String() string {
-	if int(s) < len(siteNames) {
-		return siteNames[s]
-	}
-	return fmt.Sprintf("site(%d)", uint8(s))
-}
-
 // Class is the kind of fault injected at a site.
 type Class uint8
 
@@ -242,14 +228,6 @@ func (inj *Injector) peek(site Site, n uint64) Class {
 	return None
 }
 
-// Seed returns the schedule seed.
-func (inj *Injector) Seed() uint64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.seed
-}
-
 // Injected returns the total number of faults injected so far.
 func (inj *Injector) Injected() uint64 {
 	if inj == nil {
@@ -273,16 +251,8 @@ func (inj *Injector) InjectedByClass() map[string]uint64 {
 	return out
 }
 
-// Ops returns how many operations site has evaluated.
-func (inj *Injector) Ops(site Site) uint64 {
-	if inj == nil || site >= numSites {
-		return 0
-	}
-	return inj.seq[site].n.Load()
-}
-
 // String renders the schedule for failure reports: seed, armed rules
-// and injection counts, one line.
+// (class@site, the site as its number) and injection counts, one line.
 func (inj *Injector) String() string {
 	if inj == nil {
 		return "faults: off"
@@ -290,7 +260,7 @@ func (inj *Injector) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "faults: seed=%d", inj.seed)
 	for _, r := range inj.cfg.Rules {
-		fmt.Fprintf(&b, " %s@%s=%.3g", r.Class, r.Site, r.Rate)
+		fmt.Fprintf(&b, " %s@%d=%.3g", r.Class, r.Site, r.Rate)
 	}
 	counts := inj.InjectedByClass()
 	keys := make([]string, 0, len(counts))

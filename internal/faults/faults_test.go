@@ -27,7 +27,7 @@ func TestScheduleReproducible(t *testing.T) {
 		sa, sb := a.Schedule(site, n), b.Schedule(site, n)
 		for i := range sa {
 			if sa[i] != sb[i] {
-				t.Fatalf("site %s op %d: %s vs %s", site, i, sa[i], sb[i])
+				t.Fatalf("site %d op %d: %s vs %s", site, i, sa[i], sb[i])
 			}
 		}
 	}
@@ -91,7 +91,7 @@ func TestNilInjector(t *testing.T) {
 	if a := inj.At(SiteSend); a.Class != None {
 		t.Fatalf("nil At = %+v", a)
 	}
-	if inj.Injected() != 0 || inj.Seed() != 0 || inj.Ops(SiteSend) != 0 {
+	if inj.Injected() != 0 || inj.Ops(SiteSend) != 0 {
 		t.Fatal("nil injector leaked state")
 	}
 	if inj.String() != "faults: off" {
@@ -134,4 +134,12 @@ func TestConcurrentAt(t *testing.T) {
 	if inj.Ops(SiteSend) != workers*per {
 		t.Fatalf("Ops = %d, want %d", inj.Ops(SiteSend), workers*per)
 	}
+}
+
+// Ops returns how many operations site has evaluated.
+func (inj *Injector) Ops(site Site) uint64 {
+	if inj == nil || site >= numSites {
+		return 0
+	}
+	return inj.seq[site].n.Load()
 }

@@ -244,21 +244,16 @@ func (srv *Server) routeFrames(self *core.Self, st *frontendState, opts Options,
 }
 
 // stageRequest stages one raw request frame for the shard owning key,
-// sending a full batch mid-round.
+// sending a full batch mid-round; what a full channel refuses stays
+// staged.
 func (srv *Server) stageRequest(st *frontendState, key []byte, sock uint32, raw []byte,
 	reqChans []*core.Endpoint, shards int) {
 
 	shard := pos.ShardOf(key, shards)
 	if (netactors.Msg{Type: netactors.MsgData, Sock: sock, Data: raw}).StageOn(&st.stages[shard]) &&
 		st.stages[shard].Len()%stageFlushBatch == 0 {
-		srv.flushStage(st, shard, reqChans[shard])
+		_, _ = st.stages[shard].Flush(reqChans[shard])
 	}
-}
-
-// flushStage sends shard i's staged requests as one batch; what a full
-// channel refuses stays staged.
-func (srv *Server) flushStage(st *frontendState, i int, ep *core.Endpoint) {
-	_, _ = st.stages[i].Flush(ep)
 }
 
 func reqChannel(i int) string   { return "req-" + itoa(i) }

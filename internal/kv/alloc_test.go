@@ -62,7 +62,7 @@ func TestFrontendRouteAllocatesNothing(t *testing.T) {
 			opaque++
 			cs.frames.Feed(getFrame(wire, opaque, key))
 			srv.routeFrames(self, st, opts, cs, sock, closeCh, fwrite, reqChans, 1, maxForward)
-			srv.flushStage(st, 0, reqChans[0])
+			_, _ = st.stages[0].Flush(reqChans[0])
 			if n, _ := store.RecvBatch(bufs, lens); n != 1 {
 				t.Errorf("KVSTORE got %d requests, want 1", n)
 			}

@@ -54,12 +54,6 @@ func (n *Node) Trace() (traceID uint64, span uint32, enqNS int64) {
 // unsampled send path to a single store.
 func (n *Node) ClearTrace() { n.traceID = 0 }
 
-// Index returns the node's arena slot (stable for the node's lifetime).
-func (n *Node) Index() uint32 { return n.index }
-
-// Cap returns the payload capacity in bytes.
-func (n *Node) Cap() int { return len(n.buf) }
-
 // Len returns the used payload length.
 func (n *Node) Len() int { return n.size }
 
@@ -76,16 +70,6 @@ func (n *Node) SetLen(size int) error {
 		return fmt.Errorf("mem: SetLen(%d) outside [0,%d]", size, len(n.buf))
 	}
 	n.size = size
-	return nil
-}
-
-// SetPayload copies p into the node buffer.
-func (n *Node) SetPayload(p []byte) error {
-	if len(p) > len(n.buf) {
-		return fmt.Errorf("mem: payload %d bytes exceeds node capacity %d", len(p), len(n.buf))
-	}
-	copy(n.buf, p)
-	n.size = len(p)
 	return nil
 }
 
@@ -117,19 +101,5 @@ func NewArena(count, payloadSize int) (*Arena, error) {
 	return a, nil
 }
 
-// Len returns the number of nodes in the arena.
-func (a *Arena) Len() int { return len(a.nodes) }
-
 // PayloadSize returns the per-node payload capacity.
 func (a *Arena) PayloadSize() int { return a.payloadSize }
-
-// Node returns the node at the given arena index.
-func (a *Arena) Node(index uint32) (*Node, error) {
-	if int(index) >= len(a.nodes) {
-		return nil, fmt.Errorf("mem: node index %d outside arena of %d", index, len(a.nodes))
-	}
-	return &a.nodes[index], nil
-}
-
-// Bytes returns the total payload bytes backing the arena.
-func (a *Arena) Bytes() int { return len(a.nodes) * a.payloadSize }

@@ -197,6 +197,3 @@ func (m *Mbox) Len() int {
 	}
 	return int(n)
 }
-
-// Empty reports whether the mbox currently holds no nodes.
-func (m *Mbox) Empty() bool { return m.Len() == 0 }

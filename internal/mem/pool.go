@@ -27,12 +27,6 @@ func NewPool(arena *Arena) *Pool {
 	return p
 }
 
-// NewEmptyPool builds a pool over the arena with no free nodes; used when
-// a region of the arena is partitioned among several pools.
-func NewEmptyPool(arena *Arena) *Pool {
-	return &Pool{arena: arena}
-}
-
 // Arena returns the backing arena.
 func (p *Pool) Arena() *Arena { return p.arena }
 

@@ -30,10 +30,6 @@ type System struct {
 // NewSystem creates a networking system with an empty socket table.
 func NewSystem() *System { return &System{table: NewTable()} }
 
-// Table exposes the socket table (for custom network actors, as the
-// paper's XMPP service builds).
-func (s *System) Table() *Table { return s.table }
-
 // Shutdown closes every socket and waits for their pumps; call after the
 // runtime has stopped.
 func (s *System) Shutdown() { s.table.CloseAll() }
@@ -238,6 +234,13 @@ func (s *System) ReaderSpec(name string, worker int, channels ...string) core.Sp
 						if w, ok := watches[msg.Sock]; ok && w.ep == ep {
 							delete(watches, msg.Sock)
 							w.sock.unbindReady(rq)
+							// The acknowledgement goes out behind any held
+							// frames; the backlog pass delivers both.
+							if w.held == nil {
+								w.held = new(core.SendStage)
+								backlog = append(backlog, w)
+							}
+							(Msg{Type: MsgUnwatched, Sock: msg.Sock}).StageOn(w.held)
 							self.Progress()
 						}
 					}
@@ -245,11 +248,15 @@ func (s *System) ReaderSpec(name string, worker int, channels ...string) core.Sp
 			}
 
 			// Backpressured sockets: frames a full forwarding channel
-			// refused retry until the consumer drains.
+			// refused retry until the consumer drains. An unwatched socket
+			// stays until its held frames and acknowledgement are out.
 			live := backlog[:0]
 			for _, w := range backlog {
 				if watches[w.sock.id] != w {
-					continue // unwatched while backlogged
+					if self.Flush(w.held, w.ep); w.held.Len() > 0 {
+						live = append(live, w)
+					}
+					continue
 				}
 				if !s.drainSocket(self, w, &stage, &scratch) {
 					delete(watches, w.sock.id) // MsgClosed delivered

@@ -242,7 +242,10 @@ func TestUnwatchHandoff(t *testing.T) {
 	if msg.Type != MsgData || string(msg.Data) != "second" {
 		t.Fatalf("second = %+v", msg)
 	}
-	// reader1 must not have consumed it.
+	// reader1 acknowledged the unwatch and must not have consumed it.
+	if msg := netWait(t, read1); msg.Type != MsgUnwatched || msg.Sock != sock.ID() {
+		t.Fatalf("reader1 after unwatch = %+v, want the MsgUnwatched acknowledgement", msg)
+	}
 	if n, ok, _ := read1.Recv(make([]byte, 256)); ok {
 		t.Fatalf("reader1 still delivered %d bytes after unwatch", n)
 	}

@@ -55,6 +55,10 @@ const (
 	// MsgUnwatch removes a READER watch so another READER can take the
 	// socket over (connection handoff between eactors).
 	MsgUnwatch
+	// MsgUnwatched acknowledges an MsgUnwatch. The READER sends it after
+	// every chunk of the socket it forwarded, so the client then holds
+	// all the bytes this READER will ever give it.
+	MsgUnwatched
 )
 
 const msgHeader = 1 + 4 + 2 // type + sock + length

@@ -228,3 +228,10 @@ func TestCloseAllWaitsForPumps(t *testing.T) {
 		t.Fatal("CloseAll returned while the read pump was still inside conn.Read")
 	}
 }
+
+// Table exposes the socket table (for custom network actors, as the
+// paper's XMPP service builds).
+func (s *System) Table() *Table { return s.table }
+
+// ID returns the socket identifier.
+func (s *Socket) ID() uint32 { return s.id }

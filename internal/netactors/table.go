@@ -111,9 +111,6 @@ type Socket struct {
 	queued atomic.Bool
 }
 
-// ID returns the socket identifier.
-func (s *Socket) ID() uint32 { return s.id }
-
 // Table registers sockets under small integer identifiers, the shared
 // state of the networking eactors.
 type Table struct {

@@ -303,28 +303,6 @@ func (l *Loop) Stats() Stats {
 	}
 }
 
-// ReadyEvents returns the readiness-event counter (telemetry export).
-func (l *Loop) ReadyEvents() uint64 { return l.readyEvents.Load() }
-
-// Dispatches returns the handler-invocation counter.
-func (l *Loop) Dispatches() uint64 { return l.dispatches.Load() }
-
-// Retries returns the backpressure re-dispatch counter.
-func (l *Loop) Retries() uint64 { return l.retries.Load() }
-
-// Sheds returns the dispatch-queue-full counter.
-func (l *Loop) Sheds() uint64 { return l.sheds.Load() }
-
-// Registered returns the live-registration gauge.
-func (l *Loop) Registered() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return uint64(len(l.regs))
-}
-
-// QueueDepth returns the instantaneous dispatch-queue occupancy.
-func (l *Loop) QueueDepth() uint64 { return uint64(len(l.dispatchCh)) }
-
 // Close stops the pollers and dispatchers and drops every registration.
 // Connections themselves are not closed — their owner does that.
 func (l *Loop) Close() {

@@ -122,7 +122,7 @@ func TestEchoDelivery(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if l.ReadyEvents() == 0 || l.Dispatches() == 0 {
+	if l.Stats().ReadyEvents == 0 || l.Stats().Dispatches == 0 {
 		t.Fatalf("counters not advancing: %+v", l.Stats())
 	}
 }
@@ -252,9 +252,9 @@ func TestChurnStorm(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for l.Registered() != 0 {
+	for l.Stats().Registered != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("registrations leaked: %d", l.Registered())
+			t.Fatalf("registrations leaked: %d", l.Stats().Registered)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -295,7 +295,7 @@ func TestRetryBackpressure(t *testing.T) {
 	}
 	// Let a few Retry rounds accumulate before opening the gate.
 	deadline := time.Now().Add(5 * time.Second)
-	for l.Retries() < 3 {
+	for l.Stats().Retries < 3 {
 		if time.Now().After(deadline) {
 			t.Fatalf("retries never accumulated: %+v", l.Stats())
 		}
@@ -363,7 +363,7 @@ func TestShedBackpressure(t *testing.T) {
 		t.Fatalf("only %d/%d connections drained under shed pressure: %+v",
 			seen.Load(), conns, l.Stats())
 	}
-	if l.Sheds() == 0 {
+	if l.Stats().Sheds == 0 {
 		t.Logf("note: no sheds recorded (queue drained faster than intake): %+v", l.Stats())
 	}
 }
@@ -396,7 +396,7 @@ func TestDetachUnregisters(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if got := l.Registered(); got != 1 {
+	if got := l.Stats().Registered; got != 1 {
 		t.Fatalf("Registered = %d before close", got)
 	}
 	client.Close()
@@ -406,9 +406,9 @@ func TestDetachUnregisters(t *testing.T) {
 		t.Fatal("peer close never surfaced")
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for l.Registered() != 0 {
+	for l.Stats().Registered != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("Detach left %d registrations", l.Registered())
+			t.Fatalf("Detach left %d registrations", l.Stats().Registered)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -437,7 +437,7 @@ func TestStatsSnapshot(t *testing.T) {
 	if st.Registered != 0 || st.QueueDepth != 0 {
 		t.Fatalf("fresh loop stats = %+v", st)
 	}
-	if l.QueueDepth() != 0 || l.Sheds() != 0 {
+	if l.Stats().QueueDepth != 0 || l.Stats().Sheds != 0 {
 		t.Fatalf("accessors disagree with snapshot")
 	}
 }

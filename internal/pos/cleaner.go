@@ -29,18 +29,6 @@ func (s *Store) RegisterReader() *Reader {
 	return r
 }
 
-// UnregisterReader removes a previously registered reader.
-func (s *Store) UnregisterReader(r *Reader) {
-	s.readersMu.Lock()
-	defer s.readersMu.Unlock()
-	for i, x := range s.readers {
-		if x == r {
-			s.readers = append(s.readers[:i], s.readers[i+1:]...)
-			return
-		}
-	}
-}
-
 // graceEpoch returns the highest epoch all readers have passed. With no
 // readers registered every outdated record is immediately reclaimable.
 func (s *Store) graceEpoch() uint64 {

@@ -306,16 +306,6 @@ func (s *Store) loadSuperblock(opts Options) error {
 	return nil
 }
 
-// MaxPair returns the largest key+value the store accepts. In encrypted
-// mode the ciphertext expansion is already accounted for.
-func (s *Store) MaxPair() int {
-	capacity := s.regionSize - recData
-	if s.det != nil {
-		capacity -= 2 * ecrypto.Overhead
-	}
-	return capacity
-}
-
 // storedPairSize returns the region bytes a pair occupies once stored —
 // without paying for the encryption itself. Mirrors Set: in encrypted
 // mode the key is sealed deterministically and the value stored as the
@@ -335,12 +325,6 @@ func (s *Store) checkPairSize(keyLen, valLen int) error {
 	}
 	return nil
 }
-
-// Buckets returns the configured bucket count.
-func (s *Store) Buckets() int { return s.buckets }
-
-// Regions returns the total region count.
-func (s *Store) Regions() int { return s.regionCount }
 
 func (s *Store) bucketOf(key []byte) int {
 	return int(fnv1a(key) % uint32(s.buckets))

@@ -82,8 +82,8 @@ func TestDelete(t *testing.T) {
 
 func TestStoreFull(t *testing.T) {
 	s := openTestStore(t, Options{SizeBytes: headerPages*pageSize + pageSize, RegionSize: 1024})
-	if s.Regions() != 4 {
-		t.Fatalf("Regions = %d, want 4", s.Regions())
+	if s.regionCount != 4 {
+		t.Fatalf("Regions = %d, want 4", s.regionCount)
 	}
 	for i := 0; i < 4; i++ {
 		if err := s.Set([]byte{byte(i)}, []byte("x")); err != nil {
@@ -152,7 +152,6 @@ func TestCleanHonoursGraceCounters(t *testing.T) {
 	if reclaimed != 1 {
 		t.Fatalf("Clean reclaimed %d after tick, want 1", reclaimed)
 	}
-	s.UnregisterReader(reader)
 }
 
 func TestCleanWithLaggingReaderAmongSeveral(t *testing.T) {
@@ -181,7 +180,7 @@ func TestPairTooLarge(t *testing.T) {
 	if err := s.Set(make([]byte, 64), make([]byte, 64)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized Set err = %v, want ErrTooLarge", err)
 	}
-	if err := s.Set(make([]byte, 8), make([]byte, s.MaxPair()-8)); err != nil {
+	if err := s.Set(make([]byte, 8), make([]byte, s.regionSize-recData-8)); err != nil {
 		t.Fatalf("max-size Set rejected: %v", err)
 	}
 }
@@ -238,8 +237,8 @@ func TestFormatTouchesNoRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.FreeRegions() != s.Regions() {
-		t.Fatalf("FreeRegions = %d of %d on a new store", s.FreeRegions(), s.Regions())
+	if s.FreeRegions() != s.regionCount {
+		t.Fatalf("FreeRegions = %d of %d on a new store", s.FreeRegions(), s.regionCount)
 	}
 	for i, c := range s.mem[s.regionsOff:] {
 		if c != 0xEE {
@@ -268,7 +267,7 @@ func TestReopenMidFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regions := s.Regions()
+	regions := s.regionCount
 	const live = 40
 	for i := 0; i < live; i++ {
 		if err := s.Set([]byte(fmt.Sprintf("old-%d", i)), []byte("v")); err != nil {

@@ -63,7 +63,7 @@ type ShardedOptions struct {
 	EncryptionKey *[ecrypto.KeySize]byte
 	// FlushInterval, when positive, starts a background flusher that
 	// periodically writes back dirty shards. Zero leaves flushing to
-	// explicit Sync/Flush calls (e.g. one per drained request burst).
+	// explicit Flush calls (e.g. one per drained request burst).
 	FlushInterval time.Duration
 	// CacheEntries caps the clean cached entries per shard
 	// (defaultCacheEntries when zero; negative disables clean caching).
@@ -115,7 +115,7 @@ type ShardedStore struct {
 	closed    atomic.Bool
 	stopFlush chan struct{}
 	flushWG   sync.WaitGroup
-	flushMu   sync.Mutex // serialises whole-store Flush/Sync/Close
+	flushMu   sync.Mutex // serialises whole-store Flush/Close
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -210,7 +210,7 @@ func (ss *ShardedStore) flushLoop(every time.Duration) {
 		case <-ss.stopFlush:
 			return
 		case <-ticker.C:
-			_ = ss.Flush() // errors surface on the next explicit Sync
+			_ = ss.Flush() // errors surface on the next explicit Flush
 		}
 	}
 }
@@ -221,9 +221,6 @@ func (ss *ShardedStore) Shards() int { return len(ss.shards) }
 // Shard exposes shard i's underlying Store (telemetry, tests, cleaner
 // deployment).
 func (ss *ShardedStore) Shard(i int) *Store { return ss.shards[i].store }
-
-// MaxPair returns the largest key+value the shards accept.
-func (ss *ShardedStore) MaxPair() int { return ss.shards[0].store.MaxPair() }
 
 // shardFor routes a key.
 func (ss *ShardedStore) shardFor(key []byte) *shard {
@@ -279,7 +276,7 @@ func (ss *ShardedStore) GetAppend(dst, key []byte) ([]byte, bool, error) {
 // Set stores a new version of key in the write-back cache; the backing
 // Store sees it at the next flush. Size violations fail synchronously
 // (the write-back layer never accepts a pair the store would reject),
-// but ErrFull can only surface at flush/Sync time — see the contract in
+// but ErrFull can only surface at flush time — see the contract in
 // the package comment.
 func (ss *ShardedStore) Set(key, value []byte) error {
 	if ss.closed.Load() {
@@ -440,11 +437,6 @@ func (ss *ShardedStore) Flush() error {
 	return firstErr
 }
 
-// Sync is Flush: the write-back layer's durability point. Named to
-// mirror Store.Sync so the two store types are interchangeable to
-// callers.
-func (ss *ShardedStore) Sync() error { return ss.Flush() }
-
 // Close stops the background flusher, performs a final write-back and
 // closes every shard. Concurrent Sets racing Close either land before
 // the final flush or return ErrClosed.
@@ -514,52 +506,4 @@ func (ss *ShardedStore) Stats() ShardedStats {
 		out.Store.FreeRegions += st.FreeRegions
 	}
 	return out
-}
-
-// Range calls fn for the newest live version of every key across all
-// shards, write-back entries taking precedence over persisted ones.
-func (ss *ShardedStore) Range(fn func(key, value []byte) bool) error {
-	if ss.closed.Load() {
-		return ErrClosed
-	}
-	for _, sh := range ss.shards {
-		sh.mu.RLock()
-		overlay := make(map[string]*cacheEntry, len(sh.cache))
-		for k, e := range sh.cache {
-			if e.dirty {
-				overlay[k] = &cacheEntry{val: append([]byte(nil), e.val...), del: e.del}
-			}
-		}
-		sh.mu.RUnlock()
-		stop := false
-		err := sh.store.Range(func(key, value []byte) bool {
-			if e, ok := overlay[string(key)]; ok {
-				delete(overlay, string(key))
-				if e.del {
-					return true
-				}
-				value = e.val
-			}
-			if !fn(key, value) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		if stop {
-			return nil
-		}
-		for k, e := range overlay {
-			if e.del {
-				continue
-			}
-			if !fn([]byte(k), e.val) {
-				return nil
-			}
-		}
-	}
-	return nil
 }

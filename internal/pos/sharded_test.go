@@ -90,8 +90,8 @@ func TestShardedWriteBackIsDeferred(t *testing.T) {
 	if st := ss.Stats(); st.Dirty != 1 {
 		t.Fatalf("Dirty = %d, want 1", st.Dirty)
 	}
-	if err := ss.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
+	if err := ss.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
 	}
 	sh := ss.shardFor([]byte("k"))
 	if got, ok, _ := sh.store.Get([]byte("k")); !ok || string(got) != "v" {
@@ -185,7 +185,7 @@ func TestShardedEncryptedMode(t *testing.T) {
 		t.Fatalf("Get = %q ok=%v err=%v", got, ok, err)
 	}
 	// Oversized pairs are rejected synchronously, before any flush.
-	if err := ss.Set(make([]byte, 64), make([]byte, ss.MaxPair())); !errors.Is(err, ErrTooLarge) {
+	if err := ss.Set(make([]byte, 64), make([]byte, ss.shards[0].store.regionSize)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized Set err = %v, want ErrTooLarge", err)
 	}
 }
@@ -474,10 +474,58 @@ func TestShardedClosedErrors(t *testing.T) {
 	if _, err := ss.Delete([]byte("k")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Delete after close err = %v", err)
 	}
-	if err := ss.Sync(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Sync after close err = %v", err)
+	if err := ss.Flush(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Flush after close err = %v", err)
 	}
 	if err := ss.Range(func(k, v []byte) bool { return true }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Range after close err = %v", err)
 	}
+}
+
+// Range calls fn for the newest live version of every key across all
+// shards, write-back entries taking precedence over persisted ones.
+func (ss *ShardedStore) Range(fn func(key, value []byte) bool) error {
+	if ss.closed.Load() {
+		return ErrClosed
+	}
+	for _, sh := range ss.shards {
+		sh.mu.RLock()
+		overlay := make(map[string]*cacheEntry, len(sh.cache))
+		for k, e := range sh.cache {
+			if e.dirty {
+				overlay[k] = &cacheEntry{val: append([]byte(nil), e.val...), del: e.del}
+			}
+		}
+		sh.mu.RUnlock()
+		stop := false
+		err := sh.store.Range(func(key, value []byte) bool {
+			if e, ok := overlay[string(key)]; ok {
+				delete(overlay, string(key))
+				if e.del {
+					return true
+				}
+				value = e.val
+			}
+			if !fn(key, value) {
+				stop = true
+				return false
+			}
+			return true
+		})
+		if err != nil {
+			return err
+		}
+		if stop {
+			return nil
+		}
+		for k, e := range overlay {
+			if e.del {
+				continue
+			}
+			if !fn([]byte(k), e.val) {
+				return nil
+			}
+		}
+	}
+	return nil
 }

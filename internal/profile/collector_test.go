@@ -18,7 +18,7 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	if cell := c.RegisterEdge(0, 1, "ch", func() uint64 { return 1 }); cell != nil {
 		t.Fatal("nil collector must hand out nil edge cells")
 	}
-	c.RegisterEnclave("e", func() int64 { return 0 }, func() uint64 { return 0 })
+	c.RegisterEnclave("e")
 	c.RegisterDwell(0, 0, 0)
 	c.FoldSpans([]trace.Span{{ID: 1, Kind: trace.KindDwell}})
 	m := c.Snapshot(42)
@@ -52,9 +52,7 @@ func TestSnapshotEdgesAndEnclaves(t *testing.T) {
 	hotSent.Add(10)
 	hot.Bytes.Add(1000)
 	warmSent.Add(3)
-	pages, evicted := int64(7), uint64(2)
-	c.RegisterEnclave("encl", func() int64 { return pages }, func() uint64 { return evicted })
-	c.RegisterEnclave("bad", nil, nil) // ignored
+	c.RegisterEnclave("encl")
 
 	cell := c.RegisterActor(0, "a", "encl", 0)
 	cell.Crossings.Add(5)
@@ -70,11 +68,10 @@ func TestSnapshotEdgesAndEnclaves(t *testing.T) {
 		t.Fatalf("actor a sent %d msgs / %d bytes, want 13 / 1000 (the sum of its outgoing edges)", a.MsgsSent, a.BytesSent)
 	}
 	if len(m.Enclaves) != 1 {
-		t.Fatalf("enclaves = %+v, want 1 (nil-func registration ignored)", m.Enclaves)
+		t.Fatalf("enclaves = %+v, want 1", m.Enclaves)
 	}
-	e := m.Enclaves[0]
-	if e.PagesResident != 7 || e.EvictedPages != 2 || e.Crossings != 5 {
-		t.Fatalf("enclave = %+v, want pages=7 evicted=2 crossings=5 (member-actor sum)", e)
+	if e := m.Enclaves[0]; e.Name != "encl" || e.Crossings != 5 {
+		t.Fatalf("enclave = %+v, want encl with crossings=5 (member-actor sum)", e)
 	}
 }
 

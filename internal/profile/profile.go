@@ -3,8 +3,8 @@
 // one CostProfile per actor — invoke CPU time, messages and bytes sent
 // and received per peer (the actor→actor communication matrix), enclave
 // crossings charged to the initiating actor, seal/open time and volume,
-// and mailbox dwell folded from sampled trace spans — plus per-enclave
-// EPC residency/eviction attribution. The snapshot (a versioned JSON
+// and mailbox dwell folded from sampled trace spans — plus the crossings
+// of each enclave's member actors. The snapshot (a versioned JSON
 // cost model, see snapshot.go) is the stable input
 // contract for placement decisions: which enclave/worker should run
 // each actor is answerable from observed cost, not static config.
@@ -116,12 +116,6 @@ type edgeEntry struct {
 	cell *EdgeCell
 }
 
-type enclaveEntry struct {
-	name    string
-	pages   func() int64
-	evicted func() uint64
-}
-
 // Collector owns a deployment's cost cells and their metadata. It is
 // built once at runtime wiring time (registration is mutex-protected);
 // afterwards the hot paths hold direct cell pointers and never touch
@@ -131,7 +125,7 @@ type Collector struct {
 	mu     sync.Mutex
 	actors []actorEntry      // dense by actor tag
 	edges  []edgeEntry       // registration order
-	encl   []enclaveEntry    // registration order
+	encl   []string          // enclave names, registration order
 	dwell  map[uint64]uint32 // chanTag<<32|worker → receiving actor tag
 
 	foldMu sync.Mutex
@@ -179,16 +173,15 @@ func (c *Collector) RegisterEdge(src, dst uint32, channel string, msgs func() ui
 	return cell
 }
 
-// RegisterEnclave wires an enclave's EPC accounting into snapshots:
-// pages reports currently resident pages, evicted the cumulative pages
-// evicted under EPC pressure that were charged to the enclave.
-func (c *Collector) RegisterEnclave(name string, pages func() int64, evicted func() uint64) {
-	if c == nil || pages == nil || evicted == nil {
+// RegisterEnclave adds an enclave to snapshots, which report the
+// crossings summed over its member actors.
+func (c *Collector) RegisterEnclave(name string) {
+	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.encl = append(c.encl, enclaveEntry{name: name, pages: pages, evicted: evicted})
+	c.encl = append(c.encl, name)
 }
 
 // RegisterDwell maps (channel tag, recording worker) to the actor tag

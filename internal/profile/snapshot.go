@@ -12,7 +12,8 @@ import (
 // compatibility promise (DESIGN §15): consumers reject versions they do
 // not know (Decode returns ErrUnknownVersion), producers only add
 // fields within a version — any removal or semantic change bumps it.
-const SnapshotVersion = 1
+// Version 2 dropped the enclaves' pages_resident and evicted_pages.
+const SnapshotVersion = 2
 
 // ErrUnknownVersion reports a snapshot whose schema version this
 // decoder does not understand.
@@ -20,7 +21,7 @@ var ErrUnknownVersion = errors.New("profile: unknown snapshot version")
 
 // Model is one cost-model snapshot: the per-actor cost profiles, the
 // actor→actor communication matrix (as a sparse edge list), and the
-// per-enclave EPC attribution at one capture instant. It is the stable
+// per-enclave crossings at one capture instant. It is the stable
 // input contract for the placement advisor (ROADMAP item 5) and the
 // wire format of /debug/profile and of the JSONL history eactors top -o
 // keeps.
@@ -68,14 +69,10 @@ type EdgeCost struct {
 	Bytes   uint64 `json:"bytes"`
 }
 
-// EnclaveCost is one enclave's EPC attribution: resident pages at the
-// capture instant, cumulative evicted pages, and the crossings summed
-// over its member actors.
+// EnclaveCost is one enclave's crossings, summed over its member actors.
 type EnclaveCost struct {
-	Name          string `json:"name"`
-	PagesResident int64  `json:"pages_resident"`
-	EvictedPages  uint64 `json:"evicted_pages"`
-	Crossings     uint64 `json:"crossings"`
+	Name      string `json:"name"`
+	Crossings uint64 `json:"crossings"`
 }
 
 // Snapshot captures the collector state into a Model stamped with
@@ -149,13 +146,8 @@ func (c *Collector) Snapshot(nowNs int64) Model {
 			Bytes:   edges[i].bytes,
 		})
 	}
-	for _, e := range c.encl {
-		m.Enclaves = append(m.Enclaves, EnclaveCost{
-			Name:          e.name,
-			PagesResident: e.pages(),
-			EvictedPages:  e.evicted(),
-			Crossings:     byEnclave[e.name],
-		})
+	for _, name := range c.encl {
+		m.Enclaves = append(m.Enclaves, EnclaveCost{Name: name, Crossings: byEnclave[name]})
 	}
 	sort.Slice(m.Edges, func(i, j int) bool { return m.Edges[i].Msgs > m.Edges[j].Msgs })
 	return m

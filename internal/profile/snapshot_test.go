@@ -33,7 +33,7 @@ func sampleModel() Model {
 			{Src: "frontend", Dst: "kvstore-0", Channel: "req-0", Msgs: 5, Bytes: 640},
 		},
 		Enclaves: []EnclaveCost{
-			{Name: "kv-0", PagesResident: 32, EvictedPages: 3, Crossings: 14},
+			{Name: "kv-0", Crossings: 14},
 		},
 	}
 }
@@ -62,6 +62,12 @@ func TestDecodeRejectsUnknownVersion(t *testing.T) {
 		if _, err := Decode([]byte(line)); !errors.Is(err, ErrUnknownVersion) {
 			t.Errorf("Decode(v=%d) error = %v, want ErrUnknownVersion", v, err)
 		}
+	}
+	// A version-1 record, which still carried the enclaves' page and
+	// eviction fields.
+	v1 := `{"v":1,"captured_at_ns":1,"enclaves":[{"name":"kv-0","pages_resident":32,"evicted_pages":3,"crossings":14}]}`
+	if _, err := Decode([]byte(v1)); !errors.Is(err, ErrUnknownVersion) {
+		t.Errorf("Decode(v1 record) error = %v, want ErrUnknownVersion", err)
 	}
 }
 

@@ -43,7 +43,7 @@ func sub(cur, prev uint64) uint64 {
 
 // RenderTop writes the eactors top view: a per-actor cost table (rates
 // over the window between prev and cur, or cumulative totals when prev
-// is zero), the hottest communication edges, and per-enclave EPC lines.
+// is zero), the hottest communication edges, and per-enclave crossings.
 // Plain text, no terminal control — the caller owns screen handling.
 // rows bounds the actor table (0 = all).
 func RenderTop(w io.Writer, prev, cur Model, rows int) {
@@ -149,14 +149,12 @@ func RenderTop(w io.Writer, prev, cur Model, rows int) {
 
 	if len(cur.Enclaves) > 0 {
 		fmt.Fprintf(w, "\nenclaves\n")
-		prevEncl := make(map[string]EnclaveCost, len(prev.Enclaves))
+		prevCrossings := make(map[string]uint64, len(prev.Enclaves))
 		for _, e := range prev.Enclaves {
-			prevEncl[e.Name] = e
+			prevCrossings[e.Name] = e.Crossings
 		}
 		for _, e := range cur.Enclaves {
-			p := prevEncl[e.Name]
-			fmt.Fprintf(w, "  %-12s pages %6d  evicted +%d  crossings +%d\n",
-				e.Name, e.PagesResident, sub(e.EvictedPages, p.EvictedPages), sub(e.Crossings, p.Crossings))
+			fmt.Fprintf(w, "  %-12s crossings +%d\n", e.Name, sub(e.Crossings, prevCrossings[e.Name]))
 		}
 	}
 }

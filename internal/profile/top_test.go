@@ -65,7 +65,7 @@ func TestRenderTopTotals(t *testing.T) {
 		"hottest edges",
 		"frontend -> kvstore-0", "(req-0)", "5 msgs",
 		"enclaves",
-		"evicted +3", "crossings +14",
+		"crossings +14",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("totals render missing %q:\n%s", want, out)

@@ -84,36 +84,6 @@ func BenchmarkSealUnseal(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationEPCPaging contrasts page touches inside vs beyond
-// the EPC budget — the degradation the paper warns large enclaves incur
-// (Section 2.2).
-func BenchmarkAblationEPCPaging(b *testing.B) {
-	b.Run("fits", func(b *testing.B) {
-		p := NewPlatform(WithEPCBytes(64 * 1024 * 1024))
-		e, err := p.CreateEnclave("small", 8*1024*1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.DestroyEnclave(e)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.TouchPages(64)
-		}
-	})
-	b.Run("thrashes", func(b *testing.B) {
-		p := NewPlatform(WithEPCBytes(64 * 1024 * 1024))
-		e, err := p.CreateEnclave("huge", 128*1024*1024)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.DestroyEnclave(e)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.TouchPages(64)
-		}
-	})
-}
-
 // BenchmarkLocalAttestation measures the channel-key handshake paid
 // once per cross-enclave channel at startup.
 func BenchmarkLocalAttestation(b *testing.B) {

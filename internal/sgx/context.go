@@ -3,7 +3,6 @@ package sgx
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/eactors/eactors-go/internal/faults"
 )
@@ -22,25 +21,12 @@ type Context struct {
 
 	// crossings counts the crossings performed by this context alone.
 	crossings uint64
-
-	// Crossing capture for causal tracing (ArmCrossCapture): the wall
-	// start and duration of the most recent crossing, retro-attributed
-	// to a traced invocation by the worker after the fact.
-	captureCross bool
-	lastCrossNS  int64
-	lastCrossDur int64
 }
 
 // NewContext returns a context starting in the untrusted application.
 func NewContext(p *Platform) *Context {
 	return &Context{platform: p}
 }
-
-// Platform returns the platform this context executes on.
-func (c *Context) Platform() *Platform { return c.platform }
-
-// Current returns the enclave the context is inside (Untrusted if none).
-func (c *Context) Current() EnclaveID { return c.cur }
 
 // InEnclave reports whether the context is inside any enclave.
 func (c *Context) InEnclave() bool { return c.cur != Untrusted }
@@ -88,25 +74,8 @@ func (c *Context) Exit() {
 	_ = c.MoveTo(Untrusted)
 }
 
-// ArmCrossCapture makes the context remember the wall-clock start and
-// duration of each crossing so a tracing worker can attribute the
-// transition that preceded a traced invocation. Off by default: the
-// capture costs one time.Now per crossing.
-func (c *Context) ArmCrossCapture() { c.captureCross = true }
-
-// LastCrossing returns the wall start (UnixNano) and duration of the
-// most recent crossing, or zeros when capture is off or nothing has
-// crossed yet.
-func (c *Context) LastCrossing() (startNS, durNS int64) {
-	return c.lastCrossNS, c.lastCrossDur
-}
-
 func (c *Context) cross(site faults.Site) {
 	c.crossings++
-	var wallStart time.Time
-	if c.captureCross {
-		wallStart = time.Now()
-	}
 	c.platform.chargeCrossing()
 	if inj := c.platform.flt.Load(); inj != nil {
 		// Injected crossing fault: a delayed (interrupted and retried)
@@ -114,11 +83,5 @@ func (c *Context) cross(site faults.Site) {
 		if act := inj.At(site); act.Class == faults.Delay {
 			Spin(act.Delay)
 		}
-	}
-	if c.captureCross {
-		// Wall duration, so injected delays show up in the crossing
-		// span just as they do in real latency.
-		c.lastCrossNS = wallStart.UnixNano()
-		c.lastCrossDur = int64(time.Since(wallStart))
 	}
 }

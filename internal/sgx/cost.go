@@ -6,11 +6,12 @@
 // the costs of the enclave life cycle: execution-mode transitions
 // (ECall/OCall, ~8000-9000 cycles), the SDK's marshalling copies, the
 // spin-then-exit behaviour of SGX mutexes, the slow trusted random number
-// generator, and EPC paging pressure. This package reproduces exactly
-// those costs in software: every simulated operation charges a number of
-// CPU cycles that is converted to wall time and burned with a busy spin,
-// so benchmarks built on top of it exhibit the same relative shapes as the
-// paper's hardware numbers.
+// generator, and the page-by-page copy that loads an enclave. EPC paging
+// is not modelled: no workload here crosses the EPC budget. This package
+// reproduces exactly those costs in software: every simulated operation
+// charges a number of CPU cycles that is converted to wall time and
+// burned with a busy spin, so benchmarks built on top of it exhibit the
+// same relative shapes as the paper's hardware numbers.
 package sgx
 
 import (
@@ -54,16 +55,8 @@ const (
 	// DefaultRandBlockBytes is the block granularity of the trusted RNG.
 	DefaultRandBlockBytes = 8
 
-	// DefaultPageEvictCycles is the charge for (re-)encrypting one EPC
-	// page during eviction, roughly 12k cycles per 4 KiB page.
-	DefaultPageEvictCycles = 12000
-
 	// PageBytes is the EPC page size.
 	PageBytes = 4096
-
-	// DefaultEPCBytes is the usable EPC of the paper's machine: 128 MiB
-	// minus SGX metadata leaves ~93 MiB (Section 2.2).
-	DefaultEPCBytes = 93 * 1024 * 1024
 
 	// DefaultMutexSpinCycles is the bounded spin budget of the SDK mutex
 	// before it exits the enclave to sleep.
@@ -102,10 +95,6 @@ type CostModel struct {
 	// RandBlockBytes is the trusted RNG block granularity.
 	RandBlockBytes int
 
-	// PageEvictCycles is charged per page evicted when the EPC budget is
-	// exceeded.
-	PageEvictCycles uint64
-
 	// MutexSpinCycles is the bounded spin of Mutex before the sleep path.
 	MutexSpinCycles uint64
 }
@@ -122,7 +111,6 @@ func DefaultCostModel() *CostModel {
 		CopyHotBytes:          DefaultL1CacheBytes,
 		RandCyclesPerBlock:    DefaultRandCyclesPerBlock,
 		RandBlockBytes:        DefaultRandBlockBytes,
-		PageEvictCycles:       DefaultPageEvictCycles,
 		MutexSpinCycles:       DefaultMutexSpinCycles,
 	}
 }
@@ -131,13 +119,6 @@ func DefaultCostModel() *CostModel {
 // Functional unit tests use it to exercise logic without burning time.
 func ZeroCostModel() *CostModel {
 	return &CostModel{FrequencyGHz: DefaultFrequencyGHz, TimeScale: 0}
-}
-
-// Scaled returns a copy of m with all charges multiplied by scale.
-func (m *CostModel) Scaled(scale float64) *CostModel {
-	c := *m
-	c.TimeScale = m.TimeScale * scale
-	return &c
 }
 
 // CyclesToDuration converts a cycle count to wall time under the model.

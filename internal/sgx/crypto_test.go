@@ -188,11 +188,11 @@ func TestReportVerify(t *testing.T) {
 	a, _ := p.CreateEnclave("alice", 0)
 	b, _ := p.CreateEnclave("bob", 0)
 
-	rep := a.CreateReport(b.Measurement(), []byte("hello bob"))
+	rep := a.CreateReport(b.meas, []byte("hello bob"))
 	if err := b.VerifyReport(rep); err != nil {
 		t.Fatalf("VerifyReport: %v", err)
 	}
-	if rep.Source != a.Measurement() {
+	if rep.Source != a.meas {
 		t.Fatal("report source measurement mismatch")
 	}
 

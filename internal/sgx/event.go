@@ -28,7 +28,7 @@ func NewEvent() *Event {
 
 // Wait blocks while pred stays true and no wake has arrived since entry.
 // pred is evaluated under the event lock, closing the race against a
-// concurrent Set/Signal. onFirstWait, when non-nil, runs under the lock
+// concurrent SignalIf. onFirstWait, when non-nil, runs under the lock
 // immediately before the first block — callers use it to register
 // themselves as sleepers exactly when they commit to sleeping. Wait
 // reports whether the calling thread actually blocked; a near-miss that
@@ -48,25 +48,6 @@ func (e *Event) Wait(pred func() bool, onFirstWait func()) (waited bool) {
 	}
 	e.mu.Unlock()
 	return waited
-}
-
-// Set wakes every waiter (sgx_thread_set_multiple_untrusted_events).
-// Waiters re-check their predicate under the event lock, so a
-// publish-then-Set can never strand one.
-func (e *Event) Set() {
-	e.mu.Lock()
-	e.gen++
-	e.mu.Unlock()
-	e.cond.Broadcast()
-}
-
-// Signal wakes one waiter (sgx_thread_set_untrusted_event). The SDK
-// mutex signals a single sleeper per unlock; the woken thread barges.
-func (e *Event) Signal() {
-	e.mu.Lock()
-	e.gen++
-	e.mu.Unlock()
-	e.cond.Signal()
 }
 
 // SignalIf wakes one waiter only when cond holds, with cond evaluated

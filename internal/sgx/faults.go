@@ -16,11 +16,6 @@ func (p *Platform) AttachFaults(inj *faults.Injector) {
 	p.flt.Store(inj)
 }
 
-// Faults returns the attached injector, or nil.
-func (p *Platform) Faults() *faults.Injector {
-	return p.flt.Load()
-}
-
 // corruptSealedBlob realises a SealCorrupt action: one flipped bit in
 // the ciphertext body, which the authenticated Unseal/Open on the other
 // side is guaranteed to reject.

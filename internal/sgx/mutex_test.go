@@ -124,7 +124,7 @@ func TestEventWaitNearMiss(t *testing.T) {
 	}()
 	<-committed
 	flag.Store(0)
-	ev.Set()
+	ev.SignalIf(func() bool { return true })
 	if waited := <-done; !waited {
 		t.Fatal("Wait returned without blocking despite a true predicate")
 	}

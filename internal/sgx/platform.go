@@ -29,7 +29,7 @@ type Stats struct {
 	// CopiedBytes counts bytes marshalled across the boundary by the
 	// SDK-style call path.
 	CopiedBytes uint64
-	// EvictedPages counts EPC pages evicted under memory pressure.
+	// EvictedPages is always 0: EPC paging is not modelled, benchmark/traced.go reads it.
 	EvictedPages uint64
 	// RandBytes counts trusted RNG bytes produced.
 	RandBytes uint64
@@ -43,13 +43,10 @@ type Stats struct {
 	CrossingsAvoided uint64
 }
 
-// Platform owns a set of simulated enclaves, the shared EPC budget and
-// the attestation infrastructure. It is safe for concurrent use.
+// Platform owns a set of simulated enclaves and the attestation
+// infrastructure. It is safe for concurrent use.
 type Platform struct {
-	costs *CostModel
-
-	epcPages     int64 // total budget, in pages
-	epcUsed      atomic.Int64
+	costs        *CostModel
 	attestSecret [32]byte
 
 	mu       sync.RWMutex
@@ -68,7 +65,6 @@ type Platform struct {
 	ecalls       atomic.Uint64
 	ocalls       atomic.Uint64
 	copiedBytes  atomic.Uint64
-	evictedPages atomic.Uint64
 	randBytes    atomic.Uint64
 	mutexSleeps  atomic.Uint64
 	tcsOverflows atomic.Uint64
@@ -78,19 +74,13 @@ type Platform struct {
 type PlatformOption func(*platformConfig)
 
 type platformConfig struct {
-	costs    *CostModel
-	epcBytes int64
-	secret   []byte
+	costs  *CostModel
+	secret []byte
 }
 
 // WithCostModel sets the platform cost model (default DefaultCostModel).
 func WithCostModel(m *CostModel) PlatformOption {
 	return func(c *platformConfig) { c.costs = m }
-}
-
-// WithEPCBytes sets the usable EPC budget in bytes (default 93 MiB).
-func WithEPCBytes(n int64) PlatformOption {
-	return func(c *platformConfig) { c.epcBytes = n }
 }
 
 // WithPlatformSecret seeds the platform attestation/sealing secret,
@@ -102,16 +92,12 @@ func WithPlatformSecret(secret []byte) PlatformOption {
 
 // NewPlatform creates a simulated SGX platform.
 func NewPlatform(opts ...PlatformOption) *Platform {
-	cfg := platformConfig{
-		costs:    DefaultCostModel(),
-		epcBytes: DefaultEPCBytes,
-	}
+	cfg := platformConfig{costs: DefaultCostModel()}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	p := &Platform{
 		costs:    cfg.costs,
-		epcPages: (cfg.epcBytes + PageBytes - 1) / PageBytes,
 		enclaves: make(map[EnclaveID]*Enclave),
 	}
 	if len(cfg.secret) > 0 {
@@ -145,25 +131,14 @@ func (p *Platform) CreateEnclave(name string, sizeBytes int) (*Enclave, error) {
 	p.enclaves[id] = e
 	p.mu.Unlock()
 
+	// Enclave creation copies code and data page by page into the EPC
+	// (EADD + EEXTEND); charge one cold copy per page.
 	pages := (sizeBytes + PageBytes - 1) / PageBytes
-	if pages > 0 {
-		if err := e.AllocPages(pages); err != nil {
-			p.mu.Lock()
-			delete(p.enclaves, id)
-			p.mu.Unlock()
-			return nil, err
-		}
-		// Enclave creation copies code and data page by page into the
-		// EPC (EADD + EEXTEND); charge one cold copy per page.
-		p.costs.ChargeCycles(float64(pages) * p.costs.CopyCyclesPerByteCold * PageBytes)
-	}
-	if t := p.tel.Load(); t != nil {
-		t.registerEnclaveGauge(e)
-	}
+	p.costs.ChargeCycles(float64(pages) * p.costs.CopyCyclesPerByteCold * PageBytes)
 	return e, nil
 }
 
-// DestroyEnclave removes an enclave and releases its EPC pages.
+// DestroyEnclave removes an enclave.
 func (p *Platform) DestroyEnclave(e *Enclave) {
 	if e == nil {
 		return
@@ -171,7 +146,6 @@ func (p *Platform) DestroyEnclave(e *Enclave) {
 	p.mu.Lock()
 	delete(p.enclaves, e.id)
 	p.mu.Unlock()
-	p.epcUsed.Add(-e.pages.Swap(0))
 }
 
 // Enclave looks up an enclave by ID. The untrusted ID yields nil, false.
@@ -185,21 +159,6 @@ func (p *Platform) Enclave(id EnclaveID) (*Enclave, bool) {
 	return e, ok
 }
 
-// EnclaveByName looks up an enclave by name.
-func (p *Platform) EnclaveByName(name string) (*Enclave, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	for _, e := range p.enclaves {
-		if e.name == name {
-			return e, true
-		}
-	}
-	return nil, false
-}
-
-// EPCUsedPages reports the pages currently resident in the simulated EPC.
-func (p *Platform) EPCUsedPages() int64 { return p.epcUsed.Load() }
-
 // Snapshot returns a copy of the simulator counters.
 func (p *Platform) Snapshot() Stats {
 	return Stats{
@@ -207,24 +166,9 @@ func (p *Platform) Snapshot() Stats {
 		ECalls:       p.ecalls.Load(),
 		OCalls:       p.ocalls.Load(),
 		CopiedBytes:  p.copiedBytes.Load(),
-		EvictedPages: p.evictedPages.Load(),
 		RandBytes:    p.randBytes.Load(),
 		MutexSleeps:  p.mutexSleeps.Load(),
 		TCSOverflows: p.tcsOverflows.Load(),
-	}
-}
-
-// Delta returns the counter increments since an earlier snapshot.
-func (s Stats) Delta(earlier Stats) Stats {
-	return Stats{
-		Crossings:    s.Crossings - earlier.Crossings,
-		ECalls:       s.ECalls - earlier.ECalls,
-		OCalls:       s.OCalls - earlier.OCalls,
-		CopiedBytes:  s.CopiedBytes - earlier.CopiedBytes,
-		EvictedPages: s.EvictedPages - earlier.EvictedPages,
-		RandBytes:    s.RandBytes - earlier.RandBytes,
-		MutexSleeps:  s.MutexSleeps - earlier.MutexSleeps,
-		TCSOverflows: s.TCSOverflows - earlier.TCSOverflows,
 	}
 }
 

@@ -16,17 +16,11 @@ func TestCreateEnclave(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateEnclave: %v", err)
 	}
-	if e.ID() == Untrusted {
+	if e.id == Untrusted {
 		t.Fatal("enclave got the untrusted ID")
 	}
-	if e.Name() != "alpha" {
-		t.Fatalf("Name = %q, want alpha", e.Name())
-	}
-	if got := e.PagesResident(); got != 3 {
-		t.Fatalf("PagesResident = %d, want 3", got)
-	}
-	if got := p.EPCUsedPages(); got != 3 {
-		t.Fatalf("EPCUsedPages = %d, want 3", got)
+	if e.name != "alpha" {
+		t.Fatalf("Name = %q, want alpha", e.name)
 	}
 }
 
@@ -53,13 +47,9 @@ func TestEnclaveLookup(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateEnclave: %v", err)
 	}
-	got, ok := p.Enclave(e.ID())
+	got, ok := p.Enclave(e.id)
 	if !ok || got != e {
 		t.Fatal("Enclave by ID did not return the created enclave")
-	}
-	got, ok = p.EnclaveByName("lookup")
-	if !ok || got != e {
-		t.Fatal("EnclaveByName did not return the created enclave")
 	}
 	if _, ok := p.Enclave(Untrusted); ok {
 		t.Fatal("untrusted ID resolved to an enclave")
@@ -76,55 +66,8 @@ func TestDestroyEnclaveReleasesEPC(t *testing.T) {
 		t.Fatalf("CreateEnclave: %v", err)
 	}
 	p.DestroyEnclave(e)
-	if got := p.EPCUsedPages(); got != 0 {
-		t.Fatalf("EPCUsedPages after destroy = %d, want 0", got)
-	}
-	if _, ok := p.Enclave(e.ID()); ok {
+	if _, ok := p.Enclave(e.id); ok {
 		t.Fatal("destroyed enclave still resolvable")
-	}
-}
-
-func TestEPCEvictionAccounting(t *testing.T) {
-	p := NewPlatform(WithCostModel(ZeroCostModel()), WithEPCBytes(4*PageBytes))
-	e, err := p.CreateEnclave("big", 2*PageBytes)
-	if err != nil {
-		t.Fatalf("CreateEnclave: %v", err)
-	}
-	before := p.Snapshot()
-	if err := e.AllocPages(6); err != nil {
-		t.Fatalf("AllocPages: %v", err)
-	}
-	delta := p.Snapshot().Delta(before)
-	if delta.EvictedPages != 4 {
-		t.Fatalf("EvictedPages = %d, want 4 (2+6 pages vs 4-page budget)", delta.EvictedPages)
-	}
-}
-
-func TestAllocPagesNegative(t *testing.T) {
-	p := testPlatform(t)
-	e, _ := p.CreateEnclave("neg", 0)
-	if err := e.AllocPages(-1); err == nil {
-		t.Fatal("negative AllocPages accepted")
-	}
-}
-
-func TestTouchPagesUnderBudgetIsFree(t *testing.T) {
-	p := NewPlatform(WithCostModel(ZeroCostModel()), WithEPCBytes(1024*PageBytes))
-	e, _ := p.CreateEnclave("small", 4*PageBytes)
-	before := p.Snapshot()
-	e.TouchPages(100)
-	if d := p.Snapshot().Delta(before); d.EvictedPages != 0 {
-		t.Fatalf("TouchPages under budget evicted %d pages", d.EvictedPages)
-	}
-}
-
-func TestTouchPagesOverBudgetCharges(t *testing.T) {
-	p := NewPlatform(WithCostModel(ZeroCostModel()), WithEPCBytes(10*PageBytes))
-	e, _ := p.CreateEnclave("thrash", 20*PageBytes)
-	before := p.Snapshot()
-	e.TouchPages(100)
-	if d := p.Snapshot().Delta(before); d.EvictedPages == 0 {
-		t.Fatal("TouchPages over budget evicted nothing")
 	}
 }
 
@@ -143,8 +86,8 @@ func TestContextTransitions(t *testing.T) {
 	if got := ctx.Crossings(); got != 1 {
 		t.Fatalf("crossings after enter = %d, want 1", got)
 	}
-	if ctx.Current() != e1.ID() {
-		t.Fatalf("Current = %d, want %d", ctx.Current(), e1.ID())
+	if ctx.cur != e1.id {
+		t.Fatalf("Current = %d, want %d", ctx.cur, e1.id)
 	}
 
 	// Re-entering the current enclave is free.
@@ -194,7 +137,7 @@ func TestECallCounting(t *testing.T) {
 	var insideID EnclaveID
 	err := ctx.ECall(e, make([]byte, 100), make([]byte, 50), func() {
 		ran = true
-		insideID = ctx.Current()
+		insideID = ctx.cur
 	})
 	if err != nil {
 		t.Fatalf("ECall: %v", err)
@@ -202,8 +145,8 @@ func TestECallCounting(t *testing.T) {
 	if !ran {
 		t.Fatal("ECall body did not run")
 	}
-	if insideID != e.ID() {
-		t.Fatalf("ECall body ran in enclave %d, want %d", insideID, e.ID())
+	if insideID != e.id {
+		t.Fatalf("ECall body ran in enclave %d, want %d", insideID, e.id)
 	}
 	if ctx.InEnclave() {
 		t.Fatal("context stayed inside the enclave after ECall")
@@ -237,7 +180,7 @@ func TestOCallRoundTrip(t *testing.T) {
 	}
 	var outsideID EnclaveID = 99
 	err := ctx.OCall(make([]byte, 10), nil, func() {
-		outsideID = ctx.Current()
+		outsideID = ctx.cur
 	})
 	if err != nil {
 		t.Fatalf("OCall: %v", err)
@@ -245,7 +188,7 @@ func TestOCallRoundTrip(t *testing.T) {
 	if outsideID != Untrusted {
 		t.Fatalf("OCall body ran in enclave %d, want untrusted", outsideID)
 	}
-	if ctx.Current() != e.ID() {
+	if ctx.cur != e.id {
 		t.Fatal("context did not return to the enclave after OCall")
 	}
 	if s := p.Snapshot(); s.OCalls != 1 {
@@ -271,9 +214,6 @@ func TestCostModelCharges(t *testing.T) {
 	d := m.CyclesToDuration(3400)
 	if d != time.Microsecond {
 		t.Fatalf("3400 cycles at 3.4 GHz = %v, want 1µs", d)
-	}
-	if got := m.Scaled(0.5).CyclesToDuration(3400); got != 500*time.Nanosecond {
-		t.Fatalf("scaled duration = %v, want 500ns", got)
 	}
 	if ZeroCostModel().CyclesToDuration(1e9) != 0 {
 		t.Fatal("zero model charged time")

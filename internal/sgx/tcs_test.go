@@ -111,3 +111,20 @@ func TestTCSConcurrent(t *testing.T) {
 		t.Fatalf("Occupancy leaked: %d", got)
 	}
 }
+
+// SetTCSLimit overrides the enclave's thread-slot count (the SDK's
+// TCSNum). Entering beyond the limit is recorded in the platform stats
+// as a TCS overflow — on hardware the EENTER would fail and the thread
+// would have to wait, so deployments (like the paper's) size workers to
+// stay within it.
+func (e *Enclave) SetTCSLimit(n int) {
+	if n > 0 {
+		e.tcsLimit.Store(int64(n))
+	}
+}
+
+// TCSLimit returns the configured thread-slot count.
+func (e *Enclave) TCSLimit() int { return int(e.tcsLimit.Load()) }
+
+// Occupancy returns the number of contexts currently inside the enclave.
+func (e *Enclave) Occupancy() int { return int(e.occupied.Load()) }

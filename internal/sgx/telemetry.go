@@ -1,7 +1,6 @@
 package sgx
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/eactors/eactors-go/internal/telemetry"
@@ -24,8 +23,7 @@ type platformTelemetry struct {
 
 // AttachTelemetry exposes the platform's simulator counters through reg
 // and begins observing crossing and seal costs. It is typically called
-// once by the core runtime before enclaves are created; enclaves created
-// later register their page gauges on creation.
+// once by the core runtime before enclaves are created.
 func (p *Platform) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -41,34 +39,10 @@ func (p *Platform) AttachTelemetry(reg *telemetry.Registry) {
 	reg.CounterFunc("eactors_sgx_ecalls", "ECall round trips", p.ecalls.Load)
 	reg.CounterFunc("eactors_sgx_ocalls", "OCall round trips", p.ocalls.Load)
 	reg.CounterFunc("eactors_sgx_copied_bytes", "bytes marshalled across the boundary", p.copiedBytes.Load)
-	reg.CounterFunc("eactors_sgx_evicted_pages", "EPC pages evicted under memory pressure", p.evictedPages.Load)
 	reg.CounterFunc("eactors_sgx_rand_bytes", "trusted RNG bytes produced", p.randBytes.Load)
 	reg.CounterFunc("eactors_sgx_mutex_sleeps", "mutex acquisitions that took the sleep path", p.mutexSleeps.Load)
 	reg.CounterFunc("eactors_sgx_tcs_overflows", "enclave entries beyond the thread slots", p.tcsOverflows.Load)
-	reg.GaugeFunc("eactors_sgx_epc_used_pages", "EPC pages currently resident", func() uint64 {
-		return uint64(p.epcUsed.Load())
-	})
-	reg.GaugeFunc("eactors_sgx_epc_budget_pages", "total EPC budget in pages", func() uint64 {
-		return uint64(p.epcPages)
-	})
-	p.mu.RLock()
-	existing := make([]*Enclave, 0, len(p.enclaves))
-	for _, e := range p.enclaves {
-		existing = append(existing, e)
-	}
-	p.mu.RUnlock()
 	p.tel.Store(t)
-	for _, e := range existing {
-		t.registerEnclaveGauge(e)
-	}
-}
-
-// registerEnclaveGauge publishes an enclave's resident-page count.
-func (t *platformTelemetry) registerEnclaveGauge(e *Enclave) {
-	t.reg.GaugeFunc(
-		fmt.Sprintf("eactors_sgx_enclave_pages{enclave=%q}", e.name),
-		"EPC pages accounted to the enclave",
-		func() uint64 { return uint64(e.pages.Load()) })
 }
 
 // sealOpStart returns the timestamp to measure a Seal/Unseal against, or

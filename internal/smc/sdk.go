@@ -187,9 +187,6 @@ func (s *SDKService) Round() ([]uint32, error) {
 	return sum, nil
 }
 
-// Rounds returns the number of completed invocations.
-func (s *SDKService) Rounds() uint64 { return s.rounds }
-
 // ModelHopCycles is the per-hop channel cost the pipeline model adds to
 // each party's stage work: dequeue/enqueue on the mboxes plus the
 // polling latency of a dedicated spinning worker. The value (~2 µs at

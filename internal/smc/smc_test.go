@@ -104,17 +104,17 @@ func TestSDKTransitionAccounting(t *testing.T) {
 	if _, err := svc.Round(); err != nil {
 		t.Fatal(err)
 	}
-	d := p.Snapshot().Delta(before)
+	after := p.Snapshot()
 	// K+1 = 5 ECalls, 2 crossings each.
-	if d.ECalls != 5 {
-		t.Fatalf("ECalls per round = %d, want 5", d.ECalls)
+	if d := after.ECalls - before.ECalls; d != 5 {
+		t.Fatalf("ECalls per round = %d, want 5", d)
 	}
-	if d.Crossings != 10 {
-		t.Fatalf("Crossings per round = %d, want 10", d.Crossings)
+	if d := after.Crossings - before.Crossings; d != 10 {
+		t.Fatalf("Crossings per round = %d, want 10", d)
 	}
 	// The paper's SDK variant avoids marshalling copies.
-	if d.CopiedBytes != 0 {
-		t.Fatalf("CopiedBytes = %d, want 0", d.CopiedBytes)
+	if d := after.CopiedBytes - before.CopiedBytes; d != 0 {
+		t.Fatalf("CopiedBytes = %d, want 0", d)
 	}
 }
 
@@ -255,3 +255,6 @@ func TestSDKCloseIdempotent(t *testing.T) {
 	svc.Close()
 	svc.Close() // must not panic
 }
+
+// Rounds returns the number of completed invocations.
+func (s *SDKService) Rounds() uint64 { return s.rounds }

@@ -27,24 +27,6 @@ func newCounter(name, help string, shards int) *Counter {
 	return &Counter{name: name, help: help, mask: n - 1, cells: make([]cell, n)}
 }
 
-// Name returns the registered metric name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
-// Add increments the counter by n on the given shard. Any shard index is
-// legal (masked into range), so callers off the worker threads can pass
-// whatever identity they have.
-func (c *Counter) Add(shard int, n uint64) {
-	if c == nil {
-		return
-	}
-	c.cells[shard&c.mask].v.Add(n)
-}
-
 // Inc is Add(shard, 1).
 func (c *Counter) Inc(shard int) {
 	if c == nil {

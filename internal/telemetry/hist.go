@@ -33,14 +33,6 @@ func newHistogram(name, help, unit string) *Histogram {
 	return &Histogram{name: name, help: help, unit: unit}
 }
 
-// Name returns the registered metric name.
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
 	if h == nil {

@@ -134,3 +134,13 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		t.Fatalf("metrics body missing counter: %s", buf[:n])
 	}
 }
+
+// Add increments the counter by n on the given shard. Any shard index is
+// legal (masked into range), so callers off the worker threads can pass
+// whatever identity they have.
+func (c *Counter) Add(shard int, n uint64) {
+	if c == nil {
+		return
+	}
+	c.cells[shard&c.mask].v.Add(n)
+}

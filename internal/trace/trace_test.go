@@ -275,3 +275,11 @@ func TestWriteChromeValidJSON(t *testing.T) {
 		t.Fatalf("negative dur leaked: %+v", doc.TraceEvents[1])
 	}
 }
+
+// SampleEvery returns the effective sampling period (0 for nil).
+func (t *Tracer) SampleEvery() int {
+	if t == nil {
+		return 0
+	}
+	return int(t.sampleMask) + 1
+}

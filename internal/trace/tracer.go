@@ -123,14 +123,6 @@ func New(workers, bufferSpans, sampleEvery int) *Tracer {
 	return t
 }
 
-// SampleEvery returns the effective sampling period (0 for nil).
-func (t *Tracer) SampleEvery() int {
-	if t == nil {
-		return 0
-	}
-	return int(t.sampleMask) + 1
-}
-
 // MaybeRoot decides, 1-in-SampleEvery using the caller-owned tick,
 // whether this ingress event starts a sampled trace; when it does, the
 // returned context carries a fresh trace ID and no parent span. tick

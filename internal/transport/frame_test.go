@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -240,3 +241,45 @@ func TestReplayWraparound(t *testing.T) {
 		t.Fatalf("ancient pre-wrap opaque = %v", v)
 	}
 }
+
+// TryReserve is Reserve without blocking; it reports whether the bytes
+// were claimed.
+func (w *Window) TryReserve(n int) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil || n > w.limit || w.inFlight+n > w.limit {
+		return false
+	}
+	w.inFlight += n
+	if w.inFlight > w.maxInFlight {
+		w.maxInFlight = w.inFlight
+	}
+	return true
+}
+
+// InFlight returns the currently reserved bytes.
+func (w *Window) InFlight() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.inFlight
+}
+
+// String names the verdict.
+func (v Verdict) String() string {
+	switch v {
+	case VerdictNew:
+		return "new"
+	case VerdictReplay:
+		return "replay"
+	case VerdictReject:
+		return "reject"
+	default:
+		return fmt.Sprintf("verdict(%d)", uint8(v))
+	}
+}
+
+// Len returns the number of cached responses.
+func (r *Replay) Len() int { return r.n }
+
+// MaxOpaque returns the highest admitted opaque (zero before any).
+func (r *Replay) MaxOpaque() uint32 { return r.max }

@@ -99,14 +99,6 @@ type Call struct {
 	err          error
 }
 
-// Done delivers one token when the response (or a terminal error)
-// arrived. Receive it once, then read Response; a caller that collects
-// the outcome this way must not also Wait.
-func (c *Call) Done() <-chan struct{} { return c.done }
-
-// Response returns the outcome; call only after receiving from Done.
-func (c *Call) Response() (Frame, error) { return c.resp, c.err }
-
 // Wait blocks until the call completes — resends and the timeout run on
 // the session clock, not here — and returns the outcome. The Call goes
 // back to its session for reuse.
@@ -241,9 +233,6 @@ func awaitAck(conn net.Conn, readBuf int) (Frame, error) {
 
 // PeerFeatures returns the feature bits the peer granted.
 func (s *Session) PeerFeatures() uint32 { return s.peerFeatures }
-
-// Window returns the sender-side flow-control window (peer-advertised).
-func (s *Session) Window() *Window { return s.window }
 
 // Stats snapshots the session counters.
 func (s *Session) Stats() SessionStats {

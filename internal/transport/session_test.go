@@ -334,3 +334,14 @@ func TestSessionGoAway(t *testing.T) {
 		t.Fatal("issue after goaway succeeded")
 	}
 }
+
+// Done delivers one token when the response (or a terminal error)
+// arrived. Receive it once, then read Response; a caller that collects
+// the outcome this way must not also Wait.
+func (c *Call) Done() <-chan struct{} { return c.done }
+
+// Response returns the outcome; call only after receiving from Done.
+func (c *Call) Response() (Frame, error) { return c.resp, c.err }
+
+// Window returns the sender-side flow-control window (peer-advertised).
+func (s *Session) Window() *Window { return s.window }

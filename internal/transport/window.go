@@ -54,21 +54,6 @@ func (w *Window) Reserve(n int) error {
 	return nil
 }
 
-// TryReserve is Reserve without blocking; it reports whether the bytes
-// were claimed.
-func (w *Window) TryReserve(n int) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil || n > w.limit || w.inFlight+n > w.limit {
-		return false
-	}
-	w.inFlight += n
-	if w.inFlight > w.maxInFlight {
-		w.maxInFlight = w.inFlight
-	}
-	return true
-}
-
 // Release returns n reserved bytes (a response arrived, or the request
 // was abandoned) and wakes blocked senders.
 func (w *Window) Release(n int) {
@@ -98,13 +83,6 @@ func (w *Window) Fail(err error) {
 // Limit returns the advertised budget.
 func (w *Window) Limit() int { return w.limit }
 
-// InFlight returns the currently reserved bytes.
-func (w *Window) InFlight() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.inFlight
-}
-
 // MaxInFlight returns the high-water mark of reserved bytes — the
 // flow-control tests pin sender throttling with it.
 func (w *Window) MaxInFlight() int {
@@ -129,20 +107,6 @@ const (
 	// Executing it could double-apply an effect, so it is refused.
 	VerdictReject
 )
-
-// String names the verdict.
-func (v Verdict) String() string {
-	switch v {
-	case VerdictNew:
-		return "new"
-	case VerdictReplay:
-		return "replay"
-	case VerdictReject:
-		return "reject"
-	default:
-		return fmt.Sprintf("verdict(%d)", uint8(v))
-	}
-}
 
 // Replay is the receiver half of the at-least-once contract: clients
 // resend a request (same opaque) until its response arrives, so the
@@ -238,9 +202,3 @@ func (r *Replay) Store(opaque uint32, resp []byte) {
 	s.opaque = opaque
 	s.resp = append(s.resp[:0], resp...)
 }
-
-// Len returns the number of cached responses.
-func (r *Replay) Len() int { return r.n }
-
-// MaxOpaque returns the highest admitted opaque (zero before any).
-func (r *Replay) MaxOpaque() uint32 { return r.max }

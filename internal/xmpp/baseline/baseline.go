@@ -6,15 +6,18 @@
 // speaks the same XMPP subset and reproduces the architectural property
 // that dominates its measured behaviour:
 //
-//   - JabberD2Kind routes every stanza through a single router goroutine
-//     that re-parses it — the c2s→router→sm pipeline of JabberD2, whose
+//   - JabberD2Kind models the c2s→router→sm pipeline of JabberD2, whose
 //     serialisation (plus per-hop re-parsing) is what caps its
 //     throughput. An optional SSL mode charges per-byte stream-cipher
 //     work like the paper's SSL-enabled group-chat runs (Figure 15).
-//   - EjabberdKind handles each connection in its own goroutine (Erlang
-//     process analogue) with a per-stanza interpreter work factor; its
-//     throughput is bounded by that constant, which the paper's numbers
-//     place below JabberD2's.
+//   - EjabberdKind models ejabberd's per-stanza interpretation of its
+//     xmpp codec and mnesia routing on the BEAM, a larger charge that
+//     the paper's numbers place below JabberD2's throughput.
+//
+// Both kinds read each connection in its own goroutine and route every
+// stanza through one router goroutine that re-parses it and charges the
+// kind's per-stanza work, so each ceiling is a serialised bottleneck
+// set by a counted cost, not by how many CPUs the host has left over.
 //
 // The work-factor constants are calibrated against the ratios the paper
 // reports (EA/3 1.81x JBD2 at saturation, 2.42x EJB at 600 clients);
@@ -58,14 +61,14 @@ const (
 // re-calibrates on a different host. EXPERIMENTS.md records the
 // calibration run.
 const (
-	// JBD2RouterCycles is charged in the router goroutine per stanza:
+	// JBD2RouterCycles is charged per stanza in the router goroutine:
 	// the c2s -> router -> sm IPC and re-serialisation path.
 	JBD2RouterCycles = 95_000 // ~28us
 	// JBD2SSLCyclesPerByte is charged per payload byte when SSL mode is
 	// on (AES-CBC+HMAC stream work in 2016-era OpenSSL).
 	JBD2SSLCyclesPerByte = 18
-	// EjabberdStanzaCycles is charged per stanza in the connection
-	// process: BEAM interpretation of the xmpp codec and routing logic.
+	// EjabberdStanzaCycles is charged per stanza in the router
+	// goroutine: BEAM interpretation of the xmpp codec and routing logic.
 	EjabberdStanzaCycles = 137_000 // ~40us
 )
 
@@ -81,16 +84,9 @@ type Options struct {
 	// SSL enables the per-byte stream-crypto charge (JabberD2 group-chat
 	// configuration of Figure 15).
 	SSL bool
-	// WorkScale scales the modeled work factors (1.0 = calibrated).
+	// WorkScale scales the modeled work factors (1.0 = calibrated); tests
+	// shrink it to finish faster.
 	WorkScale float64
-}
-
-// Stats mirrors the EActors service counters.
-type Stats struct {
-	Connections  uint64
-	Routed       uint64
-	GroupFanout  uint64
-	AuthFailures uint64
 }
 
 type userEntry struct {
@@ -108,9 +104,10 @@ type routerItem struct {
 
 // Server is a running baseline XMPP server.
 type Server struct {
-	kind      Kind
 	ssl       bool
 	workScale float64
+	// stanzaCycles is the kind's serialised per-stanza charge.
+	stanzaCycles float64
 
 	lis      net.Listener
 	online   sync.Map // user -> *userEntry
@@ -144,33 +141,23 @@ func Start(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("baseline: listen: %w", err)
 	}
 	s := &Server{
-		kind:      opts.Kind,
-		ssl:       opts.SSL,
-		workScale: opts.WorkScale,
-		lis:       lis,
+		ssl:          opts.SSL,
+		workScale:    opts.WorkScale,
+		stanzaCycles: JBD2RouterCycles,
+		lis:          lis,
+		router:       make(chan routerItem, 1024),
 	}
-	if s.kind == JabberD2Kind {
-		s.router = make(chan routerItem, 1024)
-		s.wg.Add(1)
-		go s.routerLoop()
+	if opts.Kind == EjabberdKind {
+		s.stanzaCycles = EjabberdStanzaCycles
 	}
-	s.wg.Add(1)
+	s.wg.Add(2)
+	go s.routerLoop()
 	go s.acceptLoop()
 	return s, nil
 }
 
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.lis.Addr().String() }
-
-// Stats returns a counter snapshot.
-func (s *Server) Stats() Stats {
-	return Stats{
-		Connections:  s.conns.Load(),
-		Routed:       s.routedN.Load(),
-		GroupFanout:  s.fanout.Load(),
-		AuthFailures: s.authFail.Load(),
-	}
-}
 
 // Stop closes the listener and all connections, then drains the router.
 func (s *Server) Stop() {
@@ -183,9 +170,7 @@ func (s *Server) Stop() {
 		return true
 	})
 	s.connWg.Wait()
-	if s.router != nil {
-		close(s.router)
-	}
+	close(s.router)
 	s.wg.Wait()
 }
 
@@ -285,29 +270,23 @@ func (s *Server) handleConn(conn net.Conn) {
 		case el.Name == "presence":
 			s.handlePresence(user, &el)
 		case el.Name == "message":
+			// All stanzas funnel through the router; a full queue
+			// applies backpressure, like the real router's socket
+			// between c2s and sm.
 			raw := append([]byte(nil), el.Raw...)
-			switch s.kind {
-			case JabberD2Kind:
-				// All stanzas funnel through the router process; a full
-				// queue applies backpressure, like the real router's
-				// socket between c2s and sm.
-				s.router <- routerItem{raw: raw, from: user, keyHex: keyHex}
-			case EjabberdKind:
-				// Per-stanza interpreter work in the connection process.
-				s.charge(EjabberdStanzaCycles)
-				s.route(raw, user, keyHex)
-			}
+			s.router <- routerItem{raw: raw, from: user, keyHex: keyHex}
 		}
 	}
 }
 
-// routerLoop is JabberD2's router/sm process: every stanza is re-parsed
-// (genuine work, as the real router deserialises the c2s packet) and
-// charged the serialisation factor, strictly in order.
+// routerLoop is the serialised bottleneck (JabberD2's router/sm process,
+// ejabberd's BEAM routing): every stanza is re-parsed (genuine work, as
+// the real router deserialises the c2s packet) and charged the kind's
+// per-stanza work, strictly in order.
 func (s *Server) routerLoop() {
 	defer s.wg.Done()
 	for item := range s.router {
-		s.charge(JBD2RouterCycles)
+		s.charge(s.stanzaCycles)
 		s.route(item.raw, item.from, item.keyHex)
 	}
 }
@@ -394,12 +373,7 @@ func (s *Server) routeGroup(el *stanza.Stanza, from, keyHex string) {
 		// Every delivery is one more pass through the architectural
 		// bottleneck: jabberd2 routes each MUC copy through router/sm,
 		// ejabberd routes each copy through the BEAM.
-		switch s.kind {
-		case JabberD2Kind:
-			s.charge(JBD2RouterCycles)
-		case EjabberdKind:
-			s.charge(EjabberdStanzaCycles)
-		}
+		s.charge(s.stanzaCycles)
 		memberCipher, err := xmpp.ServerBodyCipher(entry.keyHex)
 		if err != nil {
 			return true

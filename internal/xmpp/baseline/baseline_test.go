@@ -157,3 +157,21 @@ func TestStopIsIdempotentAndUnblocks(t *testing.T) {
 		t.Fatal("Stop did not complete with open connections")
 	}
 }
+
+// Stats mirrors the EActors service counters.
+type Stats struct {
+	Connections  uint64
+	Routed       uint64
+	GroupFanout  uint64
+	AuthFailures uint64
+}
+
+// Stats returns a counter snapshot.
+func (s *Server) Stats() Stats {
+	return Stats{
+		Connections:  s.conns.Load(),
+		Routed:       s.routedN.Load(),
+		GroupFanout:  s.fanout.Load(),
+		AuthFailures: s.authFail.Load(),
+	}
+}

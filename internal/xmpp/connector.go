@@ -11,13 +11,14 @@ import (
 // connectorState is the CONNECTOR eactor's private state.
 type connectorState struct {
 	sessions map[uint32]*session
-	// handedOff remembers which shard now owns a socket, so bytes that
-	// raced the reader handover can be forwarded.
+	// handedOff remembers which shard now owns a socket until the READER
+	// acknowledges the unwatch, so bytes that raced the handover follow
+	// the session there.
 	handedOff map[uint32]int
 	recvBuf   []byte
 	// The CONNECTOR's outboxes: readStage carries watches and unwatches
 	// to its READER, writeStage handshake frames and teardown closes to
-	// the WRITER, handoff[i] sessions and stray bytes to shard i. A lost
+	// the WRITER, handoff[i] sessions and their bytes to shard i. A lost
 	// control frame would wedge a session, so whatever a full channel
 	// refuses stays staged, in order, for the next round.
 	readStage, writeStage core.SendStage
@@ -58,7 +59,7 @@ func (srv *Server) connectorSpec(opts Options, worker int, enclave string, shard
 		},
 		Body: func(self *core.Self) {
 			if lis.Up(self, open, accept, addrCh) {
-				srv.connectorServe(self, st, accept, read, write, handoff, shards)
+				srv.connectorServe(self, st, accept, read, write, handoff)
 			}
 		},
 	}
@@ -67,7 +68,7 @@ func (srv *Server) connectorSpec(opts Options, worker int, enclave string, shard
 // connectorServe is one serve-phase invocation: accept new sockets,
 // drive handshakes, hand authenticated sessions to their shards.
 func (srv *Server) connectorServe(self *core.Self, st *connectorState,
-	accept, read, write *core.Endpoint, handoff []*core.Endpoint, shards int) {
+	accept, read, write *core.Endpoint, handoff []*core.Endpoint) {
 
 	// New connections.
 	for {
@@ -96,15 +97,24 @@ func (srv *Server) connectorServe(self *core.Self, st *connectorState,
 		}
 		self.Progress()
 		switch msg.Type {
-		case netactors.MsgClosed:
+		case netactors.MsgUnwatched, netactors.MsgClosed:
 			delete(st.sessions, msg.Sock)
-			delete(st.handedOff, msg.Sock)
+			if shard, ok := st.handedOff[msg.Sock]; ok {
+				// Every byte our READER read is forwarded: the shard may
+				// start reading, or learns that the connection ended.
+				kind := byte(handoffWatch)
+				if msg.Type == netactors.MsgClosed {
+					kind = handoffClosed
+				}
+				hs := &st.handoff[shard]
+				hs.Push(appendSockMsg(hs.Slot(), kind, msg.Sock, nil))
+				delete(st.handedOff, msg.Sock)
+			}
 		case netactors.MsgData:
 			if shard, ok := st.handedOff[msg.Sock]; ok {
 				// Raced the reader handover: forward to the new owner,
 				// behind the handoff in the same stage.
-				hs := &st.handoff[shard]
-				hs.Push(append(hs.Slot(), encodeStray(msg.Sock, msg.Data)...))
+				st.forwardBytes(shard, handoff[shard], msg.Sock, msg.Data)
 				continue
 			}
 			sess, ok := st.sessions[msg.Sock]
@@ -112,7 +122,7 @@ func (srv *Server) connectorServe(self *core.Self, st *connectorState,
 				continue
 			}
 			sess.scanner.Feed(msg.Data)
-			srv.connectorHandshake(self, st, sess, shards)
+			srv.connectorHandshake(self, st, sess, handoff)
 		}
 	}
 	self.Flush(&st.readStage, read)
@@ -127,7 +137,7 @@ func (srv *Server) connectorServe(self *core.Self, st *connectorState,
 
 // connectorHandshake advances one session's handshake as far as its
 // buffered bytes allow.
-func (srv *Server) connectorHandshake(self *core.Self, st *connectorState, sess *session, shards int) {
+func (srv *Server) connectorHandshake(self *core.Self, st *connectorState, sess *session, handoff []*core.Endpoint) {
 	send := func(data string) {
 		(netactors.Msg{Type: netactors.MsgData, Sock: sess.sock, Data: []byte(data)}).StageOn(&st.writeStage)
 	}
@@ -173,10 +183,11 @@ func (srv *Server) connectorHandshake(self *core.Self, st *connectorState, sess 
 
 			// Hand the connection to its shard: release our READER and
 			// transfer any bytes the scanner still buffers.
-			shard := shardOf(user, shards)
+			shard := shardOf(user, len(handoff))
 			(netactors.Msg{Type: netactors.MsgUnwatch, Sock: sess.sock}).StageOn(&st.readStage)
 			hs := &st.handoff[shard]
-			hs.Push(append(hs.Slot(), encodeHandoff(OnlineEntry{User: user, Sock: sess.sock, Key: key}, sess.scanner.Remainder())...))
+			hs.Push(appendHandoff(hs.Slot(), OnlineEntry{User: user, Sock: sess.sock, Key: key}))
+			st.forwardBytes(shard, handoff[shard], sess.sock, sess.scanner.Remainder())
 			delete(st.sessions, sess.sock)
 			st.handedOff[sess.sock] = shard
 			self.Progress()
@@ -186,5 +197,19 @@ func (srv *Server) connectorHandshake(self *core.Self, st *connectorState, sess 
 			fail()
 			return
 		}
+	}
+}
+
+// forwardBytes stages a handed-off socket's bytes for its shard, behind
+// the session in the same stage, in pieces the handoff channel carries:
+// a READER chunk fills a plaintext node, and a handoff channel between
+// enclaves is sealed.
+func (st *connectorState) forwardBytes(shard int, ep *core.Endpoint, sock uint32, data []byte) {
+	hs := &st.handoff[shard]
+	limit := ep.MaxPayload() - sockMsgHeader
+	for len(data) > 0 {
+		n := min(len(data), limit)
+		hs.Push(appendSockMsg(hs.Slot(), handoffBytes, sock, data[:n]))
+		data = data[n:]
 	}
 }

@@ -50,9 +50,6 @@ func NewPOSDirectory(store *pos.Store) *POSDirectory {
 	return &POSDirectory{store: store}
 }
 
-// Store returns the backing store.
-func (d *POSDirectory) Store() *pos.Store { return d.store }
-
 // Add registers (or replaces) a user's entry.
 func (d *POSDirectory) Add(e OnlineEntry) {
 	key := []byte(directoryPrefix + e.User)

@@ -1,6 +1,7 @@
 package xmpp_test
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -127,6 +128,50 @@ func TestAuthAndMessageInOneWrite(t *testing.T) {
 	}
 	if msg.From != "eager" || msg.Body != "piggybacked" {
 		t.Fatalf("got %+v, want the piggybacked message from eager", msg)
+	}
+}
+
+// TestPipelinedStreamKeepsOrder: a client that streams stanzas straight
+// behind its auth, without waiting for the reply, must have every one
+// routed in order. Bytes the CONNECTOR's READER read after the auth
+// reach the shard through the CONNECTOR, later bytes through the shard's
+// own READER; the shard must not read the socket until the first path
+// has delivered its last byte, and the CONNECTOR must cut a full READER
+// chunk to fit the sealed handoff channel. The ordering race is
+// timing-dependent, so the test streams eight sessions; when the shard
+// watched at once, about one session in 25 arrived reordered or cut.
+func TestPipelinedStreamKeepsOrder(t *testing.T) {
+	srv := startServer(t, xmpp.Options{Shards: 1, Trusted: true})
+	bob := dial(t, srv.Addr(), "bob")
+	waitFor(t, func() bool { return srv.Online().Len() == 1 }, "bob online")
+
+	const sessions, burst, total = 8, 60, 1500
+	pad := strings.Repeat("x", 1000)
+	body := func(i int) string { return fmt.Sprintf("m%04d", i) + pad }
+	for s := 0; s < sessions; s++ {
+		user := fmt.Sprintf("eager%d", s)
+		c := rawDial(t, srv.Addr())
+		first := stanza.StreamHeader(user, xmpp.ServiceName) + stanza.Auth(user, strings.Repeat("ab", 32))
+		for i := 0; i < burst; i++ {
+			first += stanza.Message(user, "bob", body(i))
+		}
+		c.send(first)
+		go func() {
+			for i := burst; i < total; i++ {
+				if _, err := c.conn.Write([]byte(stanza.Message(user, "bob", body(i)))); err != nil {
+					return // the reads below report what went missing
+				}
+			}
+		}()
+		for i := 0; i < total; i++ {
+			msg, err := bob.ReadMessage(5 * time.Second)
+			if err != nil {
+				t.Fatalf("%s: message %d never arrived: %v", user, i, err)
+			}
+			if msg.From != user || msg.Body != body(i) {
+				t.Fatalf("%s: message %d arrived as %.5q from %s: the stream was reordered", user, i, msg.Body, msg.From)
+			}
+		}
 	}
 }
 

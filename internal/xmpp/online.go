@@ -51,9 +51,6 @@ func NewOnlineList(sealed bool, key [ecrypto.KeySize]byte) (*OnlineList, error) 
 	return l, nil
 }
 
-// Sealed reports whether entries are encrypted at rest.
-func (l *OnlineList) Sealed() bool { return l.cipher != nil }
-
 func encodeEntry(e OnlineEntry) []byte {
 	buf := make([]byte, 0, 8+len(e.User)+len(e.Key))
 	var tmp [4]byte

@@ -161,59 +161,54 @@ func TestRoomTable(t *testing.T) {
 
 func TestHandoffCodec(t *testing.T) {
 	entry := OnlineEntry{User: "alice", Sock: 99, Key: "deadbeef"}
-	leftover := []byte("<message to=")
-	blob := encodeHandoff(entry, leftover)
-	gotEntry, gotLeft, err := decodeHandoff(blob)
+	blob := appendHandoff(nil, entry)
+	gotEntry, err := decodeHandoff(blob)
 	if err != nil {
 		t.Fatalf("decodeHandoff: %v", err)
 	}
-	if gotEntry != entry || string(gotLeft) != string(leftover) {
-		t.Fatalf("roundtrip = %+v %q", gotEntry, gotLeft)
+	if gotEntry != entry {
+		t.Fatalf("roundtrip = %+v", gotEntry)
 	}
 
 	// Truncations must error, not panic.
 	for i := 0; i < len(blob); i++ {
-		if _, _, err := decodeHandoff(blob[:i]); err == nil {
+		if _, err := decodeHandoff(blob[:i]); err == nil {
 			t.Fatalf("truncated handoff at %d accepted", i)
 		}
 	}
-	if _, _, err := decodeHandoff([]byte{handoffStray}); err == nil {
+	if _, err := decodeHandoff(appendSockMsg(nil, handoffBytes, 99, nil)); err == nil {
 		t.Fatal("wrong-type handoff accepted")
 	}
 }
 
 func TestStrayCodec(t *testing.T) {
-	blob := encodeStray(7, []byte("partial bytes"))
-	sock, data, err := decodeStray(blob)
-	if err != nil || sock != 7 || string(data) != "partial bytes" {
-		t.Fatalf("roundtrip = %d %q %v", sock, data, err)
+	blob := appendSockMsg(nil, handoffBytes, 7, []byte("partial bytes"))
+	kind, sock, data, err := decodeSockMsg(blob)
+	if err != nil || kind != handoffBytes || sock != 7 || string(data) != "partial bytes" {
+		t.Fatalf("roundtrip = %d %d %q %v", kind, sock, data, err)
 	}
 	for i := 0; i < len(blob); i++ {
-		if _, _, err := decodeStray(blob[:i]); err == nil {
+		if _, _, _, err := decodeSockMsg(blob[:i]); err == nil {
 			t.Fatalf("truncated stray at %d accepted", i)
 		}
+	}
+	if kind, sock, data, err := decodeSockMsg(appendSockMsg(nil, handoffWatch, 8, nil)); err != nil ||
+		kind != handoffWatch || sock != 8 || len(data) != 0 {
+		t.Fatalf("watch marker roundtrip = %d %d %q %v", kind, sock, data, err)
+	}
+	if _, _, _, err := decodeSockMsg(appendHandoff(nil, OnlineEntry{User: "a", Sock: 7})); err == nil {
+		t.Fatal("session handoff accepted as a socket message")
 	}
 }
 
 func TestHandoffQuick(t *testing.T) {
-	f := func(user, key string, sock uint32, leftover []byte) bool {
-		if len(user) == 0 || len(user) > 255 || len(key) > 255 || len(leftover) > 60000 {
+	f := func(user, key string, sock uint32) bool {
+		if len(user) == 0 || len(user) > 255 || len(key) > 255 {
 			return true
 		}
 		e := OnlineEntry{User: user, Sock: sock, Key: key}
-		got, left, err := decodeHandoff(encodeHandoff(e, leftover))
-		if err != nil || got != e {
-			return false
-		}
-		if len(left) != len(leftover) {
-			return false
-		}
-		for i := range left {
-			if left[i] != leftover[i] {
-				return false
-			}
-		}
-		return true
+		got, err := decodeHandoff(appendHandoff(nil, e))
+		return err == nil && got == e
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -251,3 +246,6 @@ func TestBodyCipherHelpers(t *testing.T) {
 		t.Fatal("short key accepted")
 	}
 }
+
+// Sealed reports whether entries are encrypted at rest.
+func (l *OnlineList) Sealed() bool { return l.cipher != nil }

@@ -50,7 +50,11 @@ func TestDedicatedRoomFanout(t *testing.T) {
 
 	// The room enclave must exist and the forward channels must be
 	// encrypted (regular shard -> room shard crosses enclaves).
-	if _, ok := srv.Runtime().EnclaveByName("xmpp-room-0"); !ok {
+	roomEnclave := false
+	for _, e := range srv.Runtime().Report().Enclaves {
+		roomEnclave = roomEnclave || e.Name == "xmpp-room-0"
+	}
+	if !roomEnclave {
 		t.Fatal("dedicated room enclave missing")
 	}
 	for i := 0; i < 2; i++ {

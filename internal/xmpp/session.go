@@ -76,82 +76,69 @@ func NewClientBodyCipher(key [ecrypto.KeySize]byte) (*ecrypto.Cipher, error) {
 	return ecrypto.NewCipher(key, clientDirTag)
 }
 
-// Handoff message types on the CONNECTOR→shard channels.
+// Handoff messages on the CONNECTOR→shard channels. A session arrives
+// as handoffSession, then every byte the CONNECTOR still holds or later
+// receives for it as handoffBytes, then handoffWatch once the CONNECTOR's
+// READER has acknowledged the unwatch (or handoffClosed if the
+// connection ended first). The shard's READER watches the socket only
+// then, so no byte it reads can overtake one the CONNECTOR forwards.
 const (
 	handoffSession = 1 // an authenticated connection changes owner
-	handoffStray   = 2 // bytes that raced the reader handover
+	handoffBytes   = 2 // bytes the CONNECTOR's READER read for it
+	handoffWatch   = 3 // the CONNECTOR's READER released the socket
+	handoffClosed  = 4 // the connection ended before that
 )
 
 var errBadHandoff = errors.New("xmpp: corrupt handoff message")
 
-// encodeHandoff serialises a session handoff: the authenticated user,
-// its socket, its service key and any bytes already buffered beyond the
-// auth exchange.
-func encodeHandoff(e OnlineEntry, leftover []byte) []byte {
-	buf := make([]byte, 0, 12+len(e.User)+len(e.Key)+len(leftover))
+// appendHandoff appends a session handoff to buf: the authenticated
+// user, its socket and its service key.
+func appendHandoff(buf []byte, e OnlineEntry) []byte {
 	buf = append(buf, handoffSession)
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], e.Sock)
-	buf = append(buf, tmp[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, e.Sock)
 	buf = append(buf, byte(len(e.User)))
 	buf = append(buf, e.User...)
 	buf = append(buf, byte(len(e.Key)))
-	buf = append(buf, e.Key...)
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(leftover)))
-	buf = append(buf, tmp[:2]...)
-	buf = append(buf, leftover...)
-	return buf
+	return append(buf, e.Key...)
 }
 
-func decodeHandoff(b []byte) (e OnlineEntry, leftover []byte, err error) {
-	if len(b) < 1 || b[0] != handoffSession {
-		return e, nil, errBadHandoff
+func decodeHandoff(b []byte) (e OnlineEntry, err error) {
+	if len(b) < 6 || b[0] != handoffSession {
+		return e, errBadHandoff
 	}
-	b = b[1:]
-	if len(b) < 6 {
-		return e, nil, errBadHandoff
+	e.Sock = binary.LittleEndian.Uint32(b[1:])
+	ul := int(b[5])
+	if len(b) < 6+ul+1 {
+		return e, errBadHandoff
 	}
-	e.Sock = binary.LittleEndian.Uint32(b)
-	ul := int(b[4])
-	if len(b) < 5+ul+1 {
-		return e, nil, errBadHandoff
+	e.User = string(b[6 : 6+ul])
+	kl := int(b[6+ul])
+	if len(b) != 6+ul+1+kl {
+		return e, errBadHandoff
 	}
-	e.User = string(b[5 : 5+ul])
-	kl := int(b[5+ul])
-	rest := b[5+ul+1:]
-	if len(rest) < kl+2 {
-		return e, nil, errBadHandoff
-	}
-	e.Key = string(rest[:kl])
-	n := int(binary.LittleEndian.Uint16(rest[kl:]))
-	if len(rest) < kl+2+n {
-		return e, nil, errBadHandoff
-	}
-	leftover = append([]byte(nil), rest[kl+2:kl+2+n]...)
-	return e, leftover, nil
+	e.Key = string(b[6+ul+1:])
+	return e, nil
 }
 
-// encodeStray serialises bytes that arrived at the CONNECTOR after a
-// session was handed off.
-func encodeStray(sock uint32, data []byte) []byte {
-	buf := make([]byte, 0, 7+len(data))
-	buf = append(buf, handoffStray)
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], sock)
-	buf = append(buf, tmp[:]...)
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(data)))
-	buf = append(buf, tmp[:2]...)
+// sockMsgHeader is the size of a handoff message without its bytes.
+const sockMsgHeader = 7
+
+// appendSockMsg appends one of the other handoff messages to buf: a
+// kind, the socket and, for handoffBytes, the bytes.
+func appendSockMsg(buf []byte, kind byte, sock uint32, data []byte) []byte {
+	buf = append(buf, kind)
+	buf = binary.LittleEndian.AppendUint32(buf, sock)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(data)))
 	return append(buf, data...)
 }
 
-func decodeStray(b []byte) (sock uint32, data []byte, err error) {
-	if len(b) < 7 || b[0] != handoffStray {
-		return 0, nil, errBadHandoff
+func decodeSockMsg(b []byte) (kind byte, sock uint32, data []byte, err error) {
+	if len(b) < sockMsgHeader || b[0] == handoffSession {
+		return 0, 0, nil, errBadHandoff
 	}
-	sock = binary.LittleEndian.Uint32(b[1:])
 	n := int(binary.LittleEndian.Uint16(b[5:]))
-	if len(b) < 7+n {
-		return 0, nil, errBadHandoff
+	if len(b) < sockMsgHeader+n {
+		return 0, 0, nil, errBadHandoff
 	}
-	return sock, append([]byte(nil), b[7:7+n]...), nil
+	return b[0], binary.LittleEndian.Uint32(b[1:]), b[sockMsgHeader : sockMsgHeader+n], nil
 }

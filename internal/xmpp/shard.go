@@ -115,36 +115,38 @@ func (srv *Server) shardSpec(opts Options, i, worker int, enclave string) core.S
 	}
 }
 
-// shardHandoff installs a session (or stray bytes) arriving from the
-// CONNECTOR and drains whatever complete stanzas the bytes hold: every
-// Feed is followed by a drain, so no session keeps a buffered stanza
-// waiting for its next read.
+// shardHandoff installs a session arriving from the CONNECTOR, feeds it
+// the bytes that follow and drains whatever complete stanzas they hold
+// (every Feed is followed by a drain, so no session keeps a buffered
+// stanza waiting for its next read), and watches its socket once the
+// CONNECTOR's READER has let go of it.
 func (srv *Server) shardHandoff(self *core.Self, st *shardState, write, closeCh *core.Endpoint, payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
-	switch payload[0] {
-	case handoffSession:
-		entry, leftover, err := decodeHandoff(payload)
-		if err != nil {
-			return
+	self.Progress()
+	if payload[0] == handoffSession {
+		if entry, err := decodeHandoff(payload); err == nil {
+			st.pcl[entry.Sock] = &session{sock: entry.Sock, user: entry.User, keyHex: entry.Key, authed: true, sawHdr: true}
 		}
-		sess := &session{sock: entry.Sock, user: entry.User, keyHex: entry.Key, authed: true, sawHdr: true}
-		sess.scanner.Feed(leftover)
-		st.pcl[entry.Sock] = sess
-		(netactors.Msg{Type: netactors.MsgWatch, Sock: entry.Sock}).StageOn(&st.readStage)
-		self.Progress()
+		return
+	}
+	kind, sock, data, err := decodeSockMsg(payload)
+	if err != nil {
+		return
+	}
+	sess, ok := st.pcl[sock]
+	if !ok {
+		return
+	}
+	switch kind {
+	case handoffBytes:
+		sess.scanner.Feed(data)
 		srv.shardDrainSession(self, st, sess, write, closeCh)
-	case handoffStray:
-		sock, data, err := decodeStray(payload)
-		if err != nil {
-			return
-		}
-		if sess, ok := st.pcl[sock]; ok {
-			sess.scanner.Feed(data)
-			srv.shardDrainSession(self, st, sess, write, closeCh)
-		}
-		self.Progress()
+	case handoffWatch:
+		(netactors.Msg{Type: netactors.MsgWatch, Sock: sock}).StageOn(&st.readStage)
+	case handoffClosed:
+		srv.shardDisconnect(st, closeCh, sock, false)
 	}
 }
 

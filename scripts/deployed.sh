@@ -5,24 +5,29 @@
 # It builds every program under cmd/ and examples/ and the benchmark
 # harness with coverage on for every package of the module, drives them
 # the way they are deployed (both servers under every eactors-load verb,
-# xmppclient, posctl, eactors top|trace, eactors-bench -all, -plot and
+# xmppclient, a slow consumer that makes the kernel refuse the XMPP
+# server's bytes, posctl, eactors top|trace, eactors-bench -all, -plot and
 # one table-format figure, sendcheck, every example, the five harness
 # workloads with tracing off and on) plus the chaos suite, and merges
 # the counters with go tool covdata. It prints each package's share of
 # executed non-test statements and every function no run enters, then
-# judges files:
+# judges functions:
 #
-#   a compiled non-test file outside benchmark/ and internal/testutil/
-#   that executes no statement fails the gate, unless
-#   scripts/deployed-exceptions.txt lists it with a reason.
+#   a non-test function outside benchmark/ and internal/testutil/ that
+#   no run enters fails the gate, unless scripts/deployed-exceptions.txt
+#   lists it with a tagged reason;
+#   an exceptions entry whose function a run enters, or that no longer
+#   exists, fails the gate too, as does an entry without a tag;
+#   a package that no driven program links fails the gate.
 #
-# A file holding only declarations has no statement to execute and is
-# not judged. A file whose package no driven program links counts as
-# executing nothing.
+# A function is keyed by its file and its name, with the receiver type
+# for a method (internal/faults/faults.go Injector.String), so an edit
+# elsewhere in its file leaves its entry valid.
 #
 # Everything it writes stays under .deployed/: report.txt (the report
 # printed here), deployed.out (the merged profile; go tool cover -html
-# renders it) and drive.log (what the driven programs printed).
+# renders it), funcs.txt (every function with its coverage) and
+# drive.log (what the driven programs printed).
 #
 #   bash scripts/deployed.sh
 set -euo pipefail
@@ -77,6 +82,34 @@ serve() {
 	fail "$name did not start"
 }
 
+# slow_consumer opens an XMPP session on the running xmppserver that
+# sends itself about 16 MiB of 1.4 KiB chat stanzas and never reads:
+# once the kernel's socket buffers are full it refuses the server's
+# bytes, so frames take the write pump, its write deadline expires and
+# a full backlog drops frames. The stream header, the auth and the first
+# 64 KiB of stanzas go out in one write, as a pipelining client sends
+# them, so stanzas reach the CONNECTOR after it handed the session to
+# its shard and take the stray-bytes handoff.
+slow_consumer() {
+	echo "deployed: slow consumer on $addr" >&2
+	local stanza burst i
+	stanza="<message from=\"slow\" to=\"slow\" type=\"chat\"><body>$(printf '%1400s' '' | tr ' ' x)</body></message>"
+	burst='<stream:stream from="slow" to="eactors.local" version="1.0" xmlns="jabber:client" xmlns:stream="http://etherx.jabber.org/streams">'
+	burst+="<auth user=\"slow\" key=\"$(printf '%064d' 0)\"/>"
+	for ((i = 0; i < 45; i++)); do
+		burst+=$stanza
+	done
+	exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+	{
+		printf '%s' "$burst"
+		for ((i = 45; i < 11500; i++)); do
+			printf '%s' "$stanza"
+		done
+	} >&3 || fail "slow consumer"
+	sleep 1.5 # past the write pump's 1 s write deadline
+	exec 3>&-
+}
+
 echo "deployed: building with coverage of $module/..." >&2
 go build -cover -coverpkg="$module/..." -o "$bin/" ./cmd/... ./examples/...
 go -C benchmark build -cover -coverpkg="$module/..." -o "$PWD/$bin/benchmark" .
@@ -102,8 +135,14 @@ step "$bin/eactors-load" xmpp -server "$addr" -clients 4 -warmup 200ms -duration
 printf '%s\n' '/msg alice hello' '/join vault' '/room vault hello' '/ping' '/who alice' \
 	'/leave vault' '/quit' >"$run/xmppclient.in"
 step "$bin/xmppclient" -server "$addr" -user alice <"$run/xmppclient.in"
+slow_consumer
 step "$bin/eactors" top -addr "$metrics" -once
 step "$bin/eactors" trace -addr "$metrics" -n 3
+stop_servers
+
+# The in-memory online list in place of the sealed POS directory.
+serve xmppserver -directory=false
+step "$bin/eactors-load" xmpp -server "$addr" -clients 4 -warmup 200ms -duration 1s
 stop_servers
 
 step "$bin/eactors-load" idle -kvserver "$bin/kvserver" -xmppserver "$bin/xmppserver" -conns 100 -settle 500ms
@@ -163,47 +202,68 @@ END {
 		"$out/files.txt" | sort
 
 	echo
+	# Every function, keyed by file and [Receiver.]Name, with its coverage.
 	go tool cover -func="$out/deployed.out" | sed "s|^$module/||" |
-		awk '$NF == "0.0%" && $1 !~ /^internal\/testutil\// { print $1, $2 }' >"$out/unreached.txt"
+		awk '$1 != "total:" && $1 !~ /^internal\/testutil\// {
+			split($1, loc, ":"); file = loc[1]
+			n = 0; src = ""
+			while ((getline l < file) > 0) if (++n == loc[2]) { src = l; break }
+			close(file)
+			recv = ""
+			if (match(src, /^func \([^)]*\)/)) {
+				recv = substr(src, 7, RLENGTH - 7)
+				sub(/\[.*/, "", recv); sub(/.*[ *]/, "", recv)
+				recv = recv "."
+			}
+			print file, recv $2, $3
+		}' >"$out/funcs.txt"
+	awk '$3 == "0.0%" { print $1, $2 }' "$out/funcs.txt" >"$out/unreached.txt"
 	echo "== functions no run enters: $(wc -l <"$out/unreached.txt")"
 	cat "$out/unreached.txt"
 
-	# The gate. Every compiled non-test file of every package.
+	# The gate.
 	echo
-	echo "== files that execute no statement"
-	go list -f '{{.ImportPath}}{{range .GoFiles}} {{.}}{{end}}' ./... |
+	echo "== the gate"
+	go list -f '{{.ImportPath}} {{len .GoFiles}}' ./... |
 		awk -v mod="$module" -v linked="$(tr '\n' ' ' <<<"$linked")" \
-			-v files="$out/files.txt" -v exc="$exceptions" '
+			-v funcs="$out/funcs.txt" -v exc="$exceptions" '
 		BEGIN {
 			n = split(linked, l, " ")
 			for (i = 1; i <= n; i++) islinked[l[i]] = 1
-			while ((getline line < files) > 0) { split(line, c, " "); total[c[1]] = c[2]; ran[c[1]] = c[3] }
+			while ((getline line < funcs) > 0) {
+				split(line, c, " "); key = c[1] " " c[2]
+				exists[key] = 1
+				if (c[3] == "0.0%") unentered[++nu] = key
+			}
 			while ((getline line < exc) > 0) {
 				if (line ~ /^[ \t]*(#|$)/) continue
-				path = line; sub(/[ \t].*/, "", path)
-				reason = line; sub(/^[^ \t]+[ \t]+/, "", reason)
+				split(line, c, /[ \t]+/); key = c[1] " " c[2]
+				reason = line; sub(/^[^ \t]+[ \t]+[^ \t]+[ \t]*/, "", reason)
 				if (reason !~ /^(error path|test seam|chaos-only fault class): ./) {
-					printf "BAD REASON %s: %s (want \"error path: ...\", \"test seam: ...\" or \"chaos-only fault class: ...\")\n", path, reason
+					printf "BAD REASON %s: %s (want \"error path: ...\", \"test seam: ...\" or \"chaos-only fault class: ...\")\n", key, reason
 					bad++
 				}
-				excused[path] = reason
+				if (!(key in excused)) listed[++ne] = key
+				excused[key] = reason
 			}
 		}
-		{
-			pkg = $1; dir = substr(pkg, length(mod) + 2)
-			if (dir ~ /^internal\/testutil(\/|$)/) next
-			for (i = 2; i <= NF; i++) {
-				file = (dir == "" ? "" : dir "/") $i
-				if (!(pkg in islinked)) why = "its package is linked into no driven program"
-				else if (total[file] > 0 && ran[file] == 0) why = total[file] " statements, none executed"
-				else continue
-				if (file in excused) { printf "excepted  %s (%s): %s\n", file, why, excused[file]; used[file] = 1 }
-				else { printf "FAIL      %s (%s)\n", file, why; bad++ }
-			}
+		$2 > 0 && !($1 in islinked) && $1 !~ "^" mod "/internal/testutil(/|$)" {
+			printf "FAIL      %s: its package is linked into no driven program\n", substr($1, length(mod) + 2)
+			bad++
 		}
 		END {
-			for (f in excused) if (!(f in used)) printf "note      %s is listed in %s but executes statements\n", f, exc
-			printf "== %d files fail the gate\n", bad
+			for (i = 1; i <= nu; i++) {
+				k = unentered[i]
+				if (k in excused) { printf "excepted  %s: %s\n", k, excused[k]; idle[k] = 1 }
+				else { printf "FAIL      %s: no run enters it\n", k; bad++ }
+			}
+			for (i = 1; i <= ne; i++) {
+				k = listed[i]
+				if (k in idle) continue
+				printf "STALE     %s is listed in %s but %s\n", k, exc, (k in exists ? "a run enters it" : "no longer exists")
+				bad++
+			}
+			printf "== %d failures\n", bad
 			exit (bad > 0 ? 1 : 0)
 		}'
 } | tee "$out/report.txt"
